@@ -3,12 +3,12 @@
 //! The materialized path hands the replay loop a whole `&Trace`; the
 //! streaming path hands it a [`ChunkSource`] — anything that yields the
 //! trace's [`TraceChunk`]s in order. [`PrefetchedChunks`] wraps a source
-//! with a producer thread and a capacity-1 rendezvous channel, so at any
-//! moment at most two chunks are alive: the one the replay loop is
-//! consuming and the one the producer is generating behind it. That is the
-//! whole memory story of a streamed replay — RSS is bounded by
-//! `2 × chunk_ops × sizeof(MemOp)` plus the controller, for any trace
-//! length.
+//! with a producer thread and a zero-capacity (rendezvous) channel, so at
+//! any moment at most two chunks are alive: the one the replay loop is
+//! consuming and the one the producer is generating (or holding) behind
+//! it. That is the whole memory story of a streamed replay — RSS is
+//! bounded by `2 × chunk_ops × sizeof(MemOp)` plus the controller, for any
+//! trace length.
 
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
@@ -46,11 +46,14 @@ impl ChunkSource for std::vec::IntoIter<Arc<TraceChunk>> {
 
 /// Double-buffered prefetch over a [`ChunkSource`].
 ///
-/// A producer thread drains the source into a capacity-1
+/// A producer thread drains the source into a zero-capacity
 /// [`sync_channel`]: while the consumer replays chunk *k*, the producer
 /// is already generating chunk *k + 1* and blocks handing it over until
-/// chunk *k* is done. Generation and replay overlap, and the number of
-/// resident chunks never exceeds two.
+/// the consumer has dropped chunk *k* and asks for the next one.
+/// Generation and replay overlap, and the number of resident chunks never
+/// exceeds two. (A capacity-1 channel would let a producer that outruns
+/// replay park *k + 1* in the channel and start on *k + 2*: three live
+/// chunks.)
 ///
 /// Dropping the prefetcher mid-stream shuts the producer down cleanly:
 /// the receiver closes, the producer's blocked send fails, and the
@@ -64,7 +67,7 @@ pub struct PrefetchedChunks {
 impl PrefetchedChunks {
     /// Spawns the producer thread over `source`.
     pub fn spawn<S: ChunkSource + Send + 'static>(mut source: S) -> Self {
-        let (sender, receiver) = sync_channel::<Arc<TraceChunk>>(1);
+        let (sender, receiver) = sync_channel::<Arc<TraceChunk>>(0);
         let producer = std::thread::Builder::new()
             .name("chunk-prefetch".to_owned())
             .spawn(move || {
@@ -104,6 +107,9 @@ impl Drop for PrefetchedChunks {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Weak;
+
     use super::*;
     use cache8t_sim::CacheGeometry;
     use cache8t_trace::{profiles, ProfiledGenerator};
@@ -141,6 +147,46 @@ mod tests {
         // Dropping with the producer blocked on a full channel must not
         // hang or leak the thread.
         drop(p);
+    }
+
+    /// A source that tracks every chunk it has handed out and records
+    /// the most ever alive at once, counting the one it is producing.
+    struct LiveCounting {
+        inner: ChunkedGenerator<ProfiledGenerator>,
+        handed_out: Vec<Weak<TraceChunk>>,
+        peak: Arc<AtomicUsize>,
+    }
+
+    impl ChunkSource for LiveCounting {
+        fn next_chunk(&mut self) -> Option<Arc<TraceChunk>> {
+            self.handed_out.retain(|w| w.strong_count() > 0);
+            let live = self.handed_out.len() + 1;
+            self.peak.fetch_max(live, Ordering::SeqCst);
+            let chunk = ChunkSource::next_chunk(&mut self.inner)?;
+            self.handed_out.push(Arc::downgrade(&chunk));
+            Some(chunk)
+        }
+    }
+
+    #[test]
+    fn at_most_two_chunks_live_under_a_slow_consumer() {
+        let peak = Arc::new(AtomicUsize::new(0));
+        let mut p = PrefetchedChunks::spawn(LiveCounting {
+            inner: chunked(5, 256, 256 * 12),
+            handed_out: Vec::new(),
+            peak: Arc::clone(&peak),
+        });
+        let mut chunks = 0;
+        while let Some(chunk) = p.next_chunk() {
+            // Replay is far slower than generating 256 ops, so the
+            // producer is always ready and waiting at the handover.
+            std::thread::sleep(std::time::Duration::from_millis(15));
+            assert_eq!(chunk.start_op(), chunks * 256);
+            chunks += 1;
+        }
+        drop(p);
+        assert_eq!(chunks, 12);
+        assert_eq!(peak.load(Ordering::SeqCst), 2);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::fmt;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use cache8t_sim::{AccessKind, Address, CacheGeometry, FastMap};
+use cache8t_sim::{AccessKind, Address, CacheGeometry};
 
 use crate::profile::KindChain;
 use crate::{MemOp, Trace, WorkloadProfile, ZipfSampler};
@@ -41,6 +41,32 @@ pub trait TraceGenerator {
 /// revisits.
 const HOT_BLOCKS_PER_SET: usize = 4;
 
+/// One set's recently touched blocks, most recent first: `blocks[..len]`
+/// is the list.
+#[derive(Clone, Copy, Default)]
+struct HotRow {
+    blocks: [u64; HOT_BLOCKS_PER_SET],
+    len: usize,
+}
+
+impl HotRow {
+    /// Moves `block` to the front, evicting the oldest entry when the
+    /// row is full.
+    #[inline]
+    fn touch(&mut self, block: u64) {
+        // The slot to vacate: the block's own, or else the first free
+        // one (the last one when full). Shifting everything before it
+        // down by one keeps most-recent-first order.
+        let end = self.blocks[..self.len]
+            .iter()
+            .position(|&b| b == block)
+            .unwrap_or(self.len.min(HOT_BLOCKS_PER_SET - 1));
+        self.blocks.copy_within(0..end, 1);
+        self.blocks[0] = block;
+        self.len = self.len.max(end + 1);
+    }
+}
+
 /// The SPEC-2006-substituting workload generator.
 ///
 /// `ProfiledGenerator` realizes a [`WorkloadProfile`] as a concrete request
@@ -74,11 +100,11 @@ pub struct ProfiledGenerator {
     chain: KindChain,
     zipf: ZipfSampler,
     rng: SmallRng,
-    /// Shadow of architectural memory at word granularity (sparse; absent
-    /// words hold 0).
-    shadow: FastMap<u64, u64>,
-    /// Recently touched blocks per set, most recent first.
-    hot: FastMap<u64, Vec<u64>>,
+    /// Shadow of architectural memory, one slot per working-set word,
+    /// indexed by `addr >> 3` (never-written words hold 0).
+    shadow: Vec<u64>,
+    /// Recently touched blocks, one row per cache set.
+    hot: Vec<HotRow>,
     prev_kind: AccessKind,
     prev_set: u64,
     prev_block: u64,
@@ -89,8 +115,14 @@ pub struct ProfiledGenerator {
     /// silence chain).
     last_write_silent: bool,
     instructions: u64,
+    /// Instructions each memory op represents, `1 / mem_per_instr`.
+    instr_per_op: f64,
     /// Accumulates the fractional part of the non-memory instruction gap.
     instr_carry: f64,
+    /// Silence probability of a write after a silent write, and after a
+    /// non-silent one (see `silence_rates`).
+    silent_stay: f64,
+    silent_enter: f64,
     fresh_counter: u64,
 }
 
@@ -116,22 +148,23 @@ impl ProfiledGenerator {
         } else {
             AccessKind::Write
         };
-        // Size the bookkeeping maps from the profile footprint so steady
-        // state is reached without rehashing: the shadow image holds at
-        // most one entry per working-set word (capped — huge working sets
-        // are touched sparsely) and the hot lists one entry per cache set.
-        let footprint_words = (profile.working_set_blocks as usize)
-            .saturating_mul(geometry.block_words())
-            .min(1 << 20);
-        let hot_sets = (geometry.num_sets() as usize).min(1 << 16);
+        // Every generated block is below `working_set_blocks` (ranks are
+        // reduced modulo it and buddies are range-checked), so the shadow
+        // covers every address the stream can name. Validation caps the
+        // working set, so the zeroed image is always allocatable.
+        let shadow_words = profile.working_set_blocks as usize * geometry.block_words();
+        let (silent_stay, silent_enter) = Self::silence_rates(&profile);
         ProfiledGenerator {
+            instr_per_op: 1.0 / profile.mem_per_instr,
+            silent_stay,
+            silent_enter,
+            shadow: vec![0; shadow_words],
+            hot: vec![HotRow::default(); geometry.num_sets() as usize],
             profile,
             geometry,
             chain,
             zipf,
             rng,
-            shadow: FastMap::with_capacity_and_hasher(footprint_words, Default::default()),
-            hot: FastMap::with_capacity_and_hasher(hot_sets, Default::default()),
             prev_kind,
             prev_set,
             prev_block,
@@ -171,48 +204,32 @@ impl ProfiledGenerator {
         self.geometry.set_index_of(self.block_base(block))
     }
 
-    fn touch_hot(&mut self, set: u64, block: u64) {
-        let list = self.hot.entry(set).or_default();
-        if let Some(pos) = list.iter().position(|&b| b == block) {
-            list.remove(pos);
-        }
-        list.insert(0, block);
-        list.truncate(HOT_BLOCKS_PER_SET);
-    }
-
     /// Picks a block for a same-set revisit: usually the previous block,
     /// otherwise one of the set's recently touched blocks.
     fn same_set_block(&mut self) -> u64 {
-        // Borrow the hot list in place: this runs on every same-set
-        // transition, so cloning it would allocate per generated op. The
-        // RNG draw order is identical to the cloning version (an absent or
-        // single-entry list draws nothing).
-        if let Some(list) = self.hot.get(&self.prev_set) {
-            if list.len() > 1 && self.rng.gen::<f64>() < 0.3 {
-                let idx = self.rng.gen_range(0..list.len());
-                return list[idx];
-            }
+        // A row with fewer than two entries draws nothing.
+        let row = &self.hot[self.prev_set as usize];
+        if row.len > 1 && self.rng.gen::<f64>() < 0.3 {
+            let idx = self.rng.gen_range(0..row.len);
+            return row.blocks[idx];
         }
         self.prev_block
     }
 
-    /// The silence probability of the next write under the two-state
-    /// silence chain: stationary fraction `s` with persistence
+    /// The silence probabilities `(stay, enter)` of a write after a
+    /// silent and after a non-silent write, under the two-state silence
+    /// chain: stationary fraction `s` with persistence
     /// `q = s + c (1 - s)` (where `c` is the correlation), giving bursty
     /// silence while keeping the marginal at exactly `s`.
-    fn silent_probability(&self) -> f64 {
-        let s = self.profile.silent_fraction;
-        let c = self.profile.silent_correlation;
+    fn silence_rates(profile: &WorkloadProfile) -> (f64, f64) {
+        let s = profile.silent_fraction;
+        let c = profile.silent_correlation;
         if s <= 0.0 || s >= 1.0 || c <= 0.0 {
-            return s;
+            return (s, s);
         }
         let q = s + c * (1.0 - s);
-        if self.last_write_silent {
-            q
-        } else {
-            // Entry rate chosen so the stationary distribution stays `s`.
-            s * (1.0 - q) / (1.0 - s)
-        }
+        // Entry rate chosen so the stationary distribution stays `s`.
+        (q, s * (1.0 - q) / (1.0 - s))
     }
 
     /// Long-range revisit of the most recently written block/set, skipped
@@ -245,12 +262,13 @@ impl ProfiledGenerator {
     fn advance_instructions(&mut self) {
         // Each memory op represents 1 / mem_per_instr instructions on
         // average; carry the fractional part so the long-run density is
-        // exact.
-        let per_op = 1.0 / self.profile.mem_per_instr;
-        let total = per_op + self.instr_carry;
-        let whole = total.floor();
-        self.instr_carry = total - whole;
-        self.instructions += whole as u64;
+        // exact. `total` is non-negative and, with `mem_per_instr`
+        // validated to at least 2^-52, below 2^53: the truncating cast is
+        // `floor` and converts back exactly.
+        let total = self.instr_per_op + self.instr_carry;
+        let whole = total as u64;
+        self.instr_carry = total - whole as f64;
+        self.instructions += whole;
     }
 }
 
@@ -287,7 +305,7 @@ impl TraceGenerator for ProfiledGenerator {
             self.rank_to_block(rank)
         };
         let set = self.set_of_block(block);
-        self.touch_hot(set, block);
+        self.hot[set as usize].touch(block);
 
         // 4. Word within the block.
         let word = self.rng.gen_range(0..self.geometry.block_words() as u64);
@@ -297,20 +315,24 @@ impl TraceGenerator for ProfiledGenerator {
         let op = match kind {
             AccessKind::Read => MemOp::read(addr),
             AccessKind::Write => {
-                let silent = self.rng.gen::<f64>() < self.silent_probability();
-                self.last_write_silent = silent;
-                let value = if silent {
-                    self.shadow.get(&addr.raw()).copied().unwrap_or(0)
+                let p_silent = if self.last_write_silent {
+                    self.silent_stay
                 } else {
-                    // A monotone counter starting at 1 never collides with
-                    // the zero-initialized memory image, and the shadow
-                    // update below keeps collisions with *stored* values
-                    // impossible (values are unique per write).
-                    self.fresh_counter += 1;
-                    self.fresh_counter
+                    self.silent_enter
                 };
-                self.shadow.insert(addr.raw(), value);
-                MemOp::write(addr, value)
+                let silent = self.rng.gen::<f64>() < p_silent;
+                self.last_write_silent = silent;
+                // A silent write stores what the word holds. Otherwise a
+                // monotone counter starting at 1 never collides with the
+                // zero-initialized memory image, and the shadow update
+                // keeps collisions with *stored* values impossible (values
+                // are unique per write).
+                let slot = &mut self.shadow[(addr.raw() >> 3) as usize];
+                if !silent {
+                    self.fresh_counter += 1;
+                    *slot = self.fresh_counter;
+                }
+                MemOp::write(addr, *slot)
             }
         };
 
@@ -461,6 +483,22 @@ mod tests {
         let mut p = profile();
         p.read_share = 2.0;
         let _ = ProfiledGenerator::new(p, CacheGeometry::paper_baseline(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid workload profile `unit`: working set of")]
+    fn oversized_working_set_panics_with_name_before_allocating() {
+        let mut p = profile();
+        p.working_set_blocks = u64::MAX;
+        let _ = ProfiledGenerator::new(p, CacheGeometry::paper_baseline(), 0);
+    }
+
+    #[test]
+    fn sparsest_memory_density_counts_instructions_exactly() {
+        let mut p = profile();
+        p.mem_per_instr = WorkloadProfile::MIN_MEM_PER_INSTR;
+        let t = ProfiledGenerator::new(p, CacheGeometry::paper_baseline(), 0).collect(3);
+        assert_eq!(t.instructions(), 3 << 52);
     }
 
     #[test]

@@ -101,6 +101,18 @@ pub enum ProfileError {
     },
     /// The working set was empty.
     EmptyWorkingSet,
+    /// The working set exceeded
+    /// [`WorkloadProfile::MAX_WORKING_SET_BLOCKS`].
+    WorkingSetTooLarge {
+        /// The rejected block count.
+        blocks: u64,
+    },
+    /// `mem_per_instr` was below [`WorkloadProfile::MIN_MEM_PER_INSTR`]
+    /// (zero included).
+    MemPerInstrTooLow {
+        /// The rejected value.
+        value: f64,
+    },
 }
 
 impl fmt::Display for ProfileError {
@@ -115,6 +127,15 @@ impl fmt::Display for ProfileError {
             ProfileError::EmptyWorkingSet => {
                 f.write_str("working set must contain at least one block")
             }
+            ProfileError::WorkingSetTooLarge { blocks } => write!(
+                f,
+                "working set of {blocks} blocks exceeds the cap of {} blocks",
+                WorkloadProfile::MAX_WORKING_SET_BLOCKS
+            ),
+            ProfileError::MemPerInstrTooLow { value } => write!(
+                f,
+                "profile field `mem_per_instr` must be at least 2^-52, got {value}"
+            ),
         }
     }
 }
@@ -140,6 +161,17 @@ pub(crate) struct KindChain {
 }
 
 impl WorkloadProfile {
+    /// Largest accepted `working_set_blocks`: 2^24, about 400 times the
+    /// largest built-in working set. The generator keeps a dense shadow of every
+    /// working-set word, and the cap keeps it allocatable (512 MiB of
+    /// lazily committed zero pages at 32 B blocks).
+    pub const MAX_WORKING_SET_BLOCKS: u64 = 1 << 24;
+
+    /// Smallest accepted `mem_per_instr`: 2^-52. It keeps the generator's
+    /// per-op instruction gap below 2^52, where converting the
+    /// non-negative carry with a truncating cast is exactly `floor`.
+    pub const MIN_MEM_PER_INSTR: f64 = f64::EPSILON;
+
     /// Validates the profile and derives its Markov chain.
     ///
     /// # Errors
@@ -159,10 +191,9 @@ impl WorkloadProfile {
 
     pub(crate) fn kind_chain(&self) -> Result<KindChain, ProfileError> {
         Self::check_unit(self.mem_per_instr, "mem_per_instr")?;
-        if self.mem_per_instr == 0.0 {
-            return Err(ProfileError::OutOfRange {
-                field: "mem_per_instr",
-                value: 0.0,
+        if self.mem_per_instr < Self::MIN_MEM_PER_INSTR {
+            return Err(ProfileError::MemPerInstrTooLow {
+                value: self.mem_per_instr,
             });
         }
         Self::check_unit(self.read_share, "read_share")?;
@@ -174,6 +205,11 @@ impl WorkloadProfile {
         Self::check_unit(self.locality.total(), "locality.total")?;
         if self.working_set_blocks == 0 {
             return Err(ProfileError::EmptyWorkingSet);
+        }
+        if self.working_set_blocks > Self::MAX_WORKING_SET_BLOCKS {
+            return Err(ProfileError::WorkingSetTooLarge {
+                blocks: self.working_set_blocks,
+            });
         }
         Self::check_unit(self.write_revisit, "write_revisit")?;
         Self::check_unit(self.read_after_write, "read_after_write")?;
@@ -416,13 +452,48 @@ mod tests {
         ));
         let mut p = base();
         p.mem_per_instr = 0.0;
-        assert!(p.validate().is_err());
+        assert!(matches!(
+            p.validate(),
+            Err(ProfileError::MemPerInstrTooLow { .. })
+        ));
         let mut p = base();
         p.working_set_blocks = 0;
         assert!(matches!(p.validate(), Err(ProfileError::EmptyWorkingSet)));
         let mut p = base();
         p.zipf_exponent = f64::NAN;
         assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn working_set_is_capped() {
+        let mut p = base();
+        p.working_set_blocks = WorkloadProfile::MAX_WORKING_SET_BLOCKS;
+        assert!(p.validate().is_ok(), "the cap itself is accepted");
+        p.working_set_blocks += 1;
+        let e = p.validate().unwrap_err();
+        assert_eq!(
+            e,
+            ProfileError::WorkingSetTooLarge {
+                blocks: (1 << 24) + 1
+            }
+        );
+        assert!(e.to_string().contains("16777217 blocks"), "{e}");
+    }
+
+    #[test]
+    fn memory_density_has_a_floor() {
+        let mut p = base();
+        p.mem_per_instr = WorkloadProfile::MIN_MEM_PER_INSTR;
+        assert!(p.validate().is_ok(), "2^-52 itself is accepted");
+        p.mem_per_instr = 2f64.powi(-53);
+        let e = p.validate().unwrap_err();
+        assert_eq!(
+            e,
+            ProfileError::MemPerInstrTooLow {
+                value: 2f64.powi(-53)
+            }
+        );
+        assert!(e.to_string().contains("mem_per_instr"), "{e}");
     }
 
     #[test]

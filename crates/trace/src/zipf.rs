@@ -16,7 +16,9 @@ use rand::Rng;
 /// law and floors the result — an O(1), allocation-free approximation of a
 /// true Zipf distribution that is amply accurate for workload modelling
 /// (the calibration tests measure the resulting stream statistics rather
-/// than assuming them).
+/// than assuming them). Every quantity that depends only on `n` and `s`
+/// is computed once, in [`new`](ZipfSampler::new), so a draw costs one
+/// uniform variate and at most one transcendental call.
 ///
 /// # Example
 ///
@@ -38,6 +40,22 @@ use rand::Rng;
 pub struct ZipfSampler {
     n: u64,
     s: f64,
+    /// The per-draw inverse CDF, with its invariants.
+    shape: Shape,
+}
+
+/// The inverse-CDF branch for a sampler's exponent.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Shape {
+    /// `n == 1`: every draw is rank 0 and consumes no randomness.
+    Single,
+    /// `s = 0`: uniform, `x = u n`; holds `n` as a float.
+    Uniform { n: f64 },
+    /// `s = 1`: `x = exp(u ln(n+1))`; holds `ln(n+1)`.
+    Log { ln_hi: f64 },
+    /// General `s`: `x = (u ((n+1)^(1-s) - 1) + 1)^(1/(1-s))`; holds
+    /// `(n+1)^(1-s) - 1` and `1/(1-s)`.
+    Power { span: f64, inv_p: f64 },
 }
 
 impl ZipfSampler {
@@ -54,7 +72,25 @@ impl ZipfSampler {
             s.is_finite() && s >= 0.0,
             "exponent must be finite and nonnegative"
         );
-        ZipfSampler { n, s }
+        let n_f = n as f64;
+        let shape = if n == 1 {
+            Shape::Single
+        } else if s == 0.0 {
+            Shape::Uniform { n: n_f }
+        } else if (s - 1.0).abs() < 1e-9 {
+            // CDF over [1, n+1) is ln(x)/ln(n+1).
+            Shape::Log {
+                ln_hi: (n_f + 1.0).ln(),
+            }
+        } else {
+            // Inverse CDF of the bounded continuous power law on [1, n+1).
+            let p = 1.0 - s;
+            Shape::Power {
+                span: (n_f + 1.0).powf(p) - 1.0,
+                inv_p: 1.0 / p,
+            }
+        };
+        ZipfSampler { n, s, shape }
     }
 
     /// Size of the rank universe.
@@ -70,28 +106,18 @@ impl ZipfSampler {
     }
 
     /// Draws one rank in `0..n`.
+    #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        if self.n == 1 {
-            return 0;
-        }
-        let u: f64 = rng.gen::<f64>();
-        let n = self.n as f64;
-        let x = if self.s == 0.0 {
-            // Uniform.
-            u * n
-        } else if (self.s - 1.0).abs() < 1e-9 {
-            // s = 1: CDF over [1, n+1) is ln(x)/ln(n+1).
-            ((n + 1.0).ln() * u).exp()
-        } else {
-            // General s: inverse CDF of the bounded continuous power law
-            // on [1, n+1).
-            let p = 1.0 - self.s;
-            let hi = (n + 1.0).powf(p);
-            (u * (hi - 1.0) + 1.0).powf(1.0 / p)
+        let (x, shift) = match self.shape {
+            Shape::Single => return 0,
+            Shape::Uniform { n } => (rng.gen::<f64>() * n, 0),
+            Shape::Log { ln_hi } => ((ln_hi * rng.gen::<f64>()).exp(), 1),
+            Shape::Power { span, inv_p } => ((rng.gen::<f64>() * span + 1.0).powf(inv_p), 1),
         };
-        // Continuous support is [1, n+1); shift to 0-based ranks and clamp
-        // against floating-point edge cases.
-        let rank = (x.floor() as u64).saturating_sub(if self.s == 0.0 { 0 } else { 1 });
+        // Continuous support is [1, n+1) (or [0, n) when uniform); shift to
+        // 0-based ranks and clamp against floating-point edge cases. The
+        // cast truncates, which is `floor` for the non-negative `x`.
+        let rank = (x as u64).saturating_sub(shift);
         rank.min(self.n - 1)
     }
 }

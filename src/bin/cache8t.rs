@@ -35,7 +35,7 @@ use cache8t::sim::{kernels, CacheGeometry, ReplacementKind};
 use cache8t::trace::analyze::StreamStats;
 use cache8t::trace::{
     profiles, ChunkedGenerator, DecodedBatch, ProfiledGenerator, Trace, TraceChunk,
-    TraceFileReader, TraceGenerator,
+    TraceFileReader, TraceGenerator, WorkloadProfile,
 };
 
 const USAGE: &str = "\
@@ -631,8 +631,8 @@ fn cmd_bench_core(o: &Options) -> Result<(), String> {
     let name = o.profile.as_deref().unwrap_or("gcc");
     let profile = profiles::by_name(name)
         .ok_or_else(|| format!("unknown profile `{name}` (try list-profiles)"))?;
-    let trace =
-        ProfiledGenerator::new(profile, CacheGeometry::paper_baseline(), o.seed).collect(o.ops);
+    let trace = ProfiledGenerator::new(profile.clone(), CacheGeometry::paper_baseline(), o.seed)
+        .collect(o.ops);
 
     println!(
         "bench-core: {} ops of `{name}` (seed {}), best of {} rep(s) per scheme",
@@ -689,7 +689,7 @@ fn cmd_bench_core(o: &Options) -> Result<(), String> {
             serde_json::json!({ "ops_per_sec": ops_per_sec.round() }),
         ));
     }
-    let kernels_doc = bench_core_kernels(o, &trace)?;
+    let kernels_doc = bench_core_kernels(o, &profile, &trace)?;
     let doc = serde_json::Value::Object(vec![(
         "bench_core".to_string(),
         serde_json::Value::Object(vec![
@@ -716,11 +716,16 @@ fn cmd_bench_core(o: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// Best-of-reps microbenches of the individual kernels the batched
-/// replay path is built from, keyed `bench_core.kernels.<name>` in the
-/// JSON document. One "op" is one trace op for `decode` and `probe`,
-/// and one 64-bit word compared for `silent_compare` and `diff_mask`.
-fn bench_core_kernels(o: &Options, trace: &Trace) -> Result<serde_json::Value, String> {
+/// Best-of-reps microbenches of the trace generator and of the
+/// individual kernels the batched replay path is built from, keyed
+/// `bench_core.kernels.<name>` in the JSON document. One "op" is one
+/// trace op for `generate`, `decode` and `probe`, and one 64-bit word
+/// compared for `silent_compare` and `diff_mask`.
+fn bench_core_kernels(
+    o: &Options,
+    profile: &WorkloadProfile,
+    trace: &Trace,
+) -> Result<serde_json::Value, String> {
     fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
         let mut best = f64::INFINITY;
         for _ in 0..reps {
@@ -730,6 +735,15 @@ fn bench_core_kernels(o: &Options, trace: &Trace) -> Result<serde_json::Value, S
         }
         best
     }
+
+    // `generate`: the profiled generator producing the benchmark's own
+    // trace, which is what feeds a streamed replay's prefetch thread.
+    let generate_best = best_of(o.reps, || {
+        let generated =
+            ProfiledGenerator::new(profile.clone(), CacheGeometry::paper_baseline(), o.seed)
+                .collect(o.ops);
+        std::hint::black_box(generated.len());
+    });
 
     // `decode`: the per-chunk address-decomposition pass.
     let mut scratch = DecodedBatch::new(o.cache);
@@ -791,6 +805,7 @@ fn bench_core_kernels(o: &Options, trace: &Trace) -> Result<serde_json::Value, S
     });
 
     let rows = [
+        ("generate", o.ops as f64 / generate_best),
         ("decode", trace.len() as f64 / decode_best),
         ("probe", trace.len() as f64 / probe_best),
         ("silent_compare", compared / silent_best),
