@@ -10,8 +10,8 @@ use std::io::Write;
 use std::path::Path;
 
 pub use cache8t_exec::experiment::{
-    average, generate_trace, measure_stream, run_benchmark, run_benchmark_on_trace, run_scheme,
-    run_scheme_on_trace, run_suite, BenchmarkResult, RunConfig, SchemeKind, SchemeResult,
+    average, generate_trace, measure_stream, replay, run_benchmark, run_benchmark_on_trace,
+    run_suite, BenchmarkResult, Ops, RunConfig, SchemeKind, SchemeResult,
 };
 
 use crate::cli::CommonArgs;
@@ -94,20 +94,17 @@ pub fn write_observability(args: &CommonArgs, results: &[BenchmarkResult]) -> st
         eprintln!("metrics snapshot written to {}", path.display());
     }
     if let Some(path) = &args.series_out {
-        let file = std::fs::File::create(path)?;
-        write_series_jsonl(std::io::BufWriter::new(file), results)?;
+        write_buffered(path, |w| write_series_jsonl(w, results))?;
         eprintln!("telemetry series written to {}", path.display());
     }
     if let Some(path) = &args.trace_out {
-        let file = std::fs::File::create(path)?;
-        write_trace_jsonl(std::io::BufWriter::new(file), results)?;
+        write_buffered(path, |w| write_trace_jsonl(w, results))?;
         eprintln!("trace events written to {}", path.display());
     }
     if let Some(path) = &args.timeline_out {
         cache8t_obs::timeline::disable();
         let snapshot = cache8t_obs::timeline::drain();
-        let file = std::fs::File::create(path)?;
-        snapshot.write_chrome_json(std::io::BufWriter::new(file))?;
+        write_buffered(path, |w| snapshot.write_chrome_json(w))?;
         eprintln!(
             "timeline ({} events on {} tracks) written to {}",
             snapshot.event_count(),
@@ -116,6 +113,18 @@ pub fn write_observability(args: &CommonArgs, results: &[BenchmarkResult]) -> st
         );
     }
     Ok(())
+}
+
+/// Creates `path` and writes it through a buffer with `write`, flushing
+/// before returning: a buffer dropped unflushed would lose the error of
+/// its final write.
+fn write_buffered(
+    path: &Path,
+    write: impl FnOnce(&mut std::io::BufWriter<std::fs::File>) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    let mut writer = std::io::BufWriter::new(std::fs::File::create(path)?);
+    write(&mut writer)?;
+    writer.flush()
 }
 
 fn write_metrics_file(path: &Path, results: &[BenchmarkResult]) -> std::io::Result<()> {

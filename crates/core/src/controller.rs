@@ -114,18 +114,6 @@ pub trait Controller {
         None
     }
 
-    /// Services a borrowed slice of requests in order — the streaming
-    /// replay path hands whole trace chunks to the controller through
-    /// this. Equivalent to calling [`access`](Controller::access) per
-    /// op (the default does exactly that); kept on the trait so a
-    /// controller can batch across a chunk later without touching the
-    /// replay loops.
-    fn access_slice(&mut self, ops: &[MemOp]) {
-        for op in ops {
-            self.access(op);
-        }
-    }
-
     /// Services ops `range` of a pre-decoded batch, in order.
     ///
     /// Equivalent to calling [`access`](Controller::access) on each

@@ -8,15 +8,16 @@
 //! output is byte-identical to the serial run" checkable rather than
 //! aspirational.
 
+use std::convert::Infallible;
+use std::io;
+
 use serde::Serialize;
 
 use cache8t_core::{
     ArrayTraffic, Controller, ConventionalController, CountingPolicy, RmwController, WgController,
     WgRbController,
 };
-use cache8t_obs::{
-    span, MetricRegistry, Sampler, SamplerConfig, SeriesSample, SpanGuard, TraceEvent,
-};
+use cache8t_obs::{span, MetricRegistry, Sampler, SeriesSample, SpanGuard, TraceEvent};
 use cache8t_sim::{CacheGeometry, CacheStats, ReplacementKind};
 use cache8t_trace::analyze::{StreamStats, StreamStatsAccumulator};
 use cache8t_trace::{
@@ -84,7 +85,7 @@ pub struct SchemeResult {
     #[serde(skip)]
     pub registry: MetricRegistry,
     /// Windowed telemetry samples recorded during the replay. Empty
-    /// unless the run was sampled (see [`run_scheme_sampled`]);
+    /// unless the run was sampled (see [`replay`]);
     /// excluded from the serialized result (use `--series-out` for the
     /// JSONL), which keeps sweep documents byte-identical whether or
     /// not a series was requested.
@@ -185,7 +186,7 @@ impl SchemeKind {
     }
 }
 
-/// Ops per pre-decoded sub-batch on the batched replay paths.
+/// Ops per pre-decoded sub-batch of the replay driver.
 ///
 /// Large enough to amortize the decode pass and keep the per-batch loop
 /// overhead negligible; small enough that the decoded columns (~41 B/op)
@@ -193,216 +194,146 @@ impl SchemeKind {
 /// the chunk size, not the trace length.
 const REPLAY_BATCH_OPS: usize = 8192;
 
-/// Whether the replay loops use the pre-decoded batch fast path.
+/// Whether [`replay`] services its ranges through the pre-decoded batch
+/// kernels.
 ///
-/// On by default; `CACHE8T_NO_BATCH=1` forces the per-op path. CI uses
-/// the switch to diff batched-vs-per-op sweep documents byte-for-byte.
+/// On by default; `CACHE8T_NO_BATCH=1` forces one `access` call per op
+/// over the same ranges. CI uses the switch to diff batched-vs-per-op
+/// sweep documents and series files byte-for-byte.
 fn batching_enabled() -> bool {
     static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *ENABLED.get_or_init(|| std::env::var("CACHE8T_NO_BATCH").map_or(true, |v| v != "1"))
 }
 
-/// Replays `ops` — whose global indices start at `base_index` — through
-/// `controller` in [`REPLAY_BATCH_OPS`]-sized pre-decoded sub-batches.
-///
-/// The warm-up counter reset fires immediately before the op with global
-/// index `warmup`, exactly where the per-op loop's `i == warmup` check
-/// would fire it: a sub-batch containing the boundary is split there
-/// (possibly at its very first op), and a `warmup` at or past the end of
-/// the stream never resets. `batch` is caller-provided scratch so its
-/// column allocations survive across chunks.
-pub fn replay_ops_batched(
-    controller: &mut dyn Controller,
-    ops: &[MemOp],
-    base_index: u64,
-    warmup: u64,
-    batch: &mut DecodedBatch,
-) {
-    let mut index = base_index;
-    for sub in ops.chunks(REPLAY_BATCH_OPS) {
-        let end = index + sub.len() as u64;
-        batch.decode(sub);
-        if index <= warmup && warmup < end {
-            let split = (warmup - index) as usize;
-            controller.access_batch(batch, 0..split);
-            controller.reset_counters();
-            controller.access_batch(batch, split..sub.len());
-        } else {
-            controller.access_batch(batch, 0..sub.len());
+/// A replay's ops in stream order, handed out as borrowed slices: a
+/// materialized trace is one slice, a chunk stream one slice per chunk.
+/// Neither copies an op, so a streamed replay's memory stays bounded by
+/// the chunk size.
+pub enum Ops<'a> {
+    /// A materialized trace.
+    Trace(&'a Trace),
+    /// A chunk stream, consumed chunk by chunk.
+    Chunks(Box<dyn ChunkSource + 'a>),
+}
+
+impl Ops<'_> {
+    /// Calls `f` on each slice and its instruction count, in stream
+    /// order, stopping at the first error.
+    fn try_for_each<E>(self, mut f: impl FnMut(&[MemOp], u64) -> Result<(), E>) -> Result<(), E> {
+        match self {
+            Ops::Trace(trace) => f(trace.ops(), trace.instructions()),
+            Ops::Chunks(mut chunks) => {
+                while let Some(chunk) = chunks.next_chunk() {
+                    f(chunk.ops(), chunk.instructions())?;
+                }
+                Ok(())
+            }
         }
-        index = end;
     }
 }
 
-/// Replays `trace` through `controller` with the standard warm-up
-/// protocol and snapshots its statistics and telemetry.
-pub fn run_scheme(
+/// Replays `ops` through `controller` with the standard warm-up protocol
+/// and snapshots its statistics and telemetry: the one replay loop
+/// behind every run, materialized or streamed, sampled or not.
+///
+/// Each sub-batch of at most 8192 ops is decoded once, then serviced by
+/// `access_batch` over ranges cut at the nearest of:
+///
+/// - the end of the sub-batch;
+/// - the op with global index `warmup_ops`, before which the counters
+///   reset and the sampler rebaselines (a warm-up at or past the end of
+///   the stream never resets);
+/// - the sampler's next window boundary, after which a window is
+///   sampled.
+///
+/// The cuts land where a per-op loop would reset and sample, so the
+/// result and every series row are bit-identical to it for any chunking.
+/// With a `sampler`, each window diffs the controller's registry and
+/// probes its buffer occupancy; the retained ring lands in
+/// [`SchemeResult::series`], an attached writer streams every window as
+/// JSONL and is flushed at every chunk seam. The controller's name
+/// doubles as the span label, so the span report breaks replay time
+/// down per scheme.
+///
+/// # Errors
+///
+/// Returns the sampler writer's I/O error. A replay without a sampler,
+/// or with a ring-only one, does no I/O.
+pub fn replay(
     controller: &mut dyn Controller,
-    trace: &Trace,
+    ops: Ops<'_>,
     warmup_ops: usize,
-) -> SchemeResult {
-    // The controller name is 'static, so it doubles as the span label:
-    // the span report breaks replay time down per scheme.
+    sampler: Option<&mut Sampler>,
+) -> io::Result<SchemeResult> {
     let _span = SpanGuard::enter(controller.name());
-    if batching_enabled() {
-        let mut batch = DecodedBatch::new(controller.cache().geometry());
-        replay_ops_batched(controller, trace.ops(), 0, warmup_ops as u64, &mut batch);
-    } else {
-        for (i, op) in trace.iter().enumerate() {
-            if i == warmup_ops {
-                controller.reset_counters();
-            }
-            controller.access(op);
-        }
+    // A controller without a registry has no windows to sample.
+    let mut sampler = sampler.filter(|_| controller.obs().is_some());
+    let warmup = warmup_ops as u64;
+    let batched = batching_enabled();
+    let mut batch = DecodedBatch::new(controller.cache().geometry());
+    if let (Some(s), Some(obs)) = (sampler.as_deref_mut(), controller.obs()) {
+        s.rebaseline(obs.registry());
     }
+    let mut index = 0u64; // global index of the sub-batch's first op
+    ops.try_for_each(|slice, _| {
+        for sub in slice.chunks(REPLAY_BATCH_OPS) {
+            if batched {
+                batch.decode(sub);
+            }
+            let sub_end = index + sub.len() as u64;
+            let mut pos = 0;
+            while pos < sub.len() {
+                let at = index + pos as u64;
+                if at == warmup {
+                    controller.reset_counters();
+                    if let (Some(s), Some(obs)) = (sampler.as_deref_mut(), controller.obs()) {
+                        s.rebaseline(obs.registry());
+                    }
+                }
+                let mut end = if at < warmup && warmup < sub_end {
+                    (warmup - index) as usize
+                } else {
+                    sub.len()
+                };
+                if let Some(s) = sampler.as_deref() {
+                    end = pos + s.ops_to_boundary().min((end - pos) as u64) as usize;
+                }
+                if batched {
+                    controller.access_batch(&batch, pos..end);
+                } else {
+                    for op in &sub[pos..end] {
+                        controller.access(op);
+                    }
+                }
+                if let Some(s) = sampler.as_deref_mut() {
+                    if s.note_ops((end - pos) as u64) {
+                        if let Some(obs) = controller.obs() {
+                            let occupancy = controller.occupancy().unwrap_or_default();
+                            s.sample(obs.registry(), occupancy)?;
+                        }
+                    }
+                }
+                pos = end;
+            }
+            index = sub_end;
+        }
+        match sampler.as_deref_mut() {
+            Some(s) => s.flush_writer(),
+            None => Ok(()),
+        }
+    })?;
     controller.flush();
-    finish_scheme(controller, Vec::new())
-}
-
-/// [`run_scheme`] with a continuous-telemetry [`Sampler`] attached:
-/// every `sampler` cadence window diffs the controller's registry and
-/// probes its buffer occupancy. The sampler's retained ring lands in
-/// [`SchemeResult::series`]; an attached writer has already streamed
-/// every window as JSONL.
-///
-/// The unsampled [`run_scheme`] keeps its own tight loop, so replays
-/// without telemetry pay nothing for this feature.
-///
-/// # Panics
-///
-/// Panics if the sampler's writer fails — series I/O errors are
-/// programming/environment errors at this layer, callers wanting
-/// recoverable I/O should write the returned series themselves.
-pub fn run_scheme_sampled(
-    controller: &mut dyn Controller,
-    trace: &Trace,
-    warmup_ops: usize,
-    sampler: &mut Sampler,
-) -> SchemeResult {
-    let _span = SpanGuard::enter(controller.name());
-    if let Some(obs) = controller.obs() {
-        sampler.rebaseline(obs.registry());
-    }
-    for (i, op) in trace.iter().enumerate() {
-        if i == warmup_ops {
-            controller.reset_counters();
-            if let Some(obs) = controller.obs() {
-                sampler.rebaseline(obs.registry());
-            }
-        }
-        controller.access(op);
-        if sampler.note_op() {
+    let series = match sampler {
+        Some(s) => {
             if let Some(obs) = controller.obs() {
                 let occupancy = controller.occupancy().unwrap_or_default();
-                sampler
-                    .sample(obs.registry(), occupancy)
-                    .expect("series writer failed");
+                s.finish(obs.registry(), occupancy)?;
             }
+            s.take_ring()
         }
-    }
-    controller.flush();
-    if let Some(obs) = controller.obs() {
-        let occupancy = controller.occupancy().unwrap_or_default();
-        sampler
-            .finish(obs.registry(), occupancy)
-            .expect("series writer failed");
-    }
-    finish_scheme(controller, sampler.take_ring())
-}
-
-/// [`run_scheme`] over a [`ChunkSource`] instead of a materialized
-/// trace: chunks are consumed in place, so memory stays bounded by the
-/// chunk size regardless of trace length.
-///
-/// Bit-identical to the materialized runner: the chunk sequence carries
-/// the same ops in the same order, the warm-up counter reset fires
-/// before the op with global index `warmup_ops` exactly as the indexed
-/// loop would (including `warmup_ops == 0`, a reset on a chunk seam,
-/// and a warm-up longer than the stream, which never resets), and the
-/// end-of-stream `flush()` is unchanged.
-pub fn run_scheme_streamed<S: ChunkSource>(
-    controller: &mut dyn Controller,
-    mut chunks: S,
-    warmup_ops: usize,
-) -> SchemeResult {
-    let _span = SpanGuard::enter(controller.name());
-    let warmup = warmup_ops as u64;
-    let mut index = 0u64;
-    // The batch is allocated once and reused across chunks; `None` means
-    // the per-op fallback (`CACHE8T_NO_BATCH=1`).
-    let mut batch = batching_enabled().then(|| DecodedBatch::new(controller.cache().geometry()));
-    while let Some(chunk) = chunks.next_chunk() {
-        let ops = chunk.ops();
-        let end = index + ops.len() as u64;
-        if let Some(batch) = batch.as_mut() {
-            replay_ops_batched(controller, ops, index, warmup, batch);
-        } else if index <= warmup && warmup < end {
-            // The warm-up boundary lands inside this chunk (possibly at
-            // its very first op): replay up to it, reset, replay on.
-            let split = (warmup - index) as usize;
-            controller.access_slice(&ops[..split]);
-            controller.reset_counters();
-            controller.access_slice(&ops[split..]);
-        } else {
-            controller.access_slice(ops);
-        }
-        index = end;
-    }
-    controller.flush();
-    finish_scheme(controller, Vec::new())
-}
-
-/// [`run_scheme_sampled`] over a [`ChunkSource`]: the sampler operates
-/// on borrowed chunk ops with global indexing, so window boundaries and
-/// deltas are byte-identical to the materialized sampled replay no
-/// matter where chunk seams fall. At every seam the sampler's writer is
-/// flushed (completed windows become visible to live consumers) without
-/// changing the emitted bytes.
-///
-/// # Panics
-///
-/// Panics if the sampler's writer fails, like [`run_scheme_sampled`].
-pub fn run_scheme_streamed_sampled<S: ChunkSource>(
-    controller: &mut dyn Controller,
-    mut chunks: S,
-    warmup_ops: usize,
-    sampler: &mut Sampler,
-) -> SchemeResult {
-    let _span = SpanGuard::enter(controller.name());
-    if let Some(obs) = controller.obs() {
-        sampler.rebaseline(obs.registry());
-    }
-    let warmup = warmup_ops as u64;
-    let mut index = 0u64;
-    while let Some(chunk) = chunks.next_chunk() {
-        for op in chunk.ops() {
-            if index == warmup {
-                controller.reset_counters();
-                if let Some(obs) = controller.obs() {
-                    sampler.rebaseline(obs.registry());
-                }
-            }
-            controller.access(op);
-            if sampler.note_op() {
-                if let Some(obs) = controller.obs() {
-                    let occupancy = controller.occupancy().unwrap_or_default();
-                    sampler
-                        .sample(obs.registry(), occupancy)
-                        .expect("series writer failed");
-                }
-            }
-            index += 1;
-        }
-        sampler.flush_writer().expect("series writer failed");
-    }
-    controller.flush();
-    if let Some(obs) = controller.obs() {
-        let occupancy = controller.occupancy().unwrap_or_default();
-        sampler
-            .finish(obs.registry(), occupancy)
-            .expect("series writer failed");
-    }
-    finish_scheme(controller, sampler.take_ring())
+        None => Vec::new(),
+    };
+    Ok(finish_scheme(controller, series))
 }
 
 /// Snapshots a replayed controller into a [`SchemeResult`].
@@ -427,100 +358,25 @@ fn finish_scheme(controller: &mut dyn Controller, series: Vec<SeriesSample>) -> 
     }
 }
 
-/// Runs one scheme of one benchmark over an already-generated trace —
-/// the sweep engine's unit of parallel work.
-pub fn run_scheme_on_trace(scheme: SchemeKind, trace: &Trace, config: RunConfig) -> SchemeResult {
-    run_scheme(
-        scheme.build(config.geometry).as_mut(),
-        trace,
-        config.warmup_ops,
-    )
-}
-
-/// [`run_scheme_on_trace`] with series sampling: builds a ring-only
-/// sampler labelled `bench`/scheme and returns the windows in
-/// [`SchemeResult::series`]. Windows depend only on the trace and the
-/// cadence, never on wall-clock or scheduling, so sweep series stay
-/// byte-identical across `--jobs`.
-pub fn run_scheme_on_trace_sampled(
-    scheme: SchemeKind,
-    trace: &Trace,
-    config: RunConfig,
-    bench: &str,
-    sampler_config: SamplerConfig,
-) -> SchemeResult {
-    let mut sampler = Sampler::new(bench, scheme.name(), sampler_config);
-    run_scheme_sampled(
-        scheme.build(config.geometry).as_mut(),
-        trace,
-        config.warmup_ops,
-        &mut sampler,
-    )
-}
-
 /// Measures the Figure-3/4/5 stream statistics of the measured region —
-/// the sweep engine's fifth per-benchmark unit of work.
-pub fn measure_stream(trace: &Trace, config: RunConfig) -> StreamStats {
-    let _span = span!("bench.stream_stats");
-    let (ops, instructions) = trace.measured_region(config.warmup_ops);
-    StreamStats::measure_ops(ops, instructions, config.geometry)
-}
-
-/// [`measure_stream`] over a [`ChunkSource`]: folds the measured region
-/// chunk-by-chunk through the incremental accumulator, then normalizes
-/// by the same `warmup_split` pro-rating the materialized path uses —
-/// so the result is bit-identical to measuring the assembled trace.
-pub fn measure_stream_streamed<S: ChunkSource>(mut chunks: S, config: RunConfig) -> StreamStats {
+/// the sweep engine's fifth per-benchmark unit of work. The ops past the
+/// warm-up fold through the incremental accumulator, normalized by the
+/// `warmup_split` pro-rating of the whole stream, so a chunk stream
+/// measures bit-identically to its materialized trace.
+pub fn measure_stream(ops: Ops<'_>, config: RunConfig) -> StreamStats {
     let _span = span!("bench.stream_stats");
     let mut acc = StreamStatsAccumulator::new(config.geometry);
     let warmup = config.warmup_ops as u64;
-    let mut total_ops = 0u64;
-    let mut total_instructions = 0u64;
-    while let Some(chunk) = chunks.next_chunk() {
-        total_instructions += chunk.instructions();
-        let start = total_ops;
-        let ops = chunk.ops();
-        total_ops += ops.len() as u64;
-        if total_ops <= warmup {
-            continue; // entirely inside the warm-up region
-        }
-        let skip = warmup.saturating_sub(start) as usize;
-        acc.feed(&ops[skip..]);
-    }
+    let (mut total_ops, mut total_instructions) = (0u64, 0u64);
+    let Ok(()) = ops.try_for_each(|slice, instructions| {
+        let skip = warmup.saturating_sub(total_ops).min(slice.len() as u64);
+        acc.feed(&slice[skip as usize..]);
+        total_ops += slice.len() as u64;
+        total_instructions += instructions;
+        Ok::<(), Infallible>(())
+    });
     let split = warmup_split(total_ops as usize, total_instructions, config.warmup_ops);
     acc.finish(split.measured_instructions)
-}
-
-/// Runs one scheme over a chunk stream — the sweep engine's streamed
-/// unit of parallel work, mirroring [`run_scheme_on_trace`].
-pub fn run_scheme_on_stream<S: ChunkSource>(
-    scheme: SchemeKind,
-    chunks: S,
-    config: RunConfig,
-) -> SchemeResult {
-    run_scheme_streamed(
-        scheme.build(config.geometry).as_mut(),
-        chunks,
-        config.warmup_ops,
-    )
-}
-
-/// [`run_scheme_on_stream`] with series sampling, mirroring
-/// [`run_scheme_on_trace_sampled`].
-pub fn run_scheme_on_stream_sampled<S: ChunkSource>(
-    scheme: SchemeKind,
-    chunks: S,
-    config: RunConfig,
-    bench: &str,
-    sampler_config: SamplerConfig,
-) -> SchemeResult {
-    let mut sampler = Sampler::new(bench, scheme.name(), sampler_config);
-    run_scheme_streamed_sampled(
-        scheme.build(config.geometry).as_mut(),
-        chunks,
-        config.warmup_ops,
-        &mut sampler,
-    )
 }
 
 /// Generates the benchmark's trace exactly as the experiment runner
@@ -546,9 +402,19 @@ pub fn run_benchmark_on_trace(
     config: RunConfig,
     trace: &Trace,
 ) -> BenchmarkResult {
-    let stream = measure_stream(trace, config);
-    let [conventional, rmw, wg, wgrb] =
-        SchemeKind::ALL.map(|scheme| run_scheme_on_trace(scheme, trace, config));
+    let stream = measure_stream(Ops::Trace(trace), config);
+    let [conventional, rmw, wg, wgrb] = SchemeKind::ALL.map(|scheme| {
+        let mut controller = scheme.build(config.geometry);
+        match replay(
+            controller.as_mut(),
+            Ops::Trace(trace),
+            config.warmup_ops,
+            None,
+        ) {
+            Ok(result) => result,
+            Err(e) => unreachable!("a replay without a sampler does no I/O: {e}"),
+        }
+    });
     BenchmarkResult {
         name: profile.name.clone(),
         stream,
@@ -586,10 +452,21 @@ pub fn average<F: Fn(&BenchmarkResult) -> f64>(results: &[BenchmarkResult], f: F
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cache8t_obs::SamplerConfig;
     use cache8t_trace::ChunkedGenerator;
 
     fn small_config() -> RunConfig {
         RunConfig::new(CacheGeometry::paper_baseline(), 20_000, 7)
+    }
+
+    /// One unsampled scheme unit, as the sweep engine runs it.
+    fn run(scheme: SchemeKind, ops: Ops<'_>, config: RunConfig) -> io::Result<SchemeResult> {
+        replay(
+            scheme.build(config.geometry).as_mut(),
+            ops,
+            config.warmup_ops,
+            None,
+        )
     }
 
     #[test]
@@ -618,23 +495,27 @@ mod tests {
     }
 
     #[test]
-    fn sampling_does_not_perturb_the_measurement() {
+    fn sampling_does_not_perturb_the_measurement() -> io::Result<()> {
         // A sampled run must report byte-identical results to the plain
         // runner — telemetry observes the replay, it never changes it.
         let p = profiles::by_name("gcc").unwrap();
         let config = small_config();
         let trace = generate_trace(&p, config);
-        let plain = run_scheme_on_trace(SchemeKind::Wg, &trace, config);
-        let sampled = run_scheme_on_trace_sampled(
-            SchemeKind::Wg,
-            &trace,
-            config,
+        let plain = run(SchemeKind::Wg, Ops::Trace(&trace), config)?;
+        let mut sampler = Sampler::new(
             "gcc",
+            SchemeKind::Wg.name(),
             SamplerConfig {
                 cadence: 1_024,
                 ring_capacity: 64,
             },
         );
+        let sampled = replay(
+            SchemeKind::Wg.build(config.geometry).as_mut(),
+            Ops::Trace(&trace),
+            config.warmup_ops,
+            Some(&mut sampler),
+        )?;
         assert_eq!(plain.stats, sampled.stats);
         assert_eq!(plain.array_accesses, sampled.array_accesses);
         assert_eq!(
@@ -649,6 +530,7 @@ mod tests {
             serde_json::to_string(&plain).unwrap(),
             serde_json::to_string(&sampled).unwrap()
         );
+        Ok(())
     }
 
     fn chunks_for(
@@ -662,7 +544,7 @@ mod tests {
     }
 
     #[test]
-    fn streamed_replay_is_bit_identical_to_materialized() {
+    fn streamed_replay_is_bit_identical_to_materialized() -> io::Result<()> {
         // The tentpole invariant: a chunked replay — at any chunk size,
         // including seams inside the warm-up region — serializes to the
         // exact bytes of the materialized replay, for every scheme.
@@ -671,9 +553,12 @@ mod tests {
         let trace = generate_trace(&p, config);
         for chunk_ops in [999usize, 4_096, 22_000, 50_000] {
             for scheme in SchemeKind::ALL {
-                let materialized = run_scheme_on_trace(scheme, &trace, config);
-                let streamed =
-                    run_scheme_on_stream(scheme, chunks_for(&p, config, chunk_ops), config);
+                let materialized = run(scheme, Ops::Trace(&trace), config)?;
+                let streamed = run(
+                    scheme,
+                    Ops::Chunks(Box::new(chunks_for(&p, config, chunk_ops))),
+                    config,
+                )?;
                 assert_eq!(
                     serde_json::to_string(&materialized).unwrap(),
                     serde_json::to_string(&streamed).unwrap(),
@@ -681,18 +566,22 @@ mod tests {
                     scheme.name()
                 );
             }
-            let materialized = measure_stream(&trace, config);
-            let streamed = measure_stream_streamed(chunks_for(&p, config, chunk_ops), config);
+            let materialized = measure_stream(Ops::Trace(&trace), config);
+            let streamed = measure_stream(
+                Ops::Chunks(Box::new(chunks_for(&p, config, chunk_ops))),
+                config,
+            );
             assert_eq!(
                 serde_json::to_string(&materialized).unwrap(),
                 serde_json::to_string(&streamed).unwrap(),
                 "stream stats, chunk_ops={chunk_ops}"
             );
         }
+        Ok(())
     }
 
     #[test]
-    fn streamed_sampled_series_is_byte_identical_to_materialized() {
+    fn streamed_sampled_series_is_byte_identical_to_materialized() -> io::Result<()> {
         // Chunk seams fall mid-window (cadence 1024, chunk 1000): the
         // streamed sampler must emit the same windows and the same JSONL
         // bytes as the materialized sampled replay.
@@ -718,27 +607,25 @@ mod tests {
             ring_capacity: 64,
         };
 
-        let run = |replay: &dyn Fn(&mut dyn Controller, &mut Sampler) -> SchemeResult| {
+        let run = |ops: Ops<'_>| -> io::Result<(SchemeResult, Vec<u8>)> {
             let buf = SharedBuf(StdArc::new(Mutex::new(Vec::new())));
             let mut sampler = Sampler::new("mcf", SchemeKind::WgRb.name(), sampler_config)
                 .with_writer(Box::new(buf.clone()));
             let mut controller = SchemeKind::WgRb.build(config.geometry);
-            let result = replay(controller.as_mut(), &mut sampler);
+            let result = replay(
+                controller.as_mut(),
+                ops,
+                config.warmup_ops,
+                Some(&mut sampler),
+            )?;
             let bytes = buf.0.lock().unwrap().clone();
-            (result, bytes)
+            Ok((result, bytes))
         };
 
-        let (materialized, mat_bytes) =
-            run(&|c, s| run_scheme_sampled(c, &trace, config.warmup_ops, s));
+        let (materialized, mat_bytes) = run(Ops::Trace(&trace))?;
         for chunk_ops in [1_000usize, 4_096] {
-            let (streamed, stream_bytes) = run(&|c, s| {
-                run_scheme_streamed_sampled(
-                    c,
-                    chunks_for(&p, config, chunk_ops),
-                    config.warmup_ops,
-                    s,
-                )
-            });
+            let (streamed, stream_bytes) =
+                run(Ops::Chunks(Box::new(chunks_for(&p, config, chunk_ops))))?;
             assert_eq!(
                 mat_bytes, stream_bytes,
                 "JSONL bytes, chunk_ops={chunk_ops}"
@@ -749,10 +636,11 @@ mod tests {
             );
             assert_eq!(materialized.stats, streamed.stats);
         }
+        Ok(())
     }
 
     #[test]
-    fn streamed_warmup_reset_handles_every_seam_case() {
+    fn streamed_warmup_reset_handles_every_seam_case() -> io::Result<()> {
         // The reset must fire exactly before the op at index warmup_ops:
         // at a chunk seam, mid-chunk, with no warm-up at all, and with a
         // warm-up longer than the stream (never fires).
@@ -761,37 +649,48 @@ mod tests {
         let trace = generate_trace(&p, base);
         for warmup_ops in [0usize, 1_000, 1_001, 2_000, 21_999, 22_000, 50_000] {
             let config = RunConfig { warmup_ops, ..base };
-            let materialized = run_scheme_on_trace(SchemeKind::Wg, &trace, config);
-            let streamed =
-                run_scheme_on_stream(SchemeKind::Wg, chunks_for(&p, base, 1_000), config);
+            let materialized = run(SchemeKind::Wg, Ops::Trace(&trace), config)?;
+            let streamed = run(
+                SchemeKind::Wg,
+                Ops::Chunks(Box::new(chunks_for(&p, base, 1_000))),
+                config,
+            )?;
             assert_eq!(
                 serde_json::to_string(&materialized).unwrap(),
                 serde_json::to_string(&streamed).unwrap(),
                 "warmup_ops={warmup_ops}"
             );
         }
+        Ok(())
     }
 
     #[test]
-    fn prefetched_streamed_replay_matches_direct_streaming() {
+    fn prefetched_streamed_replay_matches_direct_streaming() -> io::Result<()> {
         // Double-buffered prefetch is pure plumbing: same chunks, same
         // result, even though generation happens on another thread.
         let p = profiles::by_name("gcc").unwrap();
         let config = small_config();
-        let direct = run_scheme_on_stream(SchemeKind::Rmw, chunks_for(&p, config, 2_048), config);
-        let prefetched = run_scheme_on_stream(
+        let direct = run(
             SchemeKind::Rmw,
-            crate::stream::PrefetchedChunks::spawn(chunks_for(&p, config, 2_048)),
+            Ops::Chunks(Box::new(chunks_for(&p, config, 2_048))),
             config,
-        );
+        )?;
+        let prefetched = run(
+            SchemeKind::Rmw,
+            Ops::Chunks(Box::new(crate::stream::PrefetchedChunks::spawn(
+                chunks_for(&p, config, 2_048),
+            ))),
+            config,
+        )?;
         assert_eq!(
             serde_json::to_string(&direct).unwrap(),
             serde_json::to_string(&prefetched).unwrap()
         );
+        Ok(())
     }
 
     #[test]
-    fn long_sampled_replays_hold_a_bounded_ring() {
+    fn long_sampled_replays_hold_a_bounded_ring() -> io::Result<()> {
         // Memory for an arbitrarily long replay is O(ring), not O(ops):
         // far more windows are emitted than retained.
         let p = profiles::by_name("mcf").unwrap();
@@ -803,13 +702,18 @@ mod tests {
         };
         let mut sampler = Sampler::new("mcf", "WG", sampler_config);
         let mut controller = SchemeKind::Wg.build(config.geometry);
-        let result =
-            run_scheme_sampled(controller.as_mut(), &trace, config.warmup_ops, &mut sampler);
+        let result = replay(
+            controller.as_mut(),
+            Ops::Trace(&trace),
+            config.warmup_ops,
+            Some(&mut sampler),
+        )?;
         let windows = config.total_ops() as u64 / 64;
         assert!(sampler.emitted() >= windows, "{}", sampler.emitted());
         assert_eq!(result.series.len(), 32, "ring must stay at capacity");
         // The retained tail is the most recent windows, in order.
         let last = result.series.last().unwrap();
         assert_eq!(last.op_end, config.total_ops() as u64);
+        Ok(())
     }
 }

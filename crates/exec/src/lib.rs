@@ -19,7 +19,8 @@
 //!
 //! The per-benchmark experiment runner itself lives in [`experiment`]
 //! (moved here from `cache8t-bench`, which re-exports it): the figure
-//! binaries and the sweep engine drive the exact same measurement code.
+//! binaries, the sweep engine and the CLI drive every replay through its
+//! one driver, [`replay`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,9 +32,8 @@ pub mod stream;
 pub mod sweep;
 
 pub use experiment::{
-    average, replay_ops_batched, run_benchmark, run_benchmark_on_trace, run_scheme_on_stream,
-    run_scheme_on_stream_sampled, run_scheme_on_trace, run_scheme_on_trace_sampled, run_suite,
-    BenchmarkResult, RunConfig, SchemeKind, SchemeResult,
+    average, replay, run_benchmark, run_benchmark_on_trace, run_suite, BenchmarkResult, Ops,
+    RunConfig, SchemeKind, SchemeResult,
 };
 pub use pool::{
     run_jobs, run_jobs_cancellable, CancelToken, ExecOptions, ExecReport, JobOutcome, JobProgress,

@@ -232,7 +232,10 @@ impl WorkerStats {
         if observed.is_zero() {
             return 0.0;
         }
-        100.0 * self.busy.as_secs_f64() / observed.as_secs_f64()
+        // The quotient first: a worker that never parked has
+        // busy == observed, and 1.0 scales to exactly 100 where
+        // `100.0 * b / b` can round to 100.00000000000001.
+        100.0 * (self.busy.as_secs_f64() / observed.as_secs_f64())
     }
 }
 
@@ -788,6 +791,23 @@ mod tests {
         }
         assert_eq!(mean, 100, "all-time mean would report ~5ms here");
         assert_eq!(window.len(), ETA_WINDOW, "window stays bounded");
+    }
+
+    #[test]
+    fn busy_pct_of_a_worker_that_never_parked_is_exactly_100() {
+        // 100.0 * b / b rounds above 100 for this duration.
+        let busy = Duration::from_nanos(11_094_806);
+        let never_parked = WorkerStats {
+            busy,
+            ..WorkerStats::default()
+        };
+        assert_eq!(never_parked.busy_pct(), 100.0);
+        let never_worked = WorkerStats {
+            idle: busy,
+            ..WorkerStats::default()
+        };
+        assert_eq!(never_worked.busy_pct(), 0.0);
+        assert_eq!(WorkerStats::default().busy_pct(), 0.0);
     }
 
     #[test]

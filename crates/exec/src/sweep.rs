@@ -25,15 +25,13 @@ use std::time::{Duration, Instant};
 
 use serde_json::Value;
 
-use cache8t_obs::{MetricRegistry, SamplerConfig, SeriesSample, SpanStat, TimelineSpan};
+use cache8t_obs::{MetricRegistry, Sampler, SamplerConfig, SeriesSample, SpanStat, TimelineSpan};
 use cache8t_sim::CacheGeometry;
 use cache8t_trace::analyze::StreamStats;
 use cache8t_trace::{profiles, WorkloadProfile};
 
 use crate::experiment::{
-    measure_stream, measure_stream_streamed, run_scheme_on_stream, run_scheme_on_stream_sampled,
-    run_scheme_on_trace, run_scheme_on_trace_sampled, BenchmarkResult, RunConfig, SchemeKind,
-    SchemeResult,
+    measure_stream, replay, BenchmarkResult, Ops, RunConfig, SchemeKind, SchemeResult,
 };
 use crate::pool::{run_jobs_cancellable, CancelToken, ExecOptions, JobOutcome, JobProgress};
 use crate::store::TraceStore;
@@ -283,7 +281,7 @@ pub struct SweepFailure {
     pub benchmark: String,
     /// Which unit failed (`"stream"` or a scheme name).
     pub unit: String,
-    /// The panic payload, stringified.
+    /// The panic payload or the returned error, stringified.
     pub message: String,
     /// Attempts made before giving up.
     pub attempts: u32,
@@ -511,57 +509,46 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> SweepOutcome {
                     "job",
                 );
                 let config = plan.config(g);
-                let result = if let Some(chunk_ops) = stream_chunk_ops {
-                    // Streamed unit: never materialize the trace. Each
-                    // unit takes its own cursor (deduplicated through
-                    // the stream's shared frontier) behind a
-                    // double-buffered prefetcher, so at most two chunks
-                    // per unit are resident.
-                    let stream = store.stream(profile, plan.seed, config.total_ops(), chunk_ops);
-                    let chunks = PrefetchedChunks::spawn(stream.cursor());
-                    match unit {
-                        Unit::Stream => UnitResult::Stream(measure_stream_streamed(chunks, config)),
-                        Unit::Scheme(kind) => UnitResult::Scheme(Box::new(match series {
-                            Some(sampler_config) => {
-                                let bench =
-                                    format!("{}/{}", plan.geometries[g].label, profile.name);
-                                run_scheme_on_stream_sampled(
-                                    kind,
-                                    chunks,
-                                    config,
-                                    &bench,
-                                    sampler_config,
-                                )
-                            }
-                            None => run_scheme_on_stream(kind, chunks, config),
-                        })),
+                // Pick a source. A streamed unit never materializes the
+                // trace: it takes its own cursor (deduplicated through
+                // the stream's shared frontier) behind a double-buffered
+                // prefetcher, so at most two chunks per unit are resident.
+                let trace;
+                let ops = match stream_chunk_ops {
+                    Some(chunk_ops) => {
+                        let stream =
+                            store.stream(profile, plan.seed, config.total_ops(), chunk_ops);
+                        Ops::Chunks(Box::new(PrefetchedChunks::spawn(stream.cursor())))
                     }
-                } else {
-                    let trace = store.get(profile, plan.seed, config.total_ops());
-                    match unit {
-                        Unit::Stream => UnitResult::Stream(measure_stream(&trace, config)),
-                        Unit::Scheme(kind) => UnitResult::Scheme(Box::new(match series {
-                            Some(sampler_config) => {
-                                let bench =
-                                    format!("{}/{}", plan.geometries[g].label, profile.name);
-                                run_scheme_on_trace_sampled(
-                                    kind,
-                                    &trace,
-                                    config,
-                                    &bench,
-                                    sampler_config,
-                                )
-                            }
-                            None => run_scheme_on_trace(kind, &trace, config),
-                        })),
+                    None => {
+                        trace = store.get(profile, plan.seed, config.total_ops());
+                        Ops::Trace(&trace)
                     }
                 };
-                if let Some(hook) = hook {
+                let result = match unit {
+                    Unit::Stream => Ok(UnitResult::Stream(measure_stream(ops, config))),
+                    Unit::Scheme(kind) => {
+                        let mut sampler = series.map(|sampler_config| {
+                            let bench = format!("{}/{}", plan.geometries[g].label, profile.name);
+                            Sampler::new(&bench, kind.name(), sampler_config)
+                        });
+                        let mut controller = kind.build(config.geometry);
+                        replay(
+                            controller.as_mut(),
+                            ops,
+                            config.warmup_ops,
+                            sampler.as_mut(),
+                        )
+                        .map(|result| UnitResult::Scheme(Box::new(result)))
+                        .map_err(|e| format!("series sampler failed: {e}"))
+                    }
+                };
+                if let (Some(hook), Ok(result)) = (hook, &result) {
                     let accum = &accumulators[spec_index / UNITS_PER_BENCHMARK];
                     let assembled = accum
                         .lock()
                         .expect("benchmark accumulator poisoned")
-                        .insert(&result);
+                        .insert(result);
                     if let Some(mut schemes) = assembled {
                         let stream = schemes.stream.take().expect("stream present");
                         let mut take =
@@ -644,16 +631,19 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> SweepOutcome {
                 pending.as_mut().expect("just set")
             }
         };
+        let failure = |message, attempts| SweepFailure {
+            geometry: plan.geometries[g].label.clone(),
+            benchmark: plan.profiles[b].name.clone(),
+            unit: unit.name().to_string(),
+            message,
+            attempts,
+        };
         match outcome {
-            JobOutcome::Completed(UnitResult::Stream(stats)) => slot.3 = Some(stats),
-            JobOutcome::Completed(UnitResult::Scheme(result)) => slot.2.push(*result),
-            JobOutcome::Failed { message, attempts } => failures.push(SweepFailure {
-                geometry: plan.geometries[g].label.clone(),
-                benchmark: plan.profiles[b].name.clone(),
-                unit: unit.name().to_string(),
-                message,
-                attempts,
-            }),
+            JobOutcome::Completed(Ok(UnitResult::Stream(stats))) => slot.3 = Some(stats),
+            JobOutcome::Completed(Ok(UnitResult::Scheme(result))) => slot.2.push(*result),
+            // A unit that returned an error ran once and was not retried.
+            JobOutcome::Completed(Err(message)) => failures.push(failure(message, 1)),
+            JobOutcome::Failed { message, attempts } => failures.push(failure(message, attempts)),
             // A drained unit leaves its benchmark incomplete; the
             // benchmark simply stays `None`, exactly like an
             // out-of-shard slot, and a resume re-runs it whole.

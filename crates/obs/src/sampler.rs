@@ -243,11 +243,13 @@ pub fn parse_series_line(line: &str) -> Option<SeriesSample> {
 /// at every window boundary, retains a bounded ring, and optionally
 /// streams each sample as JSONL.
 ///
-/// Protocol: call [`note_op`](Sampler::note_op) once per replayed op;
-/// when it returns `true` a window boundary was crossed and the caller
-/// must call [`sample`](Sampler::sample) with the live registry. After
-/// the replay, [`finish`](Sampler::finish) emits the final partial
-/// window and flushes the writer.
+/// Protocol: call [`note_op`](Sampler::note_op) once per replayed op
+/// (or [`note_ops`](Sampler::note_ops) once per run of at most
+/// [`ops_to_boundary`](Sampler::ops_to_boundary) ops); when it returns
+/// `true` a window boundary was crossed and the caller must call
+/// [`sample`](Sampler::sample) with the live registry. After the
+/// replay, [`finish`](Sampler::finish) emits the final partial window
+/// and flushes the writer.
 pub struct Sampler {
     bench: String,
     scheme: String,
@@ -324,7 +326,26 @@ impl Sampler {
     /// instead of silently never sampling again.
     #[inline]
     pub fn note_op(&mut self) -> bool {
-        self.ops_seen += 1;
+        self.note_ops(1)
+    }
+
+    /// Ops until [`note_op`](Sampler::note_op) would next return `true`:
+    /// the longest run a batched replay may service before it must stop
+    /// and check for a window boundary (at least 1, so a skipped
+    /// boundary is asked for again at the next op).
+    #[inline]
+    pub fn ops_to_boundary(&self) -> u64 {
+        self.next_boundary.saturating_sub(self.ops_seen).max(1)
+    }
+
+    /// Records `n` replayed ops at once; `true` means a window boundary
+    /// was hit and [`sample`](Sampler::sample) must be called. With
+    /// `n <= ops_to_boundary()` this is exactly `n` calls of
+    /// [`note_op`](Sampler::note_op): the boundary can only fall on the
+    /// last of them.
+    #[inline]
+    pub fn note_ops(&mut self, n: u64) -> bool {
+        self.ops_seen += n;
         self.ops_seen >= self.next_boundary
     }
 
@@ -664,6 +685,33 @@ mod tests {
         assert!(!s.note_op());
         let last = s.last().unwrap();
         assert_eq!((last.op_start, last.op_end), (0, 4));
+    }
+
+    #[test]
+    fn bulk_advance_lands_on_the_same_boundaries_as_note_op() {
+        let r = MetricRegistry::new();
+        let mut per_op = Sampler::new("", "6T", SamplerConfig::with_cadence(5));
+        let mut bulk = Sampler::new("", "6T", SamplerConfig::with_cadence(5));
+        for _ in 0..23 {
+            if per_op.note_op() {
+                per_op.sample(&r, Vec::new()).unwrap();
+            }
+        }
+        let mut left = 23u64;
+        while left > 0 {
+            let n = bulk.ops_to_boundary().min(left);
+            if bulk.note_ops(n) {
+                bulk.sample(&r, Vec::new()).unwrap();
+            }
+            left -= n;
+        }
+        let windows = |s: &Sampler| s.ring().map(|w| (w.op_start, w.op_end)).collect::<Vec<_>>();
+        assert_eq!(windows(&per_op), windows(&bulk));
+        assert_eq!(windows(&bulk), vec![(0, 5), (5, 10), (10, 15), (15, 20)]);
+        assert_eq!(bulk.ops_to_boundary(), 2);
+        // A skipped boundary is asked for again after a single op.
+        assert!(bulk.note_ops(2));
+        assert_eq!(bulk.ops_to_boundary(), 1);
     }
 
     #[test]

@@ -15,19 +15,18 @@
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write as _};
 use std::process::ExitCode;
+use std::sync::{Arc, Mutex};
 
 use cache8t::conform::{self, fuzz, ConformConfig, ConformReport, SchemeId};
 use cache8t::core::{
     CacheBackend, CoalescingController, Controller, ConventionalController, RmwController,
     WgController, WgOptions, WgRbController,
 };
-use cache8t::exec::experiment::run_scheme_sampled;
 use cache8t::exec::{
-    average, merge_documents, metrics_document, replay_ops_batched, run_jobs, run_sweep,
-    to_document, BenchmarkResult, ExecOptions, GeometryPoint, JobOutcome, Shard, SweepOptions,
-    SweepPlan, TraceStore,
+    average, merge_documents, metrics_document, replay, run_jobs, run_sweep, to_document,
+    BenchmarkResult, ChunkSource, ExecOptions, GeometryPoint, JobOutcome, Ops, PrefetchedChunks,
+    Shard, SweepOptions, SweepPlan, TraceStore,
 };
-use cache8t::exec::{ChunkSource, PrefetchedChunks};
 use cache8t::obs::sampler::{self, Sampler, SamplerConfig, SeriesSample};
 use cache8t::obs::{perfdiff, timeline};
 use cache8t::serve::{Client, ClientError, PlanSpec, ServeConfig, Server};
@@ -344,23 +343,50 @@ fn build_controller(
     })
 }
 
-fn load_or_generate(o: &Options) -> Result<Trace, String> {
+/// Where `--trace`/`--profile` point a command: exactly one is given.
+enum TraceSource<'a> {
+    File(&'a str),
+    Profile(WorkloadProfile),
+}
+
+fn trace_source(o: &Options) -> Result<TraceSource<'_>, String> {
     match (&o.trace, &o.profile) {
-        (Some(path), None) => {
+        (Some(path), None) => Ok(TraceSource::File(path)),
+        (None, Some(name)) => profiles::by_name(name)
+            .map(TraceSource::Profile)
+            .ok_or_else(|| format!("unknown profile `{name}` (try list-profiles)")),
+        (Some(_), Some(_)) => Err("--trace and --profile are mutually exclusive".to_string()),
+        (None, None) => Err("need --trace FILE or --profile NAME".to_string()),
+    }
+}
+
+fn load_or_generate(o: &Options) -> Result<Trace, String> {
+    match trace_source(o)? {
+        TraceSource::File(path) => {
             let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
             Trace::read_from(BufReader::new(file)).map_err(|e| format!("cannot read {path}: {e}"))
         }
-        (None, Some(name)) => {
-            let profile = profiles::by_name(name)
-                .ok_or_else(|| format!("unknown profile `{name}` (try list-profiles)"))?;
+        TraceSource::Profile(profile) => {
             Ok(
                 ProfiledGenerator::new(profile, CacheGeometry::paper_baseline(), o.seed)
                     .collect(o.ops),
             )
         }
-        (Some(_), Some(_)) => Err("--trace and --profile are mutually exclusive".to_string()),
-        (None, None) => Err("need --trace FILE or --profile NAME".to_string()),
     }
+}
+
+/// Creates `path` and writes it through a buffer with `write`, flushing
+/// before reporting success: a buffer dropped unflushed would lose the
+/// error of its final write.
+fn write_file(
+    path: &str,
+    write: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
+) -> Result<(), String> {
+    let file = File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
+    let mut writer = BufWriter::new(file);
+    write(&mut writer)
+        .and_then(|()| writer.flush())
+        .map_err(|e| format!("cannot write {path}: {e}"))
 }
 
 fn cmd_list_profiles() {
@@ -386,10 +412,7 @@ fn cmd_gen(o: &Options) -> Result<(), String> {
         return Err("gen takes --profile, not --trace".to_string());
     }
     let trace = load_or_generate(o)?;
-    let file = File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
-    trace
-        .write_to(BufWriter::new(file))
-        .map_err(|e| format!("cannot write {out}: {e}"))?;
+    write_file(out, |w| trace.write_to(w))?;
     println!(
         "wrote {} ops ({} instructions) to {out}",
         trace.len(),
@@ -421,51 +444,97 @@ fn sampler_config(o: &Options) -> SamplerConfig {
     }
 }
 
+/// `simulate`: replays one scheme over the materialized trace or, with
+/// `--stream-chunk-ops N`, over a bounded-memory chunk stream — N-op
+/// chunks generated (or read from the `.c8tt` file) on a prefetch thread
+/// while replay consumes the previous one, so RSS stays flat at roughly
+/// two chunks for any `--ops`. Both sources feed the same replay driver,
+/// so the counters come out bit-identical.
 fn cmd_simulate(o: &Options) -> Result<(), String> {
     let scheme = o.scheme.as_ref().ok_or("simulate requires --scheme")?;
     if o.timeline_out.is_some() {
         timeline::enable();
         timeline::set_track_name("main");
     }
-    if let Some(chunk_ops) = o.stream_chunk_ops {
-        return cmd_simulate_streamed(o, scheme, chunk_ops);
-    }
-    let trace = load_or_generate(o)?;
+    let read_error = Arc::new(Mutex::new(None));
+    let trace;
+    let (ops, total_ops) = match o.stream_chunk_ops {
+        None => {
+            trace = load_or_generate(o)?;
+            (Ops::Trace(&trace), trace.len() as u64)
+        }
+        Some(chunk_ops) => match trace_source(o)? {
+            TraceSource::File(path) => {
+                let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
+                let reader = TraceFileReader::open(BufReader::new(file))
+                    .map_err(|e| format!("cannot read {path}: {e}"))?;
+                let total_ops = reader.op_count();
+                let chunks = FileChunks {
+                    reader,
+                    chunk_ops,
+                    error: Arc::clone(&read_error),
+                };
+                (
+                    Ops::Chunks(Box::new(PrefetchedChunks::spawn(chunks))),
+                    total_ops,
+                )
+            }
+            TraceSource::Profile(profile) => {
+                let generator =
+                    ProfiledGenerator::new(profile, CacheGeometry::paper_baseline(), o.seed);
+                let chunks = ChunkedGenerator::new(generator, chunk_ops, o.ops as u64);
+                (
+                    Ops::Chunks(Box::new(PrefetchedChunks::spawn(chunks))),
+                    o.ops as u64,
+                )
+            }
+        },
+    };
     let mut controller = build_controller(scheme, o.cache, o.l2)?;
-    timeline::begin("replay", "sim");
-    match &o.series_out {
+    // Stream each window straight to disk: the sampler's ring stays
+    // bounded, so even a very long replay holds flat memory while
+    // exporting its full telemetry history.
+    let mut sampler = match &o.series_out {
         Some(path) => {
-            // Stream each window straight to disk: the sampler's ring
-            // stays bounded, so even a very long replay holds flat
-            // memory while exporting its full telemetry history.
-            let writer = BufWriter::new(
-                File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?,
-            );
+            let file = File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
             let bench = o
                 .profile
                 .clone()
                 .or_else(|| o.trace.clone())
                 .unwrap_or_default();
-            let mut series_sampler = Sampler::new(&bench, controller.name(), sampler_config(o))
-                .with_writer(Box::new(writer));
-            run_scheme_sampled(controller.as_mut(), &trace, 0, &mut series_sampler);
-            eprintln!(
-                "telemetry series ({} windows) written to {path}",
-                series_sampler.emitted()
-            );
+            Some(
+                Sampler::new(&bench, controller.name(), sampler_config(o))
+                    .with_writer(Box::new(BufWriter::new(file))),
+            )
         }
-        None => {
-            for op in &trace {
-                controller.access(op);
-            }
-            controller.flush();
-        }
-    }
+        None => None,
+    };
+    timeline::begin("replay", "sim");
+    let replayed = replay(controller.as_mut(), ops, 0, sampler.as_mut());
     timeline::end("replay", "sim");
+    let read_error = read_error.lock().expect("read-error slot poisoned").take();
+    if let (Some(path), Some(e)) = (&o.trace, read_error) {
+        return Err(format!("cannot read {path}: {e}"));
+    }
+    if let Err(e) = replayed {
+        // The series writer is the replay's only I/O.
+        let path = o.series_out.as_deref().unwrap_or_default();
+        return Err(format!("cannot write {path}: {e}"));
+    }
+    if let (Some(path), Some(sampler)) = (&o.series_out, &sampler) {
+        eprintln!(
+            "telemetry series ({} windows) written to {path}",
+            sampler.emitted()
+        );
+    }
+    let streamed = o
+        .stream_chunk_ops
+        .map(|n| format!(", streamed x{n} chunks"))
+        .unwrap_or_default();
     println!(
-        "scheme {} on {} ops ({}KB/{}-way/{}B cache):",
+        "scheme {} on {} ops ({}KB/{}-way/{}B cache{streamed}):",
         controller.name(),
-        trace.len(),
+        total_ops,
         o.cache.capacity_bytes() / 1024,
         o.cache.ways(),
         o.cache.block_bytes()
@@ -482,23 +551,23 @@ fn cmd_simulate(o: &Options) -> Result<(), String> {
 /// Chunk-at-a-time reads of a saved `.c8tt` trace for streamed replay.
 /// The header's instruction total is pro-rated over chunks with
 /// telescoping floors, so per-chunk counts sum exactly to the total.
-/// A mid-stream read error is recorded and ends the stream; the caller
-/// surfaces it after replay.
+/// A mid-stream read error ends the stream and lands in `error`, which
+/// `simulate` reports after replay.
 struct FileChunks {
     reader: TraceFileReader<BufReader<File>>,
     chunk_ops: usize,
-    error: Option<String>,
+    error: Arc<Mutex<Option<String>>>,
 }
 
 impl ChunkSource for FileChunks {
-    fn next_chunk(&mut self) -> Option<std::sync::Arc<TraceChunk>> {
-        if self.error.is_some() || self.reader.remaining() == 0 {
+    fn next_chunk(&mut self) -> Option<Arc<TraceChunk>> {
+        if self.reader.remaining() == 0 {
             return None;
         }
         let start_op = self.reader.position();
         let mut ops = Vec::new();
         if let Err(e) = self.reader.read_ops(&mut ops, self.chunk_ops as u64) {
-            self.error = Some(e.to_string());
+            *self.error.lock().expect("read-error slot poisoned") = Some(e.to_string());
             return None;
         }
         let end_op = self.reader.position();
@@ -506,114 +575,8 @@ impl ChunkSource for FileChunks {
         let instr = self.reader.instructions() as u128;
         let instructions =
             (instr * end_op as u128 / total - instr * start_op as u128 / total) as u64;
-        Some(std::sync::Arc::new(TraceChunk::new(
-            ops,
-            start_op,
-            instructions,
-        )))
+        Some(Arc::new(TraceChunk::new(ops, start_op, instructions)))
     }
-}
-
-/// `simulate --stream-chunk-ops N`: the bounded-memory replay path.
-/// The trace is never materialized — chunks of N ops are generated (or
-/// read from the `.c8tt` file) on a prefetch thread while the replay
-/// loop consumes the previous chunk, so RSS stays flat at roughly two
-/// chunks for any `--ops`, and the counters come out bit-identical to
-/// the materialized replay.
-fn cmd_simulate_streamed(o: &Options, scheme: &str, chunk_ops: usize) -> Result<(), String> {
-    use cache8t::exec::experiment::{run_scheme_streamed, run_scheme_streamed_sampled};
-
-    let mut controller = build_controller(scheme, o.cache, o.l2)?;
-    let (chunks, total_ops, file_error) = match (&o.trace, &o.profile) {
-        (Some(path), None) => {
-            let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-            let reader = TraceFileReader::open(BufReader::new(file))
-                .map_err(|e| format!("cannot read {path}: {e}"))?;
-            let total_ops = reader.op_count();
-            let source = std::sync::Arc::new(std::sync::Mutex::new(None::<String>));
-            struct Reporting {
-                inner: FileChunks,
-                error: std::sync::Arc<std::sync::Mutex<Option<String>>>,
-            }
-            impl ChunkSource for Reporting {
-                fn next_chunk(&mut self) -> Option<std::sync::Arc<TraceChunk>> {
-                    let chunk = self.inner.next_chunk();
-                    if let Some(e) = self.inner.error.take() {
-                        *self.error.lock().expect("error slot poisoned") = Some(e);
-                    }
-                    chunk
-                }
-            }
-            let chunks = PrefetchedChunks::spawn(Reporting {
-                inner: FileChunks {
-                    reader,
-                    chunk_ops,
-                    error: None,
-                },
-                error: std::sync::Arc::clone(&source),
-            });
-            (chunks, total_ops, Some((path.clone(), source)))
-        }
-        (None, Some(name)) => {
-            let profile = profiles::by_name(name)
-                .ok_or_else(|| format!("unknown profile `{name}` (try list-profiles)"))?;
-            let generator =
-                ProfiledGenerator::new(profile, CacheGeometry::paper_baseline(), o.seed);
-            let chunks =
-                PrefetchedChunks::spawn(ChunkedGenerator::new(generator, chunk_ops, o.ops as u64));
-            (chunks, o.ops as u64, None)
-        }
-        (Some(_), Some(_)) => {
-            return Err("--trace and --profile are mutually exclusive".to_string())
-        }
-        (None, None) => return Err("need --trace FILE or --profile NAME".to_string()),
-    };
-
-    timeline::begin("replay", "sim");
-    match &o.series_out {
-        Some(path) => {
-            let writer = BufWriter::new(
-                File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?,
-            );
-            let bench = o
-                .profile
-                .clone()
-                .or_else(|| o.trace.clone())
-                .unwrap_or_default();
-            let mut series_sampler = Sampler::new(&bench, controller.name(), sampler_config(o))
-                .with_writer(Box::new(writer));
-            run_scheme_streamed_sampled(controller.as_mut(), chunks, 0, &mut series_sampler);
-            eprintln!(
-                "telemetry series ({} windows) written to {path}",
-                series_sampler.emitted()
-            );
-        }
-        None => {
-            run_scheme_streamed(controller.as_mut(), chunks, 0);
-        }
-    }
-    timeline::end("replay", "sim");
-    if let Some((path, error)) = file_error {
-        if let Some(e) = error.lock().expect("error slot poisoned").take() {
-            return Err(format!("cannot read {path}: {e}"));
-        }
-    }
-    println!(
-        "scheme {} on {} ops ({}KB/{}-way/{}B cache, streamed x{} chunks):",
-        controller.name(),
-        total_ops,
-        o.cache.capacity_bytes() / 1024,
-        o.cache.ways(),
-        o.cache.block_bytes(),
-        chunk_ops,
-    );
-    println!("  {}", controller.traffic());
-    println!("  requests: {}", controller.stats());
-    write_observability(o, controller.as_ref())?;
-    if let Some(path) = &o.timeline_out {
-        write_timeline(path)?;
-    }
-    Ok(())
 }
 
 /// Schemes `bench-core` measures, in display order. `coalesce:8`
@@ -642,39 +605,21 @@ fn cmd_bench_core(o: &Options) -> Result<(), String> {
     );
     println!("  {:<12} {:>12} {:>10}", "scheme", "ops/sec", "ms/rep");
     let mut throughput: Vec<(String, serde_json::Value)> = Vec::new();
-    // The batch is shared across schemes and reps, like the replay paths
-    // share it across chunks; its decode cost is inside the timer because
-    // it is part of what the batched path really costs. CACHE8T_NO_BATCH=1
-    // times the per-op reference path instead (the same switch the replay
-    // loops honor), for before/after comparisons on one binary.
-    let per_op = std::env::var("CACHE8T_NO_BATCH").is_ok_and(|v| v == "1");
-    let mut batch = DecodedBatch::new(o.cache);
     for scheme in BENCH_CORE_SCHEMES {
         let mut best = f64::INFINITY;
         for _ in 0..o.reps {
             let mut controller = build_controller(scheme, o.cache, o.l2)?;
             let start = std::time::Instant::now();
-            if per_op {
-                for op in &trace {
-                    controller.access(op);
-                }
-            } else {
-                // A warm-up equal to the trace length never fires the
-                // counter reset: this times the same batched path
-                // `simulate` runs.
-                replay_ops_batched(
-                    controller.as_mut(),
-                    trace.ops(),
-                    0,
-                    trace.len() as u64,
-                    &mut batch,
-                );
-            }
-            controller.flush();
+            // The production replay driver, decode included; a warm-up
+            // equal to the trace length never fires the counter reset.
+            // CACHE8T_NO_BATCH=1 times the driver's per-op branch, for
+            // before/after comparisons on one binary.
+            let result = replay(controller.as_mut(), Ops::Trace(&trace), trace.len(), None)
+                .map_err(|e| e.to_string())?;
             let elapsed = start.elapsed().as_secs_f64();
             // Keep the run observable so the replay loop cannot be
             // optimized out from under the timer.
-            std::hint::black_box(controller.array_accesses());
+            std::hint::black_box(result.array_accesses);
             best = best.min(elapsed);
         }
         let ops_per_sec = trace.len() as f64 / best;
@@ -828,11 +773,7 @@ fn bench_core_kernels(
 fn write_timeline(path: &str) -> Result<(), String> {
     timeline::disable();
     let snapshot = timeline::drain();
-    snapshot
-        .write_chrome_json(&mut BufWriter::new(
-            File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?,
-        ))
-        .map_err(|e| format!("cannot write {path}: {e}"))?;
+    write_file(path, |w| snapshot.write_chrome_json(w))?;
     eprintln!(
         "timeline ({} events on {} tracks) written to {path}",
         snapshot.event_count(),
@@ -853,19 +794,11 @@ fn write_observability(o: &Options, controller: &dyn Controller) -> Result<(), S
         return Ok(());
     };
     if let Some(path) = &o.metrics_out {
-        obs.registry()
-            .write_json(&mut BufWriter::new(
-                File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?,
-            ))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        write_file(path, |w| obs.registry().write_json(w))?;
         println!("  metrics snapshot written to {path}");
     }
     if let Some(path) = &o.trace_out {
-        obs.tracer()
-            .write_jsonl(&mut BufWriter::new(
-                File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?,
-            ))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        write_file(path, |w| obs.tracer().write_jsonl(w))?;
         println!(
             "  {} trace events written to {path} ({} dropped)",
             obs.tracer().len(),
@@ -1022,17 +955,14 @@ fn cmd_sweep(o: &Options) -> Result<(), String> {
     if let Some(path) = &o.series_out {
         // Plan order, never completion order: the JSONL is
         // byte-identical for any --jobs value.
-        let mut writer =
-            BufWriter::new(File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?);
         let mut rows = 0u64;
-        for sample in outcome.series() {
-            writeln!(writer, "{}", sample.to_json_line())
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-            rows += 1;
-        }
-        writer
-            .flush()
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        write_file(path, |w| {
+            for sample in outcome.series() {
+                writeln!(w, "{}", sample.to_json_line())?;
+                rows += 1;
+            }
+            Ok(())
+        })?;
         eprintln!("telemetry series ({rows} windows) written to {path}");
     }
 
@@ -1659,14 +1589,11 @@ fn cmd_check(o: &Options) -> Result<(), String> {
     }
 
     if let Some(path) = &o.trace_out {
-        let mut writer =
-            BufWriter::new(File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?);
-        for unit in &units {
-            unit.report
-                .tracer
-                .write_jsonl(&mut writer)
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-        }
+        write_file(path, |w| {
+            units
+                .iter()
+                .try_for_each(|unit| unit.report.tracer.write_jsonl(&mut *w))
+        })?;
         eprintln!("divergence events written to {path}");
     }
 

@@ -9,14 +9,16 @@
 //! columns, block-granularity compares) and the per-op reference lands
 //! here as a field-level diff.
 
+use std::sync::Arc;
+
 use cache8t::conform::SchemeId;
 use cache8t::core::{
     CacheBackend, CoalescingController, Controller, ConventionalController, RmwController,
     WgController, WgOptions, WgRbController,
 };
-use cache8t::exec::replay_ops_batched;
+use cache8t::exec::{replay, Ops};
 use cache8t::sim::{CacheGeometry, ReplacementKind};
-use cache8t::trace::{DecodedBatch, ProfiledGenerator, Trace, TraceGenerator};
+use cache8t::trace::{DecodedBatch, ProfiledGenerator, Trace, TraceChunk, TraceGenerator};
 
 fn build(id: SchemeId) -> Box<dyn Controller> {
     let backend = CacheBackend::new(CacheGeometry::paper_baseline(), ReplacementKind::Lru);
@@ -114,16 +116,9 @@ fn replay_helper_matches_per_op_for_all_schemes() {
         let mut reference = build(id);
         replay_per_op(reference.as_mut(), &trace, WARMUP_OPS);
 
-        // Whole-trace invocation, as `run_scheme` performs it.
+        // Whole-trace invocation, as a materialized run performs it.
         let mut whole = build(id);
-        let mut batch = DecodedBatch::new(CacheGeometry::paper_baseline());
-        replay_ops_batched(
-            whole.as_mut(),
-            trace.ops(),
-            0,
-            WARMUP_OPS as u64,
-            &mut batch,
-        );
+        replay(whole.as_mut(), Ops::Trace(&trace), WARMUP_OPS, None).unwrap();
         whole.flush();
         assert_eq!(
             snapshot(reference.as_ref(), &trace),
@@ -131,15 +126,16 @@ fn replay_helper_matches_per_op_for_all_schemes() {
             "scheme {id}: whole-trace batched replay diverged"
         );
 
-        // Chunked invocation with running base indices, as the streamed
-        // runner performs it — 7_000 keeps the warm-up boundary inside
-        // the first chunk and off every 8_192-op sub-batch seam.
+        // Chunked invocation, as a streamed run performs it — 7_000
+        // keeps the warm-up boundary inside the first chunk and off
+        // every 8_192-op sub-batch seam.
         let mut chunked = build(id);
-        let mut index = 0u64;
-        for sub in trace.ops().chunks(7_000) {
-            replay_ops_batched(chunked.as_mut(), sub, index, WARMUP_OPS as u64, &mut batch);
-            index += sub.len() as u64;
-        }
+        let chunks: Vec<Arc<TraceChunk>> = (0..)
+            .zip(trace.ops().chunks(7_000))
+            .map(|(i, sub)| Arc::new(TraceChunk::new(sub.to_vec(), i * 7_000, 0)))
+            .collect();
+        let chunks = Ops::Chunks(Box::new(chunks.into_iter()));
+        replay(chunked.as_mut(), chunks, WARMUP_OPS, None).unwrap();
         chunked.flush();
         assert_eq!(
             snapshot(reference.as_ref(), &trace),
@@ -161,8 +157,7 @@ fn warmup_boundary_cases_match_per_op() {
             replay_per_op(reference.as_mut(), &trace, warmup);
 
             let mut batched = build(id);
-            let mut batch = DecodedBatch::new(CacheGeometry::paper_baseline());
-            replay_ops_batched(batched.as_mut(), trace.ops(), 0, warmup as u64, &mut batch);
+            replay(batched.as_mut(), Ops::Trace(&trace), warmup, None).unwrap();
             batched.flush();
 
             assert_eq!(

@@ -132,3 +132,39 @@ fn bad_inputs_fail_cleanly() {
         assert!(!out.stderr.is_empty(), "args {args:?} should explain");
     }
 }
+
+#[cfg(target_os = "linux")]
+#[test]
+fn writers_report_a_full_disk_instead_of_success() {
+    // /dev/full opens fine and fails every write with ENOSPC: a writer
+    // that drops its buffer unflushed would claim success here.
+    let simulate = "simulate --scheme wg+rb --profile gcc --ops 3000";
+    let series = "--series-cadence 256 --series-out /dev/full";
+    for args in [
+        // Small enough to fit in the write buffer.
+        "gen --profile gcc --ops 100 --out /dev/full".to_string(),
+        format!("{simulate} --metrics-out /dev/full"),
+        format!("{simulate} --trace-out /dev/full"),
+        format!("{simulate} --timeline-out /dev/full"),
+        format!("{simulate} {series}"),
+        format!("{simulate} {series} --stream-chunk-ops 512"),
+    ] {
+        let out = cli()
+            .args(args.split(' '))
+            .env("CACHE8T_TRACE", "event")
+            .output()
+            .expect("binary runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert_ne!(out.status.code(), Some(101), "{args:?} panicked: {stderr}");
+        assert!(
+            stderr.contains("cannot write /dev/full"),
+            "{args:?}: {stderr}"
+        );
+        assert!(
+            !stdout.contains("/dev/full") && !stderr.contains("written to /dev/full"),
+            "{args:?} claimed success: {stdout}{stderr}"
+        );
+    }
+}

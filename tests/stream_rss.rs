@@ -11,8 +11,7 @@
 #![cfg(target_os = "linux")]
 
 use cache8t::core::{CacheBackend, Controller, WgController, WgOptions};
-use cache8t::exec::experiment::run_scheme_streamed;
-use cache8t::exec::PrefetchedChunks;
+use cache8t::exec::{replay, Ops, PrefetchedChunks};
 use cache8t::sim::{CacheGeometry, ReplacementKind};
 use cache8t::trace::{
     assemble_chunks, ChunkedGenerator, ProfiledGenerator, TraceGenerator, WorkloadProfile,
@@ -54,7 +53,13 @@ fn streamed_replay_rss_is_bounded_by_the_chunk_size() {
     let generator = ProfiledGenerator::new(small_ws_profile(), CacheGeometry::paper_baseline(), 23);
     let chunks = PrefetchedChunks::spawn(ChunkedGenerator::new(generator, CHUNK_OPS, BIG_OPS));
     let mut wg = controller();
-    run_scheme_streamed(wg.as_mut(), chunks, BIG_OPS as usize / 10);
+    replay(
+        wg.as_mut(),
+        Ops::Chunks(Box::new(chunks)),
+        BIG_OPS as usize / 10,
+        None,
+    )
+    .unwrap();
     let stats = *wg.stats();
     assert!(
         stats.read_hits + stats.read_misses + stats.write_hits + stats.write_misses > 0,
