@@ -34,98 +34,12 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use cache8t_core::{
-    CoalescingController, Controller, ConventionalController, RmwController, WgController, WgFault,
-    WgRbController,
+    CoalescingController, Controller, ConventionalController, RmwController, SchemeKind,
+    WgController, WgFault, WgRbController,
 };
 use cache8t_obs::{Component, EventKind, TraceEvent, TraceLevel, Tracer};
 use cache8t_sim::{Address, CacheGeometry, ReplacementKind};
 use cache8t_trace::Trace;
-
-/// One of the cache schemes the harness can replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchemeId {
-    /// Conventional 6T baseline (one array access per write).
-    SixT,
-    /// The 8T read-modify-write baseline.
-    Rmw,
-    /// Write Grouping.
-    Wg,
-    /// Write Grouping + Read Bypassing.
-    WgRb,
-    /// The coalescing write buffer, with this many block entries.
-    Coalesce(usize),
-}
-
-impl SchemeId {
-    /// Parses one scheme name as accepted by the CLI: `6t`, `rmw`,
-    /// `wg`, `wg+rb`/`wgrb`, `coalesce:<entries>`.
-    pub fn parse(s: &str) -> Result<SchemeId, String> {
-        let s = s.trim().to_ascii_lowercase();
-        match s.as_str() {
-            "6t" => Ok(SchemeId::SixT),
-            "rmw" => Ok(SchemeId::Rmw),
-            "wg" => Ok(SchemeId::Wg),
-            "wg+rb" | "wgrb" => Ok(SchemeId::WgRb),
-            other => {
-                if let Some(entries) = other.strip_prefix("coalesce:") {
-                    let n: usize = entries
-                        .parse()
-                        .map_err(|_| format!("bad coalesce entry count `{entries}`"))?;
-                    if n == 0 {
-                        return Err("coalesce needs at least 1 entry".to_string());
-                    }
-                    Ok(SchemeId::Coalesce(n))
-                } else {
-                    Err(format!(
-                        "unknown scheme `{other}` (expected 6t|rmw|wg|wg+rb|coalesce:<n>)"
-                    ))
-                }
-            }
-        }
-    }
-
-    /// Parses a comma-separated scheme list.
-    pub fn parse_list(s: &str) -> Result<Vec<SchemeId>, String> {
-        let schemes: Vec<SchemeId> = s
-            .split(',')
-            .filter(|p| !p.trim().is_empty())
-            .map(SchemeId::parse)
-            .collect::<Result<_, _>>()?;
-        if schemes.is_empty() {
-            return Err("empty scheme list".to_string());
-        }
-        Ok(schemes)
-    }
-
-    /// The display label, matching the controllers' `name()`.
-    pub fn label(self) -> String {
-        match self {
-            SchemeId::SixT => "6T".to_string(),
-            SchemeId::Rmw => "RMW".to_string(),
-            SchemeId::Wg => "WG".to_string(),
-            SchemeId::WgRb => "WG+RB".to_string(),
-            SchemeId::Coalesce(n) => format!("CoalesceWB({n})"),
-        }
-    }
-
-    /// The full suite the harness checks by default: all five schemes
-    /// of the workspace.
-    pub fn default_suite() -> Vec<SchemeId> {
-        vec![
-            SchemeId::SixT,
-            SchemeId::Rmw,
-            SchemeId::Wg,
-            SchemeId::WgRb,
-            SchemeId::Coalesce(4),
-        ]
-    }
-}
-
-impl fmt::Display for SchemeId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.label())
-    }
-}
 
 /// Harness configuration.
 #[derive(Debug, Clone)]
@@ -136,7 +50,7 @@ pub struct ConformConfig {
     pub replacement: ReplacementKind,
     /// The schemes to replay, in order. The first is the hit/miss
     /// reference.
-    pub schemes: Vec<SchemeId>,
+    pub schemes: Vec<SchemeKind>,
     /// Stop recording divergences after this many (the replay still
     /// runs to completion so stats stay meaningful).
     pub max_divergences: usize,
@@ -152,7 +66,7 @@ impl ConformConfig {
         ConformConfig {
             geometry,
             replacement: ReplacementKind::Lru,
-            schemes: SchemeId::default_suite(),
+            schemes: SchemeKind::suite(4).to_vec(),
             max_divergences: 64,
             wg_fault: None,
         }
@@ -308,23 +222,23 @@ enum Backend {
 }
 
 impl Backend {
-    fn build(id: SchemeId, config: &ConformConfig) -> Backend {
+    fn build(id: SchemeKind, config: &ConformConfig) -> Backend {
         let g = config.geometry;
         let r = config.replacement;
         match id {
-            SchemeId::SixT => Backend::SixT(ConventionalController::new(g, r)),
-            SchemeId::Rmw => Backend::Rmw(RmwController::new(g, r)),
-            SchemeId::Wg => {
+            SchemeKind::Conventional => Backend::SixT(ConventionalController::new(g, r)),
+            SchemeKind::Rmw => Backend::Rmw(RmwController::new(g, r)),
+            SchemeKind::Wg => {
                 let mut c = WgController::new(g, r);
                 c.inject_fault(config.wg_fault);
                 Backend::Wg(c)
             }
-            SchemeId::WgRb => {
+            SchemeKind::WgRb => {
                 let mut c = WgRbController::new(g, r);
                 c.inject_fault(config.wg_fault);
                 Backend::WgRb(c)
             }
-            SchemeId::Coalesce(entries) => {
+            SchemeKind::Coalesce(entries) => {
                 Backend::Coalesce(CoalescingController::new(g, r, entries))
             }
         }
@@ -406,10 +320,10 @@ pub fn replay(trace: &Trace, config: &ConformConfig) -> ConformReport {
     let mut backends: Vec<(String, Backend)> = config
         .schemes
         .iter()
-        .map(|&id| (id.label(), Backend::build(id, config)))
+        .map(|&id| (id.to_string(), Backend::build(id, config)))
         .collect();
     let mut rec = Recorder::new(config.max_divergences);
-    let ref_label = config.schemes[0].label();
+    let ref_label = config.schemes[0].to_string();
 
     // The golden model: a flat word-addressed memory, zero-initialized
     // like MainMemory. `touched` keys every address the trace used so
@@ -706,20 +620,6 @@ mod tests {
     fn trace_of(ops: Vec<MemOp>) -> Trace {
         let n = ops.len() as u64;
         Trace::new(ops, n)
-    }
-
-    #[test]
-    fn scheme_parsing_round_trips() {
-        assert_eq!(SchemeId::parse("6t"), Ok(SchemeId::SixT));
-        assert_eq!(SchemeId::parse("WG+RB"), Ok(SchemeId::WgRb));
-        assert_eq!(SchemeId::parse("wgrb"), Ok(SchemeId::WgRb));
-        assert_eq!(SchemeId::parse("coalesce:8"), Ok(SchemeId::Coalesce(8)));
-        assert!(SchemeId::parse("coalesce:0").is_err());
-        assert!(SchemeId::parse("9t").is_err());
-        let list = SchemeId::parse_list("6t,rmw, wg").expect("valid list");
-        assert_eq!(list, vec![SchemeId::SixT, SchemeId::Rmw, SchemeId::Wg]);
-        assert!(SchemeId::parse_list("").is_err());
-        assert_eq!(SchemeId::default_suite().len(), 5);
     }
 
     #[test]

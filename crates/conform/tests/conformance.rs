@@ -4,9 +4,9 @@
 
 use cache8t_conform::{
     fuzz::{fuzz_round, shrink, write_repro},
-    replay, ConformConfig, DivergenceKind, SchemeId,
+    replay, ConformConfig, DivergenceKind,
 };
-use cache8t_core::WgFault;
+use cache8t_core::{SchemeKind, WgFault};
 use cache8t_exec::{run_jobs, ExecOptions};
 use cache8t_sim::CacheGeometry;
 use cache8t_trace::{profiles, ProfiledGenerator, Trace, TraceGenerator};
@@ -67,7 +67,7 @@ fn scheme_subsets_are_checkable() {
     let profile = profiles::by_name("mcf").expect("profile exists");
     let trace = ProfiledGenerator::new(profile, tiny(), 7).collect(800);
     let mut config = ConformConfig::new(tiny());
-    config.schemes = vec![SchemeId::Wg, SchemeId::WgRb, SchemeId::Coalesce(8)];
+    config.schemes = vec![SchemeKind::Wg, SchemeKind::WgRb, SchemeKind::Coalesce(8)];
     let report = replay(&trace, &config);
     assert!(report.pass(), "{}", report.summary());
     assert_eq!(report.schemes, vec!["WG", "WG+RB", "CoalesceWB(8)"]);

@@ -14,7 +14,8 @@
 //!    replacement kind and must report zero divergences — identical
 //!    stats, read values, and post-flush `peek_word` images.
 
-use cache8t_conform::{replay, ConformConfig, SchemeId};
+use cache8t_conform::{replay, ConformConfig};
+use cache8t_core::SchemeKind;
 use cache8t_sim::{
     Address, CacheGeometry, DataCache, MainMemory, ReplacementKind, ReplacementPolicy,
 };
@@ -140,7 +141,7 @@ fn all_schemes_agree_at_every_replacement_kind() {
     for kind in all_kinds() {
         let mut config = ConformConfig::new(geometry);
         config.replacement = kind;
-        config.schemes = SchemeId::default_suite();
+        config.schemes = SchemeKind::suite(4).to_vec();
         let report = replay(&trace, &config);
         assert!(
             report.pass(),

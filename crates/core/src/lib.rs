@@ -19,6 +19,9 @@
 //!   the Set-Buffer, eliminating both the premature write-back and the
 //!   array read.
 //!
+//! [`SchemeKind`] names them all: it parses a scheme name (`wg+rb`,
+//! `coalesce:8`), displays it, and builds its controller.
+//!
 //! All controllers implement [`Controller`], run against the same
 //! value-carrying cache + backing memory from `cache8t-sim`, and account
 //! SRAM-array traffic in an [`ArrayTraffic`] ledger — the quantity behind
@@ -57,6 +60,7 @@ mod controller;
 mod conventional;
 mod obs;
 mod rmw;
+mod scheme;
 mod traffic;
 mod wg;
 
@@ -65,5 +69,6 @@ pub use controller::{AccessCost, AccessResponse, CacheBackend, Controller, Resid
 pub use conventional::ConventionalController;
 pub use obs::{StackObs, SET_HEAT_BUCKETS};
 pub use rmw::RmwController;
+pub use scheme::SchemeKind;
 pub use traffic::{ArrayTraffic, CountingPolicy};
 pub use wg::{WgBufferView, WgController, WgFault, WgOptions, WgRbController};

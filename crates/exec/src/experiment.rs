@@ -13,12 +13,12 @@ use std::io;
 
 use serde::Serialize;
 
-use cache8t_core::{
-    ArrayTraffic, Controller, ConventionalController, CountingPolicy, RmwController, WgController,
-    WgRbController,
-};
+/// The scheme registry lives in `cache8t-core`; it is re-exported here
+/// because every runner of this module iterates it.
+pub use cache8t_core::SchemeKind;
+use cache8t_core::{ArrayTraffic, Controller, CountingPolicy};
 use cache8t_obs::{span, MetricRegistry, Sampler, SeriesSample, SpanGuard, TraceEvent};
-use cache8t_sim::{CacheGeometry, CacheStats, ReplacementKind};
+use cache8t_sim::{CacheGeometry, CacheStats};
 use cache8t_trace::analyze::{StreamStats, StreamStatsAccumulator};
 use cache8t_trace::{
     profiles, warmup_split, DecodedBatch, MemOp, ProfiledGenerator, Trace, TraceGenerator,
@@ -138,51 +138,6 @@ impl BenchmarkResult {
     /// The four scheme results in canonical order.
     pub fn schemes(&self) -> [&SchemeResult; 4] {
         [&self.conventional, &self.rmw, &self.wg, &self.wgrb]
-    }
-}
-
-/// The four controller schemes every benchmark runs through, in the
-/// canonical (6T, RMW, WG, WG+RB) order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SchemeKind {
-    /// Conventional 6T-style cache (one array access per write).
-    Conventional,
-    /// 8T read-modify-write baseline.
-    Rmw,
-    /// Write Grouping.
-    Wg,
-    /// Write Grouping + Read Bypassing.
-    WgRb,
-}
-
-impl SchemeKind {
-    /// All four schemes in canonical order.
-    pub const ALL: [SchemeKind; 4] = [
-        SchemeKind::Conventional,
-        SchemeKind::Rmw,
-        SchemeKind::Wg,
-        SchemeKind::WgRb,
-    ];
-
-    /// The display name the controller itself reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            SchemeKind::Conventional => "6T",
-            SchemeKind::Rmw => "RMW",
-            SchemeKind::Wg => "WG",
-            SchemeKind::WgRb => "WG+RB",
-        }
-    }
-
-    /// Builds the controller for this scheme over `geometry`.
-    pub fn build(self, geometry: CacheGeometry) -> Box<dyn Controller> {
-        let lru = ReplacementKind::Lru;
-        match self {
-            SchemeKind::Conventional => Box::new(ConventionalController::new(geometry, lru)),
-            SchemeKind::Rmw => Box::new(RmwController::new(geometry, lru)),
-            SchemeKind::Wg => Box::new(WgController::new(geometry, lru)),
-            SchemeKind::WgRb => Box::new(WgRbController::new(geometry, lru)),
-        }
     }
 }
 

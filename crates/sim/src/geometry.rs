@@ -219,6 +219,13 @@ impl CacheGeometry {
     }
 }
 
+/// The paper's baseline geometry, [`CacheGeometry::paper_baseline`].
+impl Default for CacheGeometry {
+    fn default() -> Self {
+        CacheGeometry::paper_baseline()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -15,17 +15,15 @@
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write as _};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::{Arc, Mutex};
 
-use cache8t::conform::{self, fuzz, ConformConfig, ConformReport, SchemeId};
-use cache8t::core::{
-    CacheBackend, CoalescingController, Controller, ConventionalController, RmwController,
-    WgController, WgOptions, WgRbController,
-};
+use cache8t::conform::{self, fuzz, ConformConfig, ConformReport};
+use cache8t::core::{CacheBackend, Controller, SchemeKind};
 use cache8t::exec::{
     average, merge_documents, metrics_document, replay, run_jobs, run_sweep, to_document,
-    BenchmarkResult, ChunkSource, ExecOptions, GeometryPoint, JobOutcome, Ops, PrefetchedChunks,
-    Shard, SweepOptions, SweepPlan, TraceStore,
+    BenchmarkResult, ChunkSource, ExecOptions, JobOutcome, Ops, PrefetchedChunks, Shard,
+    SweepOptions, SweepPlan, TraceStore,
 };
 use cache8t::obs::sampler::{self, Sampler, SamplerConfig, SeriesSample};
 use cache8t::obs::{perfdiff, timeline};
@@ -144,12 +142,18 @@ commands:
 schemes: 6t, rmw, wg, wg+rb, coalesce:<entries>
 defaults: --ops 100000, --seed 42, --cache 64,4,32, no L2";
 
-#[derive(Debug)]
+/// Every option of every subcommand, each flag parsed and validated
+/// once by [`parse`], which also sets the defaults. A subcommand reads
+/// only the flags its [`Command`] entry lists; [`parse`] rejects the
+/// rest.
+#[derive(Debug, Default)]
 struct Options {
+    /// Positional arguments, in order (see [`Command::args`]).
+    args: Vec<String>,
     profile: Option<String>,
     trace: Option<String>,
     out: Option<String>,
-    scheme: Option<String>,
+    scheme: Option<SchemeKind>,
     ops: usize,
     seed: u64,
     cache: CacheGeometry,
@@ -158,7 +162,7 @@ struct Options {
     trace_out: Option<String>,
     timeline_out: Option<String>,
     series_out: Option<String>,
-    series_cadence: Option<u64>,
+    series_cadence: Option<usize>,
     jobs: usize,
     retries: u32,
     shard: Option<Shard>,
@@ -167,11 +171,164 @@ struct Options {
     json: bool,
     trace_store: Option<String>,
     merge: Vec<String>,
-    schemes: Option<String>,
+    schemes: Option<Vec<SchemeKind>>,
     fuzz_rounds: usize,
     shrink_out: Option<String>,
     reps: usize,
     stream_chunk_ops: Option<usize>,
+    /// `perfdiff` regression gate in percent; `None` means report-only
+    /// (never fails).
+    fail_on_regress: Option<f64>,
+    ignore: Vec<String>,
+    follow: bool,
+    rows: usize,
+    listen: Option<String>,
+    checkpoint_dir: Option<String>,
+    log_out: Option<String>,
+    connect: Option<String>,
+    job: Option<String>,
+    wait: bool,
+    text: bool,
+    interval_ms: u64,
+    once: bool,
+}
+
+/// One subcommand: its handler, its positional arguments and the flags
+/// it reads.
+struct Command {
+    name: &'static str,
+    run: fn(&Options) -> Result<(), String>,
+    /// Its positional arguments, space-separated; all are required.
+    args: &'static str,
+    /// The flags it reads, as space-separated groups.
+    flags: &'static [&'static str],
+}
+
+/// The flags that describe a sweep plan. `sweep` runs the plan they
+/// describe and `client submit` sends it, both built by [`plan_spec`].
+const PLAN_FLAGS: &str = "--profiles --geometries --ops --seed --series-cadence";
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "list-profiles",
+        run: cmd_list_profiles,
+        args: "",
+        flags: &[],
+    },
+    Command {
+        name: "gen",
+        run: cmd_gen,
+        args: "",
+        flags: &["--profile --out --ops --seed"],
+    },
+    Command {
+        name: "analyze",
+        run: cmd_analyze,
+        args: "",
+        flags: &["--trace --profile --ops --seed --cache"],
+    },
+    Command {
+        name: "simulate",
+        run: cmd_simulate,
+        args: "",
+        flags: &[
+            "--scheme --trace --profile --ops --seed --cache --l2 --stream-chunk-ops",
+            "--metrics-out --trace-out --timeline-out --series-out --series-cadence",
+        ],
+    },
+    Command {
+        name: "sweep",
+        run: cmd_sweep,
+        args: "",
+        flags: &[
+            PLAN_FLAGS,
+            "--jobs --retries --shard --trace-store --stream-chunk-ops --merge",
+            "--out --json --metrics-out --timeline-out --series-out",
+        ],
+    },
+    Command {
+        name: "bench-core",
+        run: cmd_bench_core,
+        args: "",
+        flags: &["--profile --ops --seed --reps --cache --l2 --out --json"],
+    },
+    Command {
+        name: "perfdiff",
+        run: cmd_perfdiff,
+        args: "BASELINE.json CURRENT.json",
+        flags: &["--fail-on-regress --ignore --json --out"],
+    },
+    Command {
+        name: "watch",
+        run: cmd_watch,
+        args: "SERIES.jsonl",
+        flags: &["--follow --rows"],
+    },
+    Command {
+        name: "report-series",
+        run: cmd_report_series,
+        args: "SERIES.jsonl",
+        flags: &["--rows"],
+    },
+    Command {
+        name: "serve",
+        run: cmd_serve,
+        args: "",
+        flags: &[
+            "--listen --checkpoint-dir --jobs --retries --trace-store --stream-chunk-ops",
+            "--log-out --timeline-out",
+        ],
+    },
+    Command {
+        name: "client",
+        run: cmd_client,
+        args: "ACTION",
+        flags: &[PLAN_FLAGS, "--connect --job --wait --out --json --text"],
+    },
+    Command {
+        name: "top",
+        run: cmd_top,
+        args: "",
+        flags: &["--connect --interval-ms --once"],
+    },
+    Command {
+        name: "check",
+        run: cmd_check,
+        args: "",
+        flags: &[
+            "--schemes --profiles --trace --ops --seed --cache --fuzz-rounds",
+            "--jobs --retries --shrink-out --trace-out",
+        ],
+    },
+];
+
+impl Command {
+    fn named(name: &str) -> Option<&'static Command> {
+        COMMANDS.iter().find(|c| c.name == name)
+    }
+
+    fn reads(&self, flag: &str) -> bool {
+        self.flags
+            .iter()
+            .any(|group| group.split_whitespace().any(|f| f == flag))
+    }
+}
+
+/// Parses an integer flag value; `_` separators are allowed (`65_536`).
+fn number<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .replace('_', "")
+        .parse()
+        .map_err(|_| format!("invalid {flag} value"))
+}
+
+/// [`number`], rejecting zero.
+fn positive<T: FromStr + Default + PartialEq>(flag: &str, value: &str) -> Result<T, String> {
+    let n: T = number(flag, value)?;
+    if n == T::default() {
+        return Err(format!("{flag} must be positive"));
+    }
+    Ok(n)
 }
 
 fn parse_geometry(flag: &str, spec: &str) -> Result<CacheGeometry, String> {
@@ -185,162 +342,119 @@ fn parse_geometry(flag: &str, spec: &str) -> Result<CacheGeometry, String> {
         .map_err(|e| format!("invalid {flag} geometry: {e}"))
 }
 
-fn parse_options(args: &[String]) -> Result<Options, String> {
+/// Parses the arguments of `command`: each flag once, into [`Options`],
+/// and rejects a flag the command does not read.
+fn parse(command: &Command, args: &[String]) -> Result<Options, String> {
     let mut o = Options {
-        profile: None,
-        trace: None,
-        out: None,
-        scheme: None,
         ops: 100_000,
         seed: 42,
-        cache: CacheGeometry::paper_baseline(),
-        l2: None,
-        metrics_out: None,
-        trace_out: None,
-        timeline_out: None,
-        series_out: None,
-        series_cadence: None,
-        jobs: 0,
-        retries: 0,
-        shard: None,
-        profiles: None,
-        geometries: None,
-        json: false,
-        trace_store: None,
-        merge: Vec::new(),
-        schemes: None,
         fuzz_rounds: 10,
-        shrink_out: None,
         reps: 3,
-        stream_chunk_ops: None,
+        // The sampler's `series.*` counter family is ignored by default
+        // (at any path depth): its end-of-run totals are derivable from
+        // the counters the gate already watches, so a sampled run must
+        // diff clean against an unsampled baseline. `--ignore` extends
+        // this list.
+        ignore: perfdiff::DEFAULT_IGNORE_FAMILIES
+            .iter()
+            .map(|s| (*s).to_string())
+            .collect(),
+        rows: 16,
+        interval_ms: 1_000,
+        ..Options::default()
     };
     let mut it = args.iter();
-    while let Some(flag) = it.next() {
+    while let Some(arg) = it.next() {
+        let flag = arg.as_str();
+        if !flag.starts_with("--") {
+            o.args.push(arg.clone());
+            continue;
+        }
+        if !command.reads(flag) {
+            return Err(format!(
+                "{} does not take {flag} (it takes: {})",
+                command.name,
+                command.flags.join(" ")
+            ));
+        }
         let mut value = || {
             it.next()
                 .cloned()
                 .ok_or_else(|| format!("{flag} requires a value"))
         };
-        match flag.as_str() {
+        let list = |v: String| Some(v.split(',').map(str::to_string).collect());
+        match flag {
             "--profile" => o.profile = Some(value()?),
             "--trace" => o.trace = Some(value()?),
             "--out" => o.out = Some(value()?),
-            "--scheme" => o.scheme = Some(value()?),
-            "--ops" => {
-                o.ops = value()?
-                    .replace('_', "")
-                    .parse()
-                    .map_err(|_| "invalid --ops value".to_string())?;
-                if o.ops == 0 {
-                    return Err("--ops must be positive".to_string());
-                }
-            }
-            "--seed" => {
-                o.seed = value()?
-                    .parse()
-                    .map_err(|_| "invalid --seed value".to_string())?;
-            }
-            "--cache" => o.cache = parse_geometry("--cache", &value()?)?,
-            "--l2" => o.l2 = Some(parse_geometry("--l2", &value()?)?),
+            "--scheme" => o.scheme = Some(SchemeKind::parse(&value()?)?),
+            "--ops" => o.ops = positive(flag, &value()?)?,
+            "--seed" => o.seed = number(flag, &value()?)?,
+            "--cache" => o.cache = parse_geometry(flag, &value()?)?,
+            "--l2" => o.l2 = Some(parse_geometry(flag, &value()?)?),
             "--metrics-out" => o.metrics_out = Some(value()?),
             "--trace-out" => o.trace_out = Some(value()?),
             "--timeline-out" => o.timeline_out = Some(value()?),
             "--series-out" => o.series_out = Some(value()?),
-            "--series-cadence" => {
-                let cadence: u64 = value()?
-                    .replace('_', "")
-                    .parse()
-                    .map_err(|_| "invalid --series-cadence value".to_string())?;
-                if cadence == 0 {
-                    return Err("--series-cadence must be positive".to_string());
-                }
-                o.series_cadence = Some(cadence);
-            }
-            "--jobs" => {
-                o.jobs = value()?
-                    .parse()
-                    .map_err(|_| "invalid --jobs value".to_string())?;
-                if o.jobs == 0 {
-                    return Err("--jobs must be positive".to_string());
-                }
-            }
-            "--retries" => {
-                o.retries = value()?
-                    .parse()
-                    .map_err(|_| "invalid --retries value".to_string())?;
-            }
+            "--series-cadence" => o.series_cadence = Some(positive(flag, &value()?)?),
+            "--jobs" => o.jobs = positive(flag, &value()?)?,
+            "--retries" => o.retries = number(flag, &value()?)?,
             "--shard" => o.shard = Some(Shard::parse(&value()?)?),
-            "--profiles" => {
-                o.profiles = Some(value()?.split(',').map(str::to_string).collect());
-            }
-            "--geometries" => {
-                o.geometries = Some(value()?.split(',').map(str::to_string).collect());
-            }
+            "--profiles" => o.profiles = list(value()?),
+            "--geometries" => o.geometries = list(value()?),
             "--json" => o.json = true,
             "--trace-store" => o.trace_store = Some(value()?),
             "--merge" => o.merge.push(value()?),
-            "--schemes" => o.schemes = Some(value()?),
-            "--fuzz-rounds" => {
-                o.fuzz_rounds = value()?
-                    .parse()
-                    .map_err(|_| "invalid --fuzz-rounds value".to_string())?;
-            }
+            "--schemes" => o.schemes = Some(SchemeKind::parse_list(&value()?)?),
+            "--fuzz-rounds" => o.fuzz_rounds = number(flag, &value()?)?,
             "--shrink-out" => o.shrink_out = Some(value()?),
-            "--stream-chunk-ops" => {
-                let chunk_ops: usize = value()?
-                    .replace('_', "")
+            "--reps" => o.reps = positive(flag, &value()?)?,
+            "--stream-chunk-ops" => o.stream_chunk_ops = Some(positive(flag, &value()?)?),
+            "--fail-on-regress" => {
+                let pct: f64 = value()?
                     .parse()
-                    .map_err(|_| "invalid --stream-chunk-ops value".to_string())?;
-                if chunk_ops == 0 {
-                    return Err("--stream-chunk-ops must be positive".to_string());
+                    .map_err(|_| "invalid --fail-on-regress percentage".to_string())?;
+                if !pct.is_finite() || pct < 0.0 {
+                    return Err("--fail-on-regress must be a non-negative percentage".to_string());
                 }
-                o.stream_chunk_ops = Some(chunk_ops);
+                o.fail_on_regress = Some(pct);
             }
-            "--reps" => {
-                o.reps = value()?
-                    .parse()
-                    .map_err(|_| "invalid --reps value".to_string())?;
-                if o.reps == 0 {
-                    return Err("--reps must be positive".to_string());
-                }
-            }
-            other => return Err(format!("unknown flag `{other}`")),
+            "--ignore" => o.ignore.extend(value()?.split(',').map(str::to_string)),
+            "--follow" => o.follow = true,
+            "--rows" => o.rows = positive(flag, &value()?)?,
+            "--listen" => o.listen = Some(value()?),
+            "--checkpoint-dir" => o.checkpoint_dir = Some(value()?),
+            "--log-out" => o.log_out = Some(value()?),
+            "--connect" => o.connect = Some(value()?),
+            "--job" => o.job = Some(value()?),
+            "--wait" => o.wait = true,
+            "--text" => o.text = true,
+            "--interval-ms" => o.interval_ms = positive(flag, &value()?)?,
+            "--once" => o.once = true,
+            _ => return Err(format!("unknown flag `{flag}`")),
         }
+    }
+    let wanted = command.args.split_whitespace().count();
+    if o.args.len() != wanted {
+        return Err(if wanted == 0 {
+            format!(
+                "{} takes no arguments, got `{}`",
+                command.name,
+                o.args.join(" ")
+            )
+        } else {
+            format!("{} needs exactly {}", command.name, command.args)
+        });
     }
     Ok(o)
 }
 
-fn build_controller(
-    scheme: &str,
-    geometry: CacheGeometry,
-    l2: Option<CacheGeometry>,
-) -> Result<Box<dyn Controller>, String> {
-    let lru = ReplacementKind::Lru;
-    let backend = || match l2 {
-        Some(l2_geometry) => CacheBackend::with_l2(geometry, l2_geometry, lru),
-        None => CacheBackend::new(geometry, lru),
-    };
-    Ok(match scheme {
-        "6t" => Box::new(ConventionalController::from_backend(backend())),
-        "rmw" => Box::new(RmwController::from_backend(backend())),
-        "wg" => Box::new(WgController::from_backend(backend(), WgOptions::wg())),
-        "wg+rb" | "wgrb" => Box::new(WgRbController::from_backend(backend())),
-        other => {
-            if let Some(entries) = other.strip_prefix("coalesce:") {
-                let entries: usize = entries
-                    .parse()
-                    .map_err(|_| format!("invalid entry count in `{other}`"))?;
-                if entries == 0 {
-                    return Err("coalesce needs at least one entry".to_string());
-                }
-                Box::new(CoalescingController::from_backend(backend(), entries))
-            } else {
-                return Err(format!(
-                    "unknown scheme `{other}` (expected 6t, rmw, wg, wg+rb, coalesce:<n>)"
-                ));
-            }
-        }
-    })
+/// The `--cache` L1 backend, over the `--l2` second level when given.
+fn backend(o: &Options) -> CacheBackend {
+    match o.l2 {
+        Some(l2) => CacheBackend::with_l2(o.cache, l2, ReplacementKind::Lru),
+        None => CacheBackend::new(o.cache, ReplacementKind::Lru),
+    }
 }
 
 /// Where `--trace`/`--profile` point a command: exactly one is given.
@@ -349,12 +463,14 @@ enum TraceSource<'a> {
     Profile(WorkloadProfile),
 }
 
+fn profile_named(name: &str) -> Result<WorkloadProfile, String> {
+    profiles::by_name(name).ok_or_else(|| format!("unknown profile `{name}` (try list-profiles)"))
+}
+
 fn trace_source(o: &Options) -> Result<TraceSource<'_>, String> {
     match (&o.trace, &o.profile) {
         (Some(path), None) => Ok(TraceSource::File(path)),
-        (None, Some(name)) => profiles::by_name(name)
-            .map(TraceSource::Profile)
-            .ok_or_else(|| format!("unknown profile `{name}` (try list-profiles)")),
+        (None, Some(name)) => profile_named(name).map(TraceSource::Profile),
         (Some(_), Some(_)) => Err("--trace and --profile are mutually exclusive".to_string()),
         (None, None) => Err("need --trace FILE or --profile NAME".to_string()),
     }
@@ -389,7 +505,7 @@ fn write_file(
         .map_err(|e| format!("cannot write {path}: {e}"))
 }
 
-fn cmd_list_profiles() {
+fn cmd_list_profiles(_: &Options) -> Result<(), String> {
     println!(
         "{:<12} {:>9} {:>9} {:>9} {:>8}",
         "name", "rd/instr", "wr/instr", "same-set", "silent"
@@ -404,13 +520,11 @@ fn cmd_list_profiles() {
             p.silent_fraction * 100.0,
         );
     }
+    Ok(())
 }
 
 fn cmd_gen(o: &Options) -> Result<(), String> {
     let out = o.out.as_ref().ok_or("gen requires --out FILE")?;
-    if o.trace.is_some() {
-        return Err("gen takes --profile, not --trace".to_string());
-    }
     let trace = load_or_generate(o)?;
     write_file(out, |w| trace.write_to(w))?;
     println!(
@@ -435,12 +549,18 @@ fn cmd_analyze(o: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// The sampler configuration `--series-cadence` selects (default
-/// cadence when the flag is absent).
-fn sampler_config(o: &Options) -> SamplerConfig {
-    match o.series_cadence {
-        Some(cadence) => SamplerConfig::with_cadence(cadence),
-        None => SamplerConfig::default(),
+/// The `--series-out` file and its sampler, one window per
+/// `--series-cadence` ops (default 65536). A cadence with no series to
+/// write is an error.
+fn series(o: &Options) -> Result<Option<(&str, SamplerConfig)>, String> {
+    match (o.series_out.as_deref(), o.series_cadence) {
+        (None, Some(_)) => Err("--series-cadence needs --series-out FILE".to_string()),
+        (path, cadence) => Ok(path.map(|path| {
+            let config = cadence.map_or_else(SamplerConfig::default, |n| {
+                SamplerConfig::with_cadence(n as u64)
+            });
+            (path, config)
+        })),
     }
 }
 
@@ -451,7 +571,8 @@ fn sampler_config(o: &Options) -> SamplerConfig {
 /// two chunks for any `--ops`. Both sources feed the same replay driver,
 /// so the counters come out bit-identical.
 fn cmd_simulate(o: &Options) -> Result<(), String> {
-    let scheme = o.scheme.as_ref().ok_or("simulate requires --scheme")?;
+    let scheme = o.scheme.ok_or("simulate requires --scheme")?;
+    let series = series(o)?;
     if o.timeline_out.is_some() {
         timeline::enable();
         timeline::set_track_name("main");
@@ -490,12 +611,12 @@ fn cmd_simulate(o: &Options) -> Result<(), String> {
             }
         },
     };
-    let mut controller = build_controller(scheme, o.cache, o.l2)?;
+    let mut controller = scheme.build_on(backend(o));
     // Stream each window straight to disk: the sampler's ring stays
     // bounded, so even a very long replay holds flat memory while
     // exporting its full telemetry history.
-    let mut sampler = match &o.series_out {
-        Some(path) => {
+    let mut sampler = match series {
+        Some((path, config)) => {
             let file = File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
             let bench = o
                 .profile
@@ -503,7 +624,7 @@ fn cmd_simulate(o: &Options) -> Result<(), String> {
                 .or_else(|| o.trace.clone())
                 .unwrap_or_default();
             Some(
-                Sampler::new(&bench, controller.name(), sampler_config(o))
+                Sampler::new(&bench, controller.name(), config)
                     .with_writer(Box::new(BufWriter::new(file))),
             )
         }
@@ -581,19 +702,15 @@ impl ChunkSource for FileChunks {
 
 /// Schemes `bench-core` measures, in display order. `coalesce:8`
 /// stands in for the coalescing family at the paper's 8-entry depth.
-const BENCH_CORE_SCHEMES: [&str; 5] = ["6t", "rmw", "wg", "wg+rb", "coalesce:8"];
+const BENCH_CORE_SCHEMES: [SchemeKind; 5] = SchemeKind::suite(8);
 
 /// `cache8t bench-core`: single-thread replay throughput of the
 /// simulator core itself, one measurement per scheme over an identical
 /// pre-generated trace. The JSON document is perfdiff-compatible, so CI
 /// can gate it against `results/bench_core_baseline.json`.
 fn cmd_bench_core(o: &Options) -> Result<(), String> {
-    if o.trace.is_some() {
-        return Err("bench-core takes --profile, not --trace".to_string());
-    }
     let name = o.profile.as_deref().unwrap_or("gcc");
-    let profile = profiles::by_name(name)
-        .ok_or_else(|| format!("unknown profile `{name}` (try list-profiles)"))?;
+    let profile = profile_named(name)?;
     let trace = ProfiledGenerator::new(profile.clone(), CacheGeometry::paper_baseline(), o.seed)
         .collect(o.ops);
 
@@ -608,7 +725,7 @@ fn cmd_bench_core(o: &Options) -> Result<(), String> {
     for scheme in BENCH_CORE_SCHEMES {
         let mut best = f64::INFINITY;
         for _ in 0..o.reps {
-            let mut controller = build_controller(scheme, o.cache, o.l2)?;
+            let mut controller = scheme.build_on(backend(o));
             let start = std::time::Instant::now();
             // The production replay driver, decode included; a warm-up
             // equal to the trace length never fires the counter reset.
@@ -625,16 +742,16 @@ fn cmd_bench_core(o: &Options) -> Result<(), String> {
         let ops_per_sec = trace.len() as f64 / best;
         println!(
             "  {:<12} {:>12.0} {:>10.2}",
-            scheme,
+            scheme.spelling(),
             ops_per_sec,
             best * 1e3
         );
         throughput.push((
-            scheme.to_string(),
+            scheme.spelling(),
             serde_json::json!({ "ops_per_sec": ops_per_sec.round() }),
         ));
     }
-    let kernels_doc = bench_core_kernels(o, &profile, &trace)?;
+    let kernels_doc = bench_core_kernels(o, &profile, &trace);
     let doc = serde_json::Value::Object(vec![(
         "bench_core".to_string(),
         serde_json::Value::Object(vec![
@@ -646,19 +763,8 @@ fn cmd_bench_core(o: &Options) -> Result<(), String> {
             ("kernels".to_string(), kernels_doc),
         ]),
     )]);
-    let text = || {
-        let mut t = serde_json::to_string_pretty(&doc).expect("bench documents serialize");
-        t.push('\n');
-        t
-    };
-    if let Some(path) = &o.out {
-        std::fs::write(path, text()).map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("bench-core document written to {path}");
-    }
-    if o.json {
-        print!("{}", text());
-    }
-    Ok(())
+    let text = pretty(&doc);
+    emit(&text, "bench-core document", o.out.as_deref(), o.json)
 }
 
 /// Best-of-reps microbenches of the trace generator and of the
@@ -666,11 +772,7 @@ fn cmd_bench_core(o: &Options) -> Result<(), String> {
 /// `bench_core.kernels.<name>` in the JSON document. One "op" is one
 /// trace op for `generate`, `decode` and `probe`, and one 64-bit word
 /// compared for `silent_compare` and `diff_mask`.
-fn bench_core_kernels(
-    o: &Options,
-    profile: &WorkloadProfile,
-    trace: &Trace,
-) -> Result<serde_json::Value, String> {
+fn bench_core_kernels(o: &Options, profile: &WorkloadProfile, trace: &Trace) -> serde_json::Value {
     fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
         let mut best = f64::INFINITY;
         for _ in 0..reps {
@@ -699,7 +801,7 @@ fn bench_core_kernels(
 
     // `probe`: the branchless multi-way tag search over a warmed cache,
     // fed from the decoded set/tag columns like the controllers feed it.
-    let mut warm = build_controller("6t", o.cache, o.l2)?;
+    let mut warm = SchemeKind::Conventional.build_on(backend(o));
     warm.access_batch(&scratch, 0..scratch.len());
     let probe_best = best_of(o.reps, || {
         let cache = warm.cache();
@@ -765,7 +867,7 @@ fn bench_core_kernels(
             serde_json::json!({ "mops_per_sec": (ops_per_sec / 1e6 * 10.0).round() / 10.0 }),
         ));
     }
-    Ok(serde_json::Value::Object(out))
+    serde_json::Value::Object(out)
 }
 
 /// Honors `--timeline-out`: stops recording, drains the global
@@ -808,19 +910,29 @@ fn write_observability(o: &Options, controller: &dyn Controller) -> Result<(), S
     Ok(())
 }
 
-/// Writes/prints the sweep document per `--out` / `--json`.
-fn emit_document(o: &Options, doc: &serde_json::Value) -> Result<(), String> {
-    let text = || {
-        let mut t = serde_json::to_string_pretty(doc).expect("sweep documents serialize");
-        t.push('\n');
-        t
-    };
-    if let Some(path) = &o.out {
-        std::fs::write(path, text()).map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("sweep document written to {path}");
+/// A JSON document as the CLI writes it: pretty-printed, with a
+/// trailing newline, so `sweep --out` and `client fetch --out` can be
+/// `cmp`-ed.
+fn pretty(doc: &serde_json::Value) -> String {
+    let mut text = serde_json::to_string_pretty(doc).expect("JSON documents serialize");
+    text.push('\n');
+    text
+}
+
+fn read_json(path: &str) -> Result<serde_json::Value, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    serde_json::from_str(&text).map_err(|e| format!("cannot parse {path}: {e}"))
+}
+
+/// Writes `text` to `out`, noting the `what` on stderr, and prints it
+/// when `stdout` is set.
+fn emit(text: &str, what: &str, out: Option<&str>, stdout: bool) -> Result<(), String> {
+    if let Some(path) = out {
+        std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
+        eprintln!("{what} written to {path}");
     }
-    if o.json {
-        print!("{}", text());
+    if stdout {
+        print!("{text}");
     }
     Ok(())
 }
@@ -831,17 +943,55 @@ fn cmd_sweep_merge(o: &Options) -> Result<(), String> {
     let docs: Vec<serde_json::Value> = o
         .merge
         .iter()
-        .map(|path| {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            serde_json::from_str(&text).map_err(|e| format!("cannot parse {path}: {e}"))
-        })
+        .map(|path| read_json(path))
         .collect::<Result<_, String>>()?;
     let merged = merge_documents(&docs)?;
     if o.out.is_none() && !o.json {
         return Err("merge mode needs --out FILE or --json".to_string());
     }
-    emit_document(o, &merged)
+    emit(&pretty(&merged), "sweep document", o.out.as_deref(), o.json)
+}
+
+/// The plan the plan flags ([`PLAN_FLAGS`]) describe: what `sweep`
+/// runs and `client submit` sends. By default, all 25 profiles at all
+/// four geometries.
+fn plan_spec(o: &Options) -> PlanSpec {
+    PlanSpec {
+        profiles: o
+            .profiles
+            .clone()
+            .unwrap_or_else(|| profiles::names().into_iter().map(str::to_string).collect()),
+        geometries: o.geometries.clone().unwrap_or_else(|| {
+            ["baseline", "blocks64", "small", "large"]
+                .map(str::to_string)
+                .to_vec()
+        }),
+        ops: o.ops,
+        seed: o.seed,
+        series_cadence: o.series_cadence,
+    }
+}
+
+/// [`plan_spec`], resolved against the profile and geometry tables.
+fn resolve_plan(o: &Options) -> Result<SweepPlan, String> {
+    plan_spec(o).resolve().map_err(|e| e.message)
+}
+
+fn exec_options(o: &Options) -> ExecOptions {
+    ExecOptions {
+        workers: o.jobs,
+        retries: o.retries,
+    }
+}
+
+/// The trace store `--trace-store DIR|off` selects; by default
+/// in-memory, unless `CACHE8T_TRACE_STORE` names a directory.
+fn trace_store(o: &Options) -> Arc<TraceStore> {
+    Arc::new(match o.trace_store.as_deref() {
+        Some("off") => TraceStore::in_memory(),
+        Some(dir) => TraceStore::persistent(dir),
+        None => TraceStore::from_env(),
+    })
 }
 
 fn cmd_sweep(o: &Options) -> Result<(), String> {
@@ -849,51 +999,13 @@ fn cmd_sweep(o: &Options) -> Result<(), String> {
         return cmd_sweep_merge(o);
     }
 
-    let profile_set = match &o.profiles {
-        Some(names) => names
-            .iter()
-            .map(|name| {
-                profiles::by_name(name)
-                    .ok_or_else(|| format!("unknown profile `{name}` (try list-profiles)"))
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-        None => profiles::spec2006(),
-    };
-    let labels = o.geometries.clone().unwrap_or_else(|| {
-        ["baseline", "blocks64", "small", "large"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect()
-    });
-    let geometries = labels
-        .iter()
-        .map(|label| {
-            GeometryPoint::named(label).ok_or_else(|| {
-                format!("unknown geometry `{label}` (expected baseline, blocks64, small, large)")
-            })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-
-    let plan = SweepPlan {
-        profiles: profile_set,
-        geometries,
-        ops: o.ops,
-        seed: o.seed,
-    };
-    let store = match o.trace_store.as_deref() {
-        Some("off") => TraceStore::in_memory(),
-        Some(dir) => TraceStore::persistent(dir),
-        None => TraceStore::from_env(),
-    };
+    let plan = resolve_plan(o)?;
     let options = SweepOptions {
-        exec: ExecOptions {
-            workers: o.jobs,
-            retries: o.retries,
-        },
+        exec: exec_options(o),
         shard: o.shard,
         progress: true,
-        store: std::sync::Arc::new(store),
-        series: o.series_out.as_ref().map(|_| sampler_config(o)),
+        store: trace_store(o),
+        series: series(o)?.map(|(_, config)| config),
         stream_chunk_ops: o.stream_chunk_ops,
         ..SweepOptions::default()
     };
@@ -943,11 +1055,8 @@ fn cmd_sweep(o: &Options) -> Result<(), String> {
     }
 
     if let Some(path) = &o.metrics_out {
-        let mut text = serde_json::to_string_pretty(&metrics_document(&outcome))
-            .expect("metric documents serialize");
-        text.push('\n');
-        std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("metrics document written to {path}");
+        let text = pretty(&metrics_document(&outcome));
+        emit(&text, "metrics document", Some(path), false)?;
     }
     if let Some(path) = &o.timeline_out {
         write_timeline(path)?;
@@ -966,71 +1075,14 @@ fn cmd_sweep(o: &Options) -> Result<(), String> {
         eprintln!("telemetry series ({rows} windows) written to {path}");
     }
 
-    emit_document(o, &to_document(&plan, &outcome))?;
+    let document = pretty(&to_document(&plan, &outcome));
+    emit(&document, "sweep document", o.out.as_deref(), o.json)?;
 
     if outcome.failures.is_empty() {
         Ok(())
     } else {
         Err(format!("{} job(s) failed", outcome.failures.len()))
     }
-}
-
-#[derive(Debug, Default)]
-struct PerfdiffOptions {
-    baseline: String,
-    current: String,
-    /// Regression gate in percent; `None` means report-only (never
-    /// fails).
-    fail_on_regress: Option<f64>,
-    ignore: Vec<String>,
-    json: bool,
-    out: Option<String>,
-}
-
-fn parse_perfdiff(args: &[String]) -> Result<PerfdiffOptions, String> {
-    // The sampler's `series.*` counter family is ignored by default
-    // (at any path depth): its end-of-run totals are derivable from
-    // the counters the gate already watches, so a sampled run must
-    // diff clean against an unsampled baseline. `--ignore` extends
-    // this list.
-    let mut o = PerfdiffOptions {
-        ignore: perfdiff::DEFAULT_IGNORE_FAMILIES
-            .iter()
-            .map(|s| (*s).to_string())
-            .collect(),
-        ..PerfdiffOptions::default()
-    };
-    let mut positional: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{arg} requires a value"))
-        };
-        match arg.as_str() {
-            "--fail-on-regress" => {
-                let pct: f64 = value()?
-                    .parse()
-                    .map_err(|_| "invalid --fail-on-regress percentage".to_string())?;
-                if !pct.is_finite() || pct < 0.0 {
-                    return Err("--fail-on-regress must be a non-negative percentage".to_string());
-                }
-                o.fail_on_regress = Some(pct);
-            }
-            "--ignore" => o.ignore.extend(value()?.split(',').map(str::to_string)),
-            "--json" => o.json = true,
-            "--out" => o.out = Some(value()?),
-            flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
-            path => positional.push(path.to_string()),
-        }
-    }
-    if positional.len() != 2 {
-        return Err("perfdiff needs exactly BASELINE.json and CURRENT.json".to_string());
-    }
-    o.current = positional.pop().expect("two positionals");
-    o.baseline = positional.pop().expect("one positional");
-    Ok(o)
 }
 
 /// Formats a metric value compactly: integers without a fraction,
@@ -1056,21 +1108,12 @@ fn fmt_relative(m: &perfdiff::MetricDelta) -> String {
 
 /// `cache8t perfdiff baseline.json current.json`: align two metric
 /// snapshots by name and report the drift (see `cache8t_obs::perfdiff`).
-fn cmd_perfdiff(args: &[String]) -> Result<(), String> {
-    let o = parse_perfdiff(args)?;
-    let load = |path: &str| -> Result<serde_json::Value, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        serde_json::from_str(&text).map_err(|e| format!("cannot parse {path}: {e}"))
-    };
-    let diff = perfdiff::diff(&load(&o.baseline)?, &load(&o.current)?);
+fn cmd_perfdiff(o: &Options) -> Result<(), String> {
+    let diff = perfdiff::diff(&read_json(&o.args[0])?, &read_json(&o.args[1])?);
     let threshold = o.fail_on_regress.unwrap_or(5.0) / 100.0;
     let report = diff.to_value(threshold, &o.ignore);
 
-    if o.json {
-        let mut text = serde_json::to_string_pretty(&report).expect("perfdiff reports serialize");
-        text.push('\n');
-        print!("{text}");
-    } else {
+    if !o.json {
         println!(
             "{} aligned metrics ({} changed), {} only in baseline, {} only in current",
             diff.deltas.len(),
@@ -1111,12 +1154,8 @@ fn cmd_perfdiff(args: &[String]) -> Result<(), String> {
             }
         }
     }
-    if let Some(path) = &o.out {
-        let mut text = serde_json::to_string_pretty(&report).expect("perfdiff reports serialize");
-        text.push('\n');
-        std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("perfdiff report written to {path}");
-    }
+    let text = pretty(&report);
+    emit(&text, "perfdiff report", o.out.as_deref(), o.json)?;
 
     let regressions = diff.regressions(threshold, &o.ignore);
     if regressions.is_empty() {
@@ -1144,44 +1183,6 @@ fn cmd_perfdiff(args: &[String]) -> Result<(), String> {
     }
 }
 
-#[derive(Debug)]
-struct SeriesCliOptions {
-    path: String,
-    follow: bool,
-    rows: usize,
-}
-
-/// Parses `watch` / `report-series` arguments: one positional series
-/// file plus `--rows N` and (for `watch`) `--follow`.
-fn parse_series_cli(args: &[String], allow_follow: bool) -> Result<SeriesCliOptions, String> {
-    let mut o = SeriesCliOptions {
-        path: String::new(),
-        follow: false,
-        rows: 16,
-    };
-    let mut positional: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--follow" if allow_follow => o.follow = true,
-            "--rows" => {
-                let v = it.next().ok_or("--rows requires a value")?;
-                o.rows = v.parse().map_err(|_| "invalid --rows value".to_string())?;
-                if o.rows == 0 {
-                    return Err("--rows must be positive".to_string());
-                }
-            }
-            flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
-            path => positional.push(path.to_string()),
-        }
-    }
-    if positional.len() != 1 {
-        return Err("expected exactly one SERIES.jsonl argument".to_string());
-    }
-    o.path = positional.pop().expect("one positional");
-    Ok(o)
-}
-
 /// Parses every well-formed series row of `text`, counting the rest.
 fn parse_series_text(text: &str) -> (Vec<SeriesSample>, u64) {
     let mut samples = Vec::new();
@@ -1196,6 +1197,17 @@ fn parse_series_text(text: &str) -> (Vec<SeriesSample>, u64) {
         }
     }
     (samples, malformed)
+}
+
+/// Reads the series rows of `path`, counting malformed lines; a file
+/// without a single row is an error.
+fn read_series(path: &str) -> Result<(Vec<SeriesSample>, u64), String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let (samples, malformed) = parse_series_text(&text);
+    if samples.is_empty() {
+        return Err(format!("{path}: no series rows found"));
+    }
+    Ok((samples, malformed))
 }
 
 /// Renders the `watch` dashboard: the most recent `rows` windows plus a
@@ -1292,15 +1304,10 @@ fn drain_series_rows(
 /// tails the file and repaints as a live replay appends windows,
 /// deriving Mops/s from window *arrival* times (the rows themselves are
 /// deterministic and carry no wall-clock).
-fn cmd_watch(args: &[String]) -> Result<(), String> {
-    let o = parse_series_cli(args, true)?;
+fn cmd_watch(o: &Options) -> Result<(), String> {
+    let path = &o.args[0];
     if !o.follow {
-        let text =
-            std::fs::read_to_string(&o.path).map_err(|e| format!("cannot read {}: {e}", o.path))?;
-        let (samples, malformed) = parse_series_text(&text);
-        if samples.is_empty() {
-            return Err(format!("{}: no series rows found", o.path));
-        }
+        let (samples, malformed) = read_series(path)?;
         print!("{}", render_watch(&samples, o.rows, None));
         if malformed > 0 {
             eprintln!("warning: skipped {malformed} malformed line(s)");
@@ -1308,7 +1315,7 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
 
-    let file = File::open(&o.path).map_err(|e| format!("cannot open {}: {e}", o.path))?;
+    let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
     let mut reader = BufReader::new(file);
     let mut samples: Vec<SeriesSample> = Vec::new();
     let mut line = String::new();
@@ -1321,7 +1328,7 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
             &mut samples,
             o.rows.max(sampler::DEFAULT_RING_CAPACITY),
         )
-        .map_err(|e| format!("cannot read {}: {e}", o.path))?;
+        .map_err(|e| format!("cannot read {path}: {e}"))?;
         if new_ops > 0 || !painted_once {
             let elapsed = last_paint.elapsed().as_secs_f64();
             let mops = (painted_once && elapsed > 0.0).then(|| new_ops as f64 / elapsed / 1e6);
@@ -1361,14 +1368,8 @@ fn downsample(values: &[f64], max: usize) -> Vec<f64> {
 /// (bench, scheme) group — phases are maximal window runs whose miss
 /// rate stays within [`PHASE_TOLERANCE`] of the phase mean — plus
 /// sparkline rows of the full miss/occupancy/write-back history.
-fn cmd_report_series(args: &[String]) -> Result<(), String> {
-    let o = parse_series_cli(args, false)?;
-    let text =
-        std::fs::read_to_string(&o.path).map_err(|e| format!("cannot read {}: {e}", o.path))?;
-    let (samples, malformed) = parse_series_text(&text);
-    if samples.is_empty() {
-        return Err(format!("{}: no series rows found", o.path));
-    }
+fn cmd_report_series(o: &Options) -> Result<(), String> {
+    let (samples, malformed) = read_series(&o.args[0])?;
 
     // Group by (bench, scheme), preserving first-appearance order.
     let mut groups: Vec<((String, String), Vec<&SeriesSample>)> = Vec::new();
@@ -1455,16 +1456,11 @@ const MAX_SHRINK_OPS: usize = 20_000;
 /// trace) plus seeded fuzz rounds; failures are shrunk to `.c8tt`
 /// reproducers.
 fn cmd_check(o: &Options) -> Result<(), String> {
-    let schemes = match &o.schemes {
-        Some(spec) => SchemeId::parse_list(spec)?,
-        None => SchemeId::default_suite(),
-    };
     let mut config = ConformConfig::new(o.cache);
-    config.schemes = schemes;
-    let exec = ExecOptions {
-        workers: o.jobs,
-        retries: o.retries,
-    };
+    if let Some(schemes) = &o.schemes {
+        config.schemes = schemes.clone();
+    }
+    let exec = exec_options(o);
 
     // Phase 1: deterministic replays — one saved trace, or the profiles.
     let mut units: Vec<CheckUnit> = Vec::new();
@@ -1480,17 +1476,9 @@ fn cmd_check(o: &Options) -> Result<(), String> {
             config: config.clone(),
         });
     } else {
-        let profile_set = match &o.profiles {
-            Some(names) => names
-                .iter()
-                .map(|name| {
-                    profiles::by_name(name)
-                        .ok_or_else(|| format!("unknown profile `{name}` (try list-profiles)"))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            None => profiles::spec2006(),
-        };
-        let jobs: Vec<_> = profile_set
+        // `--profiles` resolves as it does in a sweep plan.
+        let jobs: Vec<_> = resolve_plan(o)?
+            .profiles
             .into_iter()
             .map(|profile| {
                 let config = config.clone();
@@ -1614,77 +1602,16 @@ fn cmd_check(o: &Options) -> Result<(), String> {
     }
 }
 
-#[derive(Debug, Default)]
-struct ServeOptions {
-    listen: String,
-    checkpoint_dir: Option<String>,
-    jobs: usize,
-    retries: u32,
-    trace_store: Option<String>,
-    log_out: Option<String>,
-    timeline_out: Option<String>,
-    stream_chunk_ops: Option<usize>,
-}
-
-fn parse_serve(args: &[String]) -> Result<ServeOptions, String> {
-    let mut o = ServeOptions::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
-        match flag.as_str() {
-            "--listen" => o.listen = value()?,
-            "--checkpoint-dir" => o.checkpoint_dir = Some(value()?),
-            "--jobs" => {
-                o.jobs = value()?
-                    .parse()
-                    .map_err(|_| "invalid --jobs value".to_string())?;
-                if o.jobs == 0 {
-                    return Err("--jobs must be positive".to_string());
-                }
-            }
-            "--retries" => {
-                o.retries = value()?
-                    .parse()
-                    .map_err(|_| "invalid --retries value".to_string())?;
-            }
-            "--trace-store" => o.trace_store = Some(value()?),
-            "--log-out" => o.log_out = Some(value()?),
-            "--timeline-out" => o.timeline_out = Some(value()?),
-            "--stream-chunk-ops" => {
-                let chunk_ops: usize = value()?
-                    .replace('_', "")
-                    .parse()
-                    .map_err(|_| "invalid --stream-chunk-ops value".to_string())?;
-                if chunk_ops == 0 {
-                    return Err("--stream-chunk-ops must be positive".to_string());
-                }
-                o.stream_chunk_ops = Some(chunk_ops);
-            }
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    if o.listen.is_empty() {
-        return Err("serve requires --listen ADDR (host:port or unix:/path)".to_string());
-    }
-    Ok(o)
-}
-
 /// `cache8t serve --listen ADDR`: run the sweep daemon until a client
 /// sends `shutdown`. Operational logging goes to `--log-out` (JSONL)
 /// or stderr, filtered by `CACHE8T_LOG` (error/warn/info/debug, off to
 /// silence); `--timeline-out` records every job's lifecycle as a
 /// Perfetto-loadable trace written at shutdown.
-fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let o = parse_serve(args)?;
-    let store = match o.trace_store.as_deref() {
-        Some("off") => TraceStore::in_memory(),
-        Some(dir) => TraceStore::persistent(dir),
-        None => TraceStore::from_env(),
-    };
+fn cmd_serve(o: &Options) -> Result<(), String> {
+    let listen = o
+        .listen
+        .as_deref()
+        .ok_or("serve requires --listen ADDR (host:port or unix:/path)")?;
     let level = cache8t::obs::LogLevel::from_env();
     let oplog = match &o.log_out {
         Some(path) => cache8t::obs::OpLog::to_file(std::path::Path::new(path), level)
@@ -1695,17 +1622,14 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         timeline::enable();
     }
     let server = Server::bind(ServeConfig {
-        listen: o.listen.clone(),
-        checkpoint_dir: o.checkpoint_dir.map(std::path::PathBuf::from),
-        exec: ExecOptions {
-            workers: o.jobs,
-            retries: o.retries,
-        },
-        store: std::sync::Arc::new(store),
-        oplog: std::sync::Arc::new(oplog),
+        listen: listen.to_string(),
+        checkpoint_dir: o.checkpoint_dir.as_ref().map(std::path::PathBuf::from),
+        exec: exec_options(o),
+        store: trace_store(o),
+        oplog: Arc::new(oplog),
         stream_chunk_ops: o.stream_chunk_ops,
     })
-    .map_err(|e| format!("cannot bind {}: {e}", o.listen))?;
+    .map_err(|e| format!("cannot bind {listen}: {e}"))?;
     eprintln!("cache8t serve: listening on {}", server.local_addr());
     server.run().map_err(|e| format!("server error: {e}"))?;
     if let Some(path) = &o.timeline_out {
@@ -1714,154 +1638,37 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-#[derive(Debug, Default)]
-struct ClientCliOptions {
-    connect: String,
-    action: String,
-    job: Option<String>,
-    profiles: Option<Vec<String>>,
-    geometries: Option<Vec<String>>,
-    ops: usize,
-    seed: u64,
-    series_cadence: Option<usize>,
-    wait: bool,
-    out: Option<String>,
-    json: bool,
-    text: bool,
-}
-
-fn parse_client(args: &[String]) -> Result<ClientCliOptions, String> {
-    let mut o = ClientCliOptions {
-        ops: 100_000,
-        seed: 42,
-        ..ClientCliOptions::default()
-    };
-    let mut positional: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{arg} requires a value"))
-        };
-        match arg.as_str() {
-            "--connect" => o.connect = value()?,
-            "--job" => o.job = Some(value()?),
-            "--profiles" => {
-                o.profiles = Some(value()?.split(',').map(str::to_string).collect());
-            }
-            "--geometries" => {
-                o.geometries = Some(value()?.split(',').map(str::to_string).collect());
-            }
-            "--ops" => {
-                o.ops = value()?
-                    .replace('_', "")
-                    .parse()
-                    .map_err(|_| "invalid --ops value".to_string())?;
-                if o.ops == 0 {
-                    return Err("--ops must be positive".to_string());
-                }
-            }
-            "--seed" => {
-                o.seed = value()?
-                    .parse()
-                    .map_err(|_| "invalid --seed value".to_string())?;
-            }
-            "--series-cadence" => {
-                let cadence: usize = value()?
-                    .replace('_', "")
-                    .parse()
-                    .map_err(|_| "invalid --series-cadence value".to_string())?;
-                if cadence == 0 {
-                    return Err("--series-cadence must be positive".to_string());
-                }
-                o.series_cadence = Some(cadence);
-            }
-            "--wait" => o.wait = true,
-            "--out" => o.out = Some(value()?),
-            "--json" => o.json = true,
-            "--text" => o.text = true,
-            flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
-            action => positional.push(action.to_string()),
-        }
-    }
-    if o.connect.is_empty() {
-        return Err("client requires --connect ADDR (host:port or unix:/path)".to_string());
-    }
-    if positional.len() != 1 {
-        return Err(
-            "client needs exactly one action: submit, status, fetch, watch, cancel, \
-             health, metrics, shutdown"
-                .to_string(),
-        );
-    }
-    o.action = positional.pop().expect("one positional");
-    Ok(o)
-}
-
-/// The plan a `client submit` sends: the same defaults `cache8t sweep`
-/// uses (all 25 profiles, all four geometries).
-fn client_plan(o: &ClientCliOptions) -> PlanSpec {
-    PlanSpec {
-        profiles: o.profiles.clone().unwrap_or_else(|| {
-            profiles::spec2006()
-                .iter()
-                .map(|p| p.name.clone())
-                .collect()
-        }),
-        geometries: o.geometries.clone().unwrap_or_else(|| {
-            ["baseline", "blocks64", "small", "large"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect()
-        }),
-        ops: o.ops,
-        seed: o.seed,
-        series_cadence: o.series_cadence,
-    }
-}
-
-/// Writes/prints a fetched sweep document with the same bytes
-/// `cache8t sweep --out` produces (pretty JSON + newline), so the two
-/// can be `cmp`-ed directly.
-fn emit_client_document(o: &ClientCliOptions, doc: &serde_json::Value) -> Result<(), String> {
-    let text = || {
-        let mut t = serde_json::to_string_pretty(doc).expect("sweep documents serialize");
-        t.push('\n');
-        t
-    };
-    if let Some(path) = &o.out {
-        std::fs::write(path, text()).map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("sweep document written to {path}");
-    }
-    if o.json || o.out.is_none() {
-        print!("{}", text());
-    }
-    Ok(())
-}
-
-fn require_job(o: &ClientCliOptions) -> Result<&str, String> {
+fn require_job(o: &Options) -> Result<&str, String> {
     o.job
         .as_deref()
-        .ok_or_else(|| format!("client {} requires --job ID", o.action))
+        .ok_or_else(|| format!("client {} requires --job ID", o.args[0]))
 }
 
 /// `cache8t client --connect ADDR <action>`: one protocol round trip
 /// (or, for `watch`, a streamed session) against a running daemon.
-fn cmd_client(args: &[String]) -> Result<(), String> {
-    let o = parse_client(args)?;
+fn cmd_client(o: &Options) -> Result<(), String> {
+    let connect = o
+        .connect
+        .as_deref()
+        .ok_or("client requires --connect ADDR (host:port or unix:/path)")?;
     let describe = |e: ClientError| e.to_string();
-    let mut client = Client::connect_with_retry(&o.connect, std::time::Duration::from_secs(5))
-        .map_err(|e| format!("cannot connect to {}: {e}", o.connect))?;
-    match o.action.as_str() {
+    // Fetched documents carry the bytes `cache8t sweep --out` writes,
+    // so the two can be `cmp`-ed directly.
+    let emit_document = |doc: &serde_json::Value| {
+        let stdout = o.json || o.out.is_none();
+        emit(&pretty(doc), "sweep document", o.out.as_deref(), stdout)
+    };
+    let mut client = Client::connect_with_retry(connect, std::time::Duration::from_secs(5))
+        .map_err(|e| format!("cannot connect to {connect}: {e}"))?;
+    match o.args[0].as_str() {
         "submit" => {
-            let job = client.submit(&client_plan(&o)).map_err(describe)?;
+            let job = client.submit(&plan_spec(o)).map_err(describe)?;
             eprintln!("submitted {job}");
             if o.wait {
                 let document = client
                     .wait_for_results(&job, std::time::Duration::from_secs(24 * 3600))
                     .map_err(describe)?;
-                emit_client_document(&o, &document)?;
+                emit_document(&document)?;
             } else {
                 println!("{job}");
             }
@@ -1869,14 +1676,11 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
         }
         "status" => {
             let status = client.status(o.job.as_deref()).map_err(describe)?;
-            let mut text =
-                serde_json::to_string_pretty(&status).expect("status objects serialize");
-            text.push('\n');
-            print!("{text}");
+            print!("{}", pretty(&status));
             Ok(())
         }
         "fetch" => {
-            let job = require_job(&o)?;
+            let job = require_job(o)?;
             let document = if o.wait {
                 client
                     .wait_for_results(job, std::time::Duration::from_secs(24 * 3600))
@@ -1884,16 +1688,16 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
             } else {
                 client.results(job).map_err(describe)?
             };
-            emit_client_document(&o, &document)
+            emit_document(&document)
         }
         "watch" => {
-            let job = require_job(&o)?;
+            let job = require_job(o)?;
             // The resumable wrapper reconnects with backoff if the
             // daemon connection drops mid-stream, resuming from the
             // last delivered sequence number — a long watch survives
             // network blips without replaying (or losing) events.
             drop(client);
-            let state = cache8t::serve::watch_resumable(&o.connect, job, |row| {
+            let state = cache8t::serve::watch_resumable(connect, job, |row| {
                 let line = serde_json::to_string(row).expect("event rows serialize");
                 println!("{line}");
             })
@@ -1905,20 +1709,14 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
             }
         }
         "cancel" => {
-            let job = require_job(&o)?;
+            let job = require_job(o)?;
             let response = client.cancel(job).map_err(describe)?;
-            let mut text =
-                serde_json::to_string_pretty(&response).expect("responses serialize");
-            text.push('\n');
-            print!("{text}");
+            print!("{}", pretty(&response));
             Ok(())
         }
         "health" => {
             let health = client.health().map_err(describe)?;
-            let mut text =
-                serde_json::to_string_pretty(&health).expect("health objects serialize");
-            text.push('\n');
-            print!("{text}");
+            print!("{}", pretty(&health));
             Ok(())
         }
         "metrics" => {
@@ -1927,67 +1725,19 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
                 // Prometheus exposition of the registry snapshot.
                 cache8t::serve::render_metrics_text(&metrics)
             } else {
-                let mut t =
-                    serde_json::to_string_pretty(&metrics).expect("metrics objects serialize");
-                t.push('\n');
-                t
+                pretty(&metrics)
             };
-            if let Some(path) = &o.out {
-                std::fs::write(path, &text).map_err(|e| format!("cannot write {path}: {e}"))?;
-                eprintln!("metrics written to {path}");
-            } else {
-                print!("{text}");
-            }
-            Ok(())
+            emit(&text, "metrics", o.out.as_deref(), o.out.is_none())
         }
         "shutdown" => {
             client.shutdown().map_err(describe)?;
-            eprintln!("server {} shutting down", o.connect);
+            eprintln!("server {connect} shutting down");
             Ok(())
         }
         other => Err(format!(
             "unknown client action `{other}` (expected submit, status, fetch, watch, cancel, health, metrics, shutdown)"
         )),
     }
-}
-
-#[derive(Debug, Default)]
-struct TopOptions {
-    connect: String,
-    interval_ms: u64,
-    once: bool,
-}
-
-fn parse_top(args: &[String]) -> Result<TopOptions, String> {
-    let mut o = TopOptions {
-        interval_ms: 1_000,
-        ..TopOptions::default()
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
-        match flag.as_str() {
-            "--connect" => o.connect = value()?,
-            "--interval-ms" => {
-                o.interval_ms = value()?
-                    .parse()
-                    .map_err(|_| "invalid --interval-ms value".to_string())?;
-                if o.interval_ms == 0 {
-                    return Err("--interval-ms must be positive".to_string());
-                }
-            }
-            "--once" => o.once = true,
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    if o.connect.is_empty() {
-        return Err("top requires --connect ADDR (host:port or unix:/path)".to_string());
-    }
-    Ok(o)
 }
 
 fn format_uptime(ms: u64) -> String {
@@ -2118,11 +1868,14 @@ fn render_top(
 /// stream. Repaints every `--interval-ms` (default 1000); `--once`
 /// prints a single frame and exits. Transport drops in follow mode
 /// reconnect with the same retry the client uses.
-fn cmd_top(args: &[String]) -> Result<(), String> {
-    let o = parse_top(args)?;
+fn cmd_top(o: &Options) -> Result<(), String> {
+    let connect = o
+        .connect
+        .as_deref()
+        .ok_or("top requires --connect ADDR (host:port or unix:/path)")?;
     let describe = |e: ClientError| e.to_string();
-    let mut client = Client::connect_with_retry(&o.connect, std::time::Duration::from_secs(5))
-        .map_err(|e| format!("cannot connect to {}: {e}", o.connect))?;
+    let mut client = Client::connect_with_retry(connect, std::time::Duration::from_secs(5))
+        .map_err(|e| format!("cannot connect to {connect}: {e}"))?;
     let mut prev: Option<(std::time::Instant, u64, u64)> = None;
     loop {
         let poll = (|| -> Result<_, ClientError> {
@@ -2140,8 +1893,8 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
             Err(_) => {
                 // Daemon restarting or network blip: reconnect and
                 // keep the dashboard alive.
-                client = Client::connect_with_retry(&o.connect, std::time::Duration::from_secs(30))
-                    .map_err(|e| format!("lost connection to {}: {e}", o.connect))?;
+                client = Client::connect_with_retry(connect, std::time::Duration::from_secs(30))
+                    .map_err(|e| format!("lost connection to {connect}: {e}"))?;
                 prev = None;
                 continue;
             }
@@ -2165,7 +1918,7 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
                 (journal_bytes as f64 - bytes as f64) / dt,
             )
         });
-        let frame = render_top(&o.connect, &health, &metrics, &status, rates);
+        let frame = render_top(connect, &health, &metrics, &status, rates);
         if o.once {
             print!("{frame}");
             return Ok(());
@@ -2178,30 +1931,15 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
 }
 
 fn run(args: Vec<String>) -> Result<(), String> {
-    let Some(command) = args.get(1) else {
+    let Some(name) = args.get(1) else {
         return Err(USAGE.to_string());
     };
-    let rest = &args[2..];
-    match command.as_str() {
-        "list-profiles" => {
-            cmd_list_profiles();
-            Ok(())
-        }
-        "gen" => cmd_gen(&parse_options(rest)?),
-        "analyze" => cmd_analyze(&parse_options(rest)?),
-        "simulate" => cmd_simulate(&parse_options(rest)?),
-        "sweep" => cmd_sweep(&parse_options(rest)?),
-        "bench-core" => cmd_bench_core(&parse_options(rest)?),
-        "perfdiff" => cmd_perfdiff(rest),
-        "watch" => cmd_watch(rest),
-        "report-series" => cmd_report_series(rest),
-        "serve" => cmd_serve(rest),
-        "client" => cmd_client(rest),
-        "top" => cmd_top(rest),
-        "check" => cmd_check(&parse_options(rest)?),
-        "--help" | "-h" | "help" => Err(USAGE.to_string()),
-        other => Err(format!("unknown command `{other}`\n\n{USAGE}")),
+    if matches!(name.as_str(), "--help" | "-h" | "help") {
+        return Err(USAGE.to_string());
     }
+    let command =
+        Command::named(name).ok_or_else(|| format!("unknown command `{name}`\n\n{USAGE}"))?;
+    (command.run)(&parse(command, &args[2..])?)
 }
 
 fn main() -> ExitCode {
@@ -2218,16 +1956,25 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
+    /// Parses `cache8t args..` as [`run`] would: `args[0]` names the
+    /// command.
     fn opts(args: &[&str]) -> Result<Options, String> {
-        parse_options(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+        let rest: Vec<String> = args[1..].iter().map(|s| s.to_string()).collect();
+        parse(Command::named(args[0]).expect("a known command"), &rest)
+    }
+
+    /// Runs `cache8t args..`.
+    fn exec(args: &[impl AsRef<str>]) -> Result<(), String> {
+        let argv = std::iter::once("cache8t").chain(args.iter().map(|a| a.as_ref()));
+        run(argv.map(str::to_string).collect())
     }
 
     #[test]
     fn parse_defaults_and_flags() {
-        let o = opts(&[]).unwrap();
+        let o = opts(&["gen"]).unwrap();
         assert_eq!(o.ops, 100_000);
         assert_eq!(o.seed, 42);
-        let o = opts(&["--profile", "gcc", "--ops", "5_000", "--seed", "7"]).unwrap();
+        let o = opts(&["gen", "--profile", "gcc", "--ops", "5_000", "--seed", "7"]).unwrap();
         assert_eq!(o.profile.as_deref(), Some("gcc"));
         assert_eq!(o.ops, 5_000);
         assert_eq!(o.seed, 7);
@@ -2235,20 +1982,21 @@ mod tests {
 
     #[test]
     fn parse_cache_spec() {
-        let o = opts(&["--cache", "32,4,64"]).unwrap();
+        let o = opts(&["simulate", "--cache", "32,4,64"]).unwrap();
         assert_eq!(o.cache.capacity_bytes(), 32 * 1024);
         assert_eq!(o.cache.block_bytes(), 64);
         assert!(o.l2.is_none());
-        let o = opts(&["--l2", "512,8,32"]).unwrap();
+        let o = opts(&["simulate", "--l2", "512,8,32"]).unwrap();
         assert_eq!(o.l2.unwrap().capacity_bytes(), 512 * 1024);
-        assert!(opts(&["--cache", "32,4"]).is_err());
-        assert!(opts(&["--cache", "31,4,64"]).is_err());
-        assert!(opts(&["--cache", "a,b,c"]).is_err());
+        assert!(opts(&["simulate", "--cache", "32,4"]).is_err());
+        assert!(opts(&["simulate", "--cache", "31,4,64"]).is_err());
+        assert!(opts(&["simulate", "--cache", "a,b,c"]).is_err());
     }
 
     #[test]
     fn parse_observability_flags() {
         let o = opts(&[
+            "simulate",
             "--metrics-out",
             "m.json",
             "--trace-out",
@@ -2260,8 +2008,8 @@ mod tests {
         assert_eq!(o.metrics_out.as_deref(), Some("m.json"));
         assert_eq!(o.trace_out.as_deref(), Some("t.jsonl"));
         assert_eq!(o.timeline_out.as_deref(), Some("tl.json"));
-        assert!(opts(&["--metrics-out"]).is_err());
-        assert!(opts(&["--timeline-out"]).is_err());
+        assert!(opts(&["simulate", "--metrics-out"]).is_err());
+        assert!(opts(&["simulate", "--timeline-out"]).is_err());
     }
 
     #[test]
@@ -2269,8 +2017,18 @@ mod tests {
         let dir = std::env::temp_dir().join("cache8t-cli-obs-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("metrics.json").to_string_lossy().to_string();
-        let mut o = opts(&["--profile", "gcc", "--ops", "2000", "--metrics-out", &path]).unwrap();
-        o.scheme = Some("wg".to_string());
+        let o = opts(&[
+            "simulate",
+            "--scheme",
+            "wg",
+            "--profile",
+            "gcc",
+            "--ops",
+            "2000",
+            "--metrics-out",
+            &path,
+        ])
+        .unwrap();
         cmd_simulate(&o).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let value: serde_json::Value = serde_json::from_str(&text).unwrap();
@@ -2282,17 +2040,32 @@ mod tests {
 
     #[test]
     fn parse_rejects_bad_input() {
-        assert!(opts(&["--ops"]).is_err());
-        assert!(opts(&["--ops", "0"]).is_err());
-        assert!(opts(&["--bogus"]).is_err());
-        assert!(opts(&["--jobs", "0"]).is_err());
-        assert!(opts(&["--shard", "3/2"]).is_err());
-        assert!(opts(&["--shard", "nope"]).is_err());
+        assert!(opts(&["sweep", "--ops"]).is_err());
+        assert!(opts(&["sweep", "--ops", "0"]).is_err());
+        assert!(opts(&["sweep", "--bogus"]).is_err());
+        assert!(opts(&["sweep", "--jobs", "0"]).is_err());
+        assert!(opts(&["sweep", "--shard", "3/2"]).is_err());
+        assert!(opts(&["sweep", "--shard", "nope"]).is_err());
+        assert!(opts(&["sweep", "stray"]).is_err());
+        // A flag the command would ignore is an error naming the flag.
+        for (command, flag) in [
+            ("gen", "--series-out"),
+            ("gen", "--trace"),
+            ("simulate", "--shard"),
+            ("simulate", "--profiles"),
+            ("bench-core", "--trace"),
+            ("check", "--profile"),
+            ("list-profiles", "--ops"),
+        ] {
+            let err = opts(&[command, flag, "1"]).unwrap_err();
+            assert!(err.contains(flag), "{command} {flag}: {err}");
+        }
     }
 
     #[test]
     fn parse_sweep_flags() {
         let o = opts(&[
+            "sweep",
             "--jobs",
             "4",
             "--retries",
@@ -2317,7 +2090,7 @@ mod tests {
         assert_eq!(o.jobs, 4);
         assert_eq!(o.stream_chunk_ops, Some(65_536));
         assert!(
-            opts(&["--stream-chunk-ops", "0"]).is_err(),
+            opts(&["sweep", "--stream-chunk-ops", "0"]).is_err(),
             "zero chunk size must be rejected"
         );
         assert_eq!(o.retries, 2);
@@ -2338,6 +2111,7 @@ mod tests {
     #[test]
     fn sweep_runs_a_small_plan() {
         let mut o = opts(&[
+            "sweep",
             "--profiles",
             "gcc",
             "--geometries",
@@ -2362,8 +2136,8 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    fn pd_opts(args: &[&str]) -> Result<PerfdiffOptions, String> {
-        parse_perfdiff(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    fn pd_opts(args: &[&str]) -> Result<Options, String> {
+        opts(&[&["perfdiff"], args].concat())
     }
 
     #[test]
@@ -2380,8 +2154,7 @@ mod tests {
             "report.json",
         ])
         .unwrap();
-        assert_eq!(o.baseline, "base.json");
-        assert_eq!(o.current, "cur.json");
+        assert_eq!(o.args, ["base.json", "cur.json"]);
         assert_eq!(o.fail_on_regress, Some(5.0));
         // `--ignore` extends the default `series.` + `serve.` families.
         assert_eq!(
@@ -2415,6 +2188,7 @@ mod tests {
         std::fs::write(&cur, r#"{"wg": {"groups": 120}, "noise": 10}"#).unwrap();
         let to_args = |extra: &[&str]| {
             let mut v = vec![
+                "perfdiff".to_string(),
                 base.to_string_lossy().to_string(),
                 cur.to_string_lossy().to_string(),
             ];
@@ -2423,13 +2197,13 @@ mod tests {
         };
 
         // 20% drift: fails a 5% gate, passes a 25% one.
-        assert!(cmd_perfdiff(&to_args(&["--fail-on-regress", "5"])).is_err());
-        assert!(cmd_perfdiff(&to_args(&["--fail-on-regress", "25"])).is_ok());
+        assert!(exec(&to_args(&["--fail-on-regress", "5"])).is_err());
+        assert!(exec(&to_args(&["--fail-on-regress", "25"])).is_ok());
         // Ignoring the family passes even the tight gate.
-        assert!(cmd_perfdiff(&to_args(&["--fail-on-regress", "5", "--ignore", "wg."])).is_ok());
+        assert!(exec(&to_args(&["--fail-on-regress", "5", "--ignore", "wg."])).is_ok());
         // Report-only mode never fails, and --out writes machine JSON.
         let report_arg = report.to_string_lossy().to_string();
-        assert!(cmd_perfdiff(&to_args(&["--out", &report_arg])).is_ok());
+        assert!(exec(&to_args(&["--out", &report_arg])).is_ok());
         let text = std::fs::read_to_string(&report).unwrap();
         let doc: serde_json::Value = serde_json::from_str(&text).unwrap();
         assert_eq!(
@@ -2443,35 +2217,37 @@ mod tests {
         assert_eq!(regressions.len(), 1);
         assert_eq!(regressions[0].as_str(), Some("wg.groups"));
         // Missing files are reported, not panicked on.
-        assert!(cmd_perfdiff(&["missing.json".to_string(), report_arg]).is_err());
+        assert!(exec(&["perfdiff", "missing.json", &report_arg]).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn parse_check_flags() {
-        let o = opts(&[]).unwrap();
+        let o = opts(&["check"]).unwrap();
         assert!(o.schemes.is_none());
         assert_eq!(o.fuzz_rounds, 10);
         assert!(o.shrink_out.is_none());
         let o = opts(&[
+            "check",
             "--schemes",
-            "wg,wg+rb",
+            "wg,WG+RB",
             "--fuzz-rounds",
             "25",
             "--shrink-out",
             "repros",
         ])
         .unwrap();
-        assert_eq!(o.schemes.as_deref(), Some("wg,wg+rb"));
+        assert_eq!(o.schemes, Some(vec![SchemeKind::Wg, SchemeKind::WgRb]));
         assert_eq!(o.fuzz_rounds, 25);
         assert_eq!(o.shrink_out.as_deref(), Some("repros"));
-        assert!(opts(&["--fuzz-rounds", "many"]).is_err());
-        assert!(opts(&["--schemes"]).is_err());
+        assert!(opts(&["check", "--fuzz-rounds", "many"]).is_err());
+        assert!(opts(&["check", "--schemes"]).is_err());
     }
 
     #[test]
     fn check_passes_on_a_small_suite() {
         let mut o = opts(&[
+            "check",
             "--profiles",
             "gcc,mcf",
             "--ops",
@@ -2488,9 +2264,7 @@ mod tests {
         // An unknown profile or a malformed scheme list is a clean error.
         o.profiles = Some(vec!["nope".to_string()]);
         assert!(cmd_check(&o).is_err());
-        o.profiles = Some(vec!["gcc".to_string()]);
-        o.schemes = Some("warp-drive".to_string());
-        assert!(cmd_check(&o).is_err());
+        assert!(opts(&["check", "--schemes", "warp-drive"]).is_err());
     }
 
     #[test]
@@ -2499,9 +2273,19 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let trace_path = dir.join("small.c8tt").to_string_lossy().to_string();
         let events_path = dir.join("events.jsonl").to_string_lossy().to_string();
-        let mut o = opts(&["--profile", "gcc", "--ops", "800", "--out", &trace_path]).unwrap();
+        let mut o = opts(&[
+            "gen",
+            "--profile",
+            "gcc",
+            "--ops",
+            "800",
+            "--out",
+            &trace_path,
+        ])
+        .unwrap();
         cmd_gen(&o).unwrap();
         o = opts(&[
+            "check",
             "--trace",
             &trace_path,
             "--fuzz-rounds",
@@ -2523,7 +2307,7 @@ mod tests {
 
     #[test]
     fn sweep_merge_requires_a_sink() {
-        let mut o = opts(&["--merge", "a.json"]).unwrap();
+        let mut o = opts(&["sweep", "--merge", "a.json"]).unwrap();
         assert!(cmd_sweep(&o).is_err()); // no --out/--json
         o.json = true;
         assert!(cmd_sweep(&o).is_err()); // a.json does not exist
@@ -2538,6 +2322,7 @@ mod tests {
         let timeline_path = dir.join("timeline.json").to_string_lossy().to_string();
         let metrics_path = dir.join("metrics.json").to_string_lossy().to_string();
         let mut o = opts(&[
+            "sweep",
             "--profiles",
             "gcc",
             "--geometries",
@@ -2577,33 +2362,8 @@ mod tests {
     }
 
     #[test]
-    fn controllers_build_by_name() {
-        let g = CacheGeometry::paper_baseline();
-        for (name, expect) in [
-            ("6t", "6T"),
-            ("rmw", "RMW"),
-            ("wg", "WG"),
-            ("wg+rb", "WG+RB"),
-            ("wgrb", "WG+RB"),
-            ("coalesce:4", "CoalesceWB"),
-        ] {
-            assert_eq!(
-                build_controller(name, g, None).unwrap().name(),
-                expect,
-                "{name}"
-            );
-        }
-        assert!(build_controller("bogus", g, None).is_err());
-        assert!(build_controller("coalesce:0", g, None).is_err());
-        assert!(build_controller("coalesce:x", g, None).is_err());
-        let l2 = CacheGeometry::new(512 * 1024, 8, 32).unwrap();
-        let c = build_controller("wg+rb", g, Some(l2)).unwrap();
-        assert_eq!(c.name(), "WG+RB");
-    }
-
-    #[test]
     fn load_requires_exactly_one_source() {
-        let mut o = opts(&[]).unwrap();
+        let mut o = opts(&["simulate"]).unwrap();
         assert!(load_or_generate(&o).is_err());
         o.profile = Some("gcc".to_string());
         o.trace = Some("x.bin".to_string());
@@ -2615,14 +2375,14 @@ mod tests {
         let dir = std::env::temp_dir().join("cache8t-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.c8tt").to_string_lossy().to_string();
-        let o = opts(&["--profile", "gcc", "--ops", "500", "--out", &path]).unwrap();
+        let o = opts(&["gen", "--profile", "gcc", "--ops", "500", "--out", &path]).unwrap();
         cmd_gen(&o).unwrap();
-        let o2 = opts(&["--trace", &path]).unwrap();
+        let o2 = opts(&["simulate", "--trace", &path]).unwrap();
         let trace = load_or_generate(&o2).unwrap();
         assert_eq!(trace.len(), 500);
         cmd_analyze(&o2).unwrap();
         let mut o3 = o2;
-        o3.scheme = Some("wg+rb".to_string());
+        o3.scheme = Some(SchemeKind::WgRb);
         cmd_simulate(&o3).unwrap();
         std::fs::remove_file(&path).ok();
     }
@@ -2649,35 +2409,56 @@ mod tests {
     }
 
     #[test]
+    fn every_listed_flag_is_parsed() {
+        for command in COMMANDS {
+            for flag in command.flags.iter().flat_map(|g| g.split_whitespace()) {
+                // "1" is a wrong value for some flags, but the error is
+                // never that the flag is unknown.
+                if let Err(e) = opts(&[command.name, flag, "1"]) {
+                    assert!(!e.starts_with("unknown flag"), "{}: {e}", command.name);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn parse_series_flags() {
-        let o = opts(&[]).unwrap();
+        let o = opts(&["simulate"]).unwrap();
         assert!(o.series_out.is_none());
         assert!(o.series_cadence.is_none());
-        let o = opts(&["--series-out", "s.jsonl", "--series-cadence", "1_024"]).unwrap();
+        let o = opts(&[
+            "simulate",
+            "--series-out",
+            "s.jsonl",
+            "--series-cadence",
+            "1_024",
+        ])
+        .unwrap();
         assert_eq!(o.series_out.as_deref(), Some("s.jsonl"));
         assert_eq!(o.series_cadence, Some(1024));
-        assert!(opts(&["--series-out"]).is_err());
-        assert!(opts(&["--series-cadence", "0"]).is_err());
-        assert!(opts(&["--series-cadence", "soon"]).is_err());
+        assert!(opts(&["simulate", "--series-out"]).is_err());
+        assert!(opts(&["simulate", "--series-cadence", "0"]).is_err());
+        assert!(opts(&["simulate", "--series-cadence", "soon"]).is_err());
+        // A cadence without a series to write is an error.
+        assert!(series(&opts(&["sweep", "--series-cadence", "7"]).unwrap()).is_err());
     }
 
     #[test]
     fn parse_series_cli_flags() {
-        let to_args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let o = parse_series_cli(&to_args(&["s.jsonl"]), true).unwrap();
-        assert_eq!(o.path, "s.jsonl");
+        let o = opts(&["watch", "s.jsonl"]).unwrap();
+        assert_eq!(o.args, ["s.jsonl"]);
         assert!(!o.follow);
         assert_eq!(o.rows, 16);
-        let o = parse_series_cli(&to_args(&["--follow", "--rows", "5", "s.jsonl"]), true).unwrap();
+        let o = opts(&["watch", "--follow", "--rows", "5", "s.jsonl"]).unwrap();
         assert!(o.follow);
         assert_eq!(o.rows, 5);
         // `--follow` is a watch-only flag.
-        assert!(parse_series_cli(&to_args(&["--follow", "s.jsonl"]), false).is_err());
-        assert!(parse_series_cli(&to_args(&[]), true).is_err());
-        assert!(parse_series_cli(&to_args(&["a.jsonl", "b.jsonl"]), true).is_err());
-        assert!(parse_series_cli(&to_args(&["--rows", "0", "s.jsonl"]), true).is_err());
-        assert!(parse_series_cli(&to_args(&["--rows"]), true).is_err());
-        assert!(parse_series_cli(&to_args(&["--bogus", "s.jsonl"]), true).is_err());
+        assert!(opts(&["report-series", "--follow", "s.jsonl"]).is_err());
+        assert!(opts(&["watch"]).is_err());
+        assert!(opts(&["watch", "a.jsonl", "b.jsonl"]).is_err());
+        assert!(opts(&["watch", "--rows", "0", "s.jsonl"]).is_err());
+        assert!(opts(&["watch", "--rows"]).is_err());
+        assert!(opts(&["watch", "--bogus", "s.jsonl"]).is_err());
     }
 
     #[test]
@@ -2686,6 +2467,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sim.jsonl").to_string_lossy().to_string();
         let mut o = opts(&[
+            "simulate",
             "--profile",
             "gcc",
             "--ops",
@@ -2694,7 +2476,7 @@ mod tests {
             "512",
         ])
         .unwrap();
-        o.scheme = Some("wg".to_string());
+        o.scheme = Some(SchemeKind::Wg);
         o.series_out = Some(path.clone());
         cmd_simulate(&o).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
@@ -2722,6 +2504,7 @@ mod tests {
             let path = dir.join(file).to_string_lossy().to_string();
             let out = dir.join(format!("{file}.sweep.json"));
             let mut o = opts(&[
+                "sweep",
                 "--profiles",
                 "gcc",
                 "--geometries",
@@ -2773,9 +2556,8 @@ mod tests {
         }
 
         // Both consumers render the stream without error.
-        let to_args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        cmd_watch(&to_args(&[&a, "--rows", "8"])).unwrap();
-        cmd_report_series(&to_args(&[&a])).unwrap();
+        exec(&["watch", &a, "--rows", "8"]).unwrap();
+        exec(&["report-series", &a]).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2819,13 +2601,14 @@ mod tests {
         std::fs::write(&cur, serde_json::to_string(&cur_doc).unwrap()).unwrap();
         let args = |base: &str, cur: &str| {
             vec![
+                "perfdiff".to_string(),
                 base.to_string(),
                 cur.to_string(),
                 "--fail-on-regress".to_string(),
                 "0.1".to_string(),
             ]
         };
-        cmd_perfdiff(&args(baseline, &cur)).unwrap();
+        exec(&args(baseline, &cur)).unwrap();
 
         // Even drift *within* the series family stays ignored — the
         // segment-anchored match covers nested scheme counters.
@@ -2833,7 +2616,7 @@ mod tests {
         inject_series_counters(&mut base_doc, 100);
         let base = dir.join("base.json").to_string_lossy().to_string();
         std::fs::write(&base, serde_json::to_string(&base_doc).unwrap()).unwrap();
-        cmd_perfdiff(&args(&base, &cur)).unwrap();
+        exec(&args(&base, &cur)).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2898,8 +2681,8 @@ mod tests {
 
     #[test]
     fn parse_serve_and_client_flags() {
-        let to_args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let o = parse_serve(&to_args(&[
+        let o = opts(&[
+            "serve",
             "--listen",
             "unix:/tmp/c8t.sock",
             "--checkpoint-dir",
@@ -2912,18 +2695,19 @@ mod tests {
             "daemon.json",
             "--stream-chunk-ops",
             "1048576",
-        ]))
+        ])
         .unwrap();
-        assert_eq!(o.listen, "unix:/tmp/c8t.sock");
+        assert_eq!(o.listen.as_deref(), Some("unix:/tmp/c8t.sock"));
         assert_eq!(o.stream_chunk_ops, Some(1_048_576));
         assert_eq!(o.checkpoint_dir.as_deref(), Some("ckpt"));
         assert_eq!(o.jobs, 4);
         assert_eq!(o.log_out.as_deref(), Some("ops.jsonl"));
         assert_eq!(o.timeline_out.as_deref(), Some("daemon.json"));
-        assert!(parse_serve(&to_args(&[])).is_err(), "listen is required");
-        assert!(parse_serve(&to_args(&["--listen", "x", "--bogus"])).is_err());
+        assert!(exec(&["serve"]).is_err(), "listen is required");
+        assert!(opts(&["serve", "--listen", "x", "--bogus"]).is_err());
 
-        let o = parse_client(&to_args(&[
+        let o = opts(&[
+            "client",
             "--connect",
             "127.0.0.1:9000",
             "submit",
@@ -2937,57 +2721,60 @@ mod tests {
             "512",
             "--wait",
             "--json",
-        ]))
+        ])
         .unwrap();
-        assert_eq!(o.action, "submit");
-        assert_eq!(o.connect, "127.0.0.1:9000");
+        assert_eq!(o.args, ["submit"]);
+        assert_eq!(o.connect.as_deref(), Some("127.0.0.1:9000"));
         assert!(o.wait && o.json);
-        let plan = client_plan(&o);
+        let plan = plan_spec(&o);
         assert_eq!(plan.profiles, vec!["gcc".to_string(), "mcf".to_string()]);
         assert_eq!(plan.geometries, vec!["baseline".to_string()]);
         assert_eq!(plan.ops, 5_000);
         assert_eq!(plan.series_cadence, Some(512));
         // Defaults cover the full suite, like `cache8t sweep`.
-        let o = parse_client(&to_args(&["--connect", "h:1", "submit"])).unwrap();
-        let plan = client_plan(&o);
+        let o = opts(&["client", "--connect", "h:1", "submit"]).unwrap();
+        let plan = plan_spec(&o);
         assert_eq!(plan.profiles.len(), 25);
         assert_eq!(plan.geometries.len(), 4);
+        // `sweep` reads the same plan flags into the same plan.
+        assert_eq!(plan, plan_spec(&opts(&["sweep"]).unwrap()));
+        let flags = ["--profiles", "mcf", "--ops", "9000", "--seed", "3"];
+        let sweep = opts(&[&["sweep"], &flags[..]].concat()).unwrap();
+        let submit = opts(&[&["client", "submit"], &flags[..]].concat()).unwrap();
+        assert_eq!(plan_spec(&sweep), plan_spec(&submit));
 
+        assert!(exec(&["client", "submit"]).is_err(), "needs --connect");
         assert!(
-            parse_client(&to_args(&["submit"])).is_err(),
-            "needs --connect"
-        );
-        assert!(
-            parse_client(&to_args(&["--connect", "h:1"])).is_err(),
+            opts(&["client", "--connect", "h:1"]).is_err(),
             "needs an action"
         );
-        assert!(parse_client(&to_args(&["--connect", "h:1", "a", "b"])).is_err());
-        let o = parse_client(&to_args(&["--connect", "h:1", "fetch"])).unwrap();
+        assert!(opts(&["client", "--connect", "h:1", "a", "b"]).is_err());
+        let o = opts(&["client", "--connect", "h:1", "fetch"]).unwrap();
         assert!(require_job(&o).is_err(), "fetch needs --job");
-        let o = parse_client(&to_args(&["--connect", "h:1", "metrics", "--text"])).unwrap();
-        assert_eq!(o.action, "metrics");
+        let o = opts(&["client", "--connect", "h:1", "metrics", "--text"]).unwrap();
+        assert_eq!(o.args, ["metrics"]);
         assert!(o.text);
     }
 
     #[test]
     fn parse_top_flags() {
-        let to_args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let o = parse_top(&to_args(&[
+        let o = opts(&[
+            "top",
             "--connect",
             "127.0.0.1:9000",
             "--interval-ms",
             "250",
             "--once",
-        ]))
+        ])
         .unwrap();
-        assert_eq!(o.connect, "127.0.0.1:9000");
+        assert_eq!(o.connect.as_deref(), Some("127.0.0.1:9000"));
         assert_eq!(o.interval_ms, 250);
         assert!(o.once);
-        let o = parse_top(&to_args(&["--connect", "h:1"])).unwrap();
+        let o = opts(&["top", "--connect", "h:1"]).unwrap();
         assert_eq!(o.interval_ms, 1_000, "default repaint interval");
-        assert!(parse_top(&to_args(&[])).is_err(), "connect is required");
-        assert!(parse_top(&to_args(&["--connect", "h:1", "--interval-ms", "0"])).is_err());
-        assert!(parse_top(&to_args(&["--connect", "h:1", "--bogus"])).is_err());
+        assert!(exec(&["top"]).is_err(), "connect is required");
+        assert!(opts(&["top", "--connect", "h:1", "--interval-ms", "0"]).is_err());
+        assert!(opts(&["top", "--connect", "h:1", "--bogus"]).is_err());
     }
 
     #[test]

@@ -11,27 +11,10 @@
 
 use std::sync::Arc;
 
-use cache8t::conform::SchemeId;
-use cache8t::core::{
-    CacheBackend, CoalescingController, Controller, ConventionalController, RmwController,
-    WgController, WgOptions, WgRbController,
-};
+use cache8t::core::{Controller, SchemeKind};
 use cache8t::exec::{replay, Ops};
-use cache8t::sim::{CacheGeometry, ReplacementKind};
+use cache8t::sim::CacheGeometry;
 use cache8t::trace::{DecodedBatch, ProfiledGenerator, Trace, TraceChunk, TraceGenerator};
-
-fn build(id: SchemeId) -> Box<dyn Controller> {
-    let backend = CacheBackend::new(CacheGeometry::paper_baseline(), ReplacementKind::Lru);
-    match id {
-        SchemeId::SixT => Box::new(ConventionalController::from_backend(backend)),
-        SchemeId::Rmw => Box::new(RmwController::from_backend(backend)),
-        SchemeId::Wg => Box::new(WgController::from_backend(backend, WgOptions::wg())),
-        SchemeId::WgRb => Box::new(WgRbController::from_backend(backend)),
-        SchemeId::Coalesce(entries) => {
-            Box::new(CoalescingController::from_backend(backend, entries))
-        }
-    }
-}
 
 const TOTAL_OPS: usize = 30_000;
 const WARMUP_OPS: usize = 3_000;
@@ -78,11 +61,11 @@ fn access_batch_matches_per_op_for_all_schemes() {
     // 1_024 puts the warm-up reset exactly on a batch seam; 7_000 puts
     // it mid-batch; 64_000 is a single batch covering the whole trace.
     for batch_ops in [1_024usize, 7_000, 64_000] {
-        for id in SchemeId::default_suite() {
-            let mut reference = build(id);
+        for id in SchemeKind::suite(4) {
+            let mut reference = id.build(CacheGeometry::paper_baseline());
             replay_per_op(reference.as_mut(), &trace, WARMUP_OPS);
 
-            let mut batched = build(id);
+            let mut batched = id.build(CacheGeometry::paper_baseline());
             let mut batch = DecodedBatch::new(CacheGeometry::paper_baseline());
             let mut index = 0usize;
             for sub in trace.ops().chunks(batch_ops) {
@@ -112,12 +95,12 @@ fn access_batch_matches_per_op_for_all_schemes() {
 #[test]
 fn replay_helper_matches_per_op_for_all_schemes() {
     let trace = materialized();
-    for id in SchemeId::default_suite() {
-        let mut reference = build(id);
+    for id in SchemeKind::suite(4) {
+        let mut reference = id.build(CacheGeometry::paper_baseline());
         replay_per_op(reference.as_mut(), &trace, WARMUP_OPS);
 
         // Whole-trace invocation, as a materialized run performs it.
-        let mut whole = build(id);
+        let mut whole = id.build(CacheGeometry::paper_baseline());
         replay(whole.as_mut(), Ops::Trace(&trace), WARMUP_OPS, None).unwrap();
         whole.flush();
         assert_eq!(
@@ -129,7 +112,7 @@ fn replay_helper_matches_per_op_for_all_schemes() {
         // Chunked invocation, as a streamed run performs it — 7_000
         // keeps the warm-up boundary inside the first chunk and off
         // every 8_192-op sub-batch seam.
-        let mut chunked = build(id);
+        let mut chunked = id.build(CacheGeometry::paper_baseline());
         let chunks: Vec<Arc<TraceChunk>> = (0..)
             .zip(trace.ops().chunks(7_000))
             .map(|(i, sub)| Arc::new(TraceChunk::new(sub.to_vec(), i * 7_000, 0)))
@@ -152,11 +135,11 @@ fn warmup_boundary_cases_match_per_op() {
     // and must never reset; 8_192 lands exactly on a sub-batch seam of
     // the replay helper.
     for warmup in [0usize, 8_192, TOTAL_OPS] {
-        for id in SchemeId::default_suite() {
-            let mut reference = build(id);
+        for id in SchemeKind::suite(4) {
+            let mut reference = id.build(CacheGeometry::paper_baseline());
             replay_per_op(reference.as_mut(), &trace, warmup);
 
-            let mut batched = build(id);
+            let mut batched = id.build(CacheGeometry::paper_baseline());
             replay(batched.as_mut(), Ops::Trace(&trace), warmup, None).unwrap();
             batched.flush();
 
@@ -175,6 +158,6 @@ fn mismatched_geometry_is_rejected() {
     let trace = materialized();
     let mut batch = DecodedBatch::new(CacheGeometry::new(8 * 1024, 2, 32).unwrap());
     batch.decode(trace.ops());
-    let mut controller = build(SchemeId::SixT);
+    let mut controller = SchemeKind::Conventional.build(CacheGeometry::paper_baseline());
     controller.access_batch(&batch, 0..batch.len());
 }

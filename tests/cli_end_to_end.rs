@@ -90,6 +90,8 @@ fn gen_analyze_simulate_pipeline() {
     let rmw = accesses("rmw");
     let wgrb = accesses("wg+rb");
     assert!(wgrb < rmw, "WG+RB {wgrb} should be below RMW {rmw}");
+    // Scheme names are case-insensitive, as `check --schemes` takes them.
+    assert_eq!(accesses("WG+RB"), wgrb);
 
     std::fs::remove_file(&trace_path).ok();
 }
@@ -130,6 +132,61 @@ fn bad_inputs_fail_cleanly() {
         let out = cli().args(&args).output().expect("binary runs");
         assert!(!out.status.success(), "args {args:?} should fail");
         assert!(!out.stderr.is_empty(), "args {args:?} should explain");
+    }
+
+    // A flag the subcommand would ignore fails, naming the flag.
+    let out_file = temp_path("ignored.out").to_string_lossy().to_string();
+    let series = temp_path("ignored.jsonl").to_string_lossy().to_string();
+    let simulate = [
+        "simulate",
+        "--scheme",
+        "wg",
+        "--profile",
+        "gcc",
+        "--ops",
+        "1000",
+    ];
+    for (args, flag) in [
+        (
+            vec![
+                "gen",
+                "--profile",
+                "gcc",
+                "--ops",
+                "1000",
+                "--out",
+                &out_file,
+                "--series-out",
+                &series,
+            ],
+            "--series-out",
+        ),
+        ([&simulate[..], &["--shard", "1/2"]].concat(), "--shard"),
+        (
+            [&simulate[..], &["--profiles", "mcf"]].concat(),
+            "--profiles",
+        ),
+        (
+            vec![
+                "sweep",
+                "--profiles",
+                "gcc",
+                "--geometries",
+                "baseline",
+                "--ops",
+                "2000",
+                "--series-cadence",
+                "7",
+                "--out",
+                &out_file,
+            ],
+            "--series-cadence",
+        ),
+    ] {
+        let out = cli().args(&args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "args {args:?} should fail");
+        assert!(stderr.contains(flag), "args {args:?}: {stderr}");
     }
 }
 

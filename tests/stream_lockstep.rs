@@ -10,29 +10,12 @@
 
 use std::sync::Arc;
 
-use cache8t::conform::SchemeId;
-use cache8t::core::{
-    CacheBackend, CoalescingController, Controller, ConventionalController, RmwController,
-    WgController, WgOptions, WgRbController,
-};
+use cache8t::core::{Controller, SchemeKind};
 use cache8t::exec::{replay, Ops, SchemeResult};
 use cache8t::obs::sampler::{Sampler, SamplerConfig};
 use cache8t::obs::MetricRegistry;
-use cache8t::sim::{CacheGeometry, ReplacementKind};
+use cache8t::sim::CacheGeometry;
 use cache8t::trace::{ChunkedGenerator, ProfiledGenerator, Trace, TraceGenerator};
-
-fn build(id: SchemeId) -> Box<dyn Controller> {
-    let backend = CacheBackend::new(CacheGeometry::paper_baseline(), ReplacementKind::Lru);
-    match id {
-        SchemeId::SixT => Box::new(ConventionalController::from_backend(backend)),
-        SchemeId::Rmw => Box::new(RmwController::from_backend(backend)),
-        SchemeId::Wg => Box::new(WgController::from_backend(backend, WgOptions::wg())),
-        SchemeId::WgRb => Box::new(WgRbController::from_backend(backend)),
-        SchemeId::Coalesce(entries) => {
-            Box::new(CoalescingController::from_backend(backend, entries))
-        }
-    }
-}
 
 fn generator(seed: u64) -> ProfiledGenerator {
     let profile = cache8t::trace::profiles::by_name("gcc").expect("gcc profile");
@@ -67,11 +50,11 @@ fn all_five_schemes_stream_bit_identically() {
     // 1024 puts seams inside the warm-up region and mid-window; 7_000
     // puts the warm-up boundary mid-chunk; 64_000 is a single chunk.
     for chunk_ops in [1_024usize, 7_000, 64_000] {
-        for id in SchemeId::default_suite() {
-            let mut reference = build(id);
+        for id in SchemeKind::suite(4) {
+            let mut reference = id.build(CacheGeometry::paper_baseline());
             replay(reference.as_mut(), Ops::Trace(&trace), WARMUP_OPS, None).unwrap();
 
-            let mut streamed = build(id);
+            let mut streamed = id.build(CacheGeometry::paper_baseline());
             let streamed_ops = Ops::Chunks(Box::new(chunks(chunk_ops)));
             replay(streamed.as_mut(), streamed_ops, WARMUP_OPS, None).unwrap();
 
@@ -106,13 +89,13 @@ fn sampled_streams_emit_identical_series_for_all_schemes() {
         cadence: 1_024,
         ring_capacity: 32,
     };
-    for id in SchemeId::default_suite() {
-        let label = id.label();
+    for id in SchemeKind::suite(4) {
+        let label = id.to_string();
         let reference_buf = SharedBuf(Arc::new(std::sync::Mutex::new(Vec::new())));
         {
             let mut sampler =
                 Sampler::new("gcc", &label, config).with_writer(Box::new(reference_buf.clone()));
-            let mut controller = build(id);
+            let mut controller = id.build(CacheGeometry::paper_baseline());
             replay(
                 controller.as_mut(),
                 Ops::Trace(&trace),
@@ -127,7 +110,7 @@ fn sampled_streams_emit_identical_series_for_all_schemes() {
             let buf = SharedBuf(Arc::new(std::sync::Mutex::new(Vec::new())));
             let mut sampler =
                 Sampler::new("gcc", &label, config).with_writer(Box::new(buf.clone()));
-            let mut controller = build(id);
+            let mut controller = id.build(CacheGeometry::paper_baseline());
             replay(
                 controller.as_mut(),
                 Ops::Chunks(Box::new(chunks(chunk_ops))),
@@ -210,8 +193,8 @@ fn sampled_driver_cuts_match_a_per_op_sampled_replay() {
         let trace = generator(17).collect(total);
         let on_window = cadence as usize;
         for warmup in [0, on_window, 8_192, 3_001, total, total + 5_000] {
-            for id in SchemeId::default_suite() {
-                let label = id.label();
+            for id in SchemeKind::suite(4) {
+                let label = id.to_string();
                 let config = SamplerConfig {
                     cadence,
                     ring_capacity: 8,
@@ -221,7 +204,10 @@ fn sampled_driver_cuts_match_a_per_op_sampled_replay() {
                         let buf = SharedBuf(Arc::new(std::sync::Mutex::new(Vec::new())));
                         let mut sampler =
                             Sampler::new("gcc", &label, config).with_writer(Box::new(buf.clone()));
-                        let result = replay_with(build(id).as_mut(), &mut sampler);
+                        let result = replay_with(
+                            id.build(CacheGeometry::paper_baseline()).as_mut(),
+                            &mut sampler,
+                        );
                         let bytes = buf.0.lock().unwrap().clone();
                         (
                             serde_json::to_string(&result).unwrap(),
