@@ -13,9 +13,8 @@
 //!    match the golden model for every scheme.
 //! 2. **Stat conservation** — hits + misses = accesses per scheme, all
 //!    schemes agree on the full [`CacheStats`](cache8t_sim::CacheStats),
-//!    line fills are scheme-independent, array traffic obeys the
-//!    paper's ordering (6T ≤ RMW, WG ≤ RMW, WG+RB ≤ WG), and
-//!    `wg.silent_suppressed` never exceeds closed groups.
+//!    line fills are scheme-independent, and array traffic obeys the
+//!    paper's ordering (6T ≤ RMW, WG ≤ RMW, WG+RB ≤ WG).
 //! 3. **Buffer coherence** — every Tag-Buffer entry mirrors a valid
 //!    cache line, and a clear Dirty bit implies the Set-Buffer holds
 //!    exactly the array's data.
@@ -86,7 +85,7 @@ pub enum DivergenceKind {
     /// Schemes ended the replay with different `CacheStats`.
     StatsMismatch,
     /// A per-scheme counter law failed (hits+misses=accesses,
-    /// eviction bounds, `wg.silent_suppressed` ≤ closed groups, …).
+    /// eviction bounds, accesses = ops replayed).
     ConservationLaw,
     /// Cross-scheme traffic ordering failed (e.g. WG wrote the array
     /// more often than RMW) or line fills were scheme-dependent.
@@ -506,23 +505,6 @@ fn check_stat_laws(backends: &[(String, Backend)], ops_replayed: u64, rec: &mut 
                 detail: "stats.accesses() != ops replayed".to_string(),
                 ..end.clone()
             });
-        }
-        if let Some(obs) = backend.ctrl().obs() {
-            let reg = obs.registry();
-            if let (Some(suppressed), Some(groups)) = (
-                reg.counter_by_name("wg.silent_suppressed"),
-                reg.counter_by_name("wg.groups"),
-            ) {
-                if suppressed > groups {
-                    rec.record(Divergence {
-                        scheme: label.clone(),
-                        expected: groups,
-                        actual: suppressed,
-                        detail: "wg.silent_suppressed exceeds closed groups".to_string(),
-                        ..end.clone()
-                    });
-                }
-            }
         }
     }
 

@@ -11,12 +11,11 @@
 use std::fmt;
 
 use cache8t_obs::{Component, CounterId, EventKind, HistogramId};
-use cache8t_sim::{kernels, Address, CacheGeometry, DataCache, MainMemory, ReplacementKind};
-use cache8t_trace::{DecodedBatch, DecodedOp, MemOp};
+use cache8t_sim::{kernels, Address, CacheGeometry, ReplacementKind};
+use cache8t_trace::DecodedOp;
 
 use crate::controller::{AccessCost, AccessResponse, CacheBackend, Controller};
 use crate::obs::StackObs;
-use crate::ArrayTraffic;
 
 /// One write-buffer entry: a block base, the coalesced words, and their
 /// validity.
@@ -67,7 +66,6 @@ impl Entry {
 /// ```
 pub struct CoalescingController {
     backend: CacheBackend,
-    traffic: ArrayTraffic,
     capacity: usize,
     metrics: CoalesceMetrics,
     /// FIFO order: oldest first.
@@ -77,28 +75,26 @@ pub struct CoalescingController {
     free: Vec<Entry>,
 }
 
-/// Handles of the write-buffer-specific metrics.
+/// Handles of the write-buffer metrics counted where their events
+/// happen. `coalesce.silent_suppressed` (deposits whose write phase was
+/// skipped) and `coalesce.forwarded_reads` (reads served from the
+/// buffer) are derived from the traffic ledger.
 #[derive(Debug, Clone, Copy)]
 struct CoalesceMetrics {
     /// `coalesce.deposits` — entries deposited into the array.
     deposits: CounterId,
-    /// `coalesce.silent_suppressed` — deposits whose write phase was
-    /// skipped because every coalesced word matched the stored data.
-    silent_suppressed: CounterId,
-    /// `coalesce.forwarded_reads` — reads served from the buffer.
-    forwarded_reads: CounterId,
     /// `coalesce.group_len` — coalesced valid words per deposited entry.
     group_len: HistogramId,
 }
 
 impl CoalesceMetrics {
     fn register(obs: &mut StackObs) -> Self {
-        let r = obs.registry_mut();
+        let deposits = obs.registry_mut().counter("coalesce.deposits");
+        obs.mirror("coalesce.silent_suppressed");
+        obs.mirror("coalesce.forwarded_reads");
         CoalesceMetrics {
-            deposits: r.counter("coalesce.deposits"),
-            silent_suppressed: r.counter("coalesce.silent_suppressed"),
-            forwarded_reads: r.counter("coalesce.forwarded_reads"),
-            group_len: r.histogram("coalesce.group_len"),
+            deposits,
+            group_len: obs.registry_mut().histogram("coalesce.group_len"),
         }
     }
 }
@@ -124,7 +120,6 @@ impl CoalescingController {
         let metrics = CoalesceMetrics::register(backend.obs_mut());
         CoalescingController {
             backend,
-            traffic: ArrayTraffic::new(),
             capacity: entries,
             metrics,
             entries: Vec::with_capacity(entries),
@@ -171,7 +166,7 @@ impl CoalescingController {
         self.backend.obs_mut().observe(m.group_len, coalesced);
         let cost = if let Some(way) = self.backend.cache().probe(entry.base) {
             // RMW read phase: latch the row.
-            self.traffic.rmw_read_phases += 1;
+            self.backend.traffic_mut().rmw_read_phases += 1;
             let mut cost = AccessCost {
                 row_reads: 1,
                 row_writes: 0,
@@ -189,10 +184,11 @@ impl CoalescingController {
                 self.backend
                     .cache_mut()
                     .update_block(set, way, &entry.words, dirty);
-                self.traffic.demand_writes += 1;
-                self.traffic.rmw_ops += 1;
+                let traffic = self.backend.traffic_mut();
+                traffic.demand_writes += 1;
+                traffic.rmw_ops += 1;
                 cost.row_writes = 1;
-                self.backend.obs_mut().emit(
+                self.backend.emit(
                     Component::Coalesce,
                     EventKind::GroupFlush,
                     entry.base.raw(),
@@ -201,9 +197,8 @@ impl CoalescingController {
             } else {
                 // Every coalesced word matched the stored data: skip the write
                 // phase (the buffer's own silent-store elision).
-                self.traffic.silent_writebacks_elided += 1;
-                self.backend.obs_mut().inc(m.silent_suppressed);
-                self.backend.obs_mut().emit(
+                self.backend.traffic_mut().silent_writebacks_elided += 1;
+                self.backend.emit(
                     Component::Coalesce,
                     EventKind::SilentElide,
                     entry.base.raw(),
@@ -219,7 +214,7 @@ impl CoalescingController {
             // state relative to the other schemes.
             self.backend
                 .merge_words_below(entry.base, &entry.words, &entry.valid);
-            self.traffic.eviction_writebacks += 1;
+            self.backend.traffic_mut().eviction_writebacks += 1;
             AccessCost::default()
         };
         // Recycle the spent entry: reset it to the freshly-allocated
@@ -229,11 +224,23 @@ impl CoalescingController {
         self.free.push(entry);
         cost
     }
+}
 
-    /// Services one request with its address decomposition precomputed —
-    /// shared by the per-op and batched paths.
+impl Controller for CoalescingController {
+    fn backend(&self) -> &CacheBackend {
+        &self.backend
+    }
+
+    fn backend_mut(&mut self) -> &mut CacheBackend {
+        &mut self.backend
+    }
+
+    fn name(&self) -> &'static str {
+        "CoalesceWB"
+    }
+
     #[inline]
-    fn access_decoded(&mut self, d: DecodedOp) -> AccessResponse {
+    fn serve(&mut self, d: DecodedOp) -> AccessResponse {
         let DecodedOp { set, tag, word, .. } = d;
         let g = self.geometry();
         let base = g.block_base(d.addr);
@@ -247,18 +254,10 @@ impl CoalescingController {
                 if self.entries[pos].valid[word] {
                     let probed = self.backend.cache().find_in_set(set, tag);
                     let residency = self.backend.ensure_resident_probed(d.addr, probed);
-                    if residency.filled {
-                        self.traffic.line_fills += 1;
-                    }
-                    if residency.dirty_eviction {
-                        self.traffic.eviction_writebacks += 1;
-                    }
                     let value = self.entries[pos].words[word];
                     self.backend.cache_mut().touch_at(set, residency.way);
                     self.backend.record_read(residency.hit);
-                    self.traffic.bypassed_reads += 1;
-                    let m = self.metrics;
-                    self.backend.obs_mut().inc(m.forwarded_reads);
+                    self.backend.traffic_mut().bypassed_reads += 1;
                     return AccessResponse {
                         value,
                         hit: residency.hit,
@@ -272,18 +271,12 @@ impl CoalescingController {
             }
             let probed = self.backend.cache().find_in_set(set, tag);
             let residency = self.backend.ensure_resident_probed(d.addr, probed);
-            if residency.filled {
-                self.traffic.line_fills += 1;
-            }
-            if residency.dirty_eviction {
-                self.traffic.eviction_writebacks += 1;
-            }
             let value = self
                 .backend
                 .cache_mut()
                 .read_word_at(set, residency.way, word);
             self.backend.record_read(residency.hit);
-            self.traffic.demand_reads += 1;
+            self.backend.traffic_mut().demand_reads += 1;
             return AccessResponse {
                 value,
                 hit: residency.hit,
@@ -299,12 +292,6 @@ impl CoalescingController {
         // (write-allocate), then coalesce.
         let probed = self.backend.cache().find_in_set(set, tag);
         let residency = self.backend.ensure_resident_probed(d.addr, probed);
-        if residency.filled {
-            self.traffic.line_fills += 1;
-        }
-        if residency.dirty_eviction {
-            self.traffic.eviction_writebacks += 1;
-        }
         // Silence for the request statistics: against the architecturally
         // visible value (buffered word if coalesced, else the line — the
         // block is resident after `ensure_resident`, so the line's word
@@ -328,7 +315,7 @@ impl CoalescingController {
             Some(pos) => {
                 self.entries[pos].words[word] = d.value;
                 self.entries[pos].valid[word] = true;
-                self.traffic.grouped_writes += 1;
+                self.backend.traffic_mut().grouped_writes += 1;
             }
             None => {
                 if self.entries.len() >= self.capacity {
@@ -353,54 +340,11 @@ impl CoalescingController {
             cost,
         }
     }
-}
 
-impl Controller for CoalescingController {
-    fn access(&mut self, op: &MemOp) -> AccessResponse {
-        let g = self.geometry();
-        self.access_decoded(DecodedOp::from_op(op, &g))
-    }
-
-    fn access_batch(&mut self, batch: &DecodedBatch, range: std::ops::Range<usize>) {
-        assert_eq!(
-            batch.geometry(),
-            self.geometry(),
-            "batch decoded against a different geometry"
-        );
-        for d in batch.run(range) {
-            self.access_decoded(d);
-        }
-    }
-
-    fn flush(&mut self) {
+    fn drain(&mut self) {
         while !self.entries.is_empty() {
             self.deposit(0);
         }
-    }
-
-    fn traffic(&self) -> &ArrayTraffic {
-        &self.traffic
-    }
-
-    fn stats(&self) -> &cache8t_sim::CacheStats {
-        self.backend.request_stats()
-    }
-
-    fn reset_counters(&mut self) {
-        self.traffic = ArrayTraffic::new();
-        self.backend.reset_stats();
-    }
-
-    fn cache(&self) -> &DataCache {
-        self.backend.cache()
-    }
-
-    fn memory(&self) -> &MainMemory {
-        self.backend.memory()
-    }
-
-    fn name(&self) -> &'static str {
-        "CoalesceWB"
     }
 
     fn peek_word(&self, addr: Address) -> u64 {
@@ -413,14 +357,6 @@ impl Controller for CoalescingController {
             }
         }
         self.backend.peek_word(addr)
-    }
-
-    fn obs(&self) -> Option<&StackObs> {
-        Some(self.backend.obs())
-    }
-
-    fn obs_mut(&mut self) -> Option<&mut StackObs> {
-        Some(self.backend.obs_mut())
     }
 
     fn occupancy(&self) -> Option<Vec<u64>> {
@@ -439,7 +375,7 @@ impl fmt::Debug for CoalescingController {
         f.debug_struct("CoalescingController")
             .field("capacity", &self.capacity)
             .field("occupied", &self.entries.len())
-            .field("traffic", &self.traffic)
+            .field("traffic", self.backend.traffic())
             .finish_non_exhaustive()
     }
 }
@@ -448,6 +384,7 @@ impl fmt::Debug for CoalescingController {
 mod tests {
     use super::*;
     use crate::RmwController;
+    use cache8t_trace::MemOp;
 
     fn geometry() -> CacheGeometry {
         CacheGeometry::new(256, 2, 32).unwrap()

@@ -4,9 +4,9 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use cache8t_obs::{Component, EventKind};
+use cache8t_obs::{Component, EventKind, TraceEvent};
 use cache8t_sim::{Address, CacheGeometry, CacheStats, DataCache, MainMemory, ReplacementKind};
-use cache8t_trace::{DecodedBatch, MemOp};
+use cache8t_trace::{DecodedBatch, DecodedOp, MemOp};
 
 use crate::obs::StackObs;
 use crate::{ArrayTraffic, CountingPolicy};
@@ -55,54 +55,47 @@ pub struct AccessResponse {
 /// many array operations* each request costs. That invariant is what makes
 /// the traffic comparison of Figures 9–11 meaningful, and it is enforced by
 /// the cross-controller equivalence tests in this crate.
+///
+/// A scheme supplies its [`CacheBackend`], [`serve`](Controller::serve)
+/// and [`name`](Controller::name), plus [`drain`](Controller::drain),
+/// [`reset_scheme_counters`](Controller::reset_scheme_counters),
+/// [`peek_word`](Controller::peek_word) and
+/// [`occupancy`](Controller::occupancy) when it keeps state of its own
+/// (write buffers, an open RMW burst). The request loop, the ledgers and
+/// the observability surface are provided once, here: `access`,
+/// `access_batch` and `flush` end by deriving the backend's mirrored
+/// registry counters from its ledgers.
 pub trait Controller {
-    /// Services one request.
-    fn access(&mut self, op: &MemOp) -> AccessResponse;
+    /// The functional cache, ledgers and observability bundle the
+    /// controller runs on.
+    fn backend(&self) -> &CacheBackend;
 
-    /// Writes back any buffered state so the cache/memory image is
-    /// architecturally current. Idempotent.
-    fn flush(&mut self);
+    /// Mutable access to the backend.
+    fn backend_mut(&mut self) -> &mut CacheBackend;
 
-    /// The traffic ledger.
-    fn traffic(&self) -> &ArrayTraffic;
-
-    /// Request-level hit/miss statistics, maintained identically by every
-    /// controller (unlike [`DataCache::stats`], which only sees the
-    /// requests that reach the array).
-    fn stats(&self) -> &CacheStats;
-
-    /// Resets the traffic ledger and request statistics, keeping cache and
-    /// buffer contents (used after warm-up, mirroring the paper's 1 B
-    /// warm-up instructions).
-    fn reset_counters(&mut self);
-
-    /// The underlying functional cache.
-    fn cache(&self) -> &DataCache;
-
-    /// The backing memory image.
-    fn memory(&self) -> &MainMemory;
+    /// Services one request whose address decomposition is already
+    /// known, recording it and its array cost in the backend's ledgers.
+    /// The body of [`access`](Controller::access) and
+    /// [`access_batch`](Controller::access_batch).
+    fn serve(&mut self, d: DecodedOp) -> AccessResponse;
 
     /// Short scheme name for reports (e.g. `"RMW"`, `"WG+RB"`).
     fn name(&self) -> &'static str;
 
+    /// Writes back any buffered state: the body of
+    /// [`flush`](Controller::flush). Idempotent; the default has
+    /// nothing buffered.
+    fn drain(&mut self) {}
+
+    /// Restarts the scheme's own measurement state (an open RMW burst,
+    /// a Set-Buffer's fill tick) before
+    /// [`reset_counters`](Controller::reset_counters) zeroes the ledgers.
+    fn reset_scheme_counters(&mut self) {}
+
     /// The architecturally current value of the aligned word at `addr`,
     /// looking through any buffers, the cache, and memory.
-    fn peek_word(&self, addr: Address) -> u64;
-
-    /// Total array activations so far under the paper's counting.
-    fn array_accesses(&self) -> u64 {
-        self.traffic().total(CountingPolicy::DemandOnly)
-    }
-
-    /// The stack's observability bundle (metric registry + event
-    /// tracer), when the controller is instrumented.
-    fn obs(&self) -> Option<&StackObs> {
-        None
-    }
-
-    /// Mutable access to the observability bundle.
-    fn obs_mut(&mut self) -> Option<&mut StackObs> {
-        None
+    fn peek_word(&self, addr: Address) -> u64 {
+        self.backend().peek_word(addr)
     }
 
     /// Instantaneous write-buffer occupancy for the telemetry sampler:
@@ -114,24 +107,87 @@ pub trait Controller {
         None
     }
 
-    /// Services ops `range` of a pre-decoded batch, in order.
-    ///
-    /// Equivalent to calling [`access`](Controller::access) on each
-    /// reconstructed op (the default does exactly that); the concrete
-    /// controllers override it with fast paths that consume the batch's
-    /// decoded set/tag/word columns instead of re-deriving them per op.
-    /// The batch must have been decoded against this controller's cache
-    /// geometry.
+    /// Services one request.
+    fn access(&mut self, op: &MemOp) -> AccessResponse {
+        let g = self.backend().cache().geometry();
+        let response = self.serve(DecodedOp::from_op(op, &g));
+        self.backend_mut().refresh_metrics();
+        response
+    }
+
+    /// Services ops `range` of a pre-decoded batch, in order: the same
+    /// as calling [`access`](Controller::access) on each reconstructed
+    /// op, without re-deriving its set/tag/word. The batch must have
+    /// been decoded against this controller's cache geometry.
     fn access_batch(&mut self, batch: &DecodedBatch, range: std::ops::Range<usize>) {
-        for i in range {
-            self.access(&batch.op(i));
+        assert_eq!(
+            batch.geometry(),
+            self.backend().cache().geometry(),
+            "batch decoded against a different geometry"
+        );
+        for d in batch.run(range) {
+            self.serve(d);
         }
+        self.backend_mut().refresh_metrics();
+    }
+
+    /// Writes back any buffered state so the cache/memory image is
+    /// architecturally current. Idempotent.
+    fn flush(&mut self) {
+        self.drain();
+        self.backend_mut().refresh_metrics();
+    }
+
+    /// The traffic ledger.
+    fn traffic(&self) -> &ArrayTraffic {
+        self.backend().traffic()
+    }
+
+    /// Request-level hit/miss statistics, maintained identically by every
+    /// controller (unlike [`DataCache::stats`], which only sees the
+    /// requests that reach the array).
+    fn stats(&self) -> &CacheStats {
+        self.backend().request_stats()
+    }
+
+    /// Resets the traffic ledger, request statistics and observability
+    /// bundle, keeping cache and buffer contents (used after warm-up,
+    /// mirroring the paper's 1 B warm-up instructions).
+    fn reset_counters(&mut self) {
+        self.reset_scheme_counters();
+        self.backend_mut().reset_stats();
+    }
+
+    /// The underlying functional cache.
+    fn cache(&self) -> &DataCache {
+        self.backend().cache()
+    }
+
+    /// The backing memory image.
+    fn memory(&self) -> &MainMemory {
+        self.backend().memory()
+    }
+
+    /// Total array activations so far under the paper's counting.
+    fn array_accesses(&self) -> u64 {
+        self.traffic().total(CountingPolicy::DemandOnly)
+    }
+
+    /// The stack's observability bundle (metric registry + event
+    /// tracer).
+    fn obs(&self) -> Option<&StackObs> {
+        Some(self.backend().obs())
+    }
+
+    /// Mutable access to the observability bundle.
+    fn obs_mut(&mut self) -> Option<&mut StackObs> {
+        Some(self.backend_mut().obs_mut())
     }
 }
 
 /// The functional machinery every controller embeds: a value-carrying
-/// cache, an optional L2 behind it, the backing memory, and write-allocate
-/// miss handling.
+/// cache, an optional L2 behind it, the backing memory, write-allocate
+/// miss handling, and the stack's ledgers.
 ///
 /// The paper's Pin tool models an isolated L1 over "memory"; that remains
 /// the default. [`CacheBackend::with_l2`] inserts a non-inclusive
@@ -142,13 +198,17 @@ pub trait Controller {
 /// bit-identical with or without an L2 (`tests/hierarchy.rs` asserts
 /// this).
 ///
-/// `CacheBackend` deliberately performs *no* array-traffic accounting — the
-/// controllers decide what each functional step costs on their array.
+/// The backend owns the two ledgers: the request [`CacheStats`] and the
+/// [`ArrayTraffic`]. It counts what every scheme pays alike, line fills
+/// and dirty-eviction write-backs; the controller adds what each request
+/// costs on its array. The registry counters that copy a ledger field
+/// are derived from the ledgers, never counted (see [`StackObs`]).
 pub struct CacheBackend {
     cache: DataCache,
     l2: Option<DataCache>,
     memory: MainMemory,
     requests: CacheStats,
+    traffic: ArrayTraffic,
     obs: StackObs,
     /// Reusable one-block staging buffer for fills and merges.
     scratch: Box<[u64]>,
@@ -166,6 +226,7 @@ impl CacheBackend {
             l2: None,
             memory: MainMemory::new(geometry.block_bytes()),
             requests: CacheStats::new(),
+            traffic: ArrayTraffic::new(),
             obs: StackObs::from_env(),
             scratch: vec![0; geometry.block_words()].into_boxed_slice(),
             victim: Vec::new(),
@@ -195,14 +256,8 @@ impl CacheBackend {
             "the L2 should not be smaller than the L1"
         );
         CacheBackend {
-            cache: DataCache::new(geometry, replacement),
             l2: Some(DataCache::new(l2_geometry, replacement)),
-            memory: MainMemory::new(geometry.block_bytes()),
-            requests: CacheStats::new(),
-            obs: StackObs::from_env(),
-            scratch: vec![0; geometry.block_words()].into_boxed_slice(),
-            victim: Vec::new(),
-            l2_victim: Vec::new(),
+            ..CacheBackend::new(geometry, replacement)
         }
     }
 
@@ -219,6 +274,33 @@ impl CacheBackend {
     /// The second-level cache, if the hierarchy has one.
     pub fn l2(&self) -> Option<&DataCache> {
         self.l2.as_ref()
+    }
+
+    /// The request tick: requests serviced since the last reset. Events
+    /// are stamped with it.
+    #[inline]
+    pub(crate) fn tick(&self) -> u64 {
+        self.requests.accesses()
+    }
+
+    /// Emits a structural event stamped with the current tick.
+    #[inline]
+    pub(crate) fn emit(&mut self, component: Component, kind: EventKind, addr: u64, detail: u64) {
+        let event = TraceEvent::new(self.tick(), component, kind, addr, detail);
+        self.obs.tracer_mut().emit(event);
+    }
+
+    /// Emits a verbose (per-access) event stamped with the current tick.
+    #[inline]
+    pub(crate) fn emit_verbose(
+        &mut self,
+        component: Component,
+        kind: EventKind,
+        addr: u64,
+        detail: u64,
+    ) {
+        let event = TraceEvent::new(self.tick(), component, kind, addr, detail);
+        self.obs.tracer_mut().emit_verbose(event);
     }
 
     /// Reads the block at `base` from below the L1 into `dst` (L2 if
@@ -311,21 +393,18 @@ impl CacheBackend {
     /// Records a serviced read request.
     #[inline]
     pub fn record_read(&mut self, hit: bool) {
+        self.emit_verbose(Component::Cache, EventKind::Access, 0, 0);
         if hit {
             self.requests.read_hits += 1;
         } else {
             self.requests.read_misses += 1;
         }
-        let id = self.obs.m_reads;
-        self.obs.inc(id);
-        self.obs
-            .emit_verbose(Component::Cache, EventKind::Access, 0, 0);
-        self.obs.advance_tick();
     }
 
     /// Records a serviced write request.
     #[inline]
     pub fn record_write(&mut self, hit: bool, silent: bool) {
+        self.emit_verbose(Component::Cache, EventKind::Access, 0, 1);
         if hit {
             self.requests.write_hits += 1;
         } else {
@@ -334,11 +413,6 @@ impl CacheBackend {
         if silent {
             self.requests.silent_word_writes += 1;
         }
-        let id = self.obs.m_writes;
-        self.obs.inc(id);
-        self.obs
-            .emit_verbose(Component::Cache, EventKind::Access, 0, 1);
-        self.obs.advance_tick();
     }
 
     /// Request-level statistics (one entry per CPU request, regardless of
@@ -347,12 +421,34 @@ impl CacheBackend {
         &self.requests
     }
 
-    /// Zeroes the request statistics, the cache's internal statistics,
-    /// and the observability bundle (metric values, events, tick).
+    /// The traffic ledger.
+    pub(crate) fn traffic(&self) -> &ArrayTraffic {
+        &self.traffic
+    }
+
+    /// Mutable access to the traffic ledger, for the array operations a
+    /// controller performs.
+    #[inline]
+    pub(crate) fn traffic_mut(&mut self) -> &mut ArrayTraffic {
+        &mut self.traffic
+    }
+
+    /// Zeroes both ledgers, the cache's internal statistics, and the
+    /// observability bundle (metric values, events; the tick restarts).
     pub fn reset_stats(&mut self) {
         self.requests = CacheStats::new();
+        self.traffic = ArrayTraffic::new();
         self.cache.reset_stats();
         self.obs.reset();
+    }
+
+    /// Sets every mirrored registry counter from the ledgers. The
+    /// provided [`Controller`] methods call it at the end of each
+    /// `access`, `access_batch` and `flush`.
+    #[inline]
+    pub(crate) fn refresh_metrics(&mut self) {
+        self.obs
+            .refresh(&self.requests, &self.traffic, self.cache.stats());
     }
 
     /// The functional cache.
@@ -375,18 +471,10 @@ impl CacheBackend {
         &mut self.memory
     }
 
-    /// The cache's hit/miss statistics.
-    pub fn stats(&self) -> &CacheStats {
-        self.cache.stats()
-    }
-
     /// Ensures the block containing `addr` is resident, allocating on miss
     /// (write-allocate for both reads and writes, as in the paper's L1
-    /// model).
-    ///
-    /// Returns `(hit, filled)` where `filled` reports whether a line fill
-    /// happened and whether it evicted a dirty victim — the controller
-    /// translates those into traffic.
+    /// model). A miss's line fill and any dirty-victim write-back land
+    /// in the traffic ledger.
     pub fn ensure_resident(&mut self, addr: Address) -> ResidencyOutcome {
         let probed = self.cache.probe(addr);
         self.ensure_resident_probed(addr, probed)
@@ -404,21 +492,17 @@ impl CacheBackend {
         addr: Address,
         probed: Option<usize>,
     ) -> ResidencyOutcome {
-        if let Some(way) = probed {
-            return ResidencyOutcome {
-                hit: true,
-                filled: false,
-                dirty_eviction: false,
-                way,
-            };
+        match probed {
+            Some(way) => ResidencyOutcome { hit: true, way },
+            None => self.fill_on_miss(addr),
         }
-        self.fill_on_miss(addr)
     }
 
     /// The miss half of [`ensure_resident_probed`](Self::ensure_resident_probed):
     /// load the block from below, install it, write back any dirty
-    /// victim. Split out and marked cold so the hit path — a branch and
-    /// a struct return — inlines into the controllers' access loops.
+    /// victim, and count both in the ledger. Split out and marked cold
+    /// so the hit path — a branch and a struct return — inlines into the
+    /// controllers' access loops.
     #[cold]
     fn fill_on_miss(&mut self, addr: Address) -> ResidencyOutcome {
         let base = self.cache.geometry().block_base(addr);
@@ -442,12 +526,9 @@ impl CacheBackend {
             );
             self.cache.fill_into(base, &self.scratch, &mut self.victim)
         };
-        let id = self.obs.m_line_fills;
-        self.obs.inc(id);
+        self.traffic.line_fills += 1;
         self.obs.record_set_heat(heat_bucket);
-        self.obs
-            .emit(Component::Cache, EventKind::LineFill, base.raw(), words);
-        let mut dirty_eviction = false;
+        self.emit(Component::Cache, EventKind::LineFill, base.raw(), words);
         if let Some(victim) = slot.evicted {
             if victim.dirty {
                 Self::deposit_below(
@@ -457,23 +538,17 @@ impl CacheBackend {
                     victim.base,
                     &self.victim,
                 );
-                dirty_eviction = true;
-                let id = self.obs.m_dirty_evictions;
-                self.obs.inc(id);
+                self.traffic.eviction_writebacks += 1;
             }
-            let id = self.obs.m_evictions;
-            self.obs.inc(id);
-            self.obs.emit(
+            self.emit(
                 Component::Cache,
                 EventKind::Eviction,
                 victim.base.raw(),
-                u64::from(dirty_eviction),
+                u64::from(victim.dirty),
             );
         }
         ResidencyOutcome {
             hit: false,
-            filled: true,
-            dirty_eviction,
             way: slot.way,
         }
     }
@@ -503,6 +578,7 @@ impl fmt::Debug for CacheBackend {
             .field("cache", &self.cache)
             .field("l2", &self.l2.as_ref().map(|c| c.geometry()))
             .field("memory_blocks", &self.memory.resident_blocks())
+            .field("traffic", &self.traffic)
             .finish()
     }
 }
@@ -510,12 +586,8 @@ impl fmt::Debug for CacheBackend {
 /// Result of [`CacheBackend::ensure_resident`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResidencyOutcome {
-    /// The block was already resident.
+    /// The block was already resident (otherwise it was just filled).
     pub hit: bool,
-    /// A line fill was performed.
-    pub filled: bool,
-    /// The fill evicted a dirty victim that was written back to memory.
-    pub dirty_eviction: bool,
     /// The way the block occupies after the call (the hit way, or the
     /// way the fill installed into). Callers use it to address the line
     /// directly instead of re-searching the set's tags.
@@ -525,6 +597,7 @@ pub struct ResidencyOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cache8t_obs::TraceLevel;
 
     fn backend() -> CacheBackend {
         CacheBackend::new(
@@ -539,11 +612,11 @@ mod tests {
         let a = Address::new(0x40);
         let first = b.ensure_resident(a);
         assert!(!first.hit);
-        assert!(first.filled);
-        assert!(!first.dirty_eviction);
+        assert_eq!(b.traffic().line_fills, 1);
+        assert_eq!(b.traffic().eviction_writebacks, 0);
         let second = b.ensure_resident(a);
         assert!(second.hit);
-        assert!(!second.filled);
+        assert_eq!(b.traffic().line_fills, 1, "a hit fills nothing");
     }
 
     #[test]
@@ -553,10 +626,11 @@ mod tests {
         b.ensure_resident(a);
         b.cache_mut().write_word(a, 99).unwrap();
         // Conflict-fill the set until a is evicted (2 ways).
-        let o1 = b.ensure_resident(Address::new(0xC0));
-        let o2 = b.ensure_resident(Address::new(0x140));
-        assert!(o1.filled && o2.filled);
-        assert!(o2.dirty_eviction, "a was dirty and LRU");
+        b.ensure_resident(Address::new(0xC0));
+        assert_eq!(b.traffic().eviction_writebacks, 0);
+        b.ensure_resident(Address::new(0x140));
+        assert_eq!(b.traffic().line_fills, 3);
+        assert_eq!(b.traffic().eviction_writebacks, 1, "a was dirty and LRU");
         assert_eq!(b.memory().read_word(a), 99);
         assert_eq!(b.peek_word(a), 99, "peek falls through to memory");
     }
@@ -569,6 +643,35 @@ mod tests {
         b.cache_mut().write_word(a, 7).unwrap();
         assert_eq!(b.peek_word(a), 7);
         assert_eq!(b.memory().read_word(a), 0, "memory still stale");
+    }
+
+    #[test]
+    fn reset_clears_values_and_tick() {
+        let mut b = backend();
+        b.obs_mut().tracer_mut().set_level(TraceLevel::Event);
+        b.record_read(true);
+        b.refresh_metrics();
+        assert_eq!(b.tick(), 1);
+        b.emit(Component::Cache, EventKind::LineFill, 0x40, 4);
+        assert_eq!(b.obs().tracer().len(), 1);
+        b.reset_stats();
+        assert_eq!(b.obs().registry().counter_by_name("ctrl.reads"), Some(0));
+        assert_eq!(b.tick(), 0);
+        assert!(b.obs().tracer().is_empty());
+        b.record_read(true);
+        b.refresh_metrics(); // handle still valid after reset
+        assert_eq!(b.obs().registry().counter_by_name("ctrl.reads"), Some(1));
+    }
+
+    #[test]
+    fn off_level_suppresses_events_but_not_metrics() {
+        let mut b = backend();
+        b.obs_mut().tracer_mut().set_level(TraceLevel::Off);
+        b.record_write(true, false);
+        b.emit(Component::Wg, EventKind::GroupFlush, 3, 2);
+        b.refresh_metrics();
+        assert!(b.obs().tracer().is_empty());
+        assert_eq!(b.obs().registry().counter_by_name("ctrl.writes"), Some(1));
     }
 
     #[test]

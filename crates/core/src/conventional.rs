@@ -1,13 +1,9 @@
 //! The 6T-style conventional controller.
 
-use std::fmt;
-
-use cache8t_sim::{Address, CacheGeometry, DataCache, MainMemory, ReplacementKind};
-use cache8t_trace::{DecodedBatch, DecodedOp, MemOp};
+use cache8t_sim::{CacheGeometry, ReplacementKind};
+use cache8t_trace::DecodedOp;
 
 use crate::controller::{AccessCost, AccessResponse, CacheBackend, Controller};
-use crate::obs::StackObs;
-use crate::ArrayTraffic;
 
 /// A conventional (6T-style) cache controller: one array access per
 /// request.
@@ -32,9 +28,9 @@ use crate::ArrayTraffic;
 /// c.access(&MemOp::read(Address::new(0x40)));
 /// assert_eq!(c.array_accesses(), 2); // one activation per request
 /// ```
+#[derive(Debug)]
 pub struct ConventionalController {
     backend: CacheBackend,
-    traffic: ArrayTraffic,
 }
 
 impl ConventionalController {
@@ -46,32 +42,34 @@ impl ConventionalController {
     /// Creates a controller over an existing backend (e.g. one built with
     /// [`CacheBackend::with_l2`]).
     pub fn from_backend(backend: CacheBackend) -> Self {
-        ConventionalController {
-            backend,
-            traffic: ArrayTraffic::new(),
-        }
+        ConventionalController { backend }
+    }
+}
+
+impl Controller for ConventionalController {
+    fn backend(&self) -> &CacheBackend {
+        &self.backend
     }
 
-    /// Services one request whose address decomposition is already known
-    /// — shared by [`access`](Controller::access) (which decodes inline)
-    /// and the batched path (which drains [`DecodedBatch`] column runs).
+    fn backend_mut(&mut self) -> &mut CacheBackend {
+        &mut self.backend
+    }
+
+    fn name(&self) -> &'static str {
+        "6T"
+    }
+
     #[inline]
-    fn access_decoded(&mut self, d: DecodedOp) -> AccessResponse {
+    fn serve(&mut self, d: DecodedOp) -> AccessResponse {
         let probed = self.backend.cache().find_in_set(d.set, d.tag);
         let residency = self.backend.ensure_resident_probed(d.addr, probed);
-        if residency.filled {
-            self.traffic.line_fills += 1;
-        }
-        if residency.dirty_eviction {
-            self.traffic.eviction_writebacks += 1;
-        }
         let (value, cost) = if d.is_read() {
             let value = self
                 .backend
                 .cache_mut()
                 .read_word_at(d.set, residency.way, d.word);
             self.backend.record_read(residency.hit);
-            self.traffic.demand_reads += 1;
+            self.backend.traffic_mut().demand_reads += 1;
             (
                 value,
                 AccessCost {
@@ -86,7 +84,7 @@ impl ConventionalController {
                     .cache_mut()
                     .write_word_at(d.set, residency.way, d.word, d.value);
             self.backend.record_write(residency.hit, effect.was_silent);
-            self.traffic.demand_writes += 1;
+            self.backend.traffic_mut().demand_writes += 1;
             (
                 d.value,
                 AccessCost {
@@ -104,78 +102,11 @@ impl ConventionalController {
     }
 }
 
-impl Controller for ConventionalController {
-    fn access(&mut self, op: &MemOp) -> AccessResponse {
-        let g = self.backend.cache().geometry();
-        self.access_decoded(DecodedOp::from_op(op, &g))
-    }
-
-    fn access_batch(&mut self, batch: &DecodedBatch, range: std::ops::Range<usize>) {
-        assert_eq!(
-            batch.geometry(),
-            self.backend.cache().geometry(),
-            "batch decoded against a different geometry"
-        );
-        for d in batch.run(range) {
-            self.access_decoded(d);
-        }
-    }
-
-    fn flush(&mut self) {
-        // No buffered state.
-    }
-
-    fn traffic(&self) -> &ArrayTraffic {
-        &self.traffic
-    }
-
-    fn stats(&self) -> &cache8t_sim::CacheStats {
-        self.backend.request_stats()
-    }
-
-    fn reset_counters(&mut self) {
-        self.traffic = ArrayTraffic::new();
-        self.backend.reset_stats();
-    }
-
-    fn cache(&self) -> &DataCache {
-        self.backend.cache()
-    }
-
-    fn memory(&self) -> &MainMemory {
-        self.backend.memory()
-    }
-
-    fn name(&self) -> &'static str {
-        "6T"
-    }
-
-    fn peek_word(&self, addr: Address) -> u64 {
-        self.backend.peek_word(addr)
-    }
-
-    fn obs(&self) -> Option<&StackObs> {
-        Some(self.backend.obs())
-    }
-
-    fn obs_mut(&mut self) -> Option<&mut StackObs> {
-        Some(self.backend.obs_mut())
-    }
-}
-
-impl fmt::Debug for ConventionalController {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ConventionalController")
-            .field("traffic", &self.traffic)
-            .field("backend", &self.backend)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache8t_sim::AccessKind;
+    use cache8t_sim::{AccessKind, Address};
+    use cache8t_trace::MemOp;
 
     fn controller() -> ConventionalController {
         ConventionalController::new(

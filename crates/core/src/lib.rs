@@ -22,10 +22,10 @@
 //! [`SchemeKind`] names them all: it parses a scheme name (`wg+rb`,
 //! `coalesce:8`), displays it, and builds its controller.
 //!
-//! All controllers implement [`Controller`], run against the same
-//! value-carrying cache + backing memory from `cache8t-sim`, and account
-//! SRAM-array traffic in an [`ArrayTraffic`] ledger — the quantity behind
-//! the paper's Figures 9–11. Functional correctness (every read returns the
+//! All controllers implement [`Controller`] over a [`CacheBackend`]: the
+//! same value-carrying cache + backing memory from `cache8t-sim`, and
+//! the [`ArrayTraffic`] ledger each controller's SRAM-array traffic is
+//! counted in — the quantity behind the paper's Figures 9–11. Functional correctness (every read returns the
 //! last value written) is enforced by [`Controller::peek_word`]-based
 //! oracle tests and property tests in this crate.
 //!

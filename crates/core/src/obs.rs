@@ -1,60 +1,127 @@
 //! The per-controller-stack observability bundle.
 //!
 //! Every [`CacheBackend`](crate::CacheBackend) owns one [`StackObs`]: a
-//! metric registry, an event tracer, and the request tick that stamps
-//! events. Controllers register their scheme-specific metrics against
-//! it at construction time and emit events through it on structural
-//! transitions (buffer fills, group flushes, RMW sequences, …); the
-//! backend itself accounts line fills and evictions.
+//! metric registry and an event tracer. The backend also keeps the
+//! stack's two ledgers, the request [`CacheStats`] and the
+//! [`ArrayTraffic`], and they hold the only copy of each count:
 //!
-//! Metrics are always collected — they are plain `u64` adds on
-//! pre-resolved handles, cheap enough for release hot paths. Event
+//! - The [`MIRRORED`] registry counters (`ctrl.reads`/`writes`,
+//!   `cache.line_fills`/`evictions`/`dirty_evictions`, seven `wg.*`,
+//!   `rmw.ops`/`read_phases`, `coalesce.silent_suppressed`/
+//!   `forwarded_reads`) are never incremented. The backend sets each one
+//!   from its ledger expression at the end of every
+//!   [`Controller::access`], `access_batch` and `flush`, so a reader of
+//!   [`Controller::obs`] between those calls sees current values.
+//! - The counters without a ledger twin are counted where their events
+//!   happen: `rmw.sequences`, `coalesce.deposits`, the
+//!   `series.set_heat.NN` conflict-heat buckets, and every histogram.
+//! - Events are stamped with the request tick, the number of requests
+//!   serviced since the last reset ([`CacheStats::accesses`]).
+//!
+//! Controllers register their scheme-specific metrics against the
+//! bundle at construction time and emit events through the backend on
+//! structural transitions (buffer fills, group flushes, RMW sequences,
+//! …); the backend itself reports line fills and evictions. Event
 //! recording is gated by [`TraceLevel`] (the `CACHE8T_TRACE`
 //! environment variable), so a disabled tracer costs one enum compare
 //! per emission site.
+//!
+//! [`ArrayTraffic`]: crate::ArrayTraffic
+//! [`CacheStats`]: cache8t_sim::CacheStats
+//! [`CacheStats::accesses`]: cache8t_sim::CacheStats::accesses
+//! [`Controller::access`]: crate::Controller::access
+//! [`Controller::obs`]: crate::Controller::obs
 
-use cache8t_obs::{
-    Component, CounterId, EventKind, HistogramId, MetricRegistry, TraceEvent, TraceLevel, Tracer,
-};
+use cache8t_obs::{CounterId, HistogramId, MetricRegistry, TraceLevel, Tracer};
+use cache8t_sim::CacheStats;
+
+use crate::ArrayTraffic;
 
 /// Number of coarse set-index buckets the conflict-heat counters
 /// (`series.set_heat.NN`) partition the set space into.
 pub const SET_HEAT_BUCKETS: usize = 16;
 
-/// Metric registry + tracer + tick for one controller stack.
+/// The registry counters derived from the backend's ledgers instead of
+/// counted, in the order [`mirrored_values`] computes them. Every stack
+/// carries the first five; a controller registers the ones of its own
+/// scheme with [`StackObs::mirror`].
+const MIRRORED: [&str; 16] = [
+    "ctrl.reads",
+    "ctrl.writes",
+    "cache.line_fills",
+    "cache.evictions",
+    "cache.dirty_evictions",
+    "wg.groups",
+    "wg.writebacks",
+    "wg.premature_writebacks",
+    "wg.silent_suppressed",
+    "wg.buffer_fills",
+    "wg.grouped_writes",
+    "wg.bypassed_reads",
+    "rmw.ops",
+    "rmw.read_phases",
+    "coalesce.silent_suppressed",
+    "coalesce.forwarded_reads",
+];
+
+/// The value of each [`MIRRORED`] counter, in that order, from the
+/// request statistics, the traffic ledger and the L1's own statistics:
+/// the one place those counters are defined.
+fn mirrored_values(
+    requests: &CacheStats,
+    traffic: &ArrayTraffic,
+    l1: &CacheStats,
+) -> [u64; MIRRORED.len()] {
+    let t = traffic;
+    [
+        requests.reads(),
+        requests.writes(),
+        t.line_fills,
+        // The L1's own counts: for the coalescing buffer,
+        // `eviction_writebacks` also counts write-around deposits.
+        l1.evictions,
+        l1.dirty_evictions,
+        // wg.*: a closed group is written back or elided.
+        t.writebacks + t.silent_writebacks_elided,
+        t.writebacks,
+        t.premature_writebacks,
+        t.silent_writebacks_elided,
+        t.buffer_fills,
+        t.grouped_writes,
+        t.bypassed_reads,
+        // rmw.*
+        t.rmw_ops,
+        t.rmw_read_phases,
+        // coalesce.*
+        t.silent_writebacks_elided,
+        t.bypassed_reads,
+    ]
+}
+
+/// Metric registry + tracer for one controller stack.
 #[derive(Debug)]
 pub struct StackObs {
     registry: MetricRegistry,
     tracer: Tracer,
-    tick: u64,
-    pub(crate) m_reads: CounterId,
-    pub(crate) m_writes: CounterId,
-    pub(crate) m_line_fills: CounterId,
-    pub(crate) m_evictions: CounterId,
-    pub(crate) m_dirty_evictions: CounterId,
-    pub(crate) m_set_heat: [CounterId; SET_HEAT_BUCKETS],
+    /// The handle of each [`MIRRORED`] counter, once registered.
+    mirrors: [Option<CounterId>; MIRRORED.len()],
+    m_set_heat: [CounterId; SET_HEAT_BUCKETS],
 }
 
 impl StackObs {
     /// Creates a bundle with the tracer at an explicit level.
     pub fn with_level(level: TraceLevel) -> Self {
         let mut registry = MetricRegistry::new();
-        let m_reads = registry.counter("ctrl.reads");
-        let m_writes = registry.counter("ctrl.writes");
-        let m_line_fills = registry.counter("cache.line_fills");
-        let m_evictions = registry.counter("cache.evictions");
-        let m_dirty_evictions = registry.counter("cache.dirty_evictions");
+        let mut mirrors = [None; MIRRORED.len()];
+        for (handle, name) in mirrors.iter_mut().zip(&MIRRORED[..5]) {
+            *handle = Some(registry.counter(name));
+        }
         let m_set_heat =
             std::array::from_fn(|bucket| registry.counter(&format!("series.set_heat.{bucket:02}")));
         StackObs {
             registry,
             tracer: Tracer::new(level, cache8t_obs::trace::DEFAULT_RING_CAPACITY),
-            tick: 0,
-            m_reads,
-            m_writes,
-            m_line_fills,
-            m_evictions,
-            m_dirty_evictions,
+            mirrors,
             m_set_heat,
         }
     }
@@ -62,18 +129,6 @@ impl StackObs {
     /// Creates a bundle at the `CACHE8T_TRACE` level.
     pub fn from_env() -> Self {
         StackObs::with_level(TraceLevel::from_env())
-    }
-
-    /// The current request tick (number of serviced requests).
-    #[inline]
-    pub fn tick(&self) -> u64 {
-        self.tick
-    }
-
-    /// Advances the request tick; called once per serviced request.
-    #[inline]
-    pub(crate) fn advance_tick(&mut self) {
-        self.tick += 1;
     }
 
     /// The metric registry.
@@ -103,6 +158,36 @@ impl StackObs {
         self.registry.inc(id);
     }
 
+    /// Registers the [`MIRRORED`] counter `name`: the backend sets it
+    /// from its ledgers from then on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is not in [`MIRRORED`].
+    pub(crate) fn mirror(&mut self, name: &str) {
+        let index = MIRRORED
+            .iter()
+            .position(|m| *m == name)
+            .unwrap_or_else(|| panic!("{name} is not derived from the ledgers"));
+        self.mirrors[index] = Some(self.registry.counter(name));
+    }
+
+    /// Sets every registered [`MIRRORED`] counter from the ledgers.
+    #[inline]
+    pub(crate) fn refresh(
+        &mut self,
+        requests: &CacheStats,
+        traffic: &ArrayTraffic,
+        l1: &CacheStats,
+    ) {
+        let values = mirrored_values(requests, traffic, l1);
+        for (handle, &value) in self.mirrors.iter().zip(&values) {
+            if let Some(id) = *handle {
+                self.registry.set_counter(id, value);
+            }
+        }
+    }
+
     /// Records one line fill landing in set-heat `bucket` (a
     /// [`CacheGeometry::heat_bucket_of`] result) — the windowed
     /// set-conflict-heat counters the series sampler diffs.
@@ -121,28 +206,13 @@ impl StackObs {
         self.registry.observe(id, value);
     }
 
-    /// Emits a structural event stamped with the current tick.
-    #[inline]
-    pub fn emit(&mut self, component: Component, kind: EventKind, addr: u64, detail: u64) {
-        self.tracer
-            .emit(TraceEvent::new(self.tick, component, kind, addr, detail));
-    }
-
-    /// Emits a verbose (per-access) event stamped with the current tick.
-    #[inline]
-    pub fn emit_verbose(&mut self, component: Component, kind: EventKind, addr: u64, detail: u64) {
-        self.tracer
-            .emit_verbose(TraceEvent::new(self.tick, component, kind, addr, detail));
-    }
-
-    /// Resets metric values, recorded events, and the tick, keeping
-    /// registrations (and handles) valid. Called by
+    /// Resets metric values and recorded events, keeping registrations
+    /// (and handles) valid. Called by
     /// [`Controller::reset_counters`](crate::Controller::reset_counters)
     /// so the snapshot covers only the measured phase.
     pub fn reset(&mut self) {
         self.registry.reset();
         self.tracer.clear();
-        self.tick = 0;
     }
 }
 
@@ -171,22 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_values_and_tick() {
-        let mut obs = StackObs::with_level(TraceLevel::Event);
-        let id = obs.m_reads;
-        obs.inc(id);
-        obs.advance_tick();
-        obs.emit(Component::Cache, EventKind::LineFill, 0x40, 4);
-        assert_eq!(obs.tracer().len(), 1);
-        obs.reset();
-        assert_eq!(obs.registry().counter_by_name("ctrl.reads"), Some(0));
-        assert_eq!(obs.tick(), 0);
-        assert!(obs.tracer().is_empty());
-        obs.inc(id); // handle still valid after reset
-        assert_eq!(obs.registry().counter_by_name("ctrl.reads"), Some(1));
-    }
-
-    #[test]
     fn set_heat_buckets_are_preregistered_and_count() {
         let mut obs = StackObs::with_level(TraceLevel::Off);
         assert_eq!(
@@ -211,12 +265,28 @@ mod tests {
     }
 
     #[test]
-    fn off_level_suppresses_events_but_not_metrics() {
+    fn mirrors_are_set_only_once_registered() {
         let mut obs = StackObs::with_level(TraceLevel::Off);
-        let id = obs.m_writes;
-        obs.inc(id);
-        obs.emit(Component::Wg, EventKind::GroupFlush, 3, 2);
-        assert!(obs.tracer().is_empty());
-        assert_eq!(obs.registry().counter_by_name("ctrl.writes"), Some(1));
+        let requests = CacheStats {
+            read_hits: 2,
+            read_misses: 1,
+            ..CacheStats::new()
+        };
+        let traffic = ArrayTraffic {
+            rmw_ops: 4,
+            ..ArrayTraffic::new()
+        };
+        obs.refresh(&requests, &traffic, &CacheStats::new());
+        assert_eq!(obs.registry().counter_by_name("ctrl.reads"), Some(3));
+        assert_eq!(obs.registry().counter_by_name("rmw.ops"), None);
+        obs.mirror("rmw.ops");
+        obs.refresh(&requests, &traffic, &CacheStats::new());
+        assert_eq!(obs.registry().counter_by_name("rmw.ops"), Some(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "rmw.sequences is not derived")]
+    fn counted_metrics_cannot_be_mirrored() {
+        StackObs::with_level(TraceLevel::Off).mirror("rmw.sequences");
     }
 }

@@ -1,14 +1,11 @@
 //! The RMW baseline controller.
 
-use std::fmt;
-
 use cache8t_obs::{Component, CounterId, EventKind, HistogramId};
-use cache8t_sim::{Address, CacheGeometry, DataCache, MainMemory, ReplacementKind};
-use cache8t_trace::{DecodedBatch, DecodedOp, MemOp};
+use cache8t_sim::{CacheGeometry, ReplacementKind};
+use cache8t_trace::DecodedOp;
 
 use crate::controller::{AccessCost, AccessResponse, CacheBackend, Controller};
 use crate::obs::StackObs;
-use crate::ArrayTraffic;
 
 /// The 8T baseline: every write is a read-modify-write (paper §2).
 ///
@@ -34,9 +31,9 @@ use crate::ArrayTraffic;
 /// assert_eq!(c.array_accesses(), 2); // row read + row write
 /// assert_eq!(c.traffic().rmw_ops, 1);
 /// ```
+#[derive(Debug)]
 pub struct RmwController {
     backend: CacheBackend,
-    traffic: ArrayTraffic,
     metrics: RmwMetrics,
     /// Row (set index) of the in-flight write burst, if any.
     burst_row: Option<u64>,
@@ -46,15 +43,12 @@ pub struct RmwController {
     burst_addr: u64,
 }
 
-/// Handles of the RMW-specific metrics.
+/// Handles of the RMW metrics counted where their events happen
+/// (`rmw.ops` and `rmw.read_phases` are derived from the ledger).
 #[derive(Debug, Clone, Copy)]
 struct RmwMetrics {
     /// `rmw.sequences` — bursts of consecutive same-row RMW writes.
     sequences: CounterId,
-    /// `rmw.ops` — individual RMW operations (one per write).
-    ops: CounterId,
-    /// `rmw.read_phases` — overhead row reads (the paper's complaint).
-    read_phases: CounterId,
     /// `rmw.burst` — burst-size distribution: how many consecutive
     /// writes hit the same row (exactly the runs WG would group).
     burst: HistogramId,
@@ -62,12 +56,12 @@ struct RmwMetrics {
 
 impl RmwMetrics {
     fn register(obs: &mut StackObs) -> Self {
-        let r = obs.registry_mut();
+        let sequences = obs.registry_mut().counter("rmw.sequences");
+        obs.mirror("rmw.ops");
+        obs.mirror("rmw.read_phases");
         RmwMetrics {
-            sequences: r.counter("rmw.sequences"),
-            ops: r.counter("rmw.ops"),
-            read_phases: r.counter("rmw.read_phases"),
-            burst: r.histogram("rmw.burst"),
+            sequences,
+            burst: obs.registry_mut().histogram("rmw.burst"),
         }
     }
 }
@@ -84,7 +78,6 @@ impl RmwController {
         let metrics = RmwMetrics::register(backend.obs_mut());
         RmwController {
             backend,
-            traffic: ArrayTraffic::new(),
             metrics,
             burst_row: None,
             burst_len: 0,
@@ -101,7 +94,7 @@ impl RmwController {
         let obs = self.backend.obs_mut();
         obs.inc(self.metrics.sequences);
         obs.observe(self.metrics.burst, self.burst_len);
-        obs.emit(
+        self.backend.emit(
             Component::Rmw,
             EventKind::RmwSequence,
             self.burst_addr,
@@ -110,20 +103,26 @@ impl RmwController {
         self.burst_row = None;
         self.burst_len = 0;
     }
+}
 
-    /// Services one request with its address decomposition precomputed —
-    /// shared by the per-op and batched paths. The write path's burst
-    /// row is the pre-decoded set index.
+impl Controller for RmwController {
+    fn backend(&self) -> &CacheBackend {
+        &self.backend
+    }
+
+    fn backend_mut(&mut self) -> &mut CacheBackend {
+        &mut self.backend
+    }
+
+    fn name(&self) -> &'static str {
+        "RMW"
+    }
+
+    /// The write path's burst row is the pre-decoded set index.
     #[inline]
-    fn access_decoded(&mut self, d: DecodedOp) -> AccessResponse {
+    fn serve(&mut self, d: DecodedOp) -> AccessResponse {
         let probed = self.backend.cache().find_in_set(d.set, d.tag);
         let residency = self.backend.ensure_resident_probed(d.addr, probed);
-        if residency.filled {
-            self.traffic.line_fills += 1;
-        }
-        if residency.dirty_eviction {
-            self.traffic.eviction_writebacks += 1;
-        }
         let (value, cost) = if d.is_read() {
             // A read breaks the run of consecutive same-row writes.
             self.close_burst();
@@ -132,7 +131,7 @@ impl RmwController {
                 .cache_mut()
                 .read_word_at(d.set, residency.way, d.word);
             self.backend.record_read(residency.hit);
-            self.traffic.demand_reads += 1;
+            self.backend.traffic_mut().demand_reads += 1;
             (
                 value,
                 AccessCost {
@@ -151,18 +150,15 @@ impl RmwController {
                 self.burst_addr = d.addr.raw();
             }
             self.burst_len += 1;
-            let ops = self.metrics.ops;
-            let read_phases = self.metrics.read_phases;
-            self.backend.obs_mut().inc(ops);
-            self.backend.obs_mut().inc(read_phases);
             let effect =
                 self.backend
                     .cache_mut()
                     .write_word_at(d.set, residency.way, d.word, d.value);
             self.backend.record_write(residency.hit, effect.was_silent);
-            self.traffic.rmw_read_phases += 1;
-            self.traffic.demand_writes += 1;
-            self.traffic.rmw_ops += 1;
+            let traffic = self.backend.traffic_mut();
+            traffic.rmw_read_phases += 1;
+            traffic.demand_writes += 1;
+            traffic.rmw_ops += 1;
             (
                 d.value,
                 AccessCost {
@@ -178,76 +174,16 @@ impl RmwController {
             cost,
         }
     }
-}
 
-impl Controller for RmwController {
-    fn access(&mut self, op: &MemOp) -> AccessResponse {
-        let g = self.backend.cache().geometry();
-        self.access_decoded(DecodedOp::from_op(op, &g))
-    }
-
-    fn access_batch(&mut self, batch: &DecodedBatch, range: std::ops::Range<usize>) {
-        assert_eq!(
-            batch.geometry(),
-            self.backend.cache().geometry(),
-            "batch decoded against a different geometry"
-        );
-        for d in batch.run(range) {
-            self.access_decoded(d);
-        }
-    }
-
-    fn flush(&mut self) {
-        // No buffered data, but an in-flight burst observation to settle.
+    /// No buffered data, but an in-flight burst observation to settle.
+    fn drain(&mut self) {
         self.close_burst();
     }
 
-    fn traffic(&self) -> &ArrayTraffic {
-        &self.traffic
-    }
-
-    fn stats(&self) -> &cache8t_sim::CacheStats {
-        self.backend.request_stats()
-    }
-
-    fn reset_counters(&mut self) {
-        self.traffic = ArrayTraffic::new();
+    /// The in-flight burst is dropped unobserved.
+    fn reset_scheme_counters(&mut self) {
         self.burst_row = None;
         self.burst_len = 0;
-        self.backend.reset_stats();
-    }
-
-    fn cache(&self) -> &DataCache {
-        self.backend.cache()
-    }
-
-    fn memory(&self) -> &MainMemory {
-        self.backend.memory()
-    }
-
-    fn name(&self) -> &'static str {
-        "RMW"
-    }
-
-    fn peek_word(&self, addr: Address) -> u64 {
-        self.backend.peek_word(addr)
-    }
-
-    fn obs(&self) -> Option<&StackObs> {
-        Some(self.backend.obs())
-    }
-
-    fn obs_mut(&mut self) -> Option<&mut StackObs> {
-        Some(self.backend.obs_mut())
-    }
-}
-
-impl fmt::Debug for RmwController {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RmwController")
-            .field("traffic", &self.traffic)
-            .field("backend", &self.backend)
-            .finish()
     }
 }
 
@@ -255,6 +191,8 @@ impl fmt::Debug for RmwController {
 mod tests {
     use super::*;
     use crate::ConventionalController;
+    use cache8t_sim::Address;
+    use cache8t_trace::MemOp;
 
     fn geometry() -> CacheGeometry {
         CacheGeometry::new(1024, 2, 32).unwrap()

@@ -4,13 +4,12 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use cache8t_obs::{Component, CounterId, EventKind, HistogramId};
-use cache8t_sim::{Address, CacheGeometry, DataCache, MainMemory, ReplacementKind};
-use cache8t_trace::{DecodedBatch, DecodedOp, MemOp};
+use cache8t_obs::{Component, EventKind, HistogramId};
+use cache8t_sim::{Address, CacheGeometry, ReplacementKind};
+use cache8t_trace::DecodedOp;
 
 use crate::controller::{AccessCost, AccessResponse, CacheBackend, Controller};
 use crate::obs::StackObs;
-use crate::ArrayTraffic;
 
 /// Configuration of the grouping controller.
 ///
@@ -153,23 +152,12 @@ struct SetBuffer {
     filled_at_tick: u64,
 }
 
-/// Handles of the grouping-specific metrics.
+/// Handles of the grouping histograms. The `wg.*` counters (closed
+/// groups, write-backs, premature write-backs, silent suppressions,
+/// buffer fills, grouped writes, bypassed reads) are derived from the
+/// traffic ledger.
 #[derive(Debug, Clone, Copy)]
 struct WgMetrics {
-    /// `wg.groups` — closed write groups (dirty or silent).
-    groups: CounterId,
-    /// `wg.writebacks` — Set-Buffer deposits into the array.
-    writebacks: CounterId,
-    /// `wg.premature_writebacks` — deposits forced by reads (plain WG).
-    premature_writebacks: CounterId,
-    /// `wg.silent_suppressed` — write-backs elided by the Dirty bit.
-    silent_suppressed: CounterId,
-    /// `wg.buffer_fills` — Set-Buffer fill row-reads.
-    buffer_fills: CounterId,
-    /// `wg.grouped_writes` — writes absorbed without an array access.
-    grouped_writes: CounterId,
-    /// `wg.bypassed_reads` — reads served from the Set-Buffer (WG+RB).
-    bypassed_reads: CounterId,
     /// `wg.group_len` — writes per closed group.
     group_len: HistogramId,
     /// `wg.buffer_residency` — request ticks a buffer stayed resident.
@@ -178,15 +166,19 @@ struct WgMetrics {
 
 impl WgMetrics {
     fn register(obs: &mut StackObs) -> Self {
+        for name in [
+            "wg.groups",
+            "wg.writebacks",
+            "wg.premature_writebacks",
+            "wg.silent_suppressed",
+            "wg.buffer_fills",
+            "wg.grouped_writes",
+            "wg.bypassed_reads",
+        ] {
+            obs.mirror(name);
+        }
         let r = obs.registry_mut();
         WgMetrics {
-            groups: r.counter("wg.groups"),
-            writebacks: r.counter("wg.writebacks"),
-            premature_writebacks: r.counter("wg.premature_writebacks"),
-            silent_suppressed: r.counter("wg.silent_suppressed"),
-            buffer_fills: r.counter("wg.buffer_fills"),
-            grouped_writes: r.counter("wg.grouped_writes"),
-            bypassed_reads: r.counter("wg.bypassed_reads"),
             group_len: r.histogram("wg.group_len"),
             buffer_residency: r.histogram("wg.buffer_residency"),
         }
@@ -212,7 +204,6 @@ impl WgMetrics {
 /// See the [crate docs](crate) for an example.
 pub struct WgController {
     backend: CacheBackend,
-    traffic: ArrayTraffic,
     options: WgOptions,
     metrics: WgMetrics,
     /// Buffered sets, most recently used first. Length ≤ buffer_depth.
@@ -283,7 +274,6 @@ impl WgController {
         let metrics = WgMetrics::register(backend.obs_mut());
         WgController {
             backend,
-            traffic: ArrayTraffic::new(),
             options,
             metrics,
             buffers: Vec::with_capacity(options.buffer_depth),
@@ -387,27 +377,20 @@ impl WgController {
                 buf.modified[way] = false;
             }
             buf.dirty = false;
-            self.traffic.writebacks += 1;
-            self.backend.obs_mut().inc(m.writebacks);
-            if premature {
-                self.traffic.premature_writebacks += 1;
-                self.backend.obs_mut().inc(m.premature_writebacks);
-            }
+            let traffic = self.backend.traffic_mut();
+            traffic.writebacks += 1;
+            traffic.premature_writebacks += u64::from(premature);
             // A dirty deposit always closes a write group.
-            self.backend.obs_mut().inc(m.groups);
             self.backend.obs_mut().observe(m.group_len, group_len);
             self.backend
-                .obs_mut()
                 .emit(Component::Wg, EventKind::GroupFlush, set_index, group_len);
         } else if group_len > 0 {
             // The Dirty bit is clear although writes were absorbed: the
             // whole group was silent and the write-back is elided.
-            self.traffic.silent_writebacks_elided += 1;
-            let obs = self.backend.obs_mut();
-            obs.inc(m.silent_suppressed);
-            obs.inc(m.groups);
-            obs.observe(m.group_len, group_len);
-            obs.emit(Component::Wg, EventKind::SilentElide, set_index, group_len);
+            self.backend.traffic_mut().silent_writebacks_elided += 1;
+            self.backend.obs_mut().observe(m.group_len, group_len);
+            self.backend
+                .emit(Component::Wg, EventKind::SilentElide, set_index, group_len);
         }
         self.buffers[pos].writes_since_sync = 0;
         performed
@@ -418,7 +401,7 @@ impl WgController {
     fn evict_buffer(&mut self, pos: usize) -> bool {
         let wrote = self.sync_buffer(pos, false);
         let buf = self.buffers.remove(pos);
-        let residency = self.backend.obs().tick().saturating_sub(buf.filled_at_tick);
+        let residency = self.backend.tick().saturating_sub(buf.filled_at_tick);
         self.free.push(buf);
         let m = self.metrics;
         self.backend
@@ -450,7 +433,7 @@ impl WgController {
         buf.modified.clear();
         buf.dirty = false;
         buf.writes_since_sync = 0;
-        buf.filled_at_tick = self.backend.obs().tick();
+        buf.filled_at_tick = self.backend.tick();
         // Snapshot the whole row's words in one copy — the set's ways
         // are contiguous in the cache's word arena — and walk only the
         // per-way metadata.
@@ -464,11 +447,8 @@ impl WgController {
             buf.line_dirty.push(valid && dirty);
             buf.modified.push(false);
         }
-        self.traffic.buffer_fills += 1;
-        let m = self.metrics;
-        self.backend.obs_mut().inc(m.buffer_fills);
+        self.backend.traffic_mut().buffer_fills += 1;
         self.backend
-            .obs_mut()
             .emit(Component::Wg, EventKind::BufferFill, set_index, valid_ways);
         self.buffers.insert(0, buf);
     }
@@ -495,15 +475,9 @@ impl WgController {
                 self.backend.cache_mut().touch_at(set, way);
                 self.backend.record_read(true);
                 self.promote_buffer(pos);
-                self.traffic.bypassed_reads += 1;
-                let m = self.metrics;
-                self.backend.obs_mut().inc(m.bypassed_reads);
-                self.backend.obs_mut().emit_verbose(
-                    Component::Wg,
-                    EventKind::Bypass,
-                    d.addr.raw(),
-                    value,
-                );
+                self.backend.traffic_mut().bypassed_reads += 1;
+                self.backend
+                    .emit_verbose(Component::Wg, EventKind::Bypass, d.addr.raw(), value);
                 return AccessResponse {
                     value,
                     hit: true,
@@ -520,7 +494,7 @@ impl WgController {
             self.promote_buffer(pos);
             let value = self.backend.cache_mut().read_word_at(set, way, word);
             self.backend.record_read(true);
-            self.traffic.demand_reads += 1;
+            self.backend.traffic_mut().demand_reads += 1;
             return AccessResponse {
                 value,
                 hit: true,
@@ -543,18 +517,12 @@ impl WgController {
             }
         }
         let residency = self.backend.ensure_resident_probed(d.addr, probed);
-        if residency.filled {
-            self.traffic.line_fills += 1;
-        }
-        if residency.dirty_eviction {
-            self.traffic.eviction_writebacks += 1;
-        }
         let value = self
             .backend
             .cache_mut()
             .read_word_at(set, residency.way, word);
         self.backend.record_read(residency.hit);
-        self.traffic.demand_reads += 1;
+        self.backend.traffic_mut().demand_reads += 1;
         cost.row_reads += 1;
         AccessResponse {
             value,
@@ -594,9 +562,7 @@ impl WgController {
             self.backend.record_write(true, silent);
             self.promote_buffer(pos);
             self.backend.cache_mut().touch_at(set, way);
-            self.traffic.grouped_writes += 1;
-            let m = self.metrics;
-            self.backend.obs_mut().inc(m.grouped_writes);
+            self.backend.traffic_mut().grouped_writes += 1;
             return AccessResponse {
                 value: d.value,
                 hit: true,
@@ -619,12 +585,6 @@ impl WgController {
             }
         }
         let residency = self.backend.ensure_resident_probed(d.addr, probed);
-        if residency.filled {
-            self.traffic.line_fills += 1;
-        }
-        if residency.dirty_eviction {
-            self.traffic.eviction_writebacks += 1;
-        }
 
         // Evict the least recently used buffer if all Set-Buffers are
         // occupied (with depth 1 this is Algorithm 1's "write-back the
@@ -651,66 +611,15 @@ impl WgController {
             cost,
         }
     }
-
-    /// Services one request with its address decomposition precomputed —
-    /// shared by the per-op and batched paths.
-    #[inline]
-    fn access_decoded(&mut self, d: DecodedOp) -> AccessResponse {
-        if d.is_read() {
-            self.serve_read(d)
-        } else {
-            self.serve_write(d)
-        }
-    }
 }
 
 impl Controller for WgController {
-    fn access(&mut self, op: &MemOp) -> AccessResponse {
-        let g = self.geometry();
-        self.access_decoded(DecodedOp::from_op(op, &g))
+    fn backend(&self) -> &CacheBackend {
+        &self.backend
     }
 
-    fn access_batch(&mut self, batch: &DecodedBatch, range: std::ops::Range<usize>) {
-        assert_eq!(
-            batch.geometry(),
-            self.geometry(),
-            "batch decoded against a different geometry"
-        );
-        for d in batch.run(range) {
-            self.access_decoded(d);
-        }
-    }
-
-    fn flush(&mut self) {
-        for pos in 0..self.buffers.len() {
-            self.sync_buffer(pos, false);
-        }
-    }
-
-    fn traffic(&self) -> &ArrayTraffic {
-        &self.traffic
-    }
-
-    fn stats(&self) -> &cache8t_sim::CacheStats {
-        self.backend.request_stats()
-    }
-
-    fn reset_counters(&mut self) {
-        self.traffic = ArrayTraffic::new();
-        self.backend.reset_stats();
-        // The tick restarted at zero: re-stamp surviving buffers so
-        // residency observations stay non-negative.
-        for buf in &mut self.buffers {
-            buf.filled_at_tick = 0;
-        }
-    }
-
-    fn cache(&self) -> &DataCache {
-        self.backend.cache()
-    }
-
-    fn memory(&self) -> &MainMemory {
-        self.backend.memory()
+    fn backend_mut(&mut self) -> &mut CacheBackend {
+        &mut self.backend
     }
 
     fn name(&self) -> &'static str {
@@ -721,20 +630,35 @@ impl Controller for WgController {
         }
     }
 
+    #[inline]
+    fn serve(&mut self, d: DecodedOp) -> AccessResponse {
+        if d.is_read() {
+            self.serve_read(d)
+        } else {
+            self.serve_write(d)
+        }
+    }
+
+    fn drain(&mut self) {
+        for pos in 0..self.buffers.len() {
+            self.sync_buffer(pos, false);
+        }
+    }
+
+    /// The tick restarts at zero: re-stamp surviving buffers so
+    /// residency observations stay non-negative.
+    fn reset_scheme_counters(&mut self) {
+        for buf in &mut self.buffers {
+            buf.filled_at_tick = 0;
+        }
+    }
+
     fn peek_word(&self, addr: Address) -> u64 {
         if let Some((pos, way)) = self.tag_hit(addr) {
             let g = self.geometry();
             return self.buffers[pos].data[way * g.block_words() + g.word_offset_of(addr)];
         }
         self.backend.peek_word(addr)
-    }
-
-    fn obs(&self) -> Option<&StackObs> {
-        Some(self.backend.obs())
-    }
-
-    fn obs_mut(&mut self) -> Option<&mut StackObs> {
-        Some(self.backend.obs_mut())
     }
 
     fn occupancy(&self) -> Option<Vec<u64>> {
@@ -753,7 +677,7 @@ impl fmt::Debug for WgController {
         f.debug_struct("WgController")
             .field("options", &self.options)
             .field("buffered_sets", &self.buffers.len())
-            .field("traffic", &self.traffic)
+            .field("traffic", self.backend.traffic())
             .finish_non_exhaustive()
     }
 }
@@ -794,52 +718,33 @@ impl WgRbController {
 }
 
 impl Controller for WgRbController {
-    fn access(&mut self, op: &MemOp) -> AccessResponse {
-        self.inner.access(op)
+    fn backend(&self) -> &CacheBackend {
+        self.inner.backend()
     }
 
-    fn access_batch(&mut self, batch: &DecodedBatch, range: std::ops::Range<usize>) {
-        self.inner.access_batch(batch, range);
-    }
-
-    fn flush(&mut self) {
-        self.inner.flush();
-    }
-
-    fn traffic(&self) -> &ArrayTraffic {
-        self.inner.traffic()
-    }
-
-    fn stats(&self) -> &cache8t_sim::CacheStats {
-        self.inner.stats()
-    }
-
-    fn reset_counters(&mut self) {
-        self.inner.reset_counters();
-    }
-
-    fn cache(&self) -> &DataCache {
-        self.inner.cache()
-    }
-
-    fn memory(&self) -> &MainMemory {
-        self.inner.memory()
+    fn backend_mut(&mut self) -> &mut CacheBackend {
+        self.inner.backend_mut()
     }
 
     fn name(&self) -> &'static str {
         "WG+RB"
     }
 
+    #[inline]
+    fn serve(&mut self, d: DecodedOp) -> AccessResponse {
+        self.inner.serve(d)
+    }
+
+    fn drain(&mut self) {
+        self.inner.drain();
+    }
+
+    fn reset_scheme_counters(&mut self) {
+        self.inner.reset_scheme_counters();
+    }
+
     fn peek_word(&self, addr: Address) -> u64 {
         self.inner.peek_word(addr)
-    }
-
-    fn obs(&self) -> Option<&StackObs> {
-        self.inner.obs()
-    }
-
-    fn obs_mut(&mut self) -> Option<&mut StackObs> {
-        self.inner.obs_mut()
     }
 
     fn occupancy(&self) -> Option<Vec<u64>> {
@@ -858,6 +763,7 @@ impl fmt::Debug for WgRbController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cache8t_trace::MemOp;
 
     fn geometry() -> CacheGeometry {
         // 4 sets, 2 ways, 32 B blocks.

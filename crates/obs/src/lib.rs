@@ -9,8 +9,8 @@
 //!   at the end of a run into one JSON-serializable snapshot.
 //! * [`trace`] — a bounded ring of structured [`TraceEvent`]s gated by
 //!   the `CACHE8T_TRACE` environment variable
-//!   ([`TraceLevel`]: `off` / `summary` / `event` / `verbose`), with a
-//!   JSONL sink.
+//!   ([`TraceLevel`]: `off` / `event` / `verbose`), with a JSONL
+//!   sink.
 //! * [`span`] — RAII wall-clock span timers
 //!   ([`span!`](crate::span!)) accumulating per-phase self/total time
 //!   in a thread-local profiler.

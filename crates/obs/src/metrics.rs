@@ -231,6 +231,13 @@ impl MetricRegistry {
         self.counters[id.0].value += n;
     }
 
+    /// Sets a counter to `value`: for a counter derived from a ledger
+    /// kept elsewhere instead of counted where its events happen.
+    #[inline]
+    pub fn set_counter(&mut self, id: CounterId, value: u64) {
+        self.counters[id.0].value = value;
+    }
+
     /// Sets a gauge to `value`.
     #[inline]
     pub fn set(&mut self, id: GaugeId, value: i64) {

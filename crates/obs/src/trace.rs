@@ -5,8 +5,8 @@
 //! `cache8t-trace`: events are cheap fixed-size records (no
 //! allocation per event), serialization is explicit and versioned by
 //! shape, and readers get typed errors. The level is read once from
-//! `CACHE8T_TRACE` (`off`, `summary`, `event`, `verbose`;
-//! unset means `off`) so the hot path pays a single integer compare
+//! `CACHE8T_TRACE` (`off`, `event`, `verbose`; unset means
+//! `off`) so the hot path pays a single integer compare
 //! when tracing is disabled.
 
 use std::io::{self, Write};
@@ -21,8 +21,6 @@ use serde::{DeError, Deserialize, Serialize};
 pub enum TraceLevel {
     /// Record nothing (the default).
     Off,
-    /// Record only run-level summaries (metric snapshots), no events.
-    Summary,
     /// Record structural events: flushes, fills, evictions, RMW
     /// sequences, suppressed writebacks.
     Event,
@@ -39,7 +37,6 @@ impl TraceLevel {
     pub fn parse(s: &str) -> Option<TraceLevel> {
         match s.trim().to_ascii_lowercase().as_str() {
             "off" | "0" | "" => Some(TraceLevel::Off),
-            "summary" => Some(TraceLevel::Summary),
             "event" => Some(TraceLevel::Event),
             "verbose" => Some(TraceLevel::Verbose),
             _ => None,
@@ -57,7 +54,7 @@ impl TraceLevel {
         *LEVEL.get_or_init(|| match std::env::var(Self::ENV_VAR) {
             Ok(v) => TraceLevel::parse(&v).unwrap_or_else(|| {
                 eprintln!(
-                    "warning: unrecognized {}={v:?} (expected off|summary|event|verbose); \
+                    "warning: unrecognized {}={v:?} (expected off|event|verbose); \
                      tracing stays off",
                     Self::ENV_VAR
                 );
@@ -71,7 +68,6 @@ impl TraceLevel {
     pub fn name(self) -> &'static str {
         match self {
             TraceLevel::Off => "off",
-            TraceLevel::Summary => "summary",
             TraceLevel::Event => "event",
             TraceLevel::Verbose => "verbose",
         }
@@ -278,18 +274,6 @@ impl Tracer {
         self.level = level;
     }
 
-    /// True when structural events are recorded.
-    #[inline]
-    pub fn event_enabled(&self) -> bool {
-        self.level >= TraceLevel::Event
-    }
-
-    /// True when per-access events are recorded.
-    #[inline]
-    pub fn verbose_enabled(&self) -> bool {
-        self.level >= TraceLevel::Verbose
-    }
-
     /// Records a structural event if the level allows it.
     #[inline]
     pub fn emit(&mut self, event: TraceEvent) {
@@ -389,8 +373,7 @@ mod tests {
 
     #[test]
     fn levels_are_ordered() {
-        assert!(TraceLevel::Off < TraceLevel::Summary);
-        assert!(TraceLevel::Summary < TraceLevel::Event);
+        assert!(TraceLevel::Off < TraceLevel::Event);
         assert!(TraceLevel::Event < TraceLevel::Verbose);
     }
 
@@ -400,6 +383,8 @@ mod tests {
         assert_eq!(TraceLevel::parse(" verbose "), Some(TraceLevel::Verbose));
         assert_eq!(TraceLevel::parse("0"), Some(TraceLevel::Off));
         assert_eq!(TraceLevel::parse("everything"), None);
+        // No `summary` level: it would record exactly what `off` does.
+        assert_eq!(TraceLevel::parse("summary"), None);
     }
 
     #[test]
