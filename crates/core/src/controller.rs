@@ -466,11 +466,6 @@ impl CacheBackend {
         &self.memory
     }
 
-    /// Mutable access to the backing memory (write-around paths).
-    pub fn memory_mut(&mut self) -> &mut MainMemory {
-        &mut self.memory
-    }
-
     /// Ensures the block containing `addr` is resident, allocating on miss
     /// (write-allocate for both reads and writes, as in the paper's L1
     /// model). A miss's line fill and any dirty-victim write-back land

@@ -2,10 +2,10 @@
 //!
 //! Three layers, each usable on its own:
 //!
-//! * [`pool`] — a std-only work-stealing job scheduler
-//!   ([`run_jobs`]) with per-job panic isolation
-//!   ([`JobOutcome::Failed`] instead of an aborted batch) and bounded
-//!   retry.
+//! * [`pool`] — a std-only job scheduler ([`run_jobs`]) whose workers
+//!   take jobs in submission order from one shared cursor, with per-job
+//!   panic isolation ([`JobOutcome::Failed`] instead of an aborted
+//!   batch) and bounded retry.
 //! * [`store`] — a generate-once [`TraceStore`]: every job that needs
 //!   the trace of a (profile, seed, ops) point shares one in-memory
 //!   `Arc<Trace>`, optionally backed by the C8TT on-disk format under
@@ -37,7 +37,7 @@ pub use experiment::{
 };
 pub use pool::{
     run_jobs, run_jobs_cancellable, CancelToken, ExecOptions, ExecReport, JobOutcome, JobProgress,
-    WorkerSample, WorkerStats,
+    WorkerStats,
 };
 pub use store::{
     StoreStats, StreamCursor, TraceStore, TraceStream, DEFAULT_STORE_DIR, SHARED_WINDOW_CHUNKS,

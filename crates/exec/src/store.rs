@@ -459,21 +459,14 @@ impl StreamCursor {
     /// generation).
     fn chunk_from_file(&mut self) -> Option<TraceChunk> {
         let reader = self.file.as_mut()?;
-        let start_op = self.next_index * self.state.chunk_ops as u64;
-        debug_assert_eq!(reader.position(), start_op);
-        let mut ops = Vec::new();
-        match reader.read_ops(&mut ops, self.state.chunk_ops as u64) {
-            Ok(_) => {
-                let end_op = reader.position();
-                // Pro-rate the file's total instruction count over the
-                // chunk with telescoping floors, so per-chunk counts sum
-                // exactly to the header total.
-                let total = self.state.total_ops as u128;
-                let instr = reader.instructions() as u128;
-                let instructions =
-                    (instr * end_op as u128 / total - instr * start_op as u128 / total) as u64;
-                Some(TraceChunk::new(ops, start_op, instructions))
-            }
+        debug_assert_eq!(
+            reader.position(),
+            self.next_index * self.state.chunk_ops as u64
+        );
+        match reader.read_chunk(self.state.chunk_ops) {
+            // `None` (end of file) cannot happen: `next_chunk` stops at
+            // the stream's chunk count, and the file holds that many ops.
+            Ok(chunk) => chunk,
             Err(e) => {
                 let path = self.state.path.as_deref().unwrap_or_else(|| Path::new("?"));
                 eprintln!(

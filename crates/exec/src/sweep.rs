@@ -4,8 +4,7 @@
 //! schemes at one (ops, seed) point. [`run_sweep`] expands it into
 //! fine-grained unit jobs — one per (geometry, benchmark, scheme) plus
 //! one stream-statistics unit per (geometry, benchmark) — and executes
-//! them on the work-stealing pool over a shared, generate-once
-//! [`TraceStore`].
+//! them on the job pool over a shared, generate-once [`TraceStore`].
 //!
 //! ## Determinism guarantee
 //!
@@ -15,11 +14,12 @@
 //! The serialized sweep document is therefore byte-identical for any
 //! `--jobs` value and any schedule; the scheduler only decides *when*
 //! work happens, never *what* the answer is. Scheduler telemetry that
-//! does vary (wall-clock, steal counts, cache-hit split) is kept in the
-//! separate [`SweepOutcome::metrics`] registry, which deliberately
-//! never enters the document.
+//! does vary (wall-clock, per-worker job counts, cache-hit split) is
+//! kept in the separate [`SweepOutcome::metrics`] registry, which
+//! deliberately never enters the document.
 
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -307,9 +307,9 @@ pub struct SweepOutcome {
     /// Unit jobs drained without executing after the cancel token fired
     /// (0 for an uncancelled run).
     pub cancelled: usize,
-    /// The `sweep.*` metric family: job/steal/retry/park counts,
-    /// trace-store hit split, per-job duration and queue-depth
-    /// histograms, per-worker busy fractions, worker count, wall-clock.
+    /// The `sweep.*` metric family: job/retry counts, trace-store hit
+    /// split, the per-job duration histogram, per-worker job counts and
+    /// busy fractions, worker count, wall-clock.
     /// Never part of the sweep document (it varies with schedule and
     /// machine).
     pub metrics: MetricRegistry,
@@ -401,49 +401,59 @@ enum UnitResult {
     Scheme(Box<SchemeResult>),
 }
 
-/// Per-benchmark staging area for the live completion hook: unit jobs
-/// clone their result in as they finish, and the insert that completes
-/// the set hands the pieces back so the inserting worker can assemble
-/// the `BenchmarkResult` and fire the hook exactly once.
+/// One benchmark's unit results, gathered as its units finish. The
+/// unit that lands the last piece assembles the `BenchmarkResult`: it
+/// fires the live completion hook, and once the pool returns it fills
+/// the sweep outcome.
 #[derive(Default)]
 struct BenchAccum {
     stream: Option<StreamStats>,
     /// One slot per scheme, in [`SchemeKind::ALL`] order.
-    schemes: Vec<Option<SchemeResult>>,
-    fired: bool,
+    schemes: [Option<SchemeResult>; SchemeKind::ALL.len()],
+    /// Shared with the completing unit only while its hook runs.
+    result: Option<Arc<BenchmarkResult>>,
 }
 
 impl BenchAccum {
-    /// Stages `result`; returns the full set when this insert completed
-    /// it. First write wins per slot, so a retried unit job that
-    /// partially ran before panicking cannot double-insert.
-    fn insert(&mut self, result: &UnitResult) -> Option<BenchAccum> {
-        if self.schemes.is_empty() {
-            self.schemes = (0..SchemeKind::ALL.len()).map(|_| None).collect();
+    /// Stages `unit`; returns the assembled benchmark when this insert
+    /// completed it. A benchmark assembles once and first write wins
+    /// per slot, so a retried unit job can neither replace a piece nor
+    /// fire the hook twice.
+    fn insert(&mut self, unit: UnitResult, name: &str) -> Option<Arc<BenchmarkResult>> {
+        if self.result.is_some() {
+            return None;
         }
-        match result {
+        match unit {
             UnitResult::Stream(stats) => {
-                self.stream.get_or_insert(*stats);
+                self.stream.get_or_insert(stats);
             }
             UnitResult::Scheme(result) => {
                 let index = SchemeKind::ALL
                     .iter()
                     .position(|k| k.name() == result.scheme)
                     .expect("scheme result names a known kind");
-                self.schemes[index].get_or_insert_with(|| (**result).clone());
+                self.schemes[index].get_or_insert(*result);
             }
         }
-        let complete = self.stream.is_some() && self.schemes.iter().all(Option::is_some);
-        if !complete || self.fired {
+        if self.stream.is_none() || self.schemes.iter().any(Option::is_none) {
             return None;
         }
-        let taken = std::mem::take(self);
-        self.fired = true; // survives the take: the hook fires once
-        Some(taken)
+        let [conventional, rmw, wg, wgrb] =
+            std::mem::take(&mut self.schemes).map(|s| s.expect("every scheme present"));
+        let result = Arc::new(BenchmarkResult {
+            name: name.to_owned(),
+            stream: self.stream.take().expect("stream present"),
+            conventional,
+            rmw,
+            wg,
+            wgrb,
+        });
+        self.result = Some(Arc::clone(&result));
+        Some(result)
     }
 }
 
-/// Executes `plan` on the work-stealing pool and reassembles the
+/// Executes `plan` on the job pool and reassembles the
 /// outcomes deterministically (see the module docs for the guarantee).
 pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> SweepOutcome {
     let started = Instant::now();
@@ -470,32 +480,25 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> SweepOutcome {
         }
     }
 
-    // Live per-benchmark assembly for the completion hook: the five
-    // unit jobs of benchmark i occupy specs[i*5 .. i*5+5], so spec
-    // index / 5 addresses the benchmark's accumulator. Jobs clone
-    // their result in; whichever worker lands the fifth piece fires
-    // the hook. Only paid when a hook is installed.
-    let accumulators: Vec<Mutex<BenchAccum>> = if options.on_benchmark.is_some() {
-        (0..specs.len() / UNITS_PER_BENCHMARK)
-            .map(|_| Mutex::new(BenchAccum::default()))
-            .collect()
-    } else {
-        Vec::new()
-    };
+    // The five unit jobs of benchmark i occupy specs[i*5 .. i*5+5], so
+    // spec index / 5 addresses the benchmark's accumulator.
+    let accumulators: Vec<Mutex<BenchAccum>> = (0..specs.len() / UNITS_PER_BENCHMARK)
+        .map(|_| Mutex::new(BenchAccum::default()))
+        .collect();
 
     let store = &options.store;
     let series = options.series;
     let stream_chunk_ops = options.stream_chunk_ops;
     let hook = options.on_benchmark.as_ref();
     let accumulators = &accumulators;
-    let completed_benchmarks = std::sync::atomic::AtomicUsize::new(0);
+    let completed_benchmarks = AtomicUsize::new(0);
     let completed_benchmarks = &completed_benchmarks;
     let jobs: Vec<_> = specs
         .iter()
         .enumerate()
         .map(|(spec_index, &(g, b, unit))| {
             let store = Arc::clone(store);
-            move || {
+            move || -> Result<(), String> {
                 let profile = &plan.profiles[b];
                 let _slice = TimelineSpan::enter_lazy(
                     || {
@@ -526,55 +529,39 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> SweepOutcome {
                     }
                 };
                 let result = match unit {
-                    Unit::Stream => Ok(UnitResult::Stream(measure_stream(ops, config))),
+                    Unit::Stream => UnitResult::Stream(measure_stream(ops, config)),
                     Unit::Scheme(kind) => {
                         let mut sampler = series.map(|sampler_config| {
                             let bench = format!("{}/{}", plan.geometries[g].label, profile.name);
                             Sampler::new(&bench, kind.name(), sampler_config)
                         });
                         let mut controller = kind.build(config.geometry);
-                        replay(
+                        let result = replay(
                             controller.as_mut(),
                             ops,
                             config.warmup_ops,
                             sampler.as_mut(),
                         )
-                        .map(|result| UnitResult::Scheme(Box::new(result)))
-                        .map_err(|e| format!("series sampler failed: {e}"))
+                        .map_err(|e| format!("series sampler failed: {e}"))?;
+                        UnitResult::Scheme(Box::new(result))
                     }
                 };
-                if let (Some(hook), Ok(result)) = (hook, &result) {
-                    let accum = &accumulators[spec_index / UNITS_PER_BENCHMARK];
-                    let assembled = accum
-                        .lock()
-                        .expect("benchmark accumulator poisoned")
-                        .insert(result);
-                    if let Some(mut schemes) = assembled {
-                        let stream = schemes.stream.take().expect("stream present");
-                        let mut take =
-                            |i: usize| schemes.schemes[i].take().expect("scheme present");
-                        let assembled = BenchmarkResult {
-                            name: profile.name.clone(),
-                            stream,
-                            conventional: take(0),
-                            rmw: take(1),
-                            wg: take(2),
-                            wgrb: take(3),
-                        };
-                        let completed = completed_benchmarks
-                            .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-                            + 1;
-                        hook.0(BenchmarkEvent {
-                            geometry: g,
-                            benchmark: b,
-                            slot: g * n_profiles + b,
-                            completed,
-                            total: accumulators.len(),
-                            result: &assembled,
-                        });
-                    }
+                let assembled = accumulators[spec_index / UNITS_PER_BENCHMARK]
+                    .lock()
+                    .expect("benchmark accumulator poisoned")
+                    .insert(result, &profile.name);
+                if let (Some(hook), Some(result)) = (hook, assembled) {
+                    let completed = completed_benchmarks.fetch_add(1, Ordering::Relaxed) + 1;
+                    hook.0(BenchmarkEvent {
+                        geometry: g,
+                        benchmark: b,
+                        slot: g * n_profiles + b,
+                        completed,
+                        total: accumulators.len(),
+                        result: &result,
+                    });
                 }
-                result
+                Ok(())
             }
         })
         .collect();
@@ -609,8 +596,34 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> SweepOutcome {
         line.finish();
     }
 
-    // Deterministic merge: outcomes land in spec order, and specs were
-    // emitted in plan order.
+    // Deterministic merge: results land in their plan slots, never in
+    // completion order. A benchmark with any failed or drained unit
+    // stays `None`, exactly like an out-of-shard slot, and a resume
+    // re-runs it whole.
+    let mut failures = Vec::new();
+    let mut cancelled = 0usize;
+    let mut complete = vec![true; accumulators.len()];
+    for (spec_index, (&(g, b, unit), outcome)) in specs.iter().zip(report.outcomes).enumerate() {
+        complete[spec_index / UNITS_PER_BENCHMARK] &=
+            matches!(outcome, JobOutcome::Completed(Ok(())));
+        let (message, attempts) = match outcome {
+            JobOutcome::Completed(Ok(())) => continue,
+            // A unit that returned an error ran once and was not retried.
+            JobOutcome::Completed(Err(message)) => (message, 1),
+            JobOutcome::Failed { message, attempts } => (message, attempts),
+            JobOutcome::Cancelled => {
+                cancelled += 1;
+                continue;
+            }
+        };
+        failures.push(SweepFailure {
+            geometry: plan.geometries[g].label.clone(),
+            benchmark: plan.profiles[b].name.clone(),
+            unit: unit.name().to_string(),
+            message,
+            attempts,
+        });
+    }
     let mut geometries: Vec<GeometrySweep> = plan
         .geometries
         .iter()
@@ -619,38 +632,18 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> SweepOutcome {
             results: (0..n_profiles).map(|_| None).collect(),
         })
         .collect();
-    let mut failures = Vec::new();
-    let mut cancelled = 0usize;
-    let mut pending: Option<(usize, usize, Vec<SchemeResult>, Option<StreamStats>)> = None;
-    for (&(g, b, unit), outcome) in specs.iter().zip(report.outcomes) {
-        let slot = match &mut pending {
-            Some(p) if p.0 == g && p.1 == b => p,
-            _ => {
-                flush_benchmark(&mut geometries, plan, pending.take());
-                pending = Some((g, b, Vec::new(), None));
-                pending.as_mut().expect("just set")
-            }
-        };
-        let failure = |message, attempts| SweepFailure {
-            geometry: plan.geometries[g].label.clone(),
-            benchmark: plan.profiles[b].name.clone(),
-            unit: unit.name().to_string(),
-            message,
-            attempts,
-        };
-        match outcome {
-            JobOutcome::Completed(Ok(UnitResult::Stream(stats))) => slot.3 = Some(stats),
-            JobOutcome::Completed(Ok(UnitResult::Scheme(result))) => slot.2.push(*result),
-            // A unit that returned an error ran once and was not retried.
-            JobOutcome::Completed(Err(message)) => failures.push(failure(message, 1)),
-            JobOutcome::Failed { message, attempts } => failures.push(failure(message, attempts)),
-            // A drained unit leaves its benchmark incomplete; the
-            // benchmark simply stays `None`, exactly like an
-            // out-of-shard slot, and a resume re-runs it whole.
-            JobOutcome::Cancelled => cancelled += 1,
+    for (i, accum) in accumulators.iter().enumerate() {
+        let (g, b, _) = specs[i * UNITS_PER_BENCHMARK];
+        let result = accum
+            .lock()
+            .expect("benchmark accumulator poisoned")
+            .result
+            .take();
+        if complete[i] {
+            geometries[g].results[b] =
+                result.map(|r| Arc::into_inner(r).expect("no unit job still holds its benchmark"));
         }
     }
-    flush_benchmark(&mut geometries, plan, pending.take());
 
     let elapsed = started.elapsed();
     let mut metrics = MetricRegistry::new();
@@ -660,11 +653,6 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> SweepOutcome {
         ("sweep.jobs_failed", failures.len() as u64),
         ("sweep.jobs_cancelled", cancelled as u64),
         ("sweep.retries", report.retries),
-        ("sweep.steals", report.steals),
-        (
-            "sweep.parks",
-            report.worker_stats.iter().map(|w| w.parks).sum(),
-        ),
         (
             "sweep.benchmarks",
             (specs.len() / UNITS_PER_BENCHMARK) as u64,
@@ -693,28 +681,11 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> SweepOutcome {
     metrics.set(wall, elapsed.as_millis() as i64);
     let job_us = metrics.histogram("sweep.job_us");
     metrics.merge_histogram(job_us, &report.job_durations_us);
-    let depth = metrics.histogram("sweep.queue_depth");
-    metrics.merge_histogram(depth, &report.queue_depths);
     for (i, stats) in report.worker_stats.iter().enumerate() {
         let busy = metrics.gauge(&format!("sweep.worker.{i}.busy_pct"));
         metrics.set(busy, stats.busy_pct().round() as i64);
         let jobs = metrics.counter(&format!("sweep.worker.{i}.jobs"));
         metrics.add(jobs, stats.jobs);
-        let steals = metrics.counter(&format!("sweep.worker.{i}.steals"));
-        metrics.add(steals, stats.steals);
-    }
-    // Per-worker throughput / queue-depth series, folded into the
-    // scheduler-telemetry family (wall-clock quantities stay out of
-    // deterministic documents; `perfdiff --ignore sweep.` skips them).
-    for (i, samples) in report.worker_series.iter().enumerate() {
-        let depth = metrics.histogram(&format!("sweep.worker.{i}.queue_depth"));
-        let gap = metrics.histogram(&format!("sweep.worker.{i}.job_gap_ms"));
-        let mut previous_ms = 0;
-        for sample in samples {
-            metrics.observe(depth, sample.queue_depth);
-            metrics.observe(gap, sample.at_ms.saturating_sub(previous_ms));
-            previous_ms = sample.at_ms;
-        }
     }
 
     SweepOutcome {
@@ -725,34 +696,6 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> SweepOutcome {
         spans: report.spans,
         elapsed,
     }
-}
-
-/// Assembles one benchmark's five unit results into a
-/// `BenchmarkResult`, dropping it (the failure is already recorded)
-/// when any unit is missing.
-fn flush_benchmark(
-    geometries: &mut [GeometrySweep],
-    plan: &SweepPlan,
-    pending: Option<(usize, usize, Vec<SchemeResult>, Option<StreamStats>)>,
-) {
-    let Some((g, b, mut schemes, stream)) = pending else {
-        return;
-    };
-    let (Some(stream), true) = (stream, schemes.len() == SchemeKind::ALL.len()) else {
-        return;
-    };
-    let wgrb = schemes.pop().expect("four schemes");
-    let wg = schemes.pop().expect("three schemes");
-    let rmw = schemes.pop().expect("two schemes");
-    let conventional = schemes.pop().expect("one scheme");
-    geometries[g].results[b] = Some(BenchmarkResult {
-        name: plan.profiles[b].name.clone(),
-        stream,
-        conventional,
-        rmw,
-        wg,
-        wgrb,
-    });
 }
 
 /// Convenience for the figure binaries: runs the full suite over

@@ -252,10 +252,6 @@ fn scheduler_telemetry_accounts_for_every_job() {
         .map(|i| counter(&format!("sweep.worker.{i}.jobs")))
         .sum();
     assert_eq!(per_worker, jobs);
-    let steals: u64 = (0..3)
-        .map(|i| counter(&format!("sweep.worker.{i}.steals")))
-        .sum();
-    assert_eq!(steals, counter("sweep.steals"));
     // The per-job duration histogram saw exactly one sample per job.
     let job_us_count = metrics
         .get("histograms")

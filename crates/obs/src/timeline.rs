@@ -13,8 +13,8 @@
 //! `chrome://tracing` or [Perfetto](https://ui.perfetto.dev): one track
 //! per recording thread (named via [`set_track_name`] — the exec pool
 //! names its tracks `worker-0`, `worker-1`, ...), duration events as
-//! `B`/`E` pairs, and point events (steals, trace-store hits) as `i`
-//! instants.
+//! `B`/`E` pairs, and point events (job retries and failures,
+//! trace-store hits) as `i` instants.
 //!
 //! The profiler in [`crate::span`] mirrors every span into the timeline
 //! when it is enabled, so `span!`-instrumented phases show up on their
@@ -132,10 +132,10 @@ fn record(name: String, cat: &'static str, phase: TimelinePhase) {
     with_thread_track(|track| track.events.push(event));
 }
 
-/// Records the start of a duration slice on this thread's track.
-/// Prefer [`TimelineSpan`] where scoping allows; explicit begin/end is
-/// for slices that straddle loop iterations (e.g. worker idle time).
-pub fn begin(name: impl Into<String>, cat: &'static str) {
+/// Records the start of a duration slice on this thread's track. The
+/// span profiler mirrors its spans through this pair; everything else
+/// opens slices with [`TimelineSpan`].
+pub(crate) fn begin(name: impl Into<String>, cat: &'static str) {
     if !is_enabled() {
         return;
     }
@@ -143,7 +143,7 @@ pub fn begin(name: impl Into<String>, cat: &'static str) {
 }
 
 /// Records the end of a duration slice opened with [`begin`].
-pub fn end(name: impl Into<String>, cat: &'static str) {
+pub(crate) fn end(name: impl Into<String>, cat: &'static str) {
     if !is_enabled() {
         return;
     }

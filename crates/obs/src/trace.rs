@@ -315,22 +315,6 @@ impl Tracer {
         self.ring.clear();
     }
 
-    /// Folds `other`'s events into `self`, re-sorting by tick so the
-    /// merged stream stays chronological. Used when several components
-    /// record into separate tracers.
-    pub fn absorb(&mut self, other: &Tracer) {
-        let mut merged: Vec<TraceEvent> = self.events().copied().collect();
-        merged.extend(other.events().copied());
-        merged.sort_by_key(|e| e.tick);
-        let dropped = self.ring.dropped() + other.ring.dropped();
-        let capacity = self.ring.capacity;
-        self.ring.clear();
-        self.ring.dropped = dropped;
-        for e in merged.into_iter().rev().take(capacity).rev() {
-            self.ring.push(e);
-        }
-    }
-
     /// Writes every recorded event as one JSON object per line.
     ///
     /// # Errors
@@ -434,17 +418,5 @@ mod tests {
             .map(|l| parse_jsonl_line(l).expect("line parses"))
             .collect();
         assert_eq!(parsed, original);
-    }
-
-    #[test]
-    fn absorb_merges_chronologically() {
-        let mut a = Tracer::new(TraceLevel::Event, 16);
-        let mut b = Tracer::new(TraceLevel::Event, 16);
-        a.emit(event(0));
-        a.emit(event(4));
-        b.emit(event(2));
-        a.absorb(&b);
-        let ticks: Vec<u64> = a.events().map(|e| e.tick).collect();
-        assert_eq!(ticks, vec![0, 2, 4]);
     }
 }

@@ -129,8 +129,7 @@ fn chrome_trace_shape_across_threads() {
 
     // After disable, recording helpers are inert: a second drain sees
     // nothing new.
-    timeline::begin("late", "span");
-    timeline::end("late", "span");
+    drop(TimelineSpan::enter("late", "span"));
     timeline::instant("late", "span");
     let quiet = timeline::drain();
     assert_eq!(quiet.event_count(), 0, "disabled timeline still recorded");

@@ -16,7 +16,7 @@
 //!   lines (a crash mid-append) are tolerated and re-run.
 //! * [`state`] — the job registry, the per-job event log `watch`
 //!   streams from, and the single-executor runner that multiplexes
-//!   every client's jobs onto one work-stealing pool and one warm
+//!   every client's jobs onto one job pool and one warm
 //!   [`TraceStore`](cache8t_exec::TraceStore).
 //! * [`server`] / [`client`] — the socket front-ends (TCP or unix
 //!   domain, `unix:` prefix), thread-per-connection, and the blocking

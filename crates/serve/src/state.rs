@@ -2,8 +2,8 @@
 //! and the single-executor sweep runner with checkpoint resume.
 //!
 //! Jobs run one at a time on a dedicated executor thread — each sweep
-//! already saturates the host through the work-stealing pool, so
-//! running two concurrently would only fight over cores. Clients
+//! already saturates the host through the job pool, so running two
+//! concurrently would only fight over cores. Clients
 //! multiplex freely: submits queue, `status`/`watch`/`results` answer
 //! from shared state at any time, and every job draws traces from the
 //! server's one warm [`TraceStore`], so later jobs skip generation the

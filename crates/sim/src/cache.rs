@@ -275,11 +275,6 @@ impl DataCache {
         kernels::first_clear(&self.flags[base..base + self.ways], VALID)
     }
 
-    /// The set that `addr` maps to.
-    pub fn set_of(&self, addr: Address) -> SetView<'_> {
-        self.set(self.geometry.set_index_of(addr))
-    }
-
     /// The set at `set_index`.
     ///
     /// # Panics
@@ -669,58 +664,6 @@ impl DataCache {
         }
     }
 
-    /// Like [`update_block`](Self::update_block), but compares first with
-    /// the branchless block-compare kernel and skips the copy when the
-    /// buffered data is identical to the stored block. Returns `true` iff
-    /// any word actually changed.
-    ///
-    /// The dirty bit is updated unconditionally, so the observable cache
-    /// state is exactly that of `update_block`; only the redundant
-    /// memcpy is elided. This is the WG Set-Buffer deposit path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the way is invalid or `data` is not exactly one block.
-    pub fn update_block_checked(
-        &mut self,
-        set_index: u64,
-        way: usize,
-        data: &[u64],
-        dirty: bool,
-    ) -> bool {
-        assert_eq!(data.len(), self.block_words);
-        let line = set_index as usize * self.ways + way;
-        assert!(
-            self.flags[line] & VALID != 0,
-            "cannot update an invalid line"
-        );
-        let changed = kernels::words_differ(self.block(line), data);
-        if changed {
-            self.block_mut(line).copy_from_slice(data);
-        }
-        if dirty {
-            self.flags[line] |= DIRTY;
-        } else {
-            self.flags[line] &= !DIRTY;
-        }
-        changed
-    }
-
-    /// Marks a resident line clean (after its data has been written back to
-    /// memory).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the way is invalid.
-    pub fn mark_clean(&mut self, set_index: u64, way: usize) {
-        let line = set_index as usize * self.ways + way;
-        assert!(
-            self.flags[line] & VALID != 0,
-            "cannot clean an invalid line"
-        );
-        self.flags[line] &= !DIRTY;
-    }
-
     /// Iterates over `(set_index, way, line)` for every valid line.
     pub fn iter_valid_lines(&self) -> impl Iterator<Item = (u64, usize, LineView<'_>)> + '_ {
         (0..self.tags.len())
@@ -888,7 +831,7 @@ mod tests {
         c.update_block(set, way, &[9, 9, 9, 9], true);
         assert_eq!(c.read_word(a), Some(9));
         assert!(c.set(set).line(way).is_dirty());
-        c.mark_clean(set, way);
+        c.update_block(set, way, &[9, 9, 9, 9], false);
         assert!(!c.set(set).line(way).is_dirty());
     }
 

@@ -92,15 +92,6 @@ impl MainMemory {
         }
     }
 
-    /// Reads the whole block containing `addr` (zero-filled if untouched).
-    ///
-    /// Allocates the returned `Vec`; the hot paths use
-    /// [`read_block_ref`](Self::read_block_ref) or
-    /// [`read_block_into`](Self::read_block_into) instead.
-    pub fn read_block(&self, addr: Address) -> Vec<u64> {
-        self.read_block_ref(addr).to_vec()
-    }
-
     /// Copies the whole block containing `addr` into `dst` (zeros if
     /// untouched).
     ///
@@ -139,22 +130,6 @@ impl MainMemory {
         }
     }
 
-    /// Overwrites the whole block containing `addr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len()` does not equal the block size in words.
-    pub fn write_block(&mut self, addr: Address, data: Vec<u64>) {
-        assert_eq!(
-            data.len(),
-            self.block_words,
-            "block data must be exactly {} words",
-            self.block_words
-        );
-        let base = self.block_base(addr);
-        self.blocks.insert(base, data.into_boxed_slice());
-    }
-
     /// Reads the aligned 64-bit word containing `addr`.
     pub fn read_word(&self, addr: Address) -> u64 {
         let base = self.block_base(addr);
@@ -187,7 +162,6 @@ mod tests {
         let mem = MainMemory::new(32);
         assert_eq!(mem.read_word(Address::new(0)), 0);
         assert_eq!(mem.read_word(Address::new(0xffff_fff8)), 0);
-        assert_eq!(mem.read_block(Address::new(0x123000)), vec![0; 4]);
         assert_eq!(mem.read_block_ref(Address::new(0x123000)), &[0; 4]);
         assert_eq!(mem.resident_blocks(), 0);
     }
@@ -198,7 +172,7 @@ mod tests {
         mem.write_word(Address::new(0x100), 1);
         mem.write_word(Address::new(0x108), 2);
         mem.write_word(Address::new(0x118), 4);
-        assert_eq!(mem.read_block(Address::new(0x100)), vec![1, 2, 0, 4]);
+        assert_eq!(mem.read_block_ref(Address::new(0x100)), &[1, 2, 0, 4]);
         assert_eq!(mem.resident_blocks(), 1);
     }
 
@@ -214,7 +188,7 @@ mod tests {
     fn block_write_replaces_contents() {
         let mut mem = MainMemory::new(32);
         mem.write_word(Address::new(0x40), 5);
-        mem.write_block(Address::new(0x47), vec![10, 11, 12, 13]);
+        mem.write_block_from(Address::new(0x47), &[10, 11, 12, 13]);
         assert_eq!(mem.read_word(Address::new(0x40)), 10);
         assert_eq!(mem.read_word(Address::new(0x58)), 13);
     }
@@ -244,7 +218,7 @@ mod tests {
     #[should_panic(expected = "exactly 4 words")]
     fn block_write_rejects_wrong_size() {
         let mut mem = MainMemory::new(32);
-        mem.write_block(Address::new(0), vec![0; 3]);
+        mem.write_block_from(Address::new(0), &[0; 3]);
     }
 
     #[test]

@@ -256,38 +256,6 @@ impl SramArray {
         }
     }
 
-    /// Converts the retained [`EventLog`] entries into obs trace events
-    /// (`Component::Sram`, `EventKind::RowAccess`; `detail` = 0 read,
-    /// 1 full-row write, 2 partial write, 3 precharge).
-    ///
-    /// The array has no notion of the controller's request tick, so the
-    /// events are stamped with their position in the log; merge them into
-    /// a [`Tracer`](cache8t_obs::Tracer) with
-    /// [`Tracer::absorb`](cache8t_obs::Tracer::absorb) if interleaving
-    /// with controller events is needed.
-    pub fn obs_trace_events(&self) -> Vec<cache8t_obs::TraceEvent> {
-        use cache8t_obs::{Component, EventKind, TraceEvent};
-        self.log
-            .events()
-            .enumerate()
-            .map(|(i, e)| {
-                let detail = match e {
-                    ArrayEvent::ReadRow { .. } => 0,
-                    ArrayEvent::WriteRow { .. } => 1,
-                    ArrayEvent::PartialWriteRow { .. } => 2,
-                    ArrayEvent::Precharge { .. } => 3,
-                };
-                TraceEvent::new(
-                    i as u64,
-                    Component::Sram,
-                    EventKind::RowAccess,
-                    e.row() as u64,
-                    detail,
-                )
-            })
-            .collect()
-    }
-
     fn check_row(&self, row: usize) -> Result<(), ArrayError> {
         if row >= self.config.rows() {
             return Err(ArrayError::RowOutOfRange {
@@ -646,10 +614,8 @@ mod tests {
     }
 
     #[test]
-    fn obs_bridge_exports_counters_and_events() {
-        use cache8t_obs::EventKind;
+    fn obs_bridge_exports_counters() {
         let mut a = small();
-        a.set_event_log(EventLog::with_capacity(16));
         a.write_row_full(2, &[1, 2, 3, 4]).unwrap();
         a.read_row(2).unwrap();
         let mut reg = cache8t_obs::MetricRegistry::new();
@@ -657,14 +623,6 @@ mod tests {
         assert_eq!(reg.counter_by_name("sram.row_writes"), Some(1));
         assert_eq!(reg.counter_by_name("sram.row_reads"), Some(1));
         assert_eq!(reg.counter_by_name("sram.precharges"), Some(1));
-        let events = a.obs_trace_events();
-        // write-row, precharge, read-row.
-        assert_eq!(events.len(), 3);
-        assert!(events.iter().all(|e| e.kind == EventKind::RowAccess));
-        assert_eq!(events[0].detail, 1, "full-row write");
-        assert_eq!(events[1].detail, 3, "precharge");
-        assert_eq!(events[2].detail, 0, "row read");
-        assert_eq!(events[2].addr, 2);
     }
 
     #[test]

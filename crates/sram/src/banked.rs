@@ -165,21 +165,6 @@ impl BankedArray {
         let id = registry.gauge("sram.banks");
         registry.set(id, self.banks.len() as i64);
     }
-
-    /// Converts every bank's retained event log into obs trace events,
-    /// with `addr` mapped back to the *global* row index
-    /// (`local * banks + bank`, the inverse of [`locate`](Self::locate)).
-    pub fn obs_trace_events(&self) -> Vec<cache8t_obs::TraceEvent> {
-        let banks = self.banks.len() as u64;
-        let mut events = Vec::new();
-        for (bank, array) in self.banks.iter().enumerate() {
-            events.extend(array.obs_trace_events().into_iter().map(|mut e| {
-                e.addr = e.addr * banks + bank as u64;
-                e
-            }));
-        }
-        events
-    }
 }
 
 impl fmt::Debug for BankedArray {
@@ -304,12 +289,8 @@ mod tests {
     }
 
     #[test]
-    fn obs_bridge_aggregates_banks_and_remaps_rows() {
-        use crate::EventLog;
+    fn obs_bridge_aggregates_banks() {
         let mut a = array();
-        for bank in &mut a.banks {
-            bank.set_event_log(EventLog::with_capacity(8));
-        }
         a.issue_rmw(6, 2, 0, 0xAB).unwrap(); // bank 2, local row 1
         a.issue_read(1, 0).unwrap(); // bank 1, local row 0
 
@@ -320,14 +301,6 @@ mod tests {
         let names = reg.names();
         assert!(names.contains(&"sram.banks"));
         assert!(names.contains(&"sram.read_port_busy_cycles"));
-
-        let events = a.obs_trace_events();
-        assert!(!events.is_empty());
-        // Every event's addr is a valid *global* row, and the rows touched
-        // (6 via the RMW, 1 via the read) appear under their global index.
-        assert!(events.iter().all(|e| (e.addr as usize) < a.rows()));
-        assert!(events.iter().any(|e| e.addr == 6));
-        assert!(events.iter().any(|e| e.addr == 1));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::io::{self, Read, Write};
 
 use cache8t_sim::{AccessKind, Address};
 
-use crate::{MemOp, Trace};
+use crate::{MemOp, Trace, TraceChunk};
 
 const MAGIC: [u8; 4] = *b"C8TT";
 const VERSION: u16 = 1;
@@ -281,6 +281,27 @@ impl<R: Read> TraceFileReader<R> {
         }
         Ok(take)
     }
+
+    /// Reads up to `max_ops` records as one [`TraceChunk`], `None` once
+    /// every record has been read. The header's instruction total is
+    /// pro-rated over chunks with telescoping floors, so the chunks'
+    /// instruction counts sum exactly to [`instructions`](Self::instructions).
+    ///
+    /// # Errors
+    ///
+    /// As [`read_ops`](Self::read_ops).
+    pub fn read_chunk(&mut self, max_ops: usize) -> Result<Option<TraceChunk>, ReadTraceError> {
+        if self.remaining() == 0 {
+            return Ok(None);
+        }
+        let start_op = self.position;
+        let mut ops = Vec::new();
+        self.read_ops(&mut ops, max_ops as u64)?;
+        let (instructions, total) = (self.instructions as u128, self.op_count as u128);
+        let upto = |op: u64| (instructions * op as u128 / total) as u64;
+        let chunk_instructions = upto(self.position) - upto(start_op);
+        Ok(Some(TraceChunk::new(ops, start_op, chunk_instructions)))
+    }
 }
 
 impl<R> fmt::Debug for TraceFileReader<R> {
@@ -411,6 +432,20 @@ mod tests {
             assert_eq!(file.remaining(), 0);
             assert_eq!(file.position(), 3_000);
             assert_eq!(&ops[..], trace.ops(), "chunk={chunk}");
+
+            // `read_chunk` tiles the file, and its pro-rated
+            // instruction counts add up to the header total.
+            let mut file = TraceFileReader::open(buffer.as_slice()).expect("valid header");
+            let mut ops = Vec::new();
+            let mut instructions = 0;
+            while let Some(piece) = file.read_chunk(chunk as usize).expect("valid records") {
+                assert_eq!(piece.start_op(), ops.len() as u64, "chunk={chunk}");
+                assert!(!piece.is_empty() && piece.len() as u64 <= chunk);
+                ops.extend_from_slice(piece.ops());
+                instructions += piece.instructions();
+            }
+            assert_eq!(&ops[..], trace.ops(), "chunk={chunk}");
+            assert_eq!(instructions, trace.instructions(), "chunk={chunk}");
         }
     }
 

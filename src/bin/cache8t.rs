@@ -26,7 +26,7 @@ use cache8t::exec::{
     SweepOptions, SweepPlan, TraceStore,
 };
 use cache8t::obs::sampler::{self, Sampler, SamplerConfig, SeriesSample};
-use cache8t::obs::{perfdiff, timeline};
+use cache8t::obs::{perfdiff, timeline, TimelineSpan};
 use cache8t::serve::{Client, ClientError, PlanSpec, ServeConfig, Server};
 use cache8t::sim::{kernels, CacheGeometry, ReplacementKind};
 use cache8t::trace::analyze::StreamStats;
@@ -202,6 +202,18 @@ struct Command {
     args: &'static str,
     /// The flags it reads, as space-separated groups.
     flags: &'static [&'static str],
+    /// Its modes that read only some of those flags.
+    modes: &'static [Mode],
+}
+
+/// A mode of a subcommand, selected by a flag (`sweep --merge`) or by
+/// the action argument (`client submit`). [`parse`] rejects a flag the
+/// selected mode does not read.
+struct Mode {
+    /// The selecting flag or action.
+    when: &'static str,
+    /// The flags the mode reads, as space-separated groups.
+    flags: &'static [&'static str],
 }
 
 /// The flags that describe a sweep plan. `sweep` runs the plan they
@@ -214,18 +226,21 @@ const COMMANDS: &[Command] = &[
         run: cmd_list_profiles,
         args: "",
         flags: &[],
+        modes: &[],
     },
     Command {
         name: "gen",
         run: cmd_gen,
         args: "",
         flags: &["--profile --out --ops --seed"],
+        modes: &[],
     },
     Command {
         name: "analyze",
         run: cmd_analyze,
         args: "",
         flags: &["--trace --profile --ops --seed --cache"],
+        modes: &[],
     },
     Command {
         name: "simulate",
@@ -235,6 +250,7 @@ const COMMANDS: &[Command] = &[
             "--scheme --trace --profile --ops --seed --cache --l2 --stream-chunk-ops",
             "--metrics-out --trace-out --timeline-out --series-out --series-cadence",
         ],
+        modes: &[],
     },
     Command {
         name: "sweep",
@@ -245,30 +261,38 @@ const COMMANDS: &[Command] = &[
             "--jobs --retries --shard --trace-store --stream-chunk-ops --merge",
             "--out --json --metrics-out --timeline-out --series-out",
         ],
+        modes: &[Mode {
+            when: "--merge",
+            flags: &["--merge --out --json"],
+        }],
     },
     Command {
         name: "bench-core",
         run: cmd_bench_core,
         args: "",
         flags: &["--profile --ops --seed --reps --cache --l2 --out --json"],
+        modes: &[],
     },
     Command {
         name: "perfdiff",
         run: cmd_perfdiff,
         args: "BASELINE.json CURRENT.json",
         flags: &["--fail-on-regress --ignore --json --out"],
+        modes: &[],
     },
     Command {
         name: "watch",
         run: cmd_watch,
         args: "SERIES.jsonl",
         flags: &["--follow --rows"],
+        modes: &[],
     },
     Command {
         name: "report-series",
         run: cmd_report_series,
         args: "SERIES.jsonl",
         flags: &["--rows"],
+        modes: &[],
     },
     Command {
         name: "serve",
@@ -278,18 +302,54 @@ const COMMANDS: &[Command] = &[
             "--listen --checkpoint-dir --jobs --retries --trace-store --stream-chunk-ops",
             "--log-out --timeline-out",
         ],
+        modes: &[],
     },
     Command {
         name: "client",
         run: cmd_client,
         args: "ACTION",
         flags: &[PLAN_FLAGS, "--connect --job --wait --out --json --text"],
+        modes: &[
+            Mode {
+                when: "submit",
+                flags: &[PLAN_FLAGS, "--connect --wait --json --out"],
+            },
+            Mode {
+                when: "status",
+                flags: &["--connect --job"],
+            },
+            Mode {
+                when: "fetch",
+                flags: &["--connect --job --wait --json --out"],
+            },
+            Mode {
+                when: "watch",
+                flags: &["--connect --job"],
+            },
+            Mode {
+                when: "cancel",
+                flags: &["--connect --job"],
+            },
+            Mode {
+                when: "health",
+                flags: &["--connect"],
+            },
+            Mode {
+                when: "metrics",
+                flags: &["--connect --text --out"],
+            },
+            Mode {
+                when: "shutdown",
+                flags: &["--connect"],
+            },
+        ],
     },
     Command {
         name: "top",
         run: cmd_top,
         args: "",
         flags: &["--connect --interval-ms --once"],
+        modes: &[],
     },
     Command {
         name: "check",
@@ -299,6 +359,13 @@ const COMMANDS: &[Command] = &[
             "--schemes --profiles --trace --ops --seed --cache --fuzz-rounds",
             "--jobs --retries --shrink-out --trace-out",
         ],
+        modes: &[Mode {
+            when: "--trace",
+            flags: &[
+                "--schemes --trace --ops --seed --cache --fuzz-rounds",
+                "--jobs --retries --shrink-out --trace-out",
+            ],
+        }],
     },
 ];
 
@@ -306,12 +373,13 @@ impl Command {
     fn named(name: &str) -> Option<&'static Command> {
         COMMANDS.iter().find(|c| c.name == name)
     }
+}
 
-    fn reads(&self, flag: &str) -> bool {
-        self.flags
-            .iter()
-            .any(|group| group.split_whitespace().any(|f| f == flag))
-    }
+/// Whether `flag` is one of the space-separated flags in `groups`.
+fn lists(groups: &[&str], flag: &str) -> bool {
+    groups
+        .iter()
+        .any(|group| group.split_whitespace().any(|f| f == flag))
 }
 
 /// Parses an integer flag value; `_` separators are allowed (`65_536`).
@@ -343,7 +411,8 @@ fn parse_geometry(flag: &str, spec: &str) -> Result<CacheGeometry, String> {
 }
 
 /// Parses the arguments of `command`: each flag once, into [`Options`],
-/// and rejects a flag the command does not read.
+/// and rejects a flag the command, or its selected [`Mode`], does not
+/// read.
 fn parse(command: &Command, args: &[String]) -> Result<Options, String> {
     let mut o = Options {
         ops: 100_000,
@@ -363,6 +432,7 @@ fn parse(command: &Command, args: &[String]) -> Result<Options, String> {
         interval_ms: 1_000,
         ..Options::default()
     };
+    let mut given = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let flag = arg.as_str();
@@ -370,7 +440,8 @@ fn parse(command: &Command, args: &[String]) -> Result<Options, String> {
             o.args.push(arg.clone());
             continue;
         }
-        if !command.reads(flag) {
+        given.push(flag);
+        if !lists(command.flags, flag) {
             return Err(format!(
                 "{} does not take {flag} (it takes: {})",
                 command.name,
@@ -445,6 +516,17 @@ fn parse(command: &Command, args: &[String]) -> Result<Options, String> {
         } else {
             format!("{} needs exactly {}", command.name, command.args)
         });
+    }
+    let selects = |when: &str| given.contains(&when) || o.args.first().is_some_and(|a| a == when);
+    if let Some(mode) = command.modes.iter().find(|m| selects(m.when)) {
+        if let Some(flag) = given.iter().find(|f| !lists(mode.flags, f)) {
+            return Err(format!(
+                "{} {} does not take {flag} (it takes: {})",
+                command.name,
+                mode.when,
+                mode.flags.join(" ")
+            ));
+        }
     }
     Ok(o)
 }
@@ -630,9 +712,10 @@ fn cmd_simulate(o: &Options) -> Result<(), String> {
         }
         None => None,
     };
-    timeline::begin("replay", "sim");
-    let replayed = replay(controller.as_mut(), ops, 0, sampler.as_mut());
-    timeline::end("replay", "sim");
+    let replayed = {
+        let _slice = TimelineSpan::enter("replay", "sim");
+        replay(controller.as_mut(), ops, 0, sampler.as_mut())
+    };
     let read_error = read_error.lock().expect("read-error slot poisoned").take();
     if let (Some(path), Some(e)) = (&o.trace, read_error) {
         return Err(format!("cannot read {path}: {e}"));
@@ -669,11 +752,10 @@ fn cmd_simulate(o: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// Chunk-at-a-time reads of a saved `.c8tt` trace for streamed replay.
-/// The header's instruction total is pro-rated over chunks with
-/// telescoping floors, so per-chunk counts sum exactly to the total.
-/// A mid-stream read error ends the stream and lands in `error`, which
-/// `simulate` reports after replay.
+/// Chunk-at-a-time reads of a saved `.c8tt` trace for streamed replay
+/// (see [`TraceFileReader::read_chunk`]). A mid-stream read error ends
+/// the stream and lands in `error`, which `simulate` reports after
+/// replay.
 struct FileChunks {
     reader: TraceFileReader<BufReader<File>>,
     chunk_ops: usize,
@@ -682,21 +764,13 @@ struct FileChunks {
 
 impl ChunkSource for FileChunks {
     fn next_chunk(&mut self) -> Option<Arc<TraceChunk>> {
-        if self.reader.remaining() == 0 {
-            return None;
+        match self.reader.read_chunk(self.chunk_ops) {
+            Ok(chunk) => chunk.map(Arc::new),
+            Err(e) => {
+                *self.error.lock().expect("read-error slot poisoned") = Some(e.to_string());
+                None
+            }
         }
-        let start_op = self.reader.position();
-        let mut ops = Vec::new();
-        if let Err(e) = self.reader.read_ops(&mut ops, self.chunk_ops as u64) {
-            *self.error.lock().expect("read-error slot poisoned") = Some(e.to_string());
-            return None;
-        }
-        let end_op = self.reader.position();
-        let total = self.reader.op_count() as u128;
-        let instr = self.reader.instructions() as u128;
-        let instructions =
-            (instr * end_op as u128 / total - instr * start_op as u128 / total) as u64;
-        Some(Arc::new(TraceChunk::new(ops, start_op, instructions)))
     }
 }
 
@@ -2060,6 +2134,31 @@ mod tests {
             let err = opts(&[command, flag, "1"]).unwrap_err();
             assert!(err.contains(flag), "{command} {flag}: {err}");
         }
+        // So is a flag the selected mode would ignore, naming both.
+        for (args, mode, flag) in [
+            (
+                &["sweep", "--merge", "a.json", "--ops", "9"][..],
+                "--merge",
+                "--ops",
+            ),
+            (
+                &["check", "--trace", "t.c8tt", "--profiles", "gcc"],
+                "--trace",
+                "--profiles",
+            ),
+            (&["client", "status", "--wait"], "status", "--wait"),
+            (&["client", "fetch", "--ops", "9"], "fetch", "--ops"),
+            (&["client", "submit", "--job", "job-1"], "submit", "--job"),
+            (&["client", "metrics", "--json"], "metrics", "--json"),
+            (&["client", "health", "--out", "h.json"], "health", "--out"),
+            (&["client", "watch", "--text"], "watch", "--text"),
+        ] {
+            let err = opts(args).unwrap_err();
+            assert!(
+                err.contains(&format!("{mode} does not take {flag}")),
+                "{args:?}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -2079,10 +2178,6 @@ mod tests {
             "--json",
             "--trace-store",
             "off",
-            "--merge",
-            "a.json",
-            "--merge",
-            "b.json",
             "--stream-chunk-ops",
             "65_536",
         ])
@@ -2105,7 +2200,14 @@ mod tests {
         );
         assert!(o.json);
         assert_eq!(o.trace_store.as_deref(), Some("off"));
+        // Merge mode reads only its sinks.
+        let o = opts(&[
+            "sweep", "--merge", "a.json", "--merge", "b.json", "--json", "--out", "m.json",
+        ])
+        .unwrap();
         assert_eq!(o.merge, vec!["a.json".to_string(), "b.json".to_string()]);
+        assert!(o.json);
+        assert_eq!(o.out.as_deref(), Some("m.json"));
     }
 
     #[test]
@@ -2416,6 +2518,17 @@ mod tests {
                 // never that the flag is unknown.
                 if let Err(e) = opts(&[command.name, flag, "1"]) {
                     assert!(!e.starts_with("unknown flag"), "{}: {e}", command.name);
+                }
+            }
+            // A mode reads a subset of its subcommand's flags.
+            for mode in command.modes {
+                for flag in mode.flags.iter().flat_map(|g| g.split_whitespace()) {
+                    assert!(
+                        lists(command.flags, flag),
+                        "{} {}: {flag}",
+                        command.name,
+                        mode.when
+                    );
                 }
             }
         }

@@ -14,9 +14,9 @@
 //! - [`cpu`]: port-contention timing model.
 //! - [`obs`]: metric registry, structured event tracing
 //!   (`CACHE8T_TRACE`), and scoped span profiling.
-//! - [`exec`]: parallel sweep-execution engine — work-stealing job
-//!   scheduler, generate-once trace store, crash-isolated experiment
-//!   runner (`cache8t sweep`).
+//! - [`exec`]: parallel sweep-execution engine — a job pool whose
+//!   workers share one cursor over the job list, generate-once trace
+//!   store, crash-isolated experiment runner (`cache8t sweep`).
 //! - [`conform`]: differential conformance harness — lockstep oracle
 //!   replay against a golden memory, invariant checking, and seeded
 //!   trace fuzzing with reproducer shrinking (`cache8t check`).

@@ -188,6 +188,52 @@ fn bad_inputs_fail_cleanly() {
         assert!(!out.status.success(), "args {args:?} should fail");
         assert!(stderr.contains(flag), "args {args:?}: {stderr}");
     }
+
+    // So does a flag the selected mode would ignore, naming the mode.
+    // Parsing rejects these before any file is read or any daemon is
+    // contacted.
+    let shard = temp_path("ignored-shard.json")
+        .to_string_lossy()
+        .to_string();
+    let trace = temp_path("ignored.c8tt").to_string_lossy().to_string();
+    let mut cases = vec![
+        (
+            vec![
+                "sweep", "--merge", &shard, "--out", &out_file, "--ops", "2000",
+            ],
+            "sweep --merge does not take --ops".to_string(),
+        ),
+        (
+            vec!["sweep", "--merge", &shard, "--json", "--jobs", "2"],
+            "sweep --merge does not take --jobs".to_string(),
+        ),
+        (
+            vec!["check", "--trace", &trace, "--profiles", "gcc"],
+            "check --trace does not take --profiles".to_string(),
+        ),
+    ];
+    for (action, flag, value) in [
+        ("status", "--profiles", Some("gcc")),
+        ("status", "--wait", None),
+        ("fetch", "--ops", Some("2000")),
+        ("watch", "--json", None),
+        ("cancel", "--out", Some(out_file.as_str())),
+        ("health", "--job", Some("job-1")),
+        ("metrics", "--wait", None),
+        ("shutdown", "--text", None),
+        ("submit", "--job", Some("job-1")),
+        ("submit", "--text", None),
+    ] {
+        let mut args = vec!["client", "--connect", "127.0.0.1:9", action, flag];
+        args.extend(value);
+        cases.push((args, format!("client {action} does not take {flag}")));
+    }
+    for (args, message) in cases {
+        let out = cli().args(&args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "args {args:?}: {stderr}");
+        assert!(stderr.contains(&message), "args {args:?}: {stderr}");
+    }
 }
 
 #[cfg(target_os = "linux")]
