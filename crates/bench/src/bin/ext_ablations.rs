@@ -37,7 +37,7 @@ fn suite_reduction(options: WgOptions, replacement: ReplacementKind, ops: usize,
 }
 
 fn main() {
-    let args = CommonArgs::from_env();
+    let args = CommonArgs::from_env("--ops --seed --json");
     // Ablations sweep many configurations; use a fraction of the ops per
     // point so the default run stays tractable.
     let ops = (args.ops / 4).max(10_000);

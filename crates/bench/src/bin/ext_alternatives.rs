@@ -26,7 +26,7 @@ use cache8t_sim::{CacheGeometry, ReplacementKind};
 use cache8t_trace::{profiles, ProfiledGenerator, TraceGenerator};
 
 fn main() {
-    let args = CommonArgs::from_env();
+    let args = CommonArgs::from_env("--ops --seed --json");
     let ops = (args.ops / 4).max(10_000);
     let geometry = CacheGeometry::paper_baseline();
     let suite = profiles::spec2006();

@@ -31,7 +31,7 @@ fn build_mix(seed: u64, quantum: usize) -> MultiprogramMix {
 }
 
 fn main() {
-    let args = CommonArgs::from_env();
+    let args = CommonArgs::from_env("--ops --seed --json");
     let ops = (args.ops / 4).max(40_000);
     let geometry = CacheGeometry::paper_baseline();
 

@@ -20,7 +20,7 @@ use cache8t_sim::{CacheGeometry, ReplacementKind};
 use cache8t_trace::{profiles, ProfiledGenerator, TraceGenerator};
 
 fn main() {
-    let args = CommonArgs::from_env();
+    let args = CommonArgs::from_env("--ops --seed --json");
     let geometry = CacheGeometry::paper_baseline();
     let model = PortTimingModel::new(TimingConfig::default());
 

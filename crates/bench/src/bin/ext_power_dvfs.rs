@@ -18,7 +18,7 @@ use cache8t_energy::{ArrayModel, CellKind, TechnologyNode};
 use cache8t_sim::CacheGeometry;
 
 fn main() {
-    let args = CommonArgs::from_env();
+    let args = CommonArgs::from_env("--ops --seed --json");
     let geometry = CacheGeometry::paper_baseline();
     let node = TechnologyNode::nm32();
     let model = ArrayModel::for_cache(geometry, node, CellKind::EightT);

@@ -40,7 +40,7 @@ fn trial(rng: &mut SmallRng, words_per_row: usize, burst: usize) -> bool {
 }
 
 fn main() {
-    let args = CommonArgs::from_env();
+    let args = CommonArgs::from_env("--ops --seed --json");
     let trials = (args.ops / 1000).clamp(200, 5_000);
     let mut rng = SmallRng::seed_from_u64(args.seed);
 

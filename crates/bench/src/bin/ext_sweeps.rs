@@ -78,7 +78,7 @@ struct SweepPoint {
 }
 
 fn main() {
-    let args = CommonArgs::from_env();
+    let args = CommonArgs::from_env("--ops --seed --jobs");
     let ops = (args.ops / 10).max(20_000);
     let baseline = CacheGeometry::paper_baseline();
 

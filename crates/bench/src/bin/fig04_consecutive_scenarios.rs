@@ -13,7 +13,7 @@ use cache8t_trace::analyze::StreamStats;
 use cache8t_trace::{profiles, ProfiledGenerator, TraceGenerator};
 
 fn main() {
-    let args = CommonArgs::from_env();
+    let args = CommonArgs::from_env("--ops --seed --json");
     let geometry = CacheGeometry::paper_baseline();
 
     println!("Figure 4: breakdown of consecutive same-set access scenarios");

@@ -11,7 +11,7 @@ use cache8t_trace::analyze::StreamStats;
 use cache8t_trace::{profiles, ProfiledGenerator, TraceGenerator};
 
 fn main() {
-    let args = CommonArgs::from_env();
+    let args = CommonArgs::from_env("--ops --seed --json");
     let geometry = CacheGeometry::paper_baseline();
 
     println!("Figure 5: silent write frequency");

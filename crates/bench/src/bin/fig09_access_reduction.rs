@@ -6,13 +6,13 @@
 //! Paper reference values: WG 27 % average (47 % max, bwaves); WG+RB 33 %
 //! average, and WG+RB outperforms WG on every benchmark.
 
-use cache8t_bench::cli::CommonArgs;
+use cache8t_bench::cli::{CommonArgs, ALL_FLAGS};
 use cache8t_bench::experiment::{average, write_observability, BenchmarkResult};
 use cache8t_bench::table::{pct, Table};
 use cache8t_exec::{run_suites, GeometryPoint};
 
 fn main() {
-    let args = CommonArgs::from_env();
+    let args = CommonArgs::from_env(ALL_FLAGS);
     let baseline = GeometryPoint::named("baseline").expect("known geometry");
     let results = run_suites(vec![baseline], args.ops, args.seed, &args.sweep_options())
         .unwrap_or_else(|e| {

@@ -12,7 +12,7 @@ use cache8t_bench::table::{pct, Table};
 use cache8t_exec::{run_suites, GeometryPoint};
 
 fn main() {
-    let args = CommonArgs::from_env();
+    let args = CommonArgs::from_env("--ops --seed --jobs --json");
     let blocks64 = GeometryPoint::named("blocks64").expect("known geometry");
     let results = run_suites(vec![blocks64], args.ops, args.seed, &args.sweep_options())
         .unwrap_or_else(|e| {

@@ -12,7 +12,7 @@ use cache8t_bench::table::{pct, Table};
 use cache8t_exec::{run_suites, GeometryPoint};
 
 fn main() {
-    let args = CommonArgs::from_env();
+    let args = CommonArgs::from_env("--ops --seed --jobs --json");
     let points = ["small", "large"]
         .iter()
         .map(|label| GeometryPoint::named(label).expect("known geometry"))

@@ -5,17 +5,20 @@
 //! Paper reference values: "RMW increases cache access frequency by more
 //! than 32 % on average (max 47 %)".
 
-use cache8t_bench::cli::CommonArgs;
-use cache8t_bench::experiment::{
-    average, run_suite, write_observability, BenchmarkResult, RunConfig,
-};
+use cache8t_bench::cli::{CommonArgs, ALL_FLAGS};
+use cache8t_bench::experiment::{average, write_observability, BenchmarkResult};
 use cache8t_bench::table::{pct, Table};
-use cache8t_sim::CacheGeometry;
+use cache8t_exec::{run_suites, GeometryPoint};
 
 fn main() {
-    let args = CommonArgs::from_env();
-    let config = RunConfig::new(CacheGeometry::paper_baseline(), args.ops, args.seed);
-    let results = run_suite(config);
+    let args = CommonArgs::from_env(ALL_FLAGS);
+    let baseline = GeometryPoint::named("baseline").expect("known geometry");
+    let results = run_suites(vec![baseline], args.ops, args.seed, &args.sweep_options())
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(1);
+        })
+        .remove(0);
 
     println!("Motivation: RMW traffic increase over a conventional cache");
     println!("paper: more than 32% on average, max 47%\n");

@@ -9,7 +9,7 @@
 
 use std::process::ExitCode;
 
-use cache8t_bench::cli::CommonArgs;
+use cache8t_bench::cli::{CommonArgs, ALL_FLAGS};
 use cache8t_bench::experiment::{average, write_observability, BenchmarkResult};
 use cache8t_bench::table::Table;
 use cache8t_exec::{run_sweep, GeometryPoint, SweepPlan};
@@ -44,7 +44,7 @@ impl Check {
 }
 
 fn main() -> ExitCode {
-    let args = CommonArgs::from_env();
+    let args = CommonArgs::from_env(ALL_FLAGS);
     println!(
         "cache8t report card — {} ops/benchmark, seed {}\n",
         args.ops, args.seed
@@ -266,7 +266,7 @@ fn main() -> ExitCode {
     print!("{}", sweep_metrics.render_table());
     if !worker_spans.is_empty() {
         println!("\n[worker spans] (merged across {} ops jobs)", args.ops);
-        print!("{}", cache8t_obs::span::render_stats(&worker_spans));
+        print!("{}", cache8t_obs::timeline::render_stats(&worker_spans));
     }
 
     if args.json {

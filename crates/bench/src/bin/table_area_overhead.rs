@@ -16,7 +16,7 @@ use cache8t_sim::CacheGeometry;
 const PHYSICAL_ADDRESS_BITS: u32 = 48;
 
 fn main() {
-    let args = CommonArgs::from_env();
+    let args = CommonArgs::from_env("--json");
     println!("Section 5.4: Set-Buffer / Tag-Buffer area overhead");
     println!("paper: Set-Buffer < 0.2% of cache capacity; Tag-Buffer < 150 bits\n");
 

@@ -1,7 +1,8 @@
 //! Tiny argument parsing shared by the harness binaries.
 //!
-//! Every binary accepts the same flags, so a dependency-free parser
-//! suffices:
+//! One dependency-free parser knows every harness flag, and each binary
+//! passes it the flags it reads; any other flag is an error naming it
+//! (exit status 2), so a flag is never accepted and then ignored:
 //!
 //! - `--ops N` — measured operations per benchmark (default 2,000,000);
 //! - `--seed S` — generator seed (default 42);
@@ -17,12 +18,23 @@
 //! - `--series-out PATH` — sample windowed telemetry (one window every
 //!   65,536 replayed ops) during every scheme run and write the
 //!   time-series as JSONL to `PATH`.
+//!
+//! A binary reads the four output flags by running on the sweep engine
+//! and calling
+//! [`write_observability`](crate::experiment::write_observability); such
+//! a binary passes [`ALL_FLAGS`].
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use cache8t_exec::{ExecOptions, SweepOptions, TraceStore};
 use cache8t_obs::SamplerConfig;
+
+/// Every flag the parser knows: the list a binary passes when it runs
+/// on the sweep engine and honours all four output flags through
+/// [`write_observability`](crate::experiment::write_observability).
+pub const ALL_FLAGS: &str =
+    "--ops --seed --jobs --json --metrics-out --trace-out --timeline-out --series-out";
 
 /// Parsed common flags.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,19 +96,41 @@ impl CommonArgs {
     }
 
     /// Parses `std::env::args()`-style arguments (the first element is the
-    /// program name and is ignored).
+    /// program name, used in messages). `reads` lists, space-separated,
+    /// the flags the binary reads; any other flag is an error.
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message for unknown flags or malformed
-    /// values.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
+    /// Returns a human-readable message for a flag outside `reads` or a
+    /// malformed value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `reads` names a flag the parser does not know.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I, reads: &str) -> Result<Self, String> {
+        for flag in reads.split_whitespace() {
+            assert!(
+                ALL_FLAGS.split_whitespace().any(|k| k == flag),
+                "unknown harness flag {flag} in the reads list"
+            );
+        }
         let mut out = CommonArgs::new();
-        let mut iter = args.into_iter().skip(1);
+        let mut iter = args.into_iter();
+        let program = iter.next().unwrap_or_default();
+        let program = std::path::Path::new(&program)
+            .file_name()
+            .map_or_else(|| "<binary>".into(), |n| n.to_string_lossy().into_owned());
         while let Some(arg) = iter.next() {
+            if arg == "--help" || arg == "-h" {
+                return Err(format!("usage: {program} {reads}"));
+            }
+            if !reads.split_whitespace().any(|f| f == arg) {
+                return Err(format!("{program} does not take {arg} (it takes: {reads})"));
+            }
+            let mut value = || iter.next().ok_or(format!("{arg} requires a value"));
             match arg.as_str() {
                 "--ops" => {
-                    let v = iter.next().ok_or("--ops requires a value")?;
+                    let v = value()?;
                     out.ops = v
                         .replace('_', "")
                         .parse()
@@ -106,13 +140,13 @@ impl CommonArgs {
                     }
                 }
                 "--seed" => {
-                    let v = iter.next().ok_or("--seed requires a value")?;
+                    let v = value()?;
                     out.seed = v
                         .parse()
                         .map_err(|_| format!("invalid --seed value `{v}`"))?;
                 }
                 "--jobs" => {
-                    let v = iter.next().ok_or("--jobs requires a value")?;
+                    let v = value()?;
                     let jobs: usize = v
                         .parse()
                         .map_err(|_| format!("invalid --jobs value `{v}`"))?;
@@ -122,40 +156,23 @@ impl CommonArgs {
                     out.jobs = Some(jobs);
                 }
                 "--json" => out.json = true,
-                "--metrics-out" => {
-                    let v = iter.next().ok_or("--metrics-out requires a path")?;
-                    out.metrics_out = Some(PathBuf::from(v));
-                }
-                "--trace-out" => {
-                    let v = iter.next().ok_or("--trace-out requires a path")?;
-                    out.trace_out = Some(PathBuf::from(v));
-                }
-                "--timeline-out" => {
-                    let v = iter.next().ok_or("--timeline-out requires a path")?;
-                    out.timeline_out = Some(PathBuf::from(v));
-                }
-                "--series-out" => {
-                    let v = iter.next().ok_or("--series-out requires a path")?;
-                    out.series_out = Some(PathBuf::from(v));
-                }
-                "--help" | "-h" => {
-                    return Err("usage: <binary> [--ops N] [--seed S] [--jobs N] [--json] \
-                         [--metrics-out PATH] [--trace-out PATH] [--timeline-out PATH] \
-                         [--series-out PATH]"
-                        .to_string())
-                }
-                other => return Err(format!("unknown flag `{other}`")),
+                "--metrics-out" => out.metrics_out = Some(PathBuf::from(value()?)),
+                "--trace-out" => out.trace_out = Some(PathBuf::from(value()?)),
+                "--timeline-out" => out.timeline_out = Some(PathBuf::from(value()?)),
+                "--series-out" => out.series_out = Some(PathBuf::from(value()?)),
+                _ => unreachable!("{arg} is a known flag"),
             }
         }
         Ok(out)
     }
 
-    /// Parses the process arguments, printing the error and exiting with
-    /// status 2 on failure. Turns timeline recording on when
+    /// Parses the process arguments against `reads` (see
+    /// [`parse`](CommonArgs::parse)), printing the error and exiting
+    /// with status 2 on failure. Turns timeline recording on when
     /// `--timeline-out` is given, so every phase from the first trace
     /// generation onward lands in the trace.
-    pub fn from_env() -> Self {
-        match Self::parse(std::env::args()) {
+    pub fn from_env(reads: &str) -> Self {
+        match Self::parse(std::env::args(), reads) {
             Ok(args) => {
                 if args.timeline_out.is_some() {
                     cache8t_obs::timeline::enable();
@@ -176,8 +193,14 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Result<CommonArgs, String> {
+        parse_for(ALL_FLAGS, args)
+    }
+
+    fn parse_for(reads: &str, args: &[&str]) -> Result<CommonArgs, String> {
         CommonArgs::parse(
-            std::iter::once("bin".to_string()).chain(args.iter().map(|s| s.to_string())),
+            std::iter::once("target/release/fig10".to_string())
+                .chain(args.iter().map(|s| s.to_string())),
+            reads,
         )
     }
 
@@ -243,5 +266,56 @@ mod tests {
         assert!(parse(&["--trace-out"]).is_err());
         assert!(parse(&["--timeline-out"]).is_err());
         assert!(parse(&["--series-out"]).is_err());
+    }
+
+    #[test]
+    fn rejects_every_flag_the_binary_does_not_read() {
+        // A table binary on the sweep engine that writes no output file
+        // (fig10, fig11): the output flags would be ignored.
+        let reads = "--ops --seed --jobs --json";
+        assert!(parse_for(reads, &["--ops", "2000", "--jobs", "2", "--json"]).is_ok());
+        for (args, rejected) in [
+            (&["--series-out", "s.jsonl"][..], "--series-out"),
+            (&["--metrics-out", "m.json"], "--metrics-out"),
+            (&["--trace-out", "t.jsonl"], "--trace-out"),
+            (&["--timeline-out", "tl.json"], "--timeline-out"),
+            (
+                &[
+                    "--ops",
+                    "2000",
+                    "--series-out",
+                    "s.jsonl",
+                    "--metrics-out",
+                    "m.json",
+                ],
+                "--series-out",
+            ),
+        ] {
+            let err = parse_for(reads, args).expect_err("an unread flag is an error");
+            assert_eq!(
+                err,
+                format!("fig10 does not take {rejected} (it takes: {reads})"),
+                "{args:?}"
+            );
+        }
+        // A serial binary reads no --jobs; table_area_overhead reads
+        // only --json; ext_sweeps prints no JSON.
+        let err = parse_for("--ops --seed --json", &["--jobs", "2"]).unwrap_err();
+        assert!(err.contains("does not take --jobs"), "{err}");
+        let err = parse_for("--json", &["--ops", "5"]).unwrap_err();
+        assert!(err.contains("does not take --ops"), "{err}");
+        let err = parse_for("--ops --seed --jobs", &["--json"]).unwrap_err();
+        assert!(err.contains("does not take --json"), "{err}");
+        // The usage line lists exactly the flags the binary reads.
+        assert_eq!(
+            parse_for("--json", &["--help"]).unwrap_err(),
+            "usage: fig10 --json"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown harness flag --jsno")]
+    fn a_misspelt_reads_list_is_a_bug() {
+        let _ = parse_for("--ops --jsno", &[]);
     }
 }

@@ -23,10 +23,12 @@
 //! | `ext_context_switch` | extension E7: multiprogramming / context-switch sensitivity |
 //! | `report_card` | scores every text-anchored paper claim PASS/FAIL (nonzero exit on failure) |
 //!
-//! Every binary accepts `--ops N` (default 2,000,000) and `--seed S`
-//! (default 42); results are deterministic per seed. This library crate
-//! holds the shared machinery: the per-benchmark experiment runner and a
-//! plain-text table printer.
+//! The binaries that replay or generate traces take `--ops N` (default
+//! 2,000,000) and `--seed S` (default 42); results are deterministic per
+//! seed. Each binary names the [`cli::CommonArgs`] flags it reads and
+//! rejects any other. This library crate holds the shared machinery: the
+//! flag parser, the per-benchmark experiment runner and a plain-text
+//! table printer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]

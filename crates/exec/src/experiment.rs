@@ -17,7 +17,7 @@ use serde::Serialize;
 /// because every runner of this module iterates it.
 pub use cache8t_core::SchemeKind;
 use cache8t_core::{ArrayTraffic, Controller, CountingPolicy};
-use cache8t_obs::{span, MetricRegistry, Sampler, SeriesSample, SpanGuard, TraceEvent};
+use cache8t_obs::{MetricRegistry, Sampler, SeriesSample, Span, TraceEvent};
 use cache8t_sim::{CacheGeometry, CacheStats};
 use cache8t_trace::analyze::{StreamStats, StreamStatsAccumulator};
 use cache8t_trace::{
@@ -220,7 +220,7 @@ pub fn replay(
     warmup_ops: usize,
     sampler: Option<&mut Sampler>,
 ) -> io::Result<SchemeResult> {
-    let _span = SpanGuard::enter(controller.name());
+    let _span = Span::enter(controller.name());
     // A controller without a registry has no windows to sample.
     let mut sampler = sampler.filter(|_| controller.obs().is_some());
     let warmup = warmup_ops as u64;
@@ -319,7 +319,7 @@ fn finish_scheme(controller: &mut dyn Controller, series: Vec<SeriesSample>) -> 
 /// `warmup_split` pro-rating of the whole stream, so a chunk stream
 /// measures bit-identically to its materialized trace.
 pub fn measure_stream(ops: Ops<'_>, config: RunConfig) -> StreamStats {
-    let _span = span!("bench.stream_stats");
+    let _span = Span::enter("bench.stream_stats");
     let mut acc = StreamStatsAccumulator::new(config.geometry);
     let warmup = config.warmup_ops as u64;
     let (mut total_ops, mut total_instructions) = (0u64, 0u64);
@@ -341,7 +341,7 @@ pub fn measure_stream(ops: Ops<'_>, config: RunConfig) -> StreamStats {
 /// the Figure 10/11 sensitivity effects emerge from spatial locality
 /// rather than being re-generated away.
 pub fn generate_trace(profile: &WorkloadProfile, config: RunConfig) -> Trace {
-    let _span = span!("bench.generate");
+    let _span = Span::enter("bench.generate");
     let mut generator = ProfiledGenerator::new(
         profile.clone(),
         CacheGeometry::paper_baseline(),

@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use cache8t_obs::{span, timeline, Log2Histogram, SpanStat};
+use cache8t_obs::{timeline, Log2Histogram, SpanStat};
 
 /// A cooperative cancellation flag shared between a batch's submitter
 /// and its workers.
@@ -227,9 +227,9 @@ pub struct ExecReport<T> {
     pub worker_stats: Vec<WorkerStats>,
     /// Distribution of per-job wall-clock durations, in microseconds.
     pub job_durations_us: Log2Histogram,
-    /// Span-profiler stats merged from every worker thread — without
-    /// this, spans recorded on worker threads would die with their
-    /// thread-local profilers.
+    /// Span profiles merged from every worker thread — without this,
+    /// spans recorded on worker threads would die with their
+    /// thread-local recorders.
     pub spans: Vec<SpanStat>,
 }
 
@@ -324,9 +324,9 @@ impl<F> Shared<'_, F> {
             };
             self.report_progress(mean_job_us);
         }
-        // The thread-local span profiler dies with this thread: hand
-        // its accumulated stats to the batch report.
-        report.spans = span::take_report();
+        // The thread-local span recorder dies with this thread: hand
+        // its profile to the batch report.
+        report.spans = timeline::take_report();
         report
     }
 
@@ -473,7 +473,7 @@ where
         retries: shared.retries.into_inner(),
         worker_stats,
         job_durations_us,
-        spans: span::merge_reports(span_reports),
+        spans: timeline::merge_reports(span_reports),
     }
 }
 

@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use cache8t_obs::timeline;
+use cache8t_obs::{timeline, Span};
 use cache8t_sim::CacheGeometry;
 use cache8t_trace::{
     ChunkedGenerator, ProfiledGenerator, Trace, TraceChunk, TraceFileReader, TraceGenerator,
@@ -268,12 +268,13 @@ impl TraceStore {
                 }
             }
         }
-        let slice =
-            cache8t_obs::TimelineSpan::enter_lazy(|| format!("generate {}", key.name), "store");
+        let span = Span::labelled("store.generate", "store", || {
+            format!("generate {}", key.name)
+        });
         let trace =
             ProfiledGenerator::new(profile.clone(), CacheGeometry::paper_baseline(), key.seed)
                 .collect(key.ops);
-        drop(slice);
+        drop(span);
         self.generated.fetch_add(1, Ordering::Relaxed);
         if let Some(path) = &path {
             if let Err(e) = Self::persist(path, &trace) {
@@ -486,16 +487,15 @@ impl StreamCursor {
         let counters = Arc::clone(&self.state.counters);
         if self.private.is_none() {
             counters.restarts.fetch_add(1, Ordering::Relaxed);
-            let slice = cache8t_obs::TimelineSpan::enter_lazy(
-                || format!("stream restart {}", self.state.profile.name),
-                "store",
-            );
+            let span = Span::labelled("store.stream_restart", "store", || {
+                format!("stream restart {}", self.state.profile.name)
+            });
             let mut generator = self.state.fresh_generator();
             let skip = self.next_index * self.state.chunk_ops as u64;
             for _ in 0..skip {
                 generator.next_op();
             }
-            drop(slice);
+            drop(span);
             self.private = Some(ChunkedGenerator::resume(
                 generator,
                 self.state.chunk_ops,

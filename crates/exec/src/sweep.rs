@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use serde_json::Value;
 
-use cache8t_obs::{MetricRegistry, Sampler, SamplerConfig, SeriesSample, SpanStat, TimelineSpan};
+use cache8t_obs::{MetricRegistry, Sampler, SamplerConfig, SeriesSample, Span, SpanStat};
 use cache8t_sim::CacheGeometry;
 use cache8t_trace::analyze::StreamStats;
 use cache8t_trace::{profiles, WorkloadProfile};
@@ -313,9 +313,11 @@ pub struct SweepOutcome {
     /// Never part of the sweep document (it varies with schedule and
     /// machine).
     pub metrics: MetricRegistry,
-    /// Span-profiler stats merged across every worker thread (workers'
-    /// thread-local profilers die with their threads; the pool hands
-    /// their reports here).
+    /// Span profiles merged across every worker thread (workers'
+    /// thread-local recorders die with their threads; the pool hands
+    /// their reports here): `sweep.job` for each unit job,
+    /// `store.generate` for each generated trace, and the replay and
+    /// stream-statistics spans inside them.
     pub spans: Vec<SpanStat>,
     /// Wall-clock of the scheduled region.
     pub elapsed: Duration,
@@ -500,17 +502,14 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> SweepOutcome {
             let store = Arc::clone(store);
             move || -> Result<(), String> {
                 let profile = &plan.profiles[b];
-                let _slice = TimelineSpan::enter_lazy(
-                    || {
-                        format!(
-                            "{}/{}/{}",
-                            plan.geometries[g].label,
-                            profile.name,
-                            unit.name()
-                        )
-                    },
-                    "job",
-                );
+                let _span = Span::labelled("sweep.job", "job", || {
+                    format!(
+                        "{}/{}/{}",
+                        plan.geometries[g].label,
+                        profile.name,
+                        unit.name()
+                    )
+                });
                 let config = plan.config(g);
                 // Pick a source. A streamed unit never materializes the
                 // trace: it takes its own cursor (deduplicated through
@@ -580,7 +579,7 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> SweepOutcome {
     let ops_per_job = plan.config(0).total_ops() as f64;
     let observer = |p: JobProgress| {
         if let Some(line) = &progress {
-            line.tick_rate(p.done, p.failed, p.eta(), p.mops(ops_per_job));
+            line.tick(p.done, p.failed, p.eta(), p.mops(ops_per_job));
         }
         if let Some(hook) = &options.on_progress {
             hook.0(p);

@@ -134,10 +134,12 @@ fn small_plan() -> SweepPlan {
 }
 
 /// The span-profiler data-loss regression test: worker threads own
-/// thread-local profilers that die with the pool, so a parallel sweep
-/// used to report an empty span profile. The pool now hands every
+/// thread-local span recorders that die with the pool, so a parallel
+/// sweep used to report an empty span profile. The pool now hands every
 /// worker's report to the outcome, and the merged result must not
-/// depend on the worker count.
+/// depend on the worker count. At every worker count the profile also
+/// agrees with the scheduler counters: one `sweep.job` span per unit
+/// job and one `store.generate` span per generated trace.
 #[test]
 fn parallel_sweep_reports_the_same_span_set_as_serial() {
     let summarize = |workers: usize| -> BTreeMap<&'static str, u64> {
@@ -147,7 +149,21 @@ fn parallel_sweep_reports_the_same_span_set_as_serial() {
             !outcome.spans.is_empty(),
             "{workers}-worker sweep lost its span profile"
         );
-        outcome.spans.iter().map(|s| (s.name, s.calls)).collect()
+        let spans: BTreeMap<&'static str, u64> =
+            outcome.spans.iter().map(|s| (s.name, s.calls)).collect();
+        let counter = |name: &str| outcome.metrics.counter_by_name(name).expect(name);
+        assert_eq!(
+            spans.get("sweep.job").copied(),
+            Some(counter("sweep.jobs")),
+            "{workers} workers: one sweep.job span per unit job"
+        );
+        assert!(counter("sweep.trace.generated") > 0);
+        assert_eq!(
+            spans.get("store.generate").copied(),
+            Some(counter("sweep.trace.generated")),
+            "{workers} workers: one store.generate span per generated trace"
+        );
+        spans
     };
     let serial = summarize(1);
     let parallel = summarize(4);

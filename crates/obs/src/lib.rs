@@ -11,17 +11,16 @@
 //!   the `CACHE8T_TRACE` environment variable
 //!   ([`TraceLevel`]: `off` / `event` / `verbose`), with a JSONL
 //!   sink.
-//! * [`span`] — RAII wall-clock span timers
-//!   ([`span!`](crate::span!)) accumulating per-phase self/total time
-//!   in a thread-local profiler.
+//! * [`timeline`] — spans: one RAII [`Span`] guard whose thread-local
+//!   recorder feeds both a per-phase self/total profile
+//!   ([`SpanStat`], merged across pool workers) and, when enabled, a
+//!   wall-clock execution timeline of per-thread tracks serialized as
+//!   Chrome trace-event JSON (`chrome://tracing` / Perfetto;
+//!   `--timeline-out`). The exec pool's scheduler and the trace store
+//!   add instants to the same tracks.
 //!
 //! Two analysis pieces build on those:
 //!
-//! * [`timeline`] — wall-clock execution timelines: per-thread event
-//!   buffers serialized as Chrome trace-event JSON
-//!   (`chrome://tracing` / Perfetto), fed by the span profiler, the
-//!   exec pool's scheduler, and the trace store
-//!   (`--timeline-out` on the CLI and harness binaries).
 //! * [`perfdiff`] — cross-run regression analysis: flattens two metric
 //!   snapshots, aligns metrics by name, and reports deltas against a
 //!   threshold (`cache8t perfdiff`).
@@ -38,10 +37,10 @@
 //!   for long-lived processes (the serve daemon's accept/submit/
 //!   state-transition/shutdown records), filtered via `CACHE8T_LOG`.
 //!
-//! The simulator threads these through the controller stack: WG/WG+RB
-//! and RMW controllers and the SRAM array emit events and metrics, the
-//! bench harness snapshots registries into experiment results, and the
-//! CLI exposes `--metrics-out` / `--trace-out` / `--timeline-out`.
+//! The simulator threads these through the controller stack: the
+//! controllers emit events and metrics, the exec engine times every
+//! replay and unit job with spans, and the CLI exposes `--metrics-out` /
+//! `--trace-out` / `--timeline-out`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,7 +50,6 @@ pub mod oplog;
 pub mod perfdiff;
 pub mod progress;
 pub mod sampler;
-pub mod span;
 pub mod timeline;
 pub mod trace;
 
@@ -60,6 +58,5 @@ pub use oplog::{LogLevel, OpLog, OpLogStats, OPLOG_VERSION};
 pub use perfdiff::{MetricDelta, PerfDiff};
 pub use progress::{ProgressLine, ProgressMode, ProgressSnapshot};
 pub use sampler::{Sampler, SamplerConfig, SeriesSample};
-pub use span::{SpanGuard, SpanStat};
-pub use timeline::{TimelineEvent, TimelinePhase, TimelineSnapshot, TimelineSpan, TrackSnapshot};
-pub use trace::{Component, EventKind, EventRing, TraceEvent, TraceLevel, Tracer};
+pub use timeline::{Span, SpanStat, TimelineEvent, TimelinePhase, TimelineSnapshot, TrackSnapshot};
+pub use trace::{Component, EventKind, TraceEvent, TraceLevel, Tracer};

@@ -79,24 +79,12 @@ impl ProgressLine {
     }
 
     /// Records `done` finished items (`failed` of them failed) and
-    /// repaints if the throttle window has passed.
-    pub fn tick(&self, done: usize, failed: usize) {
-        self.tick_eta(done, failed, None);
-    }
-
-    /// Like [`tick`](ProgressLine::tick), with an estimated time to
-    /// completion appended (the sweep engine derives it from the
-    /// per-job duration histogram). Throttling is unchanged.
-    pub fn tick_eta(&self, done: usize, failed: usize, eta: Option<Duration>) {
-        self.tick_rate(done, failed, eta, None);
-    }
-
-    /// Like [`tick_eta`](ProgressLine::tick_eta), with a live
-    /// throughput figure (Mops/s) appended. Callers derive the rate
-    /// from the telemetry sampler's *last window* rather than the
-    /// cumulative mean, so the line tracks phase changes instead of
-    /// averaging them away. Throttling is unchanged.
-    pub fn tick_rate(&self, done: usize, failed: usize, eta: Option<Duration>, mops: Option<f64>) {
+    /// repaints if the throttle window has passed. The frame appends
+    /// the estimated time to completion and a live throughput figure
+    /// (Mops/s) when known; the sweep engine derives both from the
+    /// windowed recent-jobs mean, so the line tracks phase changes
+    /// instead of averaging them away.
+    pub fn tick(&self, done: usize, failed: usize, eta: Option<Duration>, mops: Option<f64>) {
         if !self.enabled {
             return;
         }
@@ -110,7 +98,7 @@ impl ProgressLine {
             }
         }
         *last = Some(now);
-        let line = Self::render_frame_rate(
+        let line = Self::render_frame(
             self.label,
             done,
             failed,
@@ -125,26 +113,12 @@ impl ProgressLine {
     }
 
     /// Formats one progress-line frame. Pure so it is unit-testable
-    /// without a terminal: an unknown ETA on an incomplete run renders
-    /// as `--:--` (the estimator returns `None` before any job has
+    /// without a terminal: a known rate sits between the elapsed time
+    /// and the ETA, and an unknown ETA on an incomplete run renders as
+    /// `--:--` (the estimator returns `None` before enough jobs have
     /// finished or when the duration mean is 0 — never divide there,
     /// report "unknown").
-    #[cfg(test)]
     fn render_frame(
-        label: &str,
-        done: usize,
-        failed: usize,
-        total: usize,
-        elapsed: Duration,
-        eta: Option<Duration>,
-    ) -> String {
-        Self::render_frame_rate(label, done, failed, total, elapsed, eta, None)
-    }
-
-    /// [`render_frame`](ProgressLine::render_frame) with an optional
-    /// last-window throughput figure between the elapsed time and the
-    /// ETA.
-    fn render_frame_rate(
         label: &str,
         done: usize,
         failed: usize,
@@ -261,7 +235,7 @@ mod tests {
     fn off_mode_never_draws() {
         let line = ProgressLine::new("test", 10, ProgressMode::Off);
         assert!(!line.is_enabled());
-        line.tick(5, 0); // must be a no-op, not a panic
+        line.tick(5, 0, None, None); // must be a no-op, not a panic
         line.finish();
     }
 
@@ -269,27 +243,28 @@ mod tests {
     fn always_mode_draws() {
         let line = ProgressLine::new("test", 2, ProgressMode::Always);
         assert!(line.is_enabled());
-        line.tick(1, 0);
-        line.tick(2, 1);
+        line.tick(1, 0, None, None);
+        line.tick(2, 1, None, None);
         line.finish();
     }
 
     #[test]
     fn eta_ticks_draw() {
         let line = ProgressLine::new("test", 3, ProgressMode::Always);
-        line.tick_eta(1, 0, Some(Duration::from_secs(9)));
-        line.tick_eta(2, 1, Some(Duration::from_millis(10))); // clamps to ~1s
-        line.tick_eta(3, 1, Some(Duration::from_secs(9))); // complete: no ETA shown
+        line.tick(1, 0, Some(Duration::from_secs(9)), None);
+        line.tick(2, 1, Some(Duration::from_millis(10)), None); // clamps to ~1s
+        line.tick(3, 1, Some(Duration::from_secs(9)), None); // complete: no ETA shown
         line.finish();
         let off = ProgressLine::new("test", 3, ProgressMode::Off);
-        off.tick_eta(1, 0, Some(Duration::from_secs(5))); // no-op
+        off.tick(1, 0, Some(Duration::from_secs(5)), None); // no-op
     }
 
     #[test]
     fn unknown_eta_renders_as_placeholder_not_garbage() {
         // Zero jobs done / zero duration mean: the estimator hands us
         // `None`, and the line must say so instead of a bogus number.
-        let frame = ProgressLine::render_frame("sweep", 0, 0, 10, Duration::from_secs(2), None);
+        let frame =
+            ProgressLine::render_frame("sweep", 0, 0, 10, Duration::from_secs(2), None, None);
         assert_eq!(frame, "sweep: 0/10 [2.0s, --:-- left]");
         // A known ETA still renders (clamped up to 1s)...
         let frame = ProgressLine::render_frame(
@@ -299,10 +274,12 @@ mod tests {
             10,
             Duration::from_secs(2),
             Some(Duration::from_millis(10)),
+            None,
         );
         assert_eq!(frame, "sweep: 3/10, 1 failed [2.0s, ~1s left]");
         // ...and a complete run shows no ETA at all, known or not.
-        let frame = ProgressLine::render_frame("sweep", 10, 0, 10, Duration::from_secs(2), None);
+        let frame =
+            ProgressLine::render_frame("sweep", 10, 0, 10, Duration::from_secs(2), None, None);
         assert_eq!(frame, "sweep: 10/10 [2.0s]");
         let frame = ProgressLine::render_frame(
             "sweep",
@@ -311,6 +288,7 @@ mod tests {
             10,
             Duration::from_secs(2),
             Some(Duration::from_secs(9)),
+            None,
         );
         assert_eq!(frame, "sweep: 10/10 [2.0s]");
     }
@@ -318,7 +296,7 @@ mod tests {
     #[test]
     fn rate_renders_from_the_last_window_not_at_all_when_unknown() {
         // A known last-window rate appears between elapsed and ETA.
-        let frame = ProgressLine::render_frame_rate(
+        let frame = ProgressLine::render_frame(
             "sweep",
             3,
             0,
@@ -331,23 +309,16 @@ mod tests {
         // Unknown / degenerate rates are omitted, not rendered as 0 or
         // NaN.
         for bogus in [None, Some(0.0), Some(f64::NAN), Some(-1.0)] {
-            let frame = ProgressLine::render_frame_rate(
-                "sweep",
-                3,
-                0,
-                10,
-                Duration::from_secs(2),
-                None,
-                bogus,
-            );
+            let frame =
+                ProgressLine::render_frame("sweep", 3, 0, 10, Duration::from_secs(2), None, bogus);
             assert_eq!(frame, "sweep: 3/10 [2.0s, --:-- left]");
         }
-        // tick_rate is safe in every mode.
+        // A rate-carrying tick is safe in every mode.
         let line = ProgressLine::new("test", 2, ProgressMode::Always);
-        line.tick_rate(1, 0, None, Some(5.0));
+        line.tick(1, 0, None, Some(5.0));
         line.finish();
         let off = ProgressLine::new("test", 2, ProgressMode::Off);
-        off.tick_rate(1, 0, None, Some(5.0));
+        off.tick(1, 0, None, Some(5.0));
     }
 
     #[test]

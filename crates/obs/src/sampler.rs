@@ -312,11 +312,6 @@ impl Sampler {
         self
     }
 
-    /// The configured cadence.
-    pub fn cadence(&self) -> u64 {
-        self.config.cadence
-    }
-
     /// Records one replayed op; `true` means a window boundary was hit
     /// and [`sample`](Sampler::sample) must be called.
     ///

@@ -1,12 +1,36 @@
-//! Wall-clock execution timelines in Chrome trace-event format.
+//! Spans: one RAII timer feeding both the profile report and the
+//! wall-clock execution timeline.
 //!
-//! Where [`crate::span`] answers "*how much* time went into each
-//! phase", the timeline answers "*when* did it happen, and on which
-//! thread": every recording thread owns a private event buffer (one
-//! uncontended mutex each — the only cross-thread lock is taken once,
-//! at first-event registration, and again at [`drain`] time), so
-//! recording never contends with other threads and costs a single
-//! relaxed atomic load when the timeline is disabled.
+//! A [`Span`] times a phase from its construction to its drop. One
+//! thread-local recorder takes what it measured twice:
+//!
+//! * the **profile** adds the time under the span's `'static` name:
+//!   call count, *total* (inclusive) and *self* (children subtracted)
+//!   time. [`take_report`] hands a thread's profile over,
+//!   [`merge_reports`] folds several threads' profiles into one and
+//!   [`render_stats`] prints it;
+//! * the **timeline**, while recording is on ([`enable`]), gets a
+//!   `B`/`E` slice on the thread's track. A slice carries a label and
+//!   a category: [`Span::enter`] draws its name in category `span`,
+//!   [`Span::labelled`] a label built per call (`"baseline/gcc/WG"`),
+//!   which it builds only while recording is on.
+//!
+//! ```
+//! use cache8t_obs::timeline::{self, Span};
+//! {
+//!     let _job = Span::labelled("sweep.job", "job", || format!("baseline/{}", "gcc"));
+//!     let _replay = Span::enter("WG+RB");
+//!     // ... replay, attributed to WG+RB ...
+//! }
+//! let report = timeline::take_report();
+//! assert_eq!(report.len(), 2);
+//! ```
+//!
+//! Every recording thread owns a private event buffer (one uncontended
+//! mutex each — the only cross-thread lock is taken once, at first-event
+//! registration, and again at [`drain`] time), so recording never
+//! contends with other threads and costs a single relaxed atomic load
+//! when the timeline is disabled. The profile is recorded either way.
 //!
 //! The drained [`TimelineSnapshot`] serializes as the Chrome
 //! trace-event JSON array format, directly loadable in
@@ -15,16 +39,13 @@
 //! names its tracks `worker-0`, `worker-1`, ...), duration events as
 //! `B`/`E` pairs, and point events (job retries and failures,
 //! trace-store hits) as `i` instants.
-//!
-//! The profiler in [`crate::span`] mirrors every span into the timeline
-//! when it is enabled, so `span!`-instrumented phases show up on their
-//! thread's track for free.
 
 use std::cell::RefCell;
+use std::cmp::Reverse;
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::{Duration, Instant};
 
 use serde::Value;
 
@@ -33,11 +54,52 @@ static EPOCH: OnceLock<Instant> = OnceLock::new();
 static TRACKS: Mutex<Vec<Arc<Mutex<Track>>>> = Mutex::new(Vec::new());
 
 thread_local! {
-    static THREAD_TRACK: RefCell<Option<ThreadTrack>> = const { RefCell::new(None) };
+    static RECORDER: RefCell<Recorder> = RefCell::new(Recorder::default());
 }
 
-struct ThreadTrack {
-    track: Arc<Mutex<Track>>,
+/// Everything a [`Span`] records into on one thread.
+#[derive(Default)]
+struct Recorder {
+    /// The profile, one entry per span name in first-seen order.
+    stats: Vec<SpanStat>,
+    /// Child time to subtract, one slot per open span.
+    child_time: Vec<Duration>,
+    /// The thread's timeline track, registered on first use.
+    track: Option<Arc<Mutex<Track>>>,
+}
+
+impl Recorder {
+    /// This thread's track, registering it on first use. `Span::drop`
+    /// records through here and must not panic, so a poisoned lock is
+    /// taken over: every update to a track or the registry is one push,
+    /// `take` or assignment, which leaves it valid.
+    fn track(&mut self) -> MutexGuard<'_, Track> {
+        self.track
+            .get_or_insert_with(|| {
+                let track = Arc::new(Mutex::new(Track::default()));
+                TRACKS
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push(Arc::clone(&track));
+                track
+            })
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn record(&mut self, name: String, cat: &'static str, phase: TimelinePhase) {
+        let event = TimelineEvent {
+            name,
+            cat,
+            phase,
+            ts_us: now_us(),
+        };
+        self.track().events.push(event);
+    }
+}
+
+fn with_recorder<R>(f: impl FnOnce(&mut Recorder) -> R) -> R {
+    RECORDER.with(|recorder| f(&mut recorder.borrow_mut()))
 }
 
 #[derive(Default)]
@@ -74,8 +136,8 @@ impl TimelinePhase {
 pub struct TimelineEvent {
     /// Event name (slice label or instant marker).
     pub name: String,
-    /// Category (`"span"`, `"job"`, `"sched"`, `"store"`), the Chrome
-    /// `cat` field used for filtering in the viewer.
+    /// Category (`"span"`, `"job"`, `"sched"`, `"store"`, `"sim"`), the
+    /// Chrome `cat` field used for filtering in the viewer.
     pub cat: &'static str,
     /// Phase (begin / end / instant).
     pub phase: TimelinePhase,
@@ -85,22 +147,6 @@ pub struct TimelineEvent {
 
 fn now_us() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_micros() as u64
-}
-
-fn with_thread_track<R>(f: impl FnOnce(&mut Track) -> R) -> R {
-    THREAD_TRACK.with(|cell| {
-        let mut slot = cell.borrow_mut();
-        let entry = slot.get_or_insert_with(|| {
-            let track = Arc::new(Mutex::new(Track::default()));
-            TRACKS
-                .lock()
-                .expect("timeline registry poisoned")
-                .push(Arc::clone(&track));
-            ThreadTrack { track }
-        });
-        let result = f(&mut entry.track.lock().expect("timeline track poisoned"));
-        result
-    })
 }
 
 /// Turns recording on. Idempotent; the first call pins the timestamp
@@ -122,40 +168,11 @@ pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-fn record(name: String, cat: &'static str, phase: TimelinePhase) {
-    let event = TimelineEvent {
-        name,
-        cat,
-        phase,
-        ts_us: now_us(),
-    };
-    with_thread_track(|track| track.events.push(event));
-}
-
-/// Records the start of a duration slice on this thread's track. The
-/// span profiler mirrors its spans through this pair; everything else
-/// opens slices with [`TimelineSpan`].
-pub(crate) fn begin(name: impl Into<String>, cat: &'static str) {
-    if !is_enabled() {
-        return;
-    }
-    record(name.into(), cat, TimelinePhase::Begin);
-}
-
-/// Records the end of a duration slice opened with [`begin`].
-pub(crate) fn end(name: impl Into<String>, cat: &'static str) {
-    if !is_enabled() {
-        return;
-    }
-    record(name.into(), cat, TimelinePhase::End);
-}
-
 /// Records a point-in-time marker on this thread's track.
 pub fn instant(name: impl Into<String>, cat: &'static str) {
-    if !is_enabled() {
-        return;
+    if is_enabled() {
+        with_recorder(|r| r.record(name.into(), cat, TimelinePhase::Instant));
     }
-    record(name.into(), cat, TimelinePhase::Instant);
 }
 
 /// Names this thread's track (`worker-3`, `main`, ...), shown as the
@@ -163,49 +180,156 @@ pub fn instant(name: impl Into<String>, cat: &'static str) {
 /// track is labelled before its first event.
 pub fn set_track_name(name: impl Into<String>) {
     let name = name.into();
-    with_thread_track(|track| track.name = Some(name));
+    with_recorder(|r| r.track().name = Some(name));
 }
 
-/// RAII duration slice: records `B` at construction and `E` on drop.
+/// RAII timer: adds the time from construction to drop under its name
+/// in this thread's profile and, while the timeline records, draws a
+/// `B`/`E` slice on this thread's track.
 ///
-/// Inert (records nothing, allocates nothing) when the timeline is
-/// disabled at construction time.
+/// Bind the guard (`let _span = Span::enter("phase");`): an unbound
+/// `Span::enter("phase");` statement drops at once and times nothing.
 #[derive(Debug)]
-pub struct TimelineSpan {
-    name: Option<String>,
-    cat: &'static str,
+#[must_use = "a span times the scope it is bound in"]
+pub struct Span {
+    name: &'static str,
+    /// The slice's label and category; `None` when the timeline was off
+    /// at entry.
+    slice: Option<(String, &'static str)>,
+    start: Instant,
 }
 
-impl TimelineSpan {
-    /// Opens a slice named `name` in category `cat`.
-    pub fn enter(name: impl Into<String>, cat: &'static str) -> TimelineSpan {
-        if !is_enabled() {
-            return TimelineSpan { name: None, cat };
-        }
-        let name = name.into();
-        record(name.clone(), cat, TimelinePhase::Begin);
-        TimelineSpan {
-            name: Some(name),
-            cat,
-        }
+impl Span {
+    /// Times `name` and draws a slice named `name` in category `span`.
+    /// Names are phase identifiers (`"WG+RB"`, `"bench.stream_stats"`),
+    /// not per-item strings, so the profile stays small.
+    pub fn enter(name: &'static str) -> Span {
+        Span::labelled(name, "span", || name.to_owned())
     }
 
-    /// Like [`enter`](TimelineSpan::enter), but builds the (possibly
-    /// allocating) name only when the timeline is enabled — the right
-    /// form for `format!`-ed labels on hot paths.
-    pub fn enter_lazy(name: impl FnOnce() -> String, cat: &'static str) -> TimelineSpan {
-        if !is_enabled() {
-            return TimelineSpan { name: None, cat };
+    /// Times `name` and draws a slice labelled `label()` in category
+    /// `cat`. The label is built only while the timeline records, so a
+    /// `format!`-ed label costs nothing when it is off.
+    pub fn labelled(name: &'static str, cat: &'static str, label: impl FnOnce() -> String) -> Span {
+        let slice = is_enabled().then(|| (label(), cat));
+        with_recorder(|r| {
+            r.child_time.push(Duration::ZERO);
+            if let Some((label, cat)) = &slice {
+                r.record(label.clone(), cat, TimelinePhase::Begin);
+            }
+        });
+        Span {
+            name,
+            slice,
+            start: Instant::now(),
         }
-        Self::enter(name(), cat)
     }
 }
 
-impl Drop for TimelineSpan {
+impl Drop for Span {
     fn drop(&mut self) {
-        if let Some(name) = self.name.take() {
-            record(name, self.cat, TimelinePhase::End);
+        let total = self.start.elapsed();
+        with_recorder(|r| {
+            if let Some((label, cat)) = self.slice.take() {
+                r.record(label, cat, TimelinePhase::End);
+            }
+            let children = r.child_time.pop().unwrap_or(Duration::ZERO);
+            if let Some(parent) = r.child_time.last_mut() {
+                *parent += total;
+            }
+            let stat = SpanStat {
+                name: self.name,
+                calls: 1,
+                total,
+                self_time: total.saturating_sub(children),
+            };
+            accumulate(&mut r.stats, stat);
+        });
+    }
+}
+
+/// Accumulated timing for one span name.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpanStat {
+    /// The span name passed to [`Span::enter`] or [`Span::labelled`].
+    pub name: &'static str,
+    /// Number of times the span was entered.
+    pub calls: u64,
+    /// Inclusive wall-clock time (children included).
+    pub total: Duration,
+    /// Exclusive wall-clock time (children subtracted).
+    pub self_time: Duration,
+}
+
+/// Folds `stat` into the entry of `stats` with the same name.
+fn accumulate(stats: &mut Vec<SpanStat>, stat: SpanStat) {
+    match stats.iter_mut().find(|s| s.name == stat.name) {
+        Some(existing) => {
+            existing.calls += stat.calls;
+            existing.total += stat.total;
+            existing.self_time += stat.self_time;
         }
+        None => stats.push(stat),
+    }
+}
+
+/// Takes this thread's profile, leaving it empty — how pool workers
+/// hand their profile to the batch report before their thread (and its
+/// recorder) goes away.
+pub fn take_report() -> Vec<SpanStat> {
+    with_recorder(|r| std::mem::take(&mut r.stats))
+}
+
+/// Merges profiles from several threads into one, folding stats with
+/// the same name together, sorted by total time descending.
+pub fn merge_reports<I: IntoIterator<Item = Vec<SpanStat>>>(reports: I) -> Vec<SpanStat> {
+    let mut merged = Vec::new();
+    for stat in reports.into_iter().flatten() {
+        accumulate(&mut merged, stat);
+    }
+    merged.sort_by_key(|s| Reverse(s.total));
+    merged
+}
+
+/// Renders a profile as an aligned text table
+/// (`span / calls / total / self / self%`).
+pub fn render_stats(stats: &[SpanStat]) -> String {
+    if stats.is_empty() {
+        return String::from("(no spans recorded)\n");
+    }
+    let mut out = String::new();
+    out.push_str(&format!(
+        "  {:<28} {:>8} {:>12} {:>12} {:>7}\n",
+        "span", "calls", "total", "self", "self%"
+    ));
+    for s in stats {
+        let pct = if s.total.as_nanos() == 0 {
+            100.0
+        } else {
+            100.0 * s.self_time.as_secs_f64() / s.total.as_secs_f64()
+        };
+        out.push_str(&format!(
+            "  {:<28} {:>8} {:>12} {:>12} {:>6.1}%\n",
+            s.name,
+            s.calls,
+            format_duration(s.total),
+            format_duration(s.self_time),
+            pct,
+        ));
+    }
+    out
+}
+
+fn format_duration(d: Duration) -> String {
+    let ns = d.as_nanos();
+    if ns >= 1_000_000_000 {
+        format!("{:.3}s", d.as_secs_f64())
+    } else if ns >= 1_000_000 {
+        format!("{:.3}ms", ns as f64 / 1e6)
+    } else if ns >= 1_000 {
+        format!("{:.3}µs", ns as f64 / 1e3)
+    } else {
+        format!("{ns}ns")
     }
 }
 
@@ -318,5 +442,56 @@ impl TimelineSnapshot {
             .expect("serializing a timeline snapshot cannot fail");
         writer.write_all(text.as_bytes())?;
         writer.write_all(b"\n")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn spin(d: Duration) {
+        let start = Instant::now();
+        while start.elapsed() < d {
+            std::hint::spin_loop();
+        }
+    }
+
+    #[test]
+    fn nested_spans_split_self_and_total() {
+        take_report();
+        {
+            let _outer = Span::enter("outer");
+            spin(Duration::from_millis(2));
+            {
+                let _inner = Span::enter("inner");
+                spin(Duration::from_millis(2));
+            }
+        }
+        let stats = take_report();
+        let outer = stats.iter().find(|s| s.name == "outer").expect("outer");
+        let inner = stats.iter().find(|s| s.name == "inner").expect("inner");
+        assert_eq!(outer.calls, 1);
+        assert_eq!(inner.calls, 1);
+        assert!(outer.total >= inner.total);
+        assert!(outer.self_time <= outer.total - inner.total + Duration::from_millis(1));
+        assert_eq!(inner.self_time, inner.total);
+    }
+
+    #[test]
+    fn repeated_spans_accumulate_calls() {
+        take_report();
+        for _ in 0..3 {
+            let _s = Span::enter("repeat");
+            spin(Duration::from_micros(100));
+        }
+        let stats = take_report();
+        let s = stats.iter().find(|s| s.name == "repeat").expect("repeat");
+        assert_eq!(s.calls, 3);
+        assert!(s.total >= Duration::from_micros(300));
+        assert!(!render_stats(&stats).is_empty());
+        assert!(
+            take_report().is_empty(),
+            "take_report leaves the profile empty"
+        );
     }
 }

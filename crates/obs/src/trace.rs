@@ -79,18 +79,12 @@ impl TraceLevel {
 pub enum Component {
     /// The cache backend (residency, fills, evictions).
     Cache,
-    /// The conventional-6T baseline controller.
-    Conventional,
     /// The RMW (read-modify-write) 8T baseline controller.
     Rmw,
     /// The Write Grouping controller (WG and WG+RB).
     Wg,
     /// The word-coalescing write buffer controller.
     Coalesce,
-    /// The SRAM array / port model.
-    Sram,
-    /// The simulator driver.
-    Sim,
     /// The differential conformance harness (`cache8t-conform`).
     Conform,
 }
@@ -121,9 +115,6 @@ pub enum EventKind {
     /// A line was evicted. `detail` = 1 when dirty (written back),
     /// 0 when clean.
     Eviction,
-    /// A raw SRAM row access. `detail` = 0 for a row read, 1 for a
-    /// full-row write, 2 for a partial write, 3 for a precharge.
-    RowAccess,
     /// The conformance harness observed a scheme disagreeing with the
     /// golden reference (wrong read value, lost write, broken
     /// invariant). `tick` is the op index in the replayed trace;
@@ -167,7 +158,7 @@ impl TraceEvent {
 /// A bounded ring of trace events: the most recent `capacity` events
 /// are kept, older ones are dropped (and counted).
 #[derive(Debug, Clone)]
-pub struct EventRing {
+struct EventRing {
     buffer: Vec<TraceEvent>,
     capacity: usize,
     /// Index of the oldest event once the ring has wrapped.
@@ -177,7 +168,7 @@ pub struct EventRing {
 
 impl EventRing {
     /// A ring keeping at most `capacity` events (minimum 1).
-    pub fn new(capacity: usize) -> Self {
+    fn new(capacity: usize) -> Self {
         EventRing {
             buffer: Vec::new(),
             capacity: capacity.max(1),
@@ -188,7 +179,7 @@ impl EventRing {
 
     /// Appends an event, evicting the oldest when full.
     #[inline]
-    pub fn push(&mut self, event: TraceEvent) {
+    fn push(&mut self, event: TraceEvent) {
         if self.buffer.len() < self.capacity {
             self.buffer.push(event);
         } else {
@@ -199,29 +190,29 @@ impl EventRing {
     }
 
     /// Events currently held, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
+    fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
         self.buffer[self.head..]
             .iter()
             .chain(self.buffer[..self.head].iter())
     }
 
     /// Number of events currently held.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.buffer.len()
     }
 
     /// True when no event has been recorded.
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.buffer.is_empty()
     }
 
     /// Events evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
+    fn dropped(&self) -> u64 {
         self.dropped
     }
 
     /// Removes all events (dropped count included).
-    pub fn clear(&mut self) {
+    fn clear(&mut self) {
         self.buffer.clear();
         self.head = 0;
         self.dropped = 0;
@@ -404,7 +395,7 @@ mod tests {
         let mut tracer = Tracer::new(TraceLevel::Verbose, 16);
         let original = vec![
             TraceEvent::new(0, Component::Cache, EventKind::LineFill, 0x80, 8),
-            TraceEvent::new(1, Component::Sram, EventKind::RowAccess, 0x80, 1),
+            TraceEvent::new(1, Component::Conform, EventKind::Divergence, 0x80, 1),
             TraceEvent::new(2, Component::Rmw, EventKind::RmwSequence, 0x88, 3),
         ];
         for e in &original {

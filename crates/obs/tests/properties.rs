@@ -17,12 +17,10 @@ fn any_magnitude_u64() -> impl Strategy<Value = u64> {
 fn component_strategy() -> impl Strategy<Value = Component> {
     prop_oneof![
         Just(Component::Cache),
-        Just(Component::Conventional),
         Just(Component::Rmw),
         Just(Component::Wg),
         Just(Component::Coalesce),
-        Just(Component::Sram),
-        Just(Component::Sim),
+        Just(Component::Conform),
     ]
 }
 
@@ -36,7 +34,7 @@ fn kind_strategy() -> impl Strategy<Value = EventKind> {
         Just(EventKind::RmwSequence),
         Just(EventKind::LineFill),
         Just(EventKind::Eviction),
-        Just(EventKind::RowAccess),
+        Just(EventKind::Divergence),
     ]
 }
 

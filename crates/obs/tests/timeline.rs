@@ -1,5 +1,6 @@
-//! Timeline integration test: records events from several threads,
-//! drains, and validates the Chrome trace-event JSON shape.
+//! Span integration test: records spans and instants from several
+//! threads, drains, validates the Chrome trace-event JSON shape, and
+//! checks that each thread's profile agrees with its track.
 //!
 //! The timeline is process-global (per-thread buffers behind one
 //! registry), so this file deliberately holds exactly ONE `#[test]`
@@ -8,8 +9,19 @@
 
 use std::collections::HashMap;
 
-use cache8t_obs::{timeline, TimelineSpan};
+use cache8t_obs::timeline::{self, Span, SpanStat, TimelinePhase, TimelineSnapshot};
 use serde_json::Value;
+
+/// Number of `B` slices labelled `label` on the track named `track`.
+fn begins(snapshot: &TimelineSnapshot, track: &str, label: &str) -> u64 {
+    snapshot
+        .tracks
+        .iter()
+        .filter(|t| t.name.as_deref() == Some(track))
+        .flat_map(|t| &t.events)
+        .filter(|e| e.phase == TimelinePhase::Begin && e.name == label)
+        .count() as u64
+}
 
 #[test]
 fn chrome_trace_shape_across_threads() {
@@ -18,24 +30,66 @@ fn chrome_trace_shape_across_threads() {
 
     // A nested pair of spans on the main thread...
     {
-        let _outer = TimelineSpan::enter("outer", "span");
-        let _inner = TimelineSpan::enter_lazy(|| "inner".to_string(), "span");
+        let _outer = Span::enter("outer");
+        let _inner = Span::labelled("inner", "span", || "inner".to_string());
         timeline::instant("marker", "sched");
     }
-    // ...and one named track per spawned worker, span plus instant.
-    std::thread::scope(|scope| {
-        for i in 0..3 {
-            scope.spawn(move || {
-                timeline::set_track_name(format!("test-worker-{i}"));
-                let _span = TimelineSpan::enter(format!("work-{i}"), "job");
-                timeline::instant("tick", "sched");
-            });
-        }
+    // ...and one named track per spawned worker: worker i opens its
+    // labelled `work` span i + 1 times, each around a nested `step`,
+    // and returns its profile before the thread goes away.
+    let worker_reports: Vec<Vec<SpanStat>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..3)
+            .map(|i| {
+                scope.spawn(move || {
+                    timeline::set_track_name(format!("test-worker-{i}"));
+                    for _ in 0..=i {
+                        let _span = Span::labelled("work", "job", || format!("work-{i}"));
+                        let _step = Span::enter("step");
+                        timeline::instant("tick", "sched");
+                    }
+                    timeline::take_report()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
+    let main_report = timeline::take_report();
 
     timeline::disable();
     let snapshot = timeline::drain();
-    assert!(snapshot.event_count() >= 4 + 3 * 3);
+    assert!(snapshot.event_count() >= 5 + 5 * 6);
+
+    // Every span's calls equal the `B` slices its thread's track holds
+    // for it: `enter` spans are labelled with their name, `work` spans
+    // with `work-{i}`.
+    assert_eq!(main_report.len(), 2, "{main_report:?}");
+    for stat in &main_report {
+        assert_eq!(stat.calls, 1, "{stat:?}");
+        assert_eq!(begins(&snapshot, "main", stat.name), stat.calls, "{stat:?}");
+    }
+    for (i, report) in worker_reports.iter().enumerate() {
+        let track = format!("test-worker-{i}");
+        assert_eq!(report.len(), 2, "{track}: {report:?}");
+        for stat in report {
+            let label = match stat.name {
+                "work" => format!("work-{i}"),
+                name => name.to_string(),
+            };
+            assert_eq!(stat.calls, i as u64 + 1, "{track}: {stat:?}");
+            assert_eq!(
+                begins(&snapshot, &track, &label),
+                stat.calls,
+                "{track}: {stat:?}"
+            );
+        }
+        let work = report.iter().find(|s| s.name == "work").expect("work");
+        let step = report.iter().find(|s| s.name == "step").expect("step");
+        assert!(work.total >= step.total, "{track}: child outlasts parent");
+        assert!(
+            work.self_time <= work.total - step.total,
+            "{track}: step not subtracted"
+        );
+    }
 
     // The snapshot must survive a JSON round trip through the vendored
     // serde_json (exactly what `--timeline-out` writes to disk).
@@ -127,10 +181,16 @@ fn chrome_trace_shape_across_threads() {
         assert!(open.is_empty(), "tid {tid}: unclosed spans {open:?}");
     }
 
-    // After disable, recording helpers are inert: a second drain sees
-    // nothing new.
-    drop(TimelineSpan::enter("late", "span"));
+    // After disable, a span still lands in the profile but the
+    // timeline helpers are inert: a second drain sees nothing new.
+    drop(Span::enter("late"));
+    drop(Span::labelled("late-labelled", "job", || {
+        panic!("a disabled timeline must not build the label")
+    }));
     timeline::instant("late", "span");
+    let late = timeline::take_report();
+    let calls: Vec<(&str, u64)> = late.iter().map(|s| (s.name, s.calls)).collect();
+    assert_eq!(calls, [("late", 1), ("late-labelled", 1)]);
     let quiet = timeline::drain();
     assert_eq!(quiet.event_count(), 0, "disabled timeline still recorded");
 }

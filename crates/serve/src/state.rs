@@ -21,7 +21,7 @@ use cache8t_exec::{
     document_with_benchmarks, metrics_document, run_sweep, BenchmarkHook, CancelToken, ExecOptions,
     ProgressHook, SweepOptions, SweepPlan, TraceStore,
 };
-use cache8t_obs::{timeline, MetricRegistry, OpLog, ProgressSnapshot, SamplerConfig, TimelineSpan};
+use cache8t_obs::{timeline, MetricRegistry, OpLog, ProgressSnapshot, SamplerConfig, Span};
 
 use crate::journal::{journal_dir_stats, journal_path, load_journal, plan_fingerprint, Journal};
 use crate::protocol::{PlanSpec, PROTOCOL_VERSION};
@@ -651,7 +651,7 @@ impl ServerState {
         // with multiple jobs the daemon trace reads as back-to-back
         // `job-N run` slices, each bracketed by the queued/terminal
         // instants the transitions record.
-        let _run_span = TimelineSpan::enter_lazy(|| format!("{} run", job.id), "job");
+        let _run_span = Span::labelled("serve.job", "job", || format!("{} run", job.id));
         let plan = &job.plan;
         let n_slots = plan.benchmark_count();
 

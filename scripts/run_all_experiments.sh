@@ -12,5 +12,12 @@ for bin in fig03_access_frequency fig04_consecutive_scenarios fig05_silent_write
            ext_performance ext_power_dvfs ext_ablations ext_alternatives \
            ext_soft_errors ext_sweeps ext_context_switch; do
     echo "== $bin"
-    cargo run --release -q -p cache8t-bench --bin "$bin" -- --ops "$ops" | tee "results/$bin.txt"
+    case "$bin" in
+        # Neither reads --ops: the area table is closed-form and the
+        # walkthrough replays a fixed write sequence.
+        table_area_overhead | sram_rmw_walkthrough) flags="" ;;
+        *) flags="--ops $ops" ;;
+    esac
+    # shellcheck disable=SC2086 # $flags splits into flag and value
+    cargo run --release -q -p cache8t-bench --bin "$bin" -- $flags | tee "results/$bin.txt"
 done

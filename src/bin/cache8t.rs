@@ -26,7 +26,7 @@ use cache8t::exec::{
     SweepOptions, SweepPlan, TraceStore,
 };
 use cache8t::obs::sampler::{self, Sampler, SamplerConfig, SeriesSample};
-use cache8t::obs::{perfdiff, timeline, TimelineSpan};
+use cache8t::obs::{perfdiff, timeline, Span};
 use cache8t::serve::{Client, ClientError, PlanSpec, ServeConfig, Server};
 use cache8t::sim::{kernels, CacheGeometry, ReplacementKind};
 use cache8t::trace::analyze::StreamStats;
@@ -713,7 +713,7 @@ fn cmd_simulate(o: &Options) -> Result<(), String> {
         None => None,
     };
     let replayed = {
-        let _slice = TimelineSpan::enter("replay", "sim");
+        let _span = Span::labelled("simulate.replay", "sim", || "replay".to_owned());
         replay(controller.as_mut(), ops, 0, sampler.as_mut())
     };
     let read_error = read_error.lock().expect("read-error slot poisoned").take();
@@ -1125,7 +1125,7 @@ fn cmd_sweep(o: &Options) -> Result<(), String> {
     print!("{}", outcome.metrics.render_table());
     if !outcome.spans.is_empty() {
         println!("\n[worker spans]");
-        print!("{}", cache8t::obs::span::render_stats(&outcome.spans));
+        print!("{}", timeline::render_stats(&outcome.spans));
     }
 
     if let Some(path) = &o.metrics_out {

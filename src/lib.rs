@@ -13,7 +13,9 @@
 //! - [`energy`]: CACTI-style area/energy model and DVFS support.
 //! - [`cpu`]: port-contention timing model.
 //! - [`obs`]: metric registry, structured event tracing
-//!   (`CACHE8T_TRACE`), and scoped span profiling.
+//!   (`CACHE8T_TRACE`), and spans: one RAII guard
+//!   ([`obs::timeline::Span`]) feeding both the per-phase profile
+//!   report and the Chrome-trace execution timeline.
 //! - [`exec`]: parallel sweep-execution engine — a job pool whose
 //!   workers share one cursor over the job list, generate-once trace
 //!   store, crash-isolated experiment runner (`cache8t sweep`).
