@@ -10,8 +10,9 @@
 //! - **replacement policy**: LRU (the paper's) vs FIFO/Random/Tree-PLRU.
 
 use cache8t_bench::cli::CommonArgs;
+use cache8t_bench::experiment::replay_traffic;
 use cache8t_bench::table::{pct, Table};
-use cache8t_core::{Controller, CountingPolicy, RmwController, WgController, WgOptions};
+use cache8t_core::{CountingPolicy, RmwController, WgController, WgOptions};
 use cache8t_sim::{CacheGeometry, ReplacementKind};
 use cache8t_trace::{profiles, ProfiledGenerator, TraceGenerator};
 
@@ -22,16 +23,9 @@ fn suite_reduction(options: WgOptions, replacement: ReplacementKind, ops: usize,
     let suite = profiles::spec2006();
     for profile in &suite {
         let trace = ProfiledGenerator::new(profile.clone(), geometry, seed).collect(ops);
-        let mut rmw = RmwController::new(geometry, replacement);
+        let rmw = replay_traffic(&mut RmwController::new(geometry, replacement), &trace);
         let mut wg = WgController::with_options(geometry, replacement, options);
-        for op in &trace {
-            rmw.access(op);
-            wg.access(op);
-        }
-        wg.flush();
-        total += wg
-            .traffic()
-            .reduction_vs(rmw.traffic(), CountingPolicy::DemandOnly);
+        total += replay_traffic(&mut wg, &trace).reduction_vs(&rmw, CountingPolicy::DemandOnly);
     }
     total / suite.len() as f64
 }

@@ -16,6 +16,7 @@
 //! port timing model.
 
 use cache8t_bench::cli::CommonArgs;
+use cache8t_bench::experiment::replay_traffic;
 use cache8t_bench::table::{pct, Table};
 use cache8t_core::{
     CoalescingController, Controller, ConventionalController, CountingPolicy, RmwController,
@@ -98,16 +99,16 @@ fn main() {
         let mut avail_sum = 0.0;
         for profile in &suite {
             let trace = ProfiledGenerator::new(profile.clone(), geometry, args.seed).collect(ops);
-            let mut rmw = RmwController::new(geometry, ReplacementKind::Lru);
-            for op in &trace {
-                rmw.access(op);
-            }
+            let rmw = replay_traffic(
+                &mut RmwController::new(geometry, ReplacementKind::Lru),
+                &trace,
+            );
             let mut controller = build();
             let report = model.run(controller.as_mut(), &trace);
             controller.flush();
             reduction_sum += controller
                 .traffic()
-                .reduction_vs(rmw.traffic(), CountingPolicy::DemandOnly);
+                .reduction_vs(&rmw, CountingPolicy::DemandOnly);
             latency_sum += report.avg_read_latency();
             avail_sum += report.read_port_availability();
         }

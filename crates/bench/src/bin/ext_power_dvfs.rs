@@ -10,7 +10,6 @@
 //! research"); the values below are this reproduction's estimates.
 
 use cache8t_bench::cli::CommonArgs;
-use cache8t_bench::experiment::{run_suite, RunConfig};
 use cache8t_bench::table::{pct, Table};
 use cache8t_energy::dvfs::DvfsLadder;
 use cache8t_energy::power::SchemeEnergy;
@@ -27,7 +26,7 @@ fn main() {
     println!("Extension E2: dynamic access energy per scheme (32nm, nominal V)");
     println!("(pricing each scheme's array traffic with the CACTI-style model)\n");
 
-    let results = run_suite(RunConfig::new(geometry, args.ops, args.seed));
+    let results = args.run_suites(&["baseline"]).remove(0);
     let mut table = Table::new(&["benchmark", "RMW", "WG saving", "WG+RB saving"]);
     let mut wg_savings = Vec::new();
     let mut wgrb_savings = Vec::new();

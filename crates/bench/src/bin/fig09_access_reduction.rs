@@ -9,17 +9,10 @@
 use cache8t_bench::cli::{CommonArgs, ALL_FLAGS};
 use cache8t_bench::experiment::{average, write_observability, BenchmarkResult};
 use cache8t_bench::table::{pct, Table};
-use cache8t_exec::{run_suites, GeometryPoint};
 
 fn main() {
     let args = CommonArgs::from_env(ALL_FLAGS);
-    let baseline = GeometryPoint::named("baseline").expect("known geometry");
-    let results = run_suites(vec![baseline], args.ops, args.seed, &args.sweep_options())
-        .unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(1);
-        })
-        .remove(0);
+    let results = args.run_suites(&["baseline"]).remove(0);
 
     println!("Figure 9: cache access frequency reduction vs RMW (64KB, 4-way, 32B, LRU)");
     println!("paper: WG avg 27% (max 47% on bwaves), WG+RB avg 33%, WG+RB > WG everywhere\n");

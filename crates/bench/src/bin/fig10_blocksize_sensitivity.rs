@@ -9,17 +9,10 @@
 use cache8t_bench::cli::CommonArgs;
 use cache8t_bench::experiment::{average, BenchmarkResult};
 use cache8t_bench::table::{pct, Table};
-use cache8t_exec::{run_suites, GeometryPoint};
 
 fn main() {
     let args = CommonArgs::from_env("--ops --seed --jobs --json");
-    let blocks64 = GeometryPoint::named("blocks64").expect("known geometry");
-    let results = run_suites(vec![blocks64], args.ops, args.seed, &args.sweep_options())
-        .unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(1);
-        })
-        .remove(0);
+    let results = args.run_suites(&["blocks64"]).remove(0);
 
     println!("Figure 10: access reduction with block size = 64B (32KB, 4-way)");
     println!("paper: WG 29% avg, WG+RB 37% avg (up from 27%/33% at 32B blocks)\n");

@@ -9,19 +9,10 @@
 use cache8t_bench::cli::CommonArgs;
 use cache8t_bench::experiment::{average, BenchmarkResult};
 use cache8t_bench::table::{pct, Table};
-use cache8t_exec::{run_suites, GeometryPoint};
 
 fn main() {
     let args = CommonArgs::from_env("--ops --seed --jobs --json");
-    let points = ["small", "large"]
-        .iter()
-        .map(|label| GeometryPoint::named(label).expect("known geometry"))
-        .collect();
-    let mut suites =
-        run_suites(points, args.ops, args.seed, &args.sweep_options()).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(1);
-        });
+    let mut suites = args.run_suites(&["small", "large"]);
     let large = suites.pop().expect("two geometries");
     let small = suites.pop().expect("one geometry");
 

@@ -8,17 +8,10 @@
 use cache8t_bench::cli::{CommonArgs, ALL_FLAGS};
 use cache8t_bench::experiment::{average, write_observability, BenchmarkResult};
 use cache8t_bench::table::{pct, Table};
-use cache8t_exec::{run_suites, GeometryPoint};
 
 fn main() {
     let args = CommonArgs::from_env(ALL_FLAGS);
-    let baseline = GeometryPoint::named("baseline").expect("known geometry");
-    let results = run_suites(vec![baseline], args.ops, args.seed, &args.sweep_options())
-        .unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(1);
-        })
-        .remove(0);
+    let results = args.run_suites(&["baseline"]).remove(0);
 
     println!("Motivation: RMW traffic increase over a conventional cache");
     println!("paper: more than 32% on average, max 47%\n");

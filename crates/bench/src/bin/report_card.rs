@@ -53,7 +53,7 @@ fn main() -> ExitCode {
     // One declarative plan over all four paper geometries, executed on
     // the sweep engine: every geometry replays the same 25 shared traces
     // (generated once through the trace store), and the merged results
-    // are identical to four serial `run_suite` calls.
+    // are identical to four one-geometry sweeps.
     let plan = SweepPlan::suite(
         ["baseline", "blocks64", "small", "large"]
             .iter()

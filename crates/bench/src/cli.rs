@@ -27,7 +27,9 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use cache8t_exec::{ExecOptions, SweepOptions, TraceStore};
+use cache8t_exec::{
+    run_suites, BenchmarkResult, ExecOptions, GeometryPoint, SweepOptions, TraceStore,
+};
 use cache8t_obs::SamplerConfig;
 
 /// Every flag the parser knows: the list a binary passes when it runs
@@ -93,6 +95,21 @@ impl CommonArgs {
             series: self.series_out.is_some().then(SamplerConfig::default),
             ..SweepOptions::default()
         }
+    }
+
+    /// Runs the 25-benchmark suite at each named paper geometry on the
+    /// sweep engine with [`sweep_options`](CommonArgs::sweep_options):
+    /// one result vector per label, in order. Prints the failure summary
+    /// and exits with status 1 if a unit job failed.
+    pub fn run_suites(&self, labels: &[&str]) -> Vec<Vec<BenchmarkResult>> {
+        let points = labels
+            .iter()
+            .map(|label| GeometryPoint::named(label).expect("paper geometry"))
+            .collect();
+        run_suites(points, self.ops, self.seed, &self.sweep_options()).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(1);
+        })
     }
 
     /// Parses `std::env::args()`-style arguments (the first element is the

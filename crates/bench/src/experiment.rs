@@ -1,20 +1,33 @@
-//! The per-benchmark experiment runner shared by all harness binaries.
+//! The harness binaries' view of the experiment layer.
 //!
-//! The runner itself now lives in [`cache8t_exec::experiment`] so the
-//! parallel sweep engine and the serial figure binaries drive the exact
-//! same measurement code; this module re-exports it and keeps the
-//! harness-side output helpers (`--metrics-out` / `--trace-out`) that
-//! need the CLI types.
+//! The replay driver and the result types live in
+//! [`cache8t_exec::experiment`]; every benchmark result comes from the
+//! sweep engine ([`cache8t_exec::run_suites`]). This module re-exports
+//! what the binaries read and keeps the harness-side output helpers
+//! (`--metrics-out` / `--trace-out` / `--series-out` / `--timeline-out`)
+//! that need the CLI types.
 
 use std::io::Write;
 use std::path::Path;
 
-pub use cache8t_exec::experiment::{
-    average, generate_trace, measure_stream, replay, run_benchmark, run_benchmark_on_trace,
-    run_suite, BenchmarkResult, Ops, RunConfig, SchemeKind, SchemeResult,
-};
+pub use cache8t_exec::experiment::{average, BenchmarkResult};
+
+use cache8t_core::{ArrayTraffic, Controller};
+use cache8t_exec::{replay, Ops};
+use cache8t_trace::Trace;
 
 use crate::cli::CommonArgs;
+
+/// Replays all of `trace` through `controller` on the one replay driver,
+/// with no warm-up and no sampler, and returns its traffic ledger after
+/// the final flush: the figure the extension binaries compare schemes
+/// by.
+pub fn replay_traffic(controller: &mut dyn Controller, trace: &Trace) -> ArrayTraffic {
+    match replay(controller, Ops::Trace(trace), 0, None) {
+        Ok(result) => result.traffic,
+        Err(e) => unreachable!("a replay without a sampler does no I/O: {e}"),
+    }
+}
 
 /// Builds the `--metrics-out` document: one entry per benchmark holding
 /// every scheme's metric-registry snapshot.
@@ -138,17 +151,26 @@ fn write_metrics_file(path: &Path, results: &[BenchmarkResult]) -> std::io::Resu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache8t_sim::CacheGeometry;
+    use cache8t_exec::{run_sweep, GeometryPoint, SweepOptions, SweepPlan};
     use cache8t_trace::profiles;
 
-    fn small_config() -> RunConfig {
-        RunConfig::new(CacheGeometry::paper_baseline(), 20_000, 7)
+    /// One benchmark at the baseline geometry, run by the sweep engine.
+    fn run_one(name: &str) -> BenchmarkResult {
+        let plan = SweepPlan {
+            profiles: vec![profiles::by_name(name).unwrap()],
+            geometries: vec![GeometryPoint::named("baseline").unwrap()],
+            ops: 20_000,
+            seed: 7,
+        };
+        let mut results = run_sweep(&plan, &SweepOptions::default())
+            .into_complete()
+            .unwrap();
+        results.remove(0).remove(0)
     }
 
     #[test]
     fn benchmark_run_produces_consistent_results() {
-        let p = profiles::by_name("gcc").unwrap();
-        let r = run_benchmark(&p, small_config());
+        let r = run_one("gcc");
         assert_eq!(r.name, "gcc");
         // Functional behaviour identical across schemes.
         assert_eq!(r.conventional.stats, r.rmw.stats);
@@ -165,17 +187,15 @@ mod tests {
 
     #[test]
     fn runs_are_deterministic() {
-        let p = profiles::by_name("mcf").unwrap();
-        let a = run_benchmark(&p, small_config());
-        let b = run_benchmark(&p, small_config());
+        let a = run_one("mcf");
+        let b = run_one("mcf");
         assert_eq!(a.rmw.array_accesses, b.rmw.array_accesses);
         assert_eq!(a.wgrb.array_accesses, b.wgrb.array_accesses);
     }
 
     #[test]
     fn scheme_results_carry_metric_snapshots() {
-        let p = profiles::by_name("gcc").unwrap();
-        let r = run_benchmark(&p, small_config());
+        let r = run_one("gcc");
         for s in r.schemes() {
             let serde_json::Value::Object(sections) = &s.metrics else {
                 panic!("{} metrics not an object", s.scheme);
@@ -201,8 +221,7 @@ mod tests {
 
     #[test]
     fn average_helper() {
-        let p = profiles::by_name("gcc").unwrap();
-        let r = vec![run_benchmark(&p, small_config())];
+        let r = vec![run_one("gcc")];
         let avg = average(&r, BenchmarkResult::wg_reduction);
         assert!((avg - r[0].wg_reduction()).abs() < 1e-12);
         assert_eq!(average(&[], BenchmarkResult::wg_reduction), 0.0);

@@ -27,8 +27,9 @@
 //! 2,000,000) and `--seed S` (default 42); results are deterministic per
 //! seed. Each binary names the [`cli::CommonArgs`] flags it reads and
 //! rejects any other. This library crate holds the shared machinery: the
-//! flag parser, the per-benchmark experiment runner and a plain-text
-//! table printer.
+//! flag parser (which also runs suites on the sweep engine), the
+//! experiment re-exports and output writers, and a plain-text table
+//! printer. Every replay goes through `cache8t_exec::replay`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]

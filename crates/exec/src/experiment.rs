@@ -1,12 +1,10 @@
-//! The per-benchmark experiment runner shared by every harness binary
-//! and the sweep engine.
+//! The replay driver and the result types every replay produces.
 //!
-//! Lived in `cache8t-bench` until the execution engine arrived; it sits
-//! here now so both the serial figure binaries (through the
-//! `cache8t_bench::experiment` re-exports) and the parallel sweep
-//! scheduler drive the exact same code — which is what makes "the sweep
-//! output is byte-identical to the serial run" checkable rather than
-//! aspirational.
+//! [`replay`] is the one loop that replays a trace for a result: the
+//! sweep engine's unit jobs, `simulate`, `bench-core` and the harness
+//! binaries all call it, so the batched kernels the lockstep suites pin
+//! are the code behind every reported number. [`BenchmarkResult`]s come
+//! from the sweep engine ([`crate::sweep::run_sweep`]) alone.
 
 use std::convert::Infallible;
 use std::io;
@@ -20,10 +18,7 @@ use cache8t_core::{ArrayTraffic, Controller, CountingPolicy};
 use cache8t_obs::{MetricRegistry, Sampler, SeriesSample, Span, TraceEvent};
 use cache8t_sim::{CacheGeometry, CacheStats};
 use cache8t_trace::analyze::{StreamStats, StreamStatsAccumulator};
-use cache8t_trace::{
-    profiles, warmup_split, DecodedBatch, MemOp, ProfiledGenerator, Trace, TraceGenerator,
-    WorkloadProfile,
-};
+use cache8t_trace::{warmup_split, DecodedBatch, MemOp, Trace};
 
 use crate::stream::ChunkSource;
 
@@ -72,8 +67,7 @@ pub struct SchemeResult {
     /// Request-level hit/miss statistics.
     pub stats: CacheStats,
     /// Metric-registry snapshot (counters, gauges, histograms) taken
-    /// after the measured region; `Null` when the controller has no
-    /// observability bundle.
+    /// after the measured region.
     pub metrics: serde_json::Value,
     /// Structural trace events recorded during the measured region.
     /// Empty unless `CACHE8T_TRACE` is `event` or `verbose`; excluded
@@ -149,17 +143,6 @@ impl BenchmarkResult {
 /// the chunk size, not the trace length.
 const REPLAY_BATCH_OPS: usize = 8192;
 
-/// Whether [`replay`] services its ranges through the pre-decoded batch
-/// kernels.
-///
-/// On by default; `CACHE8T_NO_BATCH=1` forces one `access` call per op
-/// over the same ranges. CI uses the switch to diff batched-vs-per-op
-/// sweep documents and series files byte-for-byte.
-fn batching_enabled() -> bool {
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENABLED.get_or_init(|| std::env::var("CACHE8T_NO_BATCH").map_or(true, |v| v != "1"))
-}
-
 /// A replay's ops in stream order, handed out as borrowed slices: a
 /// materialized trace is one slice, a chunk stream one slice per chunk.
 /// Neither copies an op, so a streamed replay's memory stays bounded by
@@ -218,31 +201,26 @@ pub fn replay(
     controller: &mut dyn Controller,
     ops: Ops<'_>,
     warmup_ops: usize,
-    sampler: Option<&mut Sampler>,
+    mut sampler: Option<&mut Sampler>,
 ) -> io::Result<SchemeResult> {
     let _span = Span::enter(controller.name());
-    // A controller without a registry has no windows to sample.
-    let mut sampler = sampler.filter(|_| controller.obs().is_some());
     let warmup = warmup_ops as u64;
-    let batched = batching_enabled();
     let mut batch = DecodedBatch::new(controller.cache().geometry());
-    if let (Some(s), Some(obs)) = (sampler.as_deref_mut(), controller.obs()) {
-        s.rebaseline(obs.registry());
+    if let Some(s) = sampler.as_deref_mut() {
+        s.rebaseline(controller.backend().obs().registry());
     }
     let mut index = 0u64; // global index of the sub-batch's first op
     ops.try_for_each(|slice, _| {
         for sub in slice.chunks(REPLAY_BATCH_OPS) {
-            if batched {
-                batch.decode(sub);
-            }
+            batch.decode(sub);
             let sub_end = index + sub.len() as u64;
             let mut pos = 0;
             while pos < sub.len() {
                 let at = index + pos as u64;
                 if at == warmup {
                     controller.reset_counters();
-                    if let (Some(s), Some(obs)) = (sampler.as_deref_mut(), controller.obs()) {
-                        s.rebaseline(obs.registry());
+                    if let Some(s) = sampler.as_deref_mut() {
+                        s.rebaseline(controller.backend().obs().registry());
                     }
                 }
                 let mut end = if at < warmup && warmup < sub_end {
@@ -253,19 +231,11 @@ pub fn replay(
                 if let Some(s) = sampler.as_deref() {
                     end = pos + s.ops_to_boundary().min((end - pos) as u64) as usize;
                 }
-                if batched {
-                    controller.access_batch(&batch, pos..end);
-                } else {
-                    for op in &sub[pos..end] {
-                        controller.access(op);
-                    }
-                }
+                controller.access_batch(&batch, pos..end);
                 if let Some(s) = sampler.as_deref_mut() {
                     if s.note_ops((end - pos) as u64) {
-                        if let Some(obs) = controller.obs() {
-                            let occupancy = controller.occupancy().unwrap_or_default();
-                            s.sample(obs.registry(), occupancy)?;
-                        }
+                        let occupancy = controller.occupancy().unwrap_or_default();
+                        s.sample(controller.backend().obs().registry(), occupancy)?;
                     }
                 }
                 pos = end;
@@ -278,39 +248,24 @@ pub fn replay(
         }
     })?;
     controller.flush();
+    let obs = controller.backend().obs();
     let series = match sampler {
         Some(s) => {
-            if let Some(obs) = controller.obs() {
-                let occupancy = controller.occupancy().unwrap_or_default();
-                s.finish(obs.registry(), occupancy)?;
-            }
+            s.finish(obs.registry(), controller.occupancy().unwrap_or_default())?;
             s.take_ring()
         }
         None => Vec::new(),
     };
-    Ok(finish_scheme(controller, series))
-}
-
-/// Snapshots a replayed controller into a [`SchemeResult`].
-fn finish_scheme(controller: &mut dyn Controller, series: Vec<SeriesSample>) -> SchemeResult {
-    let (metrics, events, registry) = match controller.obs() {
-        Some(obs) => (
-            obs.registry().to_value(),
-            obs.tracer().events().copied().collect(),
-            obs.registry().clone(),
-        ),
-        None => (serde_json::Value::Null, Vec::new(), MetricRegistry::new()),
-    };
-    SchemeResult {
+    Ok(SchemeResult {
         scheme: controller.name(),
         array_accesses: controller.array_accesses(),
         traffic: *controller.traffic(),
         stats: *controller.stats(),
-        metrics,
-        events,
-        registry,
+        metrics: obs.registry().to_value(),
+        events: obs.tracer().events().copied().collect(),
+        registry: obs.registry().clone(),
         series,
-    }
+    })
 }
 
 /// Measures the Figure-3/4/5 stream statistics of the measured region —
@@ -334,68 +289,6 @@ pub fn measure_stream(ops: Ops<'_>, config: RunConfig) -> StreamStats {
     acc.finish(split.measured_instructions)
 }
 
-/// Generates the benchmark's trace exactly as the experiment runner
-/// does: shaped at the paper's *reference* geometry and replayed
-/// unchanged against every cache configuration — the paper's own
-/// methodology (one Pin trace, many cache models). This is what lets
-/// the Figure 10/11 sensitivity effects emerge from spatial locality
-/// rather than being re-generated away.
-pub fn generate_trace(profile: &WorkloadProfile, config: RunConfig) -> Trace {
-    let _span = Span::enter("bench.generate");
-    let mut generator = ProfiledGenerator::new(
-        profile.clone(),
-        CacheGeometry::paper_baseline(),
-        config.seed,
-    );
-    generator.collect(config.total_ops())
-}
-
-/// Runs one benchmark profile through all four controllers over an
-/// identical, pre-generated trace.
-pub fn run_benchmark_on_trace(
-    profile: &WorkloadProfile,
-    config: RunConfig,
-    trace: &Trace,
-) -> BenchmarkResult {
-    let stream = measure_stream(Ops::Trace(trace), config);
-    let [conventional, rmw, wg, wgrb] = SchemeKind::ALL.map(|scheme| {
-        let mut controller = scheme.build(config.geometry);
-        match replay(
-            controller.as_mut(),
-            Ops::Trace(trace),
-            config.warmup_ops,
-            None,
-        ) {
-            Ok(result) => result,
-            Err(e) => unreachable!("a replay without a sampler does no I/O: {e}"),
-        }
-    });
-    BenchmarkResult {
-        name: profile.name.clone(),
-        stream,
-        conventional,
-        rmw,
-        wg,
-        wgrb,
-    }
-}
-
-/// Runs one benchmark profile through all four controllers over an
-/// identical trace.
-pub fn run_benchmark(profile: &WorkloadProfile, config: RunConfig) -> BenchmarkResult {
-    let trace = generate_trace(profile, config);
-    run_benchmark_on_trace(profile, config, &trace)
-}
-
-/// Runs the full 25-benchmark suite serially. The sweep engine
-/// (`crate::sweep`) produces identical results in parallel.
-pub fn run_suite(config: RunConfig) -> Vec<BenchmarkResult> {
-    profiles::spec2006()
-        .iter()
-        .map(|p| run_benchmark(p, config))
-        .collect()
-}
-
 /// Arithmetic mean of a per-benchmark metric.
 pub fn average<F: Fn(&BenchmarkResult) -> f64>(results: &[BenchmarkResult], f: F) -> f64 {
     if results.is_empty() {
@@ -408,10 +301,19 @@ pub fn average<F: Fn(&BenchmarkResult) -> f64>(results: &[BenchmarkResult], f: F
 mod tests {
     use super::*;
     use cache8t_obs::SamplerConfig;
-    use cache8t_trace::ChunkedGenerator;
+    use cache8t_trace::{
+        profiles, ChunkedGenerator, ProfiledGenerator, TraceGenerator, WorkloadProfile,
+    };
 
     fn small_config() -> RunConfig {
         RunConfig::new(CacheGeometry::paper_baseline(), 20_000, 7)
+    }
+
+    /// The benchmark's trace as the trace store generates it: shaped at
+    /// the reference geometry, warm-up included.
+    fn trace_for(p: &WorkloadProfile, config: RunConfig) -> Trace {
+        ProfiledGenerator::new(p.clone(), CacheGeometry::paper_baseline(), config.seed)
+            .collect(config.total_ops())
     }
 
     /// One unsampled scheme unit, as the sweep engine runs it.
@@ -433,29 +335,12 @@ mod tests {
     }
 
     #[test]
-    fn per_unit_runs_assemble_into_the_serial_result() {
-        // The engine's unit jobs must reproduce run_benchmark exactly.
-        let p = profiles::by_name("gcc").unwrap();
-        let config = small_config();
-        let serial = run_benchmark(&p, config);
-        let trace = generate_trace(&p, config);
-        let assembled = run_benchmark_on_trace(&p, config, &trace);
-        assert_eq!(serial.rmw.array_accesses, assembled.rmw.array_accesses);
-        assert_eq!(serial.wgrb.array_accesses, assembled.wgrb.array_accesses);
-        assert_eq!(serial.conventional.stats, assembled.conventional.stats);
-        assert_eq!(
-            serde_json::to_string(&serial).unwrap(),
-            serde_json::to_string(&assembled).unwrap()
-        );
-    }
-
-    #[test]
     fn sampling_does_not_perturb_the_measurement() -> io::Result<()> {
         // A sampled run must report byte-identical results to the plain
         // runner — telemetry observes the replay, it never changes it.
         let p = profiles::by_name("gcc").unwrap();
         let config = small_config();
-        let trace = generate_trace(&p, config);
+        let trace = trace_for(&p, config);
         let plain = run(SchemeKind::Wg, Ops::Trace(&trace), config)?;
         let mut sampler = Sampler::new(
             "gcc",
@@ -505,7 +390,7 @@ mod tests {
         // exact bytes of the materialized replay, for every scheme.
         let p = profiles::by_name("gcc").unwrap();
         let config = small_config();
-        let trace = generate_trace(&p, config);
+        let trace = trace_for(&p, config);
         for chunk_ops in [999usize, 4_096, 22_000, 50_000] {
             for scheme in SchemeKind::ALL {
                 let materialized = run(scheme, Ops::Trace(&trace), config)?;
@@ -556,7 +441,7 @@ mod tests {
 
         let p = profiles::by_name("mcf").unwrap();
         let config = small_config();
-        let trace = generate_trace(&p, config);
+        let trace = trace_for(&p, config);
         let sampler_config = SamplerConfig {
             cadence: 1_024,
             ring_capacity: 64,
@@ -601,7 +486,7 @@ mod tests {
         // warm-up longer than the stream (never fires).
         let p = profiles::by_name("gcc").unwrap();
         let base = small_config();
-        let trace = generate_trace(&p, base);
+        let trace = trace_for(&p, base);
         for warmup_ops in [0usize, 1_000, 1_001, 2_000, 21_999, 22_000, 50_000] {
             let config = RunConfig { warmup_ops, ..base };
             let materialized = run(SchemeKind::Wg, Ops::Trace(&trace), config)?;
@@ -650,7 +535,7 @@ mod tests {
         // far more windows are emitted than retained.
         let p = profiles::by_name("mcf").unwrap();
         let config = RunConfig::new(CacheGeometry::paper_baseline(), 200_000, 7);
-        let trace = generate_trace(&p, config);
+        let trace = trace_for(&p, config);
         let sampler_config = SamplerConfig {
             cadence: 64,
             ring_capacity: 32,

@@ -17,10 +17,9 @@
 //!   for every `--jobs` value; [`merge_documents`] reassembles
 //!   `--shard i/n` outputs into the unsharded document.
 //!
-//! The per-benchmark experiment runner itself lives in [`experiment`]
-//! (moved here from `cache8t-bench`, which re-exports it): the figure
-//! binaries, the sweep engine and the CLI drive every replay through its
-//! one driver, [`replay`].
+//! [`experiment`] holds the one replay driver, [`replay`]: the sweep
+//! engine, the CLI and the harness binaries drive every replay through
+//! it, and [`run_sweep`] is the only producer of [`BenchmarkResult`]s.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,10 +30,7 @@ pub mod store;
 pub mod stream;
 pub mod sweep;
 
-pub use experiment::{
-    average, replay, run_benchmark, run_benchmark_on_trace, run_suite, BenchmarkResult, Ops,
-    RunConfig, SchemeKind, SchemeResult,
-};
+pub use experiment::{average, replay, BenchmarkResult, Ops, RunConfig, SchemeKind, SchemeResult};
 pub use pool::{
     run_jobs, run_jobs_cancellable, CancelToken, ExecOptions, ExecReport, JobOutcome, JobProgress,
     WorkerStats,

@@ -132,9 +132,9 @@ impl TraceStore {
     }
 
     /// Returns the trace for `profile` at `seed` with `ops` operations,
-    /// generating it (at the paper's reference geometry, like the
-    /// experiment runner) on first request. Concurrent requests for the
-    /// same key generate exactly once.
+    /// generating it (at the paper's reference geometry, so every cache
+    /// configuration replays the same trace) on first request.
+    /// Concurrent requests for the same key generate exactly once.
     pub fn get(&self, profile: &WorkloadProfile, seed: u64, ops: usize) -> Arc<Trace> {
         let key = TraceKey {
             name: profile.name.clone(),

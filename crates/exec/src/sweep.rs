@@ -234,10 +234,11 @@ pub struct SweepOptions {
     /// The trace store jobs draw from.
     pub store: Arc<TraceStore>,
     /// Attach a continuous-telemetry sampler to every scheme unit.
-    /// The recorded windows land in each [`SchemeResult`]'s `series`
-    /// and are retrievable in plan order via [`SweepOutcome::series`];
-    /// they depend only on the trace and cadence, never on schedule, so
-    /// the resulting JSONL is byte-identical for any `--jobs`.
+    /// Every recorded window lands in its [`SchemeResult`]'s `series`
+    /// (each unit's ring is raised to the windows it can emit) and is
+    /// retrievable in plan order via [`SweepOutcome::series`]. Windows
+    /// depend only on the trace and cadence, never on schedule, so the
+    /// resulting JSONL is byte-identical for any `--jobs`.
     pub series: Option<SamplerConfig>,
     /// Cooperative cancellation: once the token fires, queued unit jobs
     /// drain without executing and the sweep returns with the finished
@@ -532,6 +533,16 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> SweepOutcome {
                     Unit::Scheme(kind) => {
                         let mut sampler = series.map(|sampler_config| {
                             let bench = format!("{}/{}", plan.geometries[g].label, profile.name);
+                            // The ring keeps every window the unit emits:
+                            // one per `cadence` ops plus a trailing partial
+                            // or flush-only window.
+                            let windows =
+                                (config.total_ops() as u64).div_ceil(sampler_config.cadence) + 1;
+                            let ring_capacity = sampler_config.ring_capacity.max(windows as usize);
+                            let sampler_config = SamplerConfig {
+                                ring_capacity,
+                                ..sampler_config
+                            };
                             Sampler::new(&bench, kind.name(), sampler_config)
                         });
                         let mut controller = kind.build(config.geometry);

@@ -319,6 +319,46 @@ fn streamed_sweeps_serialize_to_the_materialized_bytes() {
     }
 }
 
+/// A sampled sweep keeps every window of every unit, not just the
+/// last ring's worth: at cadence 1 a unit of 1 100 ops emits at least
+/// 1 100 windows, more than the default 512-window ring, and each
+/// scheme's series must still start at window 0 and tile the unit's ops.
+#[test]
+fn sampled_sweep_series_holds_every_window() {
+    let plan = SweepPlan {
+        profiles: vec![profiles::by_name("gcc").expect("suite profile")],
+        geometries: vec![GeometryPoint::named("baseline").expect("named geometry")],
+        ops: 1_000,
+        seed: 42,
+    };
+    let total_ops = plan.config(0).total_ops() as u64;
+    let options = SweepOptions {
+        series: Some(cache8t_obs::SamplerConfig::with_cadence(1)),
+        ..sweep_options(1)
+    };
+    let outcome = run_sweep(&plan, &options);
+    assert!(outcome.failures.is_empty());
+    let mut by_scheme: BTreeMap<&str, Vec<&cache8t_obs::SeriesSample>> = BTreeMap::new();
+    for sample in outcome.series() {
+        by_scheme.entry(&sample.scheme).or_default().push(sample);
+    }
+    assert_eq!(by_scheme.len(), 4, "one series per scheme");
+    for (scheme, samples) in by_scheme {
+        assert!(
+            samples.len() as u64 >= total_ops,
+            "{scheme}: {}",
+            samples.len()
+        );
+        let mut op = 0;
+        for (i, sample) in samples.iter().enumerate() {
+            assert_eq!(sample.window, i as u64, "{scheme}: window numbering");
+            assert_eq!(sample.op_start, op, "{scheme}: window {i} starts a gap");
+            op = sample.op_end;
+        }
+        assert_eq!(op, total_ops, "{scheme}: windows must cover the unit");
+    }
+}
+
 /// Streamed units deduplicate generation through the shared frontier:
 /// a multi-unit benchmark over one stream generates each chunk far
 /// fewer times than units-x-chunks.

@@ -42,7 +42,9 @@ commands:
   list-profiles                          list the 25 calibrated benchmark profiles
   gen      --profile NAME --out FILE     generate a trace to FILE
            [--ops N] [--seed S]
-  analyze  --trace FILE                  print stream statistics (Figures 3-5 metrics)
+  analyze  (--trace FILE | --profile NAME)
+           [--ops N] [--seed S]          print stream statistics (Figures 3-5
+           [--cache CAPKB,WAYS,BLOCKB]   metrics) of a saved or generated trace
   simulate --scheme SCHEME               replay through one controller
            (--trace FILE | --profile NAME)
            [--ops N] [--seed S]
@@ -134,6 +136,7 @@ commands:
            [--cache CAPKB,WAYS,BLOCKB]
            [--fuzz-rounds N]             seeded random traces (default: 10)
            [--jobs N]                    worker threads (default: all cores)
+           [--retries N]                 re-run panicking jobs up to N times
            [--shrink-out DIR]            where failing traces are shrunk to
                                          .c8tt reproducers (default:
                                          results/repro)
@@ -291,7 +294,7 @@ const COMMANDS: &[Command] = &[
         name: "report-series",
         run: cmd_report_series,
         args: "SERIES.jsonl",
-        flags: &["--rows"],
+        flags: &[],
         modes: &[],
     },
     Command {
@@ -803,8 +806,6 @@ fn cmd_bench_core(o: &Options) -> Result<(), String> {
             let start = std::time::Instant::now();
             // The production replay driver, decode included; a warm-up
             // equal to the trace length never fires the counter reset.
-            // CACHE8T_NO_BATCH=1 times the driver's per-op branch, for
-            // before/after comparisons on one binary.
             let result = replay(controller.as_mut(), Ops::Trace(&trace), trace.len(), None)
                 .map_err(|e| e.to_string())?;
             let elapsed = start.elapsed().as_secs_f64();
@@ -960,15 +961,7 @@ fn write_timeline(path: &str) -> Result<(), String> {
 
 /// Honors `--metrics-out` / `--trace-out` after a simulate run.
 fn write_observability(o: &Options, controller: &dyn Controller) -> Result<(), String> {
-    let Some(obs) = controller.obs() else {
-        if o.metrics_out.is_some() || o.trace_out.is_some() {
-            return Err(format!(
-                "scheme {} exposes no observability bundle",
-                controller.name()
-            ));
-        }
-        return Ok(());
-    };
+    let obs = controller.backend().obs();
     if let Some(path) = &o.metrics_out {
         write_file(path, |w| obs.registry().write_json(w))?;
         println!("  metrics snapshot written to {path}");
@@ -2532,6 +2525,59 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The flags `text` names: every `--name` token, however it is
+    /// punctuated (`[--ops N]`, `--out/--json`).
+    fn named_flags(text: &str) -> std::collections::BTreeSet<&str> {
+        let mut flags = std::collections::BTreeSet::new();
+        let mut rest = text;
+        while let Some(at) = rest.find("--") {
+            let tail = &rest[at..];
+            let len = 2 + tail[2..]
+                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .unwrap_or(tail.len() - 2);
+            flags.insert(&tail[..len]);
+            rest = &tail[len..];
+        }
+        flags
+    }
+
+    #[test]
+    fn usage_names_exactly_the_flags_each_command_reads() {
+        // A command's usage block is its line in the command list (two
+        // spaces, then the name) plus the indented lines that follow,
+        // up to the next command; `sweep --merge` has a block of its own.
+        let mut blocks: Vec<(&str, String)> = Vec::new();
+        let commands = USAGE.split_once("commands:\n").expect("command list").1;
+        for line in commands.lines().take_while(|l| l.starts_with(' ')) {
+            match line.strip_prefix("  ").filter(|l| !l.starts_with(' ')) {
+                Some(start) => {
+                    let name = start.split_whitespace().next().expect("command name");
+                    blocks.push((name, start[name.len()..].to_owned()));
+                }
+                None => blocks.last_mut().expect("a command block").1 += line,
+            }
+        }
+        for command in COMMANDS {
+            let usage: String = blocks
+                .iter()
+                .filter(|(name, _)| *name == command.name)
+                .map(|(_, text)| text.as_str())
+                .collect();
+            let listed: std::collections::BTreeSet<&str> = command
+                .flags
+                .iter()
+                .flat_map(|g| g.split_whitespace())
+                .collect();
+            assert_eq!(named_flags(&usage), listed, "usage of {}", command.name);
+        }
+        assert!(
+            blocks
+                .iter()
+                .all(|(name, _)| Command::named(name).is_some()),
+            "usage lists a command the table does not"
+        );
     }
 
     #[test]

@@ -6,13 +6,25 @@
 //! the shortened streams used in CI-sized runs. `EXPERIMENTS.md` records
 //! full-length results.
 
+use cache8t::exec::{run_suites, run_sweep, GeometryPoint, SweepOptions, SweepPlan};
 use cache8t::sim::CacheGeometry;
 use cache8t::trace::analyze::StreamStats;
 use cache8t::trace::{profiles, ProfiledGenerator, TraceGenerator};
-use cache8t_bench::experiment::{average, run_benchmark, run_suite, BenchmarkResult, RunConfig};
+use cache8t_bench::experiment::{average, BenchmarkResult};
 
 const OPS: usize = 40_000;
 const SEED: u64 = 42;
+
+fn baseline() -> GeometryPoint {
+    GeometryPoint::named("baseline").expect("named geometry")
+}
+
+/// The 25-benchmark suite on the baseline cache, run by the sweep engine.
+fn baseline_suite() -> Vec<BenchmarkResult> {
+    run_suites(vec![baseline()], OPS, SEED, &SweepOptions::default())
+        .expect("sweep completes")
+        .remove(0)
+}
 
 fn suite_stats() -> Vec<(String, StreamStats)> {
     let geometry = CacheGeometry::paper_baseline();
@@ -117,7 +129,7 @@ fn figure5_silent_writes_match_paper() {
 
 #[test]
 fn motivation_rmw_traffic_increase_matches_paper() {
-    let results = run_suite(RunConfig::new(CacheGeometry::paper_baseline(), OPS, SEED));
+    let results = baseline_suite();
     let avg = average(&results, BenchmarkResult::rmw_increase);
     let max = results
         .iter()
@@ -131,7 +143,7 @@ fn motivation_rmw_traffic_increase_matches_paper() {
 
 #[test]
 fn figure9_reductions_match_paper() {
-    let results = run_suite(RunConfig::new(CacheGeometry::paper_baseline(), OPS, SEED));
+    let results = baseline_suite();
     let wg = average(&results, BenchmarkResult::wg_reduction);
     let wgrb = average(&results, BenchmarkResult::wgrb_reduction);
     // Paper §5.2: "cache access frequency is reduced by 27% and 33%".
@@ -161,7 +173,7 @@ fn figure9_reductions_match_paper() {
 
 #[test]
 fn figure9_beneficiaries_match_paper_narrative() {
-    let results = run_suite(RunConfig::new(CacheGeometry::paper_baseline(), OPS, SEED));
+    let results = baseline_suite();
     let avg_delta = average(&results, |r| r.wgrb_reduction() - r.wg_reduction());
     // Paper §5.2: gamess and cactusADM benefit more from read bypassing.
     for name in ["gamess", "cactusADM"] {
@@ -192,9 +204,18 @@ fn figure9_beneficiaries_match_paper_narrative() {
 
 #[test]
 fn single_benchmark_runner_matches_suite_entry() {
-    let config = RunConfig::new(CacheGeometry::paper_baseline(), OPS, SEED);
-    let suite = run_suite(config);
-    let gcc_direct = run_benchmark(&profiles::by_name("gcc").expect("gcc present"), config);
+    let plan = SweepPlan {
+        profiles: vec![profiles::by_name("gcc").expect("gcc present")],
+        geometries: vec![baseline()],
+        ops: OPS,
+        seed: SEED,
+    };
+    let gcc_direct = run_sweep(&plan, &SweepOptions::default())
+        .into_complete()
+        .expect("sweep completes")
+        .remove(0)
+        .remove(0);
+    let suite = baseline_suite();
     let gcc_in_suite = suite.iter().find(|r| r.name == "gcc").expect("gcc present");
     assert_eq!(
         gcc_direct.rmw.array_accesses,
@@ -203,5 +224,9 @@ fn single_benchmark_runner_matches_suite_entry() {
     assert_eq!(
         gcc_direct.wgrb.array_accesses,
         gcc_in_suite.wgrb.array_accesses
+    );
+    assert_eq!(
+        serde_json::to_string(&gcc_direct).unwrap(),
+        serde_json::to_string(gcc_in_suite).unwrap()
     );
 }

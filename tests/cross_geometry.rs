@@ -8,24 +8,29 @@
 //! - **Figure 11**: reductions are essentially insensitive to cache
 //!   capacity, with a slight decrease at larger sizes.
 
-use cache8t::sim::CacheGeometry;
-use cache8t_bench::experiment::{average, run_suite, BenchmarkResult, RunConfig};
+use cache8t::exec::{run_suites, GeometryPoint, SweepOptions};
+use cache8t_bench::experiment::{average, BenchmarkResult};
 
 const OPS: usize = 40_000;
 const SEED: u64 = 42;
 
-fn averages(geometry: CacheGeometry) -> (f64, f64) {
-    let results = run_suite(RunConfig::new(geometry, OPS, SEED));
-    (
-        average(&results, BenchmarkResult::wg_reduction),
-        average(&results, BenchmarkResult::wgrb_reduction),
-    )
+/// Suite-average (WG, WG+RB) reductions at two named geometries, run by
+/// the sweep engine over one shared set of traces.
+fn averages(a: &str, b: &str) -> [(f64, f64); 2] {
+    let points = [a, b].map(|label| GeometryPoint::named(label).expect("named geometry"));
+    let results =
+        run_suites(points.to_vec(), OPS, SEED, &SweepOptions::default()).expect("sweep completes");
+    [0, 1].map(|g| {
+        (
+            average(&results[g], BenchmarkResult::wg_reduction),
+            average(&results[g], BenchmarkResult::wgrb_reduction),
+        )
+    })
 }
 
 #[test]
 fn figure10_larger_blocks_raise_reductions() {
-    let (wg_base, wgrb_base) = averages(CacheGeometry::paper_baseline());
-    let (wg_64b, wgrb_64b) = averages(CacheGeometry::paper_large_blocks());
+    let [(wg_base, wgrb_base), (wg_64b, wgrb_64b)] = averages("baseline", "blocks64");
     // Paper §5.3: 29% / 37% at 64 B blocks vs 27% / 33% at 32 B.
     assert!(
         wg_64b > wg_base + 0.01,
@@ -44,8 +49,7 @@ fn figure10_larger_blocks_raise_reductions() {
 
 #[test]
 fn figure11_cache_size_is_second_order() {
-    let (wg_32k, wgrb_32k) = averages(CacheGeometry::paper_small());
-    let (wg_128k, wgrb_128k) = averages(CacheGeometry::paper_large());
+    let [(wg_32k, wgrb_32k), (wg_128k, wgrb_128k)] = averages("small", "large");
     // Paper §5.3: 26.9%/26.6% (WG) and 32.6%/32.1% (WG+RB) — within a
     // point of each other across a 4x capacity change.
     assert!(

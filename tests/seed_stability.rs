@@ -2,13 +2,21 @@
 //! identical seeds give identical results, and the suite averages are
 //! stable across seeds (the synthetic workloads are stationary).
 
-use cache8t::sim::CacheGeometry;
-use cache8t_bench::experiment::{average, run_suite, BenchmarkResult, RunConfig};
+use cache8t::exec::{run_suites, GeometryPoint, SweepOptions};
+use cache8t_bench::experiment::{average, BenchmarkResult};
 
 const OPS: usize = 30_000;
 
+/// The 25-benchmark suite on the baseline cache, run by the sweep engine.
+fn suite(ops: usize, seed: u64) -> Vec<BenchmarkResult> {
+    let baseline = GeometryPoint::named("baseline").expect("named geometry");
+    run_suites(vec![baseline], ops, seed, &SweepOptions::default())
+        .expect("sweep completes")
+        .remove(0)
+}
+
 fn averages(seed: u64) -> (f64, f64) {
-    let results = run_suite(RunConfig::new(CacheGeometry::paper_baseline(), OPS, seed));
+    let results = suite(OPS, seed);
     (
         average(&results, BenchmarkResult::wg_reduction),
         average(&results, BenchmarkResult::wgrb_reduction),
@@ -17,8 +25,8 @@ fn averages(seed: u64) -> (f64, f64) {
 
 #[test]
 fn identical_seeds_give_identical_results() {
-    let a = run_suite(RunConfig::new(CacheGeometry::paper_baseline(), 5_000, 9));
-    let b = run_suite(RunConfig::new(CacheGeometry::paper_baseline(), 5_000, 9));
+    let a = suite(5_000, 9);
+    let b = suite(5_000, 9);
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.rmw.array_accesses, y.rmw.array_accesses, "{}", x.name);
         assert_eq!(x.wg.traffic, y.wg.traffic, "{}", x.name);

@@ -11,11 +11,11 @@
 use std::sync::Arc;
 
 use cache8t::core::{Controller, SchemeKind};
-use cache8t::exec::{replay, Ops, SchemeResult};
-use cache8t::obs::sampler::{Sampler, SamplerConfig};
+use cache8t::exec::{replay, GeometryPoint, Ops, RunConfig, SchemeResult};
+use cache8t::obs::sampler::{Sampler, SamplerConfig, SeriesSample};
 use cache8t::obs::MetricRegistry;
 use cache8t::sim::CacheGeometry;
-use cache8t::trace::{ChunkedGenerator, ProfiledGenerator, Trace, TraceGenerator};
+use cache8t::trace::{profiles, ChunkedGenerator, ProfiledGenerator, Trace, TraceGenerator};
 
 fn generator(seed: u64) -> ProfiledGenerator {
     let profile = cache8t::trace::profiles::by_name("gcc").expect("gcc profile");
@@ -177,11 +177,32 @@ fn replay_sampled_per_op(
     }
 }
 
+/// One sampled replay of scheme `id` on a fresh controller over
+/// `geometry`, by `replay_with`: the serialized result, the ring series
+/// and the series JSONL bytes.
+fn sampled_run(
+    id: SchemeKind,
+    geometry: CacheGeometry,
+    config: SamplerConfig,
+    replay_with: &dyn Fn(&mut dyn Controller, &mut Sampler) -> SchemeResult,
+) -> (String, Vec<SeriesSample>, Vec<u8>) {
+    let buf = SharedBuf(Arc::new(std::sync::Mutex::new(Vec::new())));
+    let mut sampler =
+        Sampler::new("gcc", &id.to_string(), config).with_writer(Box::new(buf.clone()));
+    let result = replay_with(id.build(geometry).as_mut(), &mut sampler);
+    let bytes = buf.0.lock().unwrap().clone();
+    (
+        serde_json::to_string(&result).unwrap(),
+        result.series,
+        bytes,
+    )
+}
+
 #[test]
 fn sampled_driver_cuts_match_a_per_op_sampled_replay() {
     // The driver cuts batched ranges at sub-batch ends, the warm-up
-    // index and window boundaries; CACHE8T_NO_BATCH shares those cuts,
-    // so only a per-op loop can show a cut that lands on the wrong op.
+    // index and window boundaries, so only a per-op loop can show a cut
+    // that lands on the wrong op.
     // Cadence 1 samples after every op, so it runs on a shorter trace.
     let cases = [
         (1u64, 1_500),
@@ -194,26 +215,13 @@ fn sampled_driver_cuts_match_a_per_op_sampled_replay() {
         let on_window = cadence as usize;
         for warmup in [0, on_window, 8_192, 3_001, total, total + 5_000] {
             for id in SchemeKind::suite(4) {
-                let label = id.to_string();
                 let config = SamplerConfig {
                     cadence,
                     ring_capacity: 8,
                 };
                 let run =
                     |replay_with: &dyn Fn(&mut dyn Controller, &mut Sampler) -> SchemeResult| {
-                        let buf = SharedBuf(Arc::new(std::sync::Mutex::new(Vec::new())));
-                        let mut sampler =
-                            Sampler::new("gcc", &label, config).with_writer(Box::new(buf.clone()));
-                        let result = replay_with(
-                            id.build(CacheGeometry::paper_baseline()).as_mut(),
-                            &mut sampler,
-                        );
-                        let bytes = buf.0.lock().unwrap().clone();
-                        (
-                            serde_json::to_string(&result).unwrap(),
-                            result.series,
-                            bytes,
-                        )
+                        sampled_run(id, CacheGeometry::paper_baseline(), config, replay_with)
                     };
                 let reference = run(&|c, s| replay_sampled_per_op(c, &trace, warmup, s));
                 assert!(!reference.2.is_empty(), "sampled replay must emit windows");
@@ -232,6 +240,57 @@ fn sampled_driver_cuts_match_a_per_op_sampled_replay() {
                     });
                     let case = format!(
                         "scheme {id}, cadence {cadence}, warm-up {warmup}, chunks {chunk_ops:?}"
+                    );
+                    assert_eq!(reference.0, driven.0, "result JSON diverged: {case}");
+                    assert_eq!(reference.1, driven.1, "ring series diverged: {case}");
+                    assert_eq!(reference.2, driven.2, "series bytes diverged: {case}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn driver_matches_per_op_replay_on_every_profile_and_paper_geometry() {
+    // The cut rule and the batch kernels across every workload shape and
+    // the four paper geometries (two set counts, 64 B blocks), not just
+    // gcc at the baseline: short traces with the sweep's 10 % warm-up and
+    // a cadence-1024 sampler, materialized and chunked at 700 ops.
+    let config = SamplerConfig {
+        cadence: 1_024,
+        ring_capacity: 8,
+    };
+    let run_config = RunConfig::new(CacheGeometry::paper_baseline(), 2_000, 42);
+    let (total, warmup) = (run_config.total_ops(), run_config.warmup_ops);
+    for profile in profiles::spec2006() {
+        let generator =
+            || ProfiledGenerator::new(profile.clone(), CacheGeometry::paper_baseline(), 42);
+        let trace = generator().collect(total);
+        for label in ["baseline", "blocks64", "small", "large"] {
+            let geometry = GeometryPoint::named(label)
+                .expect("paper geometry")
+                .geometry;
+            for id in SchemeKind::suite(4) {
+                let run =
+                    |replay_with: &dyn Fn(&mut dyn Controller, &mut Sampler) -> SchemeResult| {
+                        sampled_run(id, geometry, config, replay_with)
+                    };
+                let reference = run(&|c, s| replay_sampled_per_op(c, &trace, warmup, s));
+                for chunk_ops in [None, Some(700)] {
+                    let driven = run(&|c, s| {
+                        let ops = match chunk_ops {
+                            None => Ops::Trace(&trace),
+                            Some(n) => Ops::Chunks(Box::new(ChunkedGenerator::new(
+                                generator(),
+                                n,
+                                total as u64,
+                            ))),
+                        };
+                        replay(c, ops, warmup, Some(s)).unwrap()
+                    });
+                    let case = format!(
+                        "{} at {label}, scheme {id}, chunks {chunk_ops:?}",
+                        profile.name
                     );
                     assert_eq!(reference.0, driven.0, "result JSON diverged: {case}");
                     assert_eq!(reference.1, driven.1, "ring series diverged: {case}");
