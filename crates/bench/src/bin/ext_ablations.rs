@@ -16,18 +16,40 @@ use cache8t_core::{CountingPolicy, RmwController, WgController, WgOptions};
 use cache8t_sim::{CacheGeometry, ReplacementKind};
 use cache8t_trace::{profiles, ProfiledGenerator, TraceGenerator};
 
-/// Average reduction of `options` vs RMW over the whole suite.
-fn suite_reduction(options: WgOptions, replacement: ReplacementKind, ops: usize, seed: u64) -> f64 {
+/// Average reduction vs RMW of every configuration over the whole
+/// suite, in `configs` order. Each profile's trace is generated once,
+/// and its RMW reference replayed once per replacement policy, for all
+/// configurations; each sum still accumulates in profile order.
+fn suite_reductions(
+    configs: &[(String, WgOptions, ReplacementKind)],
+    ops: usize,
+    seed: u64,
+) -> Vec<f64> {
     let geometry = CacheGeometry::paper_baseline();
-    let mut total = 0.0;
+    let mut totals = vec![0.0; configs.len()];
     let suite = profiles::spec2006();
     for profile in &suite {
         let trace = ProfiledGenerator::new(profile.clone(), geometry, seed).collect(ops);
-        let rmw = replay_traffic(&mut RmwController::new(geometry, replacement), &trace);
-        let mut wg = WgController::with_options(geometry, replacement, options);
-        total += replay_traffic(&mut wg, &trace).reduction_vs(&rmw, CountingPolicy::DemandOnly);
+        let mut references = Vec::new();
+        for (total, &(_, options, replacement)) in totals.iter_mut().zip(configs) {
+            let rmw = match references.iter().find(|(kind, _)| *kind == replacement) {
+                Some(&(_, rmw)) => rmw,
+                None => {
+                    let rmw =
+                        replay_traffic(&mut RmwController::new(geometry, replacement), &trace);
+                    references.push((replacement, rmw));
+                    rmw
+                }
+            };
+            let mut wg = WgController::with_options(geometry, replacement, options);
+            *total +=
+                replay_traffic(&mut wg, &trace).reduction_vs(&rmw, CountingPolicy::DemandOnly);
+        }
     }
-    total / suite.len() as f64
+    totals
+        .into_iter()
+        .map(|total| total / suite.len() as f64)
+        .collect()
 }
 
 fn main() {
@@ -108,9 +130,9 @@ fn main() {
         ),
     ];
 
+    let reductions = suite_reductions(&configs, ops, args.seed);
     let mut json_rows = Vec::new();
-    for (label, options, replacement) in configs {
-        let reduction = suite_reduction(options, replacement, ops, args.seed);
+    for ((label, ..), reduction) in configs.into_iter().zip(reductions) {
         table.row(&[label.clone(), pct(reduction)]);
         json_rows.push(serde_json::json!({ "config": label, "reduction": reduction }));
     }

@@ -91,27 +91,35 @@ fn main() {
         "avg read latency",
         "read-port avail.",
     ]);
-    let mut json_rows = Vec::new();
-    for (label, build, banks) in &configs {
-        let model = PortTimingModel::new(TimingConfig::banked(*banks));
-        let mut reduction_sum = 0.0;
-        let mut latency_sum = 0.0;
-        let mut avail_sum = 0.0;
-        for profile in &suite {
-            let trace = ProfiledGenerator::new(profile.clone(), geometry, args.seed).collect(ops);
-            let rmw = replay_traffic(
-                &mut RmwController::new(geometry, ReplacementKind::Lru),
-                &trace,
-            );
+    // One trace and one RMW reference per profile, shared by every
+    // configuration; each configuration's sums accumulate in profile
+    // order.
+    let models: Vec<PortTimingModel> = configs
+        .iter()
+        .map(|&(_, _, banks)| PortTimingModel::new(TimingConfig::banked(banks)))
+        .collect();
+    // (traffic reduction, read latency, read-port availability) sums.
+    let mut sums = vec![(0.0, 0.0, 0.0); configs.len()];
+    for profile in &suite {
+        let trace = ProfiledGenerator::new(profile.clone(), geometry, args.seed).collect(ops);
+        let rmw = replay_traffic(
+            &mut RmwController::new(geometry, ReplacementKind::Lru),
+            &trace,
+        );
+        for (((_, build, _), model), sum) in configs.iter().zip(&models).zip(&mut sums) {
             let mut controller = build();
             let report = model.run(controller.as_mut(), &trace);
             controller.flush();
-            reduction_sum += controller
+            sum.0 += controller
                 .traffic()
                 .reduction_vs(&rmw, CountingPolicy::DemandOnly);
-            latency_sum += report.avg_read_latency();
-            avail_sum += report.read_port_availability();
+            sum.1 += report.avg_read_latency();
+            sum.2 += report.read_port_availability();
         }
+    }
+
+    let mut json_rows = Vec::new();
+    for ((label, ..), (reduction_sum, latency_sum, avail_sum)) in configs.iter().zip(sums) {
         let n = suite.len() as f64;
         table.row(&[
             label.to_string(),

@@ -14,17 +14,15 @@
 //! Each sweep varies one parameter of a mid-suite synthetic profile with
 //! everything else held fixed. The points all run as independent jobs on
 //! the execution engine; the associativity sweep's five geometries share
-//! one generated trace through the trace store.
-
-use std::sync::Arc;
+//! one trace of the base profile, generated once up front.
 
 use cache8t_bench::cli::CommonArgs;
 use cache8t_bench::experiment::replay_traffic;
 use cache8t_bench::table::{pct, Table};
 use cache8t_core::{CountingPolicy, RmwController, WgController, WgRbController};
-use cache8t_exec::{run_jobs, ExecOptions, JobOutcome, TraceStore};
+use cache8t_exec::{run_jobs, ExecOptions, JobOutcome};
 use cache8t_sim::{CacheGeometry, ReplacementKind};
-use cache8t_trace::{PairLocality, Trace, WorkloadProfile};
+use cache8t_trace::{PairLocality, ProfiledGenerator, Trace, TraceGenerator, WorkloadProfile};
 
 /// The suite-average-like base point for all sweeps.
 fn base_profile() -> WorkloadProfile {
@@ -66,7 +64,9 @@ fn point(trace: &Trace, geometry: CacheGeometry) -> (f64, f64) {
 struct SweepPoint {
     section: usize,
     cells: Vec<String>,
-    profile: WorkloadProfile,
+    /// The point's own profile, or `None` to replay the shared trace of
+    /// [`base_profile`].
+    profile: Option<WorkloadProfile>,
     geometry: CacheGeometry,
 }
 
@@ -95,7 +95,7 @@ fn main() {
         points.push(SweepPoint {
             section: 0,
             cells: vec![format!("{:.0}%", write_share * 100.0)],
-            profile: p,
+            profile: Some(p),
             geometry: baseline,
         });
     }
@@ -107,7 +107,7 @@ fn main() {
         points.push(SweepPoint {
             section: 1,
             cells: vec![format!("{:.0}%", silent * 100.0)],
-            profile: p,
+            profile: Some(p),
             geometry: baseline,
         });
     }
@@ -122,7 +122,7 @@ fn main() {
         points.push(SweepPoint {
             section: 2,
             cells: vec![format!("{:.0}%", ww * 100.0)],
-            profile: p,
+            profile: Some(p),
             geometry: baseline,
         });
     }
@@ -133,22 +133,24 @@ fn main() {
         points.push(SweepPoint {
             section: 3,
             cells: vec![format!("{ways}-way"), format!("{}B", geometry.set_bytes())],
-            profile: base_profile(),
+            profile: None,
             geometry,
         });
     }
 
-    // All points in one batch: the five associativity geometries share a
-    // single generated trace through the store (the profile fingerprint,
-    // not the geometry, keys generation).
-    let store = Arc::new(TraceStore::in_memory());
+    // All points in one batch. Traces are shaped at the reference
+    // geometry, so the five associativity geometries replay one trace.
+    let generate = |profile: &WorkloadProfile| {
+        ProfiledGenerator::new(profile.clone(), baseline, args.seed).collect(ops)
+    };
+    let shared = generate(&base_profile());
     let jobs: Vec<_> = points
         .iter()
         .map(|sp| {
-            let store = Arc::clone(&store);
-            move || {
-                let trace = store.get(&sp.profile, args.seed, ops);
-                point(&trace, sp.geometry)
+            let shared = &shared;
+            move || match &sp.profile {
+                Some(profile) => point(&generate(profile), sp.geometry),
+                None => point(shared, sp.geometry),
             }
         })
         .collect();

@@ -81,8 +81,9 @@ impl CommonArgs {
     }
 
     /// The sweep-engine options these flags select: `--jobs` workers,
-    /// an in-memory trace store (point `CACHE8T_TRACE_STORE` at a
-    /// directory to cache traces on disk), and a progress line on TTYs.
+    /// a trace store without disk backing (point `CACHE8T_TRACE_STORE`
+    /// at a directory to cache traces on disk), and a progress line on
+    /// TTYs.
     pub fn sweep_options(&self) -> SweepOptions {
         SweepOptions {
             exec: ExecOptions {
@@ -100,7 +101,7 @@ impl CommonArgs {
     /// Runs the 25-benchmark suite at each named paper geometry on the
     /// sweep engine with [`sweep_options`](CommonArgs::sweep_options):
     /// one result vector per label, in order. Prints the failure summary
-    /// and exits with status 1 if a unit job failed.
+    /// and exits with status 1 if a sweep job failed.
     pub fn run_suites(&self, labels: &[&str]) -> Vec<Vec<BenchmarkResult>> {
         let points = labels
             .iter()

@@ -1,12 +1,13 @@
 //! The replay driver and the result types every replay produces.
 //!
-//! [`replay`] is the one loop that replays a trace for a result: the
-//! sweep engine's unit jobs, `simulate`, `bench-core` and the harness
-//! binaries all call it, so the batched kernels the lockstep suites pin
+//! `Lane` is the one loop that replays a trace for a result: the sweep
+//! engine's jobs feed it chunk by chunk, and [`replay`] — behind
+//! `simulate`, `bench-core` and the harness binaries — is one lane fed
+//! a whole [`Ops`] stream, so the batched kernels the lockstep suites pin
 //! are the code behind every reported number. [`BenchmarkResult`]s come
 //! from the sweep engine ([`crate::sweep::run_sweep`]) alone.
 
-use std::convert::Infallible;
+use std::borrow::BorrowMut;
 use std::io;
 
 use serde::Serialize;
@@ -171,11 +172,33 @@ impl Ops<'_> {
 }
 
 /// Replays `ops` through `controller` with the standard warm-up protocol
-/// and snapshots its statistics and telemetry: the one replay loop
-/// behind every run, materialized or streamed, sampled or not.
+/// and snapshots its statistics and telemetry: one `Lane` fed every
+/// slice of `ops`, materialized or streamed, sampled or not.
 ///
-/// Each sub-batch of at most 8192 ops is decoded once, then serviced by
-/// `access_batch` over ranges cut at the nearest of:
+/// # Errors
+///
+/// Returns the sampler writer's I/O error. A replay without a sampler,
+/// or with a ring-only one, does no I/O.
+pub fn replay(
+    controller: &mut dyn Controller,
+    ops: Ops<'_>,
+    warmup_ops: usize,
+    sampler: Option<&mut Sampler>,
+) -> io::Result<SchemeResult> {
+    let mut lane = Lane::new(controller, warmup_ops, sampler);
+    ops.try_for_each(|slice, _| lane.feed(slice))?;
+    lane.finish()
+}
+
+/// One controller's replay in progress, fed a trace slice by slice: the
+/// one replay loop behind every run. [`replay`] is a single lane over a
+/// borrowed controller and sampler; a sweep job's lanes own theirs, and
+/// the job feeds each chunk of its trace to every scheme lane of every
+/// geometry in turn.
+///
+/// [`feed`](Lane::feed) decodes each sub-batch of at most 8192 ops once,
+/// then services it with `access_batch` over ranges cut at the nearest
+/// of:
 ///
 /// - the end of the sub-batch;
 /// - the op with global index `warmup_ops`, before which the counters
@@ -186,32 +209,54 @@ impl Ops<'_> {
 ///
 /// The cuts land where a per-op loop would reset and sample, so the
 /// result and every series row are bit-identical to it for any chunking.
-/// With a `sampler`, each window diffs the controller's registry and
+/// With a sampler, each window diffs the controller's registry and
 /// probes its buffer occupancy; the retained ring lands in
 /// [`SchemeResult::series`], an attached writer streams every window as
-/// JSONL and is flushed at every chunk seam. The controller's name
-/// doubles as the span label, so the span report breaks replay time
+/// JSONL and is flushed after every fed slice. The controller's name
+/// labels the span of each feed, so the span report breaks replay time
 /// down per scheme.
-///
-/// # Errors
-///
-/// Returns the sampler writer's I/O error. A replay without a sampler,
-/// or with a ring-only one, does no I/O.
-pub fn replay(
-    controller: &mut dyn Controller,
-    ops: Ops<'_>,
-    warmup_ops: usize,
-    mut sampler: Option<&mut Sampler>,
-) -> io::Result<SchemeResult> {
-    let _span = Span::enter(controller.name());
-    let warmup = warmup_ops as u64;
-    let mut batch = DecodedBatch::new(controller.cache().geometry());
-    if let Some(s) = sampler.as_deref_mut() {
-        s.rebaseline(controller.backend().obs().registry());
+pub(crate) struct Lane<C, S> {
+    controller: C,
+    sampler: Option<S>,
+    batch: DecodedBatch,
+    warmup: u64,
+    /// Global index of the next op fed.
+    index: u64,
+}
+
+impl<'c, C, S> Lane<C, S>
+where
+    C: BorrowMut<dyn Controller + 'c>,
+    S: BorrowMut<Sampler>,
+{
+    /// A lane over a fresh `controller` (borrowed or owned), resetting
+    /// its counters before the op with global index `warmup_ops`.
+    pub(crate) fn new(mut controller: C, warmup_ops: usize, mut sampler: Option<S>) -> Self {
+        let c: &mut (dyn Controller + 'c) = controller.borrow_mut();
+        if let Some(s) = sampler.as_mut() {
+            s.borrow_mut().rebaseline(c.backend().obs().registry());
+        }
+        Lane {
+            batch: DecodedBatch::new(c.cache().geometry()),
+            controller,
+            sampler,
+            warmup: warmup_ops as u64,
+            index: 0,
+        }
     }
-    let mut index = 0u64; // global index of the sub-batch's first op
-    ops.try_for_each(|slice, _| {
-        for sub in slice.chunks(REPLAY_BATCH_OPS) {
+
+    /// Replays the next `ops` of the stream.
+    ///
+    /// # Errors
+    ///
+    /// Returns the sampler writer's I/O error.
+    pub(crate) fn feed(&mut self, ops: &[MemOp]) -> io::Result<()> {
+        let controller: &mut (dyn Controller + 'c) = self.controller.borrow_mut();
+        let mut sampler = self.sampler.as_mut().map(BorrowMut::<Sampler>::borrow_mut);
+        let (batch, warmup) = (&mut self.batch, self.warmup);
+        let mut index = self.index;
+        let _span = Span::enter(controller.name());
+        for sub in ops.chunks(REPLAY_BATCH_OPS) {
             batch.decode(sub);
             let sub_end = index + sub.len() as u64;
             let mut pos = 0;
@@ -231,7 +276,7 @@ pub fn replay(
                 if let Some(s) = sampler.as_deref() {
                     end = pos + s.ops_to_boundary().min((end - pos) as u64) as usize;
                 }
-                controller.access_batch(&batch, pos..end);
+                controller.access_batch(batch, pos..end);
                 if let Some(s) = sampler.as_deref_mut() {
                     if s.note_ops((end - pos) as u64) {
                         let occupancy = controller.occupancy().unwrap_or_default();
@@ -242,51 +287,88 @@ pub fn replay(
             }
             index = sub_end;
         }
-        match sampler.as_deref_mut() {
+        self.index = index;
+        match sampler {
             Some(s) => s.flush_writer(),
             None => Ok(()),
         }
-    })?;
-    controller.flush();
-    let obs = controller.backend().obs();
-    let series = match sampler {
-        Some(s) => {
-            s.finish(obs.registry(), controller.occupancy().unwrap_or_default())?;
-            s.take_ring()
-        }
-        None => Vec::new(),
-    };
-    Ok(SchemeResult {
-        scheme: controller.name(),
-        array_accesses: controller.array_accesses(),
-        traffic: *controller.traffic(),
-        stats: *controller.stats(),
-        metrics: obs.registry().to_value(),
-        events: obs.tracer().events().copied().collect(),
-        registry: obs.registry().clone(),
-        series,
-    })
+    }
+
+    /// Flushes the controller and snapshots its statistics, telemetry
+    /// and series.
+    ///
+    /// # Errors
+    ///
+    /// Returns the sampler writer's I/O error.
+    pub(crate) fn finish(mut self) -> io::Result<SchemeResult> {
+        let controller: &mut (dyn Controller + 'c) = self.controller.borrow_mut();
+        controller.flush();
+        let obs = controller.backend().obs();
+        let series = match self.sampler.as_mut().map(BorrowMut::<Sampler>::borrow_mut) {
+            Some(s) => {
+                s.finish(obs.registry(), controller.occupancy().unwrap_or_default())?;
+                s.take_ring()
+            }
+            None => Vec::new(),
+        };
+        Ok(SchemeResult {
+            scheme: controller.name(),
+            array_accesses: controller.array_accesses(),
+            traffic: *controller.traffic(),
+            stats: *controller.stats(),
+            metrics: obs.registry().to_value(),
+            events: obs.tracer().events().copied().collect(),
+            registry: obs.registry().clone(),
+            series,
+        })
+    }
 }
 
-/// Measures the Figure-3/4/5 stream statistics of the measured region —
-/// the sweep engine's fifth per-benchmark unit of work. The ops past the
-/// warm-up fold through the incremental accumulator, normalized by the
-/// `warmup_split` pro-rating of the whole stream, so a chunk stream
-/// measures bit-identically to its materialized trace.
-pub fn measure_stream(ops: Ops<'_>, config: RunConfig) -> StreamStats {
-    let _span = Span::enter("bench.stream_stats");
-    let mut acc = StreamStatsAccumulator::new(config.geometry);
-    let warmup = config.warmup_ops as u64;
-    let (mut total_ops, mut total_instructions) = (0u64, 0u64);
-    let Ok(()) = ops.try_for_each(|slice, instructions| {
-        let skip = warmup.saturating_sub(total_ops).min(slice.len() as u64);
-        acc.feed(&slice[skip as usize..]);
-        total_ops += slice.len() as u64;
-        total_instructions += instructions;
-        Ok::<(), Infallible>(())
-    });
-    let split = warmup_split(total_ops as usize, total_instructions, config.warmup_ops);
-    acc.finish(split.measured_instructions)
+/// The Figure-3/4/5 stream statistics of one geometry's measured region,
+/// folded slice by slice — a sweep job keeps one per geometry beside its
+/// scheme lanes. The ops past the warm-up fold through the incremental
+/// accumulator, normalized by the `warmup_split` pro-rating of the whole
+/// stream, so a chunk stream measures bit-identically to its
+/// materialized trace.
+pub(crate) struct StreamFold {
+    acc: StreamStatsAccumulator,
+    warmup_ops: usize,
+    total_ops: u64,
+    total_instructions: u64,
+}
+
+impl StreamFold {
+    /// A fold at `config`'s geometry and warm-up.
+    pub(crate) fn new(config: RunConfig) -> Self {
+        StreamFold {
+            acc: StreamStatsAccumulator::new(config.geometry),
+            warmup_ops: config.warmup_ops,
+            total_ops: 0,
+            total_instructions: 0,
+        }
+    }
+
+    /// Folds the next `ops` of the stream, which represent
+    /// `instructions` instructions.
+    pub(crate) fn feed(&mut self, ops: &[MemOp], instructions: u64) {
+        let _span = Span::enter("bench.stream_stats");
+        let skip = (self.warmup_ops as u64)
+            .saturating_sub(self.total_ops)
+            .min(ops.len() as u64);
+        self.acc.feed(&ops[skip as usize..]);
+        self.total_ops += ops.len() as u64;
+        self.total_instructions += instructions;
+    }
+
+    /// The statistics of the measured region.
+    pub(crate) fn finish(self) -> StreamStats {
+        let split = warmup_split(
+            self.total_ops as usize,
+            self.total_instructions,
+            self.warmup_ops,
+        );
+        self.acc.finish(split.measured_instructions)
+    }
 }
 
 /// Arithmetic mean of a per-benchmark metric.
@@ -316,7 +398,17 @@ mod tests {
             .collect(config.total_ops())
     }
 
-    /// One unsampled scheme unit, as the sweep engine runs it.
+    /// The stream statistics of `ops`, folded as a sweep job folds them.
+    fn measure_stream(ops: Ops<'_>, config: RunConfig) -> StreamStats {
+        let mut fold = StreamFold::new(config);
+        let Ok(()) = ops.try_for_each(|slice, instructions| {
+            fold.feed(slice, instructions);
+            Ok::<(), std::convert::Infallible>(())
+        });
+        fold.finish()
+    }
+
+    /// One unsampled scheme lane.
     fn run(scheme: SchemeKind, ops: Ops<'_>, config: RunConfig) -> io::Result<SchemeResult> {
         replay(
             scheme.build(config.geometry).as_mut(),

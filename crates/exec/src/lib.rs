@@ -6,20 +6,23 @@
 //!   take jobs in submission order from one shared cursor, with per-job
 //!   panic isolation ([`JobOutcome::Failed`] instead of an aborted
 //!   batch) and bounded retry.
-//! * [`store`] — a generate-once [`TraceStore`]: every job that needs
-//!   the trace of a (profile, seed, ops) point shares one in-memory
-//!   `Arc<Trace>`, optionally backed by the C8TT on-disk format under
-//!   `results/traces/` so repeated invocations skip generation
-//!   entirely.
+//! * [`store`] — the [`TraceStore`] a job opens its trace from: one
+//!   pass over the generator, cut into chunks or whole, optionally
+//!   backed by the C8TT on-disk format under `results/traces/` so later
+//!   opens and repeated invocations skip generation entirely. It keeps
+//!   no trace in memory between opens.
 //! * [`sweep`] — declarative [`SweepPlan`]s (workloads × geometries ×
-//!   schemes) executed as fine-grained unit jobs and merged back in
-//!   plan order, so the serialized sweep document is byte-identical
-//!   for every `--jobs` value; [`merge_documents`] reassembles
-//!   `--shard i/n` outputs into the unsharded document.
+//!   schemes) executed as one job per profile, which replays the
+//!   profile's trace in a single pass through every selected geometry
+//!   and scheme, and merged back in plan order, so the serialized sweep
+//!   document is byte-identical for every `--jobs` value;
+//!   [`merge_documents`] reassembles `--shard i/n` outputs into the
+//!   unsharded document.
 //!
-//! [`experiment`] holds the one replay driver, [`replay`]: the sweep
-//! engine, the CLI and the harness binaries drive every replay through
-//! it, and [`run_sweep`] is the only producer of [`BenchmarkResult`]s.
+//! [`experiment`] holds the one replay loop, a lane that sweep jobs
+//! feed chunk by chunk; [`replay`] — behind the CLI and the harness
+//! binaries — is one lane fed a whole stream, and [`run_sweep`] is the
+//! only producer of [`BenchmarkResult`]s.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,10 +38,7 @@ pub use pool::{
     run_jobs, run_jobs_cancellable, CancelToken, ExecOptions, ExecReport, JobOutcome, JobProgress,
     WorkerStats,
 };
-pub use store::{
-    StoreStats, StreamCursor, TraceStore, TraceStream, DEFAULT_STORE_DIR, SHARED_WINDOW_CHUNKS,
-    STORE_ENV_VAR,
-};
+pub use store::{StoreStats, TraceSource, TraceStore, DEFAULT_STORE_DIR, STORE_ENV_VAR};
 pub use stream::{ChunkSource, PrefetchedChunks};
 pub use sweep::{
     document_with_benchmarks, merge_documents, metrics_document, run_suites, run_sweep,

@@ -27,10 +27,11 @@ use cache8t_obs::{timeline, Log2Histogram, SpanStat};
 /// A cooperative cancellation flag shared between a batch's submitter
 /// and its workers.
 ///
-/// Cancellation is polled *between* unit jobs: a job that is already
-/// replaying runs to completion (jobs are seconds at most), every job
-/// still queued is drained as [`JobOutcome::Cancelled`] without
-/// executing, and the batch returns promptly with outcomes for every
+/// Cancellation is polled *between* jobs: a job that is already
+/// running runs to completion (a sweep job replays one profile over
+/// all of its geometries, which at long traces takes many seconds),
+/// every job still queued is drained as [`JobOutcome::Cancelled`]
+/// without executing, and the batch returns with outcomes for every
 /// submitted job. Cloning shares the flag.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken(Arc<AtomicBool>);

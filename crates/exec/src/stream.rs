@@ -19,11 +19,9 @@ use cache8t_trace::{ChunkedGenerator, TraceChunk, TraceGenerator};
 /// A source of trace chunks in stream order.
 ///
 /// `next_chunk` returns `None` at end of stream. Chunks arrive as
-/// `Arc<TraceChunk>` so a shared cache (the streaming [`TraceStore`]
-/// mode) can hand the same generated chunk to several replay jobs
-/// without copying it.
-///
-/// [`TraceStore`]: crate::TraceStore
+/// `Arc<TraceChunk>`, so a source can hand a chunk to a consumer on
+/// another thread ([`PrefetchedChunks`]) without copying it. A sweep
+/// job's source is a [`TraceSource`](crate::TraceSource).
 pub trait ChunkSource {
     /// Produces the next chunk, or `None` when the stream is exhausted.
     fn next_chunk(&mut self) -> Option<Arc<TraceChunk>>;

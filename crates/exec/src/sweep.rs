@@ -1,16 +1,18 @@
 //! Declarative sweep plans and their parallel execution.
 //!
 //! A [`SweepPlan`] is the cross product of workloads × geometries ×
-//! schemes at one (ops, seed) point. [`run_sweep`] expands it into
-//! fine-grained unit jobs — one per (geometry, benchmark, scheme) plus
-//! one stream-statistics unit per (geometry, benchmark) — and executes
-//! them on the job pool over a shared, generate-once [`TraceStore`].
+//! schemes at one (ops, seed) point. [`run_sweep`] runs one job per
+//! profile on the job pool: the job opens the profile's trace once from
+//! the [`TraceStore`] and replays it in a single pass, feeding each chunk
+//! to one stream-statistics fold per selected geometry and to that
+//! geometry's four scheme lanes. The trace lives as long as its job.
 //!
 //! ## Determinism guarantee
 //!
-//! Every unit job is a pure function of the plan (generators are
-//! seeded, controllers are deterministic), and the merge layer
-//! reassembles outcomes by *plan position*, never by completion order.
+//! Every job is a pure function of the plan (generators are seeded,
+//! controllers are deterministic, and a lane's result does not depend
+//! on how its trace is chunked), and the merge layer reassembles
+//! outcomes by *plan position*, never by completion order.
 //! The serialized sweep document is therefore byte-identical for any
 //! `--jobs` value and any schedule; the scheduler only decides *when*
 //! work happens, never *what* the answer is. Scheduler telemetry that
@@ -20,22 +22,22 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use serde_json::Value;
 
-use cache8t_obs::{MetricRegistry, Sampler, SamplerConfig, SeriesSample, Span, SpanStat};
+use cache8t_core::Controller;
+use cache8t_obs::{
+    MetricRegistry, ProgressSnapshot, Sampler, SamplerConfig, SeriesSample, Span, SpanStat,
+};
 use cache8t_sim::CacheGeometry;
-use cache8t_trace::analyze::StreamStats;
 use cache8t_trace::{profiles, WorkloadProfile};
 
-use crate::experiment::{
-    measure_stream, replay, BenchmarkResult, Ops, RunConfig, SchemeKind, SchemeResult,
-};
+use crate::experiment::{BenchmarkResult, Lane, RunConfig, SchemeKind, SchemeResult, StreamFold};
 use crate::pool::{run_jobs_cancellable, CancelToken, ExecOptions, JobOutcome, JobProgress};
 use crate::store::TraceStore;
-use crate::stream::PrefetchedChunks;
+use crate::stream::ChunkSource;
 
 /// One cache configuration of a sweep, with a stable display label.
 #[derive(Debug, Clone)]
@@ -148,8 +150,8 @@ impl Shard {
     }
 }
 
-/// A benchmark-completion event, fired live from whichever worker
-/// thread finishes a benchmark's last unit job.
+/// A benchmark-completion event, fired live from the worker thread that
+/// ran the benchmark's profile job.
 #[derive(Debug)]
 pub struct BenchmarkEvent<'a> {
     /// Geometry index in the plan.
@@ -177,10 +179,11 @@ pub type BenchmarkHookFn = dyn Fn(BenchmarkEvent<'_>) + Send + Sync;
 /// keep deriving `Debug`/`Clone`.
 ///
 /// The hook runs on worker threads, once per benchmark, as soon as the
-/// benchmark's fifth unit job lands (completion order, *not* plan
-/// order). It is the checkpoint-journal attachment point: persisting
-/// each event makes every completed benchmark durable the moment it
-/// finishes, independent of whether the sweep itself survives.
+/// benchmark's profile job has finished every lane: a job's benchmarks
+/// fire in plan order, jobs in completion order. It is the
+/// checkpoint-journal attachment point: persisting each event makes
+/// every completed benchmark durable the moment it finishes,
+/// independent of whether the sweep itself survives.
 #[derive(Clone)]
 pub struct BenchmarkHook(pub Arc<BenchmarkHookFn>);
 
@@ -197,16 +200,17 @@ impl fmt::Debug for BenchmarkHook {
     }
 }
 
-/// A shareable [`JobProgress`] observer, for callers that want the
-/// pool's live progress as data (the serve daemon ships it over the
-/// wire) instead of — or in addition to — the stderr progress line.
-/// Runs on worker threads after every finished unit job.
+/// A shareable progress observer, for callers that want the sweep's
+/// live progress as data (the serve daemon ships it over the wire)
+/// instead of — or in addition to — the stderr progress line. Runs on
+/// worker threads after every finished job, with the same throughput
+/// the progress line shows.
 #[derive(Clone)]
-pub struct ProgressHook(pub Arc<dyn Fn(JobProgress) + Send + Sync>);
+pub struct ProgressHook(pub Arc<dyn Fn(ProgressSnapshot) + Send + Sync>);
 
 impl ProgressHook {
     /// Wraps a closure as a hook.
-    pub fn new(hook: impl Fn(JobProgress) + Send + Sync + 'static) -> Self {
+    pub fn new(hook: impl Fn(ProgressSnapshot) + Send + Sync + 'static) -> Self {
         ProgressHook(Arc::new(hook))
     }
 }
@@ -231,28 +235,28 @@ pub struct SweepOptions {
     pub slots: Option<Vec<usize>>,
     /// Emit a live progress line on stderr while running.
     pub progress: bool,
-    /// The trace store jobs draw from.
+    /// The trace store jobs open their traces from.
     pub store: Arc<TraceStore>,
-    /// Attach a continuous-telemetry sampler to every scheme unit.
+    /// Attach a continuous-telemetry sampler to every scheme lane.
     /// Every recorded window lands in its [`SchemeResult`]'s `series`
-    /// (each unit's ring is raised to the windows it can emit) and is
+    /// (each lane's ring is raised to the windows it can emit) and is
     /// retrievable in plan order via [`SweepOutcome::series`]. Windows
     /// depend only on the trace and cadence, never on schedule, so the
     /// resulting JSONL is byte-identical for any `--jobs`.
     pub series: Option<SamplerConfig>,
-    /// Cooperative cancellation: once the token fires, queued unit jobs
+    /// Cooperative cancellation: once the token fires, queued jobs
     /// drain without executing and the sweep returns with the finished
     /// prefix (see [`SweepOutcome::cancelled`]).
     pub cancel: Option<CancelToken>,
     /// Live per-benchmark completion observer (see [`BenchmarkHook`]).
     pub on_benchmark: Option<BenchmarkHook>,
-    /// Live per-unit-job progress observer (see [`ProgressHook`]).
+    /// Live per-job progress observer (see [`ProgressHook`]).
     pub on_progress: Option<ProgressHook>,
-    /// Replay traces as bounded-memory chunk streams of this many ops
-    /// instead of materializing them (see [`TraceStore::stream`]). The
-    /// sweep document is byte-identical either way — streaming changes
-    /// the memory footprint, never the answer — so large-`ops` sweeps
-    /// can run with RSS bounded by the chunk size.
+    /// Cut each trace into chunks of this many ops instead of producing
+    /// it as one whole-trace chunk (see [`TraceStore::open`]). The sweep
+    /// document is byte-identical either way — streaming changes the
+    /// memory footprint, never the answer — so large-`ops` sweeps can
+    /// run with RSS bounded by the chunk size.
     pub stream_chunk_ops: Option<usize>,
 }
 
@@ -273,15 +277,14 @@ impl Default for SweepOptions {
     }
 }
 
-/// One benchmark whose jobs did not all complete.
+/// One benchmark whose job did not complete: a failed job reports one
+/// failure per benchmark it covered.
 #[derive(Debug, Clone)]
 pub struct SweepFailure {
     /// Geometry label of the failed benchmark.
     pub geometry: String,
     /// Benchmark name.
     pub benchmark: String,
-    /// Which unit failed (`"stream"` or a scheme name).
-    pub unit: String,
     /// The panic payload or the returned error, stringified.
     pub message: String,
     /// Attempts made before giving up.
@@ -294,7 +297,7 @@ pub struct GeometrySweep {
     /// The geometry point this slice belongs to.
     pub point: GeometryPoint,
     /// One slot per plan profile: `None` when outside this shard or
-    /// when any of the benchmark's unit jobs failed.
+    /// when the benchmark's job failed or was drained.
     pub results: Vec<Option<BenchmarkResult>>,
 }
 
@@ -305,8 +308,8 @@ pub struct SweepOutcome {
     pub geometries: Vec<GeometrySweep>,
     /// Benchmarks lost to job failures (panics), with their payloads.
     pub failures: Vec<SweepFailure>,
-    /// Unit jobs drained without executing after the cancel token fired
-    /// (0 for an uncancelled run).
+    /// Jobs drained without executing after the cancel token fired (0
+    /// for an uncancelled run).
     pub cancelled: usize,
     /// The `sweep.*` metric family: job/retry counts, trace-store hit
     /// split, the per-job duration histogram, per-worker job counts and
@@ -316,8 +319,8 @@ pub struct SweepOutcome {
     pub metrics: MetricRegistry,
     /// Span profiles merged across every worker thread (workers'
     /// thread-local recorders die with their threads; the pool hands
-    /// their reports here): `sweep.job` for each unit job,
-    /// `store.generate` for each generated trace, and the replay and
+    /// their reports here): `sweep.job` for each job, `store.generate`
+    /// for each generated chunk, and the per-chunk replay and
     /// stream-statistics spans inside them.
     pub spans: Vec<SpanStat>,
     /// Wall-clock of the scheduled region.
@@ -348,8 +351,8 @@ impl SweepOutcome {
             let mut msg = String::from("sweep jobs failed:");
             for f in &self.failures {
                 msg.push_str(&format!(
-                    "\n  {}/{} [{}]: {} ({} attempts)",
-                    f.geometry, f.benchmark, f.unit, f.message, f.attempts
+                    "\n  {}/{}: {} ({} attempts)",
+                    f.geometry, f.benchmark, f.message, f.attempts
                 ));
             }
             return Err(msg);
@@ -372,207 +375,141 @@ impl SweepOutcome {
     }
 }
 
-/// The unit jobs of one benchmark: its stream statistics and the four
-/// controller schemes.
-const UNITS_PER_BENCHMARK: usize = 1 + SchemeKind::ALL.len();
-
-#[derive(Debug, Clone, Copy)]
-enum Unit {
-    Stream,
-    Scheme(SchemeKind),
-}
-
-impl Unit {
-    fn of(index: usize) -> Unit {
-        match index {
-            0 => Unit::Stream,
-            i => Unit::Scheme(SchemeKind::ALL[i - 1]),
-        }
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            Unit::Stream => "stream",
-            Unit::Scheme(kind) => kind.name(),
-        }
-    }
-}
-
-#[derive(Debug)]
-enum UnitResult {
-    Stream(StreamStats),
-    Scheme(Box<SchemeResult>),
-}
-
-/// One benchmark's unit results, gathered as its units finish. The
-/// unit that lands the last piece assembles the `BenchmarkResult`: it
-/// fires the live completion hook, and once the pool returns it fills
-/// the sweep outcome.
-#[derive(Default)]
-struct BenchAccum {
-    stream: Option<StreamStats>,
-    /// One slot per scheme, in [`SchemeKind::ALL`] order.
-    schemes: [Option<SchemeResult>; SchemeKind::ALL.len()],
-    /// Shared with the completing unit only while its hook runs.
-    result: Option<Arc<BenchmarkResult>>,
-}
-
-impl BenchAccum {
-    /// Stages `unit`; returns the assembled benchmark when this insert
-    /// completed it. A benchmark assembles once and first write wins
-    /// per slot, so a retried unit job can neither replace a piece nor
-    /// fire the hook twice.
-    fn insert(&mut self, unit: UnitResult, name: &str) -> Option<Arc<BenchmarkResult>> {
-        if self.result.is_some() {
-            return None;
-        }
-        match unit {
-            UnitResult::Stream(stats) => {
-                self.stream.get_or_insert(stats);
-            }
-            UnitResult::Scheme(result) => {
-                let index = SchemeKind::ALL
-                    .iter()
-                    .position(|k| k.name() == result.scheme)
-                    .expect("scheme result names a known kind");
-                self.schemes[index].get_or_insert(*result);
+/// Runs one sweep job: profile `b` over the plan geometries `geometries`
+/// (ascending), in one pass over its trace. Each chunk goes to one
+/// stream-statistics fold per geometry and to that geometry's four
+/// scheme lanes; once every lane has finished, the job assembles one
+/// result per geometry, fires the hook for each in plan order, and
+/// drops the trace.
+fn run_profile(
+    plan: &SweepPlan,
+    b: usize,
+    geometries: &[usize],
+    options: &SweepOptions,
+    completed: &AtomicUsize,
+    total: usize,
+) -> Result<Vec<BenchmarkResult>, String> {
+    let profile = &plan.profiles[b];
+    let _span = Span::labelled("sweep.job", "job", || profile.name.clone());
+    // Every geometry of a plan shares the trace and its warm-up.
+    let config = plan.config(geometries[0]);
+    let (total_ops, warmup_ops) = (config.total_ops(), config.warmup_ops);
+    // The ring keeps every window a lane emits: one per `cadence` ops
+    // plus a trailing partial or flush-only window.
+    let sampler_config = options.series.map(|config| SamplerConfig {
+        ring_capacity: config
+            .ring_capacity
+            .max((total_ops as u64).div_ceil(config.cadence) as usize + 1),
+        ..config
+    });
+    let open_lane = |lane: usize| {
+        let g = geometries[lane / SchemeKind::ALL.len()];
+        let kind = SchemeKind::ALL[lane % SchemeKind::ALL.len()];
+        let bench = format!("{}/{}", plan.geometries[g].label, profile.name);
+        let sampler = sampler_config.map(|c| Sampler::new(&bench, kind.name(), c));
+        Lane::new(kind.build(plan.geometries[g].geometry), warmup_ops, sampler)
+    };
+    let sampler_failed = |e: std::io::Error| format!("series sampler failed: {e}");
+    let mut folds: Vec<StreamFold> = geometries
+        .iter()
+        .map(|&g| StreamFold::new(plan.config(g)))
+        .collect();
+    // A lane opens at its first chunk and finishes right after its last,
+    // so with the whole trace as one chunk each lane is built, fed,
+    // finished and dropped before the next opens, and the lanes reuse
+    // one working set instead of holding four per geometry.
+    let lane_count = geometries.len() * SchemeKind::ALL.len();
+    let mut lanes: Vec<Option<Lane<Box<dyn Controller>, Sampler>>> =
+        (0..lane_count).map(|_| None).collect();
+    let mut finished: Vec<Option<SchemeResult>> = (0..lane_count).map(|_| None).collect();
+    let mut source = options
+        .store
+        .open(profile, plan.seed, total_ops, options.stream_chunk_ops);
+    while let Some(chunk) = source.next_chunk() {
+        let last = chunk.end_op() == total_ops as u64;
+        for (k, fold) in folds.iter_mut().enumerate() {
+            fold.feed(chunk.ops(), chunk.instructions());
+            for i in k * SchemeKind::ALL.len()..(k + 1) * SchemeKind::ALL.len() {
+                let mut lane = lanes[i].take().unwrap_or_else(|| open_lane(i));
+                lane.feed(chunk.ops()).map_err(sampler_failed)?;
+                if last {
+                    finished[i] = Some(lane.finish().map_err(sampler_failed)?);
+                } else {
+                    lanes[i] = Some(lane);
+                }
             }
         }
-        if self.stream.is_none() || self.schemes.iter().any(Option::is_none) {
-            return None;
-        }
-        let [conventional, rmw, wg, wgrb] =
-            std::mem::take(&mut self.schemes).map(|s| s.expect("every scheme present"));
-        let result = Arc::new(BenchmarkResult {
-            name: name.to_owned(),
-            stream: self.stream.take().expect("stream present"),
-            conventional,
-            rmw,
-            wg,
-            wgrb,
-        });
-        self.result = Some(Arc::clone(&result));
-        Some(result)
     }
+    drop(source);
+
+    // Lanes are in `SchemeKind::ALL` order, geometry by geometry. An
+    // empty trace has no chunk, so its lanes finish unfed.
+    let mut schemes = finished
+        .into_iter()
+        .enumerate()
+        .map(|(i, done)| done.map_or_else(|| open_lane(i).finish(), Ok))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(sampler_failed)?
+        .into_iter();
+    let mut next = || schemes.next().expect("four lanes per geometry");
+    let results: Vec<BenchmarkResult> = folds
+        .into_iter()
+        .map(|fold| BenchmarkResult {
+            name: profile.name.clone(),
+            stream: fold.finish(),
+            conventional: next(),
+            rmw: next(),
+            wg: next(),
+            wgrb: next(),
+        })
+        .collect();
+    if let Some(hook) = &options.on_benchmark {
+        for (&g, result) in geometries.iter().zip(&results) {
+            hook.0(BenchmarkEvent {
+                geometry: g,
+                benchmark: b,
+                slot: g * plan.profiles.len() + b,
+                completed: completed.fetch_add(1, Ordering::Relaxed) + 1,
+                total,
+                result,
+            });
+        }
+    }
+    Ok(results)
 }
 
-/// Executes `plan` on the job pool and reassembles the
-/// outcomes deterministically (see the module docs for the guarantee).
+/// Executes `plan` on the job pool, one job per profile, and reassembles
+/// the outcomes deterministically (see the module docs for the
+/// guarantee).
 pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> SweepOutcome {
     let started = Instant::now();
     let n_profiles = plan.profiles.len();
 
-    // Expand the plan: selection is per *benchmark* (never per unit),
-    // so a shard or slot set always holds complete benchmarks and
-    // partial outputs merge by simple union. An explicit slot set
-    // (resume: "exactly the benchmarks the journal is missing") takes
-    // precedence over modular sharding.
+    // Selection is per *benchmark*, so a shard or slot set always holds
+    // complete benchmarks and partial outputs merge by simple union. An
+    // explicit slot set (resume: "exactly the benchmarks the journal is
+    // missing") takes precedence over modular sharding. A profile's job
+    // covers its selected geometries; a profile with none has no job.
     let selected = |slot: usize| match &options.slots {
         Some(slots) => slots.contains(&slot),
         None => options.shard.is_none_or(|s| s.selects(slot)),
     };
-    let mut specs: Vec<(usize, usize, Unit)> = Vec::new();
-    for g in 0..plan.geometries.len() {
-        for b in 0..n_profiles {
-            let slot = g * n_profiles + b;
-            if selected(slot) {
-                for u in 0..UNITS_PER_BENCHMARK {
-                    specs.push((g, b, Unit::of(u)));
-                }
-            }
-        }
-    }
-
-    // The five unit jobs of benchmark i occupy specs[i*5 .. i*5+5], so
-    // spec index / 5 addresses the benchmark's accumulator.
-    let accumulators: Vec<Mutex<BenchAccum>> = (0..specs.len() / UNITS_PER_BENCHMARK)
-        .map(|_| Mutex::new(BenchAccum::default()))
+    let specs: Vec<(usize, Vec<usize>)> = (0..n_profiles)
+        .filter_map(|b| {
+            let geometries: Vec<usize> = (0..plan.geometries.len())
+                .filter(|g| selected(g * n_profiles + b))
+                .collect();
+            (!geometries.is_empty()).then_some((b, geometries))
+        })
         .collect();
+    let benchmarks: usize = specs.iter().map(|(_, geometries)| geometries.len()).sum();
 
-    let store = &options.store;
-    let series = options.series;
-    let stream_chunk_ops = options.stream_chunk_ops;
-    let hook = options.on_benchmark.as_ref();
-    let accumulators = &accumulators;
-    let completed_benchmarks = AtomicUsize::new(0);
-    let completed_benchmarks = &completed_benchmarks;
+    let completed = AtomicUsize::new(0);
     let jobs: Vec<_> = specs
         .iter()
-        .enumerate()
-        .map(|(spec_index, &(g, b, unit))| {
-            let store = Arc::clone(store);
-            move || -> Result<(), String> {
-                let profile = &plan.profiles[b];
-                let _span = Span::labelled("sweep.job", "job", || {
-                    format!(
-                        "{}/{}/{}",
-                        plan.geometries[g].label,
-                        profile.name,
-                        unit.name()
-                    )
-                });
-                let config = plan.config(g);
-                // Pick a source. A streamed unit never materializes the
-                // trace: it takes its own cursor (deduplicated through
-                // the stream's shared frontier) behind a double-buffered
-                // prefetcher, so at most two chunks per unit are resident.
-                let trace;
-                let ops = match stream_chunk_ops {
-                    Some(chunk_ops) => {
-                        let stream =
-                            store.stream(profile, plan.seed, config.total_ops(), chunk_ops);
-                        Ops::Chunks(Box::new(PrefetchedChunks::spawn(stream.cursor())))
-                    }
-                    None => {
-                        trace = store.get(profile, plan.seed, config.total_ops());
-                        Ops::Trace(&trace)
-                    }
-                };
-                let result = match unit {
-                    Unit::Stream => UnitResult::Stream(measure_stream(ops, config)),
-                    Unit::Scheme(kind) => {
-                        let mut sampler = series.map(|sampler_config| {
-                            let bench = format!("{}/{}", plan.geometries[g].label, profile.name);
-                            // The ring keeps every window the unit emits:
-                            // one per `cadence` ops plus a trailing partial
-                            // or flush-only window.
-                            let windows =
-                                (config.total_ops() as u64).div_ceil(sampler_config.cadence) + 1;
-                            let ring_capacity = sampler_config.ring_capacity.max(windows as usize);
-                            let sampler_config = SamplerConfig {
-                                ring_capacity,
-                                ..sampler_config
-                            };
-                            Sampler::new(&bench, kind.name(), sampler_config)
-                        });
-                        let mut controller = kind.build(config.geometry);
-                        let result = replay(
-                            controller.as_mut(),
-                            ops,
-                            config.warmup_ops,
-                            sampler.as_mut(),
-                        )
-                        .map_err(|e| format!("series sampler failed: {e}"))?;
-                        UnitResult::Scheme(Box::new(result))
-                    }
-                };
-                let assembled = accumulators[spec_index / UNITS_PER_BENCHMARK]
-                    .lock()
-                    .expect("benchmark accumulator poisoned")
-                    .insert(result, &profile.name);
-                if let (Some(hook), Some(result)) = (hook, assembled) {
-                    let completed = completed_benchmarks.fetch_add(1, Ordering::Relaxed) + 1;
-                    hook.0(BenchmarkEvent {
-                        geometry: g,
-                        benchmark: b,
-                        slot: g * n_profiles + b,
-                        completed,
-                        total: accumulators.len(),
-                        result: &result,
-                    });
-                }
-                Ok(())
-            }
+        .map(|(b, geometries)| {
+            let completed = &completed;
+            move || run_profile(plan, *b, geometries, options, completed, benchmarks)
         })
         .collect();
 
@@ -583,17 +520,28 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> SweepOutcome {
             cache8t_obs::progress::ProgressMode::from_env(),
         )
     });
-    // Live throughput for the progress line, from the *windowed*
-    // recent-jobs mean rather than the all-time average: replayed ops
-    // per microsecond across the workers is exactly Mops/s, and the
-    // window makes the figure track the current benchmark mix.
-    let ops_per_job = plan.config(0).total_ops() as f64;
+    // Live throughput, from the *windowed* recent-jobs mean rather than
+    // the all-time average: each job is credited with the mean replayed
+    // ops per job (four scheme lanes per selected benchmark, spread
+    // evenly over the jobs), and replayed ops per microsecond across the
+    // workers is Mops/s. Under a shard or slot set profiles cover
+    // different numbers of geometries, so the window's figure is an
+    // approximation; it is display-only.
+    let replayed_ops = SchemeKind::ALL.len() * benchmarks * plan.config(0).total_ops();
+    let ops_per_job = replayed_ops as f64 / jobs.len().max(1) as f64;
     let observer = |p: JobProgress| {
+        let snapshot = ProgressSnapshot {
+            done: p.done,
+            total: p.total,
+            failed: p.failed,
+            eta_ms: p.eta().map(|d| d.as_millis() as u64),
+            mops: p.mops(ops_per_job),
+        };
         if let Some(line) = &progress {
-            line.tick(p.done, p.failed, p.eta(), p.mops(ops_per_job));
+            line.tick(p.done, p.failed, p.eta(), snapshot.mops);
         }
         if let Some(hook) = &options.on_progress {
-            hook.0(p);
+            hook.0(snapshot);
         }
     };
     let report = run_jobs_cancellable(
@@ -607,33 +555,8 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> SweepOutcome {
     }
 
     // Deterministic merge: results land in their plan slots, never in
-    // completion order. A benchmark with any failed or drained unit
-    // stays `None`, exactly like an out-of-shard slot, and a resume
-    // re-runs it whole.
-    let mut failures = Vec::new();
-    let mut cancelled = 0usize;
-    let mut complete = vec![true; accumulators.len()];
-    for (spec_index, (&(g, b, unit), outcome)) in specs.iter().zip(report.outcomes).enumerate() {
-        complete[spec_index / UNITS_PER_BENCHMARK] &=
-            matches!(outcome, JobOutcome::Completed(Ok(())));
-        let (message, attempts) = match outcome {
-            JobOutcome::Completed(Ok(())) => continue,
-            // A unit that returned an error ran once and was not retried.
-            JobOutcome::Completed(Err(message)) => (message, 1),
-            JobOutcome::Failed { message, attempts } => (message, attempts),
-            JobOutcome::Cancelled => {
-                cancelled += 1;
-                continue;
-            }
-        };
-        failures.push(SweepFailure {
-            geometry: plan.geometries[g].label.clone(),
-            benchmark: plan.profiles[b].name.clone(),
-            unit: unit.name().to_string(),
-            message,
-            attempts,
-        });
-    }
+    // completion order. The benchmarks of a failed or drained job stay
+    // `None`, exactly like out-of-shard slots, and a resume re-runs them.
     let mut geometries: Vec<GeometrySweep> = plan
         .geometries
         .iter()
@@ -642,16 +565,32 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> SweepOutcome {
             results: (0..n_profiles).map(|_| None).collect(),
         })
         .collect();
-    for (i, accum) in accumulators.iter().enumerate() {
-        let (g, b, _) = specs[i * UNITS_PER_BENCHMARK];
-        let result = accum
-            .lock()
-            .expect("benchmark accumulator poisoned")
-            .result
-            .take();
-        if complete[i] {
-            geometries[g].results[b] =
-                result.map(|r| Arc::into_inner(r).expect("no unit job still holds its benchmark"));
+    let mut failures = Vec::new();
+    let (mut jobs_failed, mut cancelled) = (0u64, 0usize);
+    for ((b, covered), outcome) in specs.iter().zip(report.outcomes) {
+        let (message, attempts) = match outcome {
+            JobOutcome::Completed(Ok(results)) => {
+                for (&g, result) in covered.iter().zip(results) {
+                    geometries[g].results[*b] = Some(result);
+                }
+                continue;
+            }
+            // A job that returned an error ran once and was not retried.
+            JobOutcome::Completed(Err(message)) => (message, 1),
+            JobOutcome::Failed { message, attempts } => (message, attempts),
+            JobOutcome::Cancelled => {
+                cancelled += 1;
+                continue;
+            }
+        };
+        jobs_failed += 1;
+        for &g in covered {
+            failures.push(SweepFailure {
+                geometry: plan.geometries[g].label.clone(),
+                benchmark: plan.profiles[*b].name.clone(),
+                message: message.clone(),
+                attempts,
+            });
         }
     }
 
@@ -660,27 +599,14 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> SweepOutcome {
     let store_stats = options.store.stats();
     for (name, value) in [
         ("sweep.jobs", specs.len() as u64),
-        ("sweep.jobs_failed", failures.len() as u64),
+        ("sweep.jobs_failed", jobs_failed),
         ("sweep.jobs_cancelled", cancelled as u64),
         ("sweep.retries", report.retries),
-        (
-            "sweep.benchmarks",
-            (specs.len() / UNITS_PER_BENCHMARK) as u64,
-        ),
+        ("sweep.benchmarks", benchmarks as u64),
         ("sweep.trace.generated", store_stats.generated),
-        ("sweep.trace.mem_hits", store_stats.mem_hits),
+        ("sweep.trace.chunks_generated", store_stats.chunks_generated),
         ("sweep.trace.disk_hits", store_stats.disk_hits),
         ("sweep.trace.recovered", store_stats.recovered),
-        (
-            "sweep.trace.stream_chunks",
-            store_stats.stream_chunks_generated,
-        ),
-        ("sweep.trace.stream_mem_hits", store_stats.stream_mem_hits),
-        (
-            "sweep.trace.stream_disk_chunks",
-            store_stats.stream_disk_chunks,
-        ),
-        ("sweep.trace.stream_restarts", store_stats.stream_restarts),
     ] {
         let id = metrics.counter(name);
         metrics.add(id, value);
@@ -714,8 +640,8 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> SweepOutcome {
 ///
 /// # Errors
 ///
-/// Returns the failure summary when any unit job panicked through its
-/// retry budget.
+/// Returns the failure summary when any job panicked through its retry
+/// budget.
 pub fn run_suites(
     geometries: Vec<GeometryPoint>,
     ops: usize,

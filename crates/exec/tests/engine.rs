@@ -49,9 +49,9 @@ fn panicking_job_fails_alone_while_the_batch_completes() {
 
 #[test]
 fn sweep_reports_a_poisoned_benchmark_and_keeps_the_rest() {
-    // A profile with an impossible read share makes every unit of its
-    // benchmark panic inside trace generation (`ProfiledGenerator::new`
-    // rejects it) — the realistic "one experiment is poisoned" case.
+    // A profile with an impossible read share makes its job panic
+    // inside trace generation (`ProfiledGenerator::new` rejects it) —
+    // the realistic "one experiment is poisoned" case.
     let mut poisoned = profiles::by_name("gcc").expect("suite profile");
     poisoned.name = "poisoned".to_string();
     poisoned.read_share = 2.0;
@@ -61,7 +61,10 @@ fn sweep_reports_a_poisoned_benchmark_and_keeps_the_rest() {
             poisoned,
             profiles::by_name("mcf").expect("suite profile"),
         ],
-        geometries: vec![GeometryPoint::named("baseline").expect("named geometry")],
+        geometries: vec![
+            GeometryPoint::named("baseline").expect("named geometry"),
+            GeometryPoint::named("small").expect("named geometry"),
+        ],
         ops: 4_000,
         seed: 3,
     };
@@ -80,12 +83,20 @@ fn sweep_reports_a_poisoned_benchmark_and_keeps_the_rest() {
         },
     );
 
-    // All five units of the poisoned benchmark fail with the generator's
-    // message; nothing else is affected.
-    assert_eq!(outcome.failures.len(), 5);
+    // The poisoned profile's one job fails with the generator's message
+    // and reports one failure per benchmark it covered, in plan order;
+    // nothing else is affected.
+    let failed: Vec<(&str, &str)> = outcome
+        .failures
+        .iter()
+        .map(|f| (f.geometry.as_str(), f.benchmark.as_str()))
+        .collect();
+    assert_eq!(
+        failed,
+        [("baseline", "poisoned"), ("small", "poisoned")],
+        "one failure per covered benchmark"
+    );
     for failure in &outcome.failures {
-        assert_eq!(failure.benchmark, "poisoned");
-        assert_eq!(failure.geometry, "baseline");
         assert!(
             failure.message.contains("invalid workload profile"),
             "panic payload lost: {}",
@@ -93,12 +104,15 @@ fn sweep_reports_a_poisoned_benchmark_and_keeps_the_rest() {
         );
         assert_eq!(failure.attempts, 1);
     }
-    let healthy = &outcome.geometries[0];
-    assert!(healthy.results[0].is_some(), "gcc must complete");
-    assert!(healthy.results[1].is_none(), "poisoned must be dropped");
-    assert!(healthy.results[2].is_some(), "mcf must complete");
-    assert_eq!(healthy.results[0].as_ref().unwrap().name, "gcc");
-    assert_eq!(healthy.results[2].as_ref().unwrap().name, "mcf");
+    for healthy in &outcome.geometries {
+        assert!(healthy.results[0].is_some(), "gcc must complete");
+        assert!(healthy.results[1].is_none(), "poisoned must be dropped");
+        assert!(healthy.results[2].is_some(), "mcf must complete");
+        assert_eq!(healthy.results[0].as_ref().unwrap().name, "gcc");
+        assert_eq!(healthy.results[2].as_ref().unwrap().name, "mcf");
+    }
+    let counter = |name: &str| outcome.metrics.counter_by_name(name).expect(name);
+    assert_eq!(counter("sweep.jobs_failed"), 1, "one job failed");
 
     // And into_complete refuses, naming the culprit.
     let err = outcome
@@ -121,29 +135,39 @@ fn sweep_options(workers: usize) -> SweepOptions {
     }
 }
 
-fn small_plan() -> SweepPlan {
+/// A one-geometry plan over the named suite profiles.
+fn plan_of(names: &[&str]) -> SweepPlan {
     SweepPlan {
-        profiles: vec![
-            profiles::by_name("gcc").expect("suite profile"),
-            profiles::by_name("mcf").expect("suite profile"),
-        ],
+        profiles: names
+            .iter()
+            .map(|name| profiles::by_name(name).expect("suite profile"))
+            .collect(),
         geometries: vec![GeometryPoint::named("baseline").expect("named geometry")],
         ops: 4_000,
         seed: 3,
     }
 }
 
+fn small_plan() -> SweepPlan {
+    plan_of(&["gcc", "mcf"])
+}
+
 /// The span-profiler data-loss regression test: worker threads own
 /// thread-local span recorders that die with the pool, so a parallel
 /// sweep used to report an empty span profile. The pool now hands every
 /// worker's report to the outcome, and the merged result must not
-/// depend on the worker count. At every worker count the profile also
-/// agrees with the scheduler counters: one `sweep.job` span per unit
-/// job and one `store.generate` span per generated trace.
+/// depend on the worker count, materialized or streamed. At every
+/// worker count the profile also agrees with the scheduler counters:
+/// one `sweep.job` span per job and one `store.generate` span per
+/// generated chunk (a materialized trace is one chunk).
 #[test]
 fn parallel_sweep_reports_the_same_span_set_as_serial() {
-    let summarize = |workers: usize| -> BTreeMap<&'static str, u64> {
-        let outcome = run_sweep(&small_plan(), &sweep_options(workers));
+    let summarize = |workers: usize, stream_chunk_ops: Option<usize>| {
+        let options = SweepOptions {
+            stream_chunk_ops,
+            ..sweep_options(workers)
+        };
+        let outcome = run_sweep(&small_plan(), &options);
         assert!(outcome.failures.is_empty());
         assert!(
             !outcome.spans.is_empty(),
@@ -155,22 +179,24 @@ fn parallel_sweep_reports_the_same_span_set_as_serial() {
         assert_eq!(
             spans.get("sweep.job").copied(),
             Some(counter("sweep.jobs")),
-            "{workers} workers: one sweep.job span per unit job"
+            "{workers} workers: one sweep.job span per job"
         );
-        assert!(counter("sweep.trace.generated") > 0);
+        assert_eq!(counter("sweep.trace.generated"), 2, "one trace per job");
         assert_eq!(
             spans.get("store.generate").copied(),
-            Some(counter("sweep.trace.generated")),
-            "{workers} workers: one store.generate span per generated trace"
+            Some(counter("sweep.trace.chunks_generated")),
+            "{workers} workers: one store.generate span per generated chunk"
         );
         spans
     };
-    let serial = summarize(1);
-    let parallel = summarize(4);
-    assert_eq!(
-        serial, parallel,
-        "span set must not depend on the worker count"
-    );
+    for stream_chunk_ops in [None, Some(700)] {
+        let serial = summarize(1, stream_chunk_ops);
+        let parallel = summarize(4, stream_chunk_ops);
+        assert_eq!(
+            serial, parallel,
+            "span set must not depend on the worker count ({stream_chunk_ops:?})"
+        );
+    }
 }
 
 /// Resume building block: an explicit slot set must run exactly those
@@ -222,7 +248,7 @@ fn slot_selection_and_hook_reassemble_the_full_document() {
     assert_eq!(rebuilt, expected, "journalled reassembly must match batch");
 }
 
-/// Cancelling mid-sweep drains the queued units and reports them; the
+/// Cancelling mid-sweep drains the queued jobs and reports them; the
 /// finished prefix stays usable.
 #[test]
 fn cancelled_sweep_returns_partial_results() {
@@ -237,7 +263,7 @@ fn cancelled_sweep_returns_partial_results() {
         },
     );
     assert!(outcome.failures.is_empty());
-    assert_eq!(outcome.cancelled, 10, "2 benchmarks x 5 units drained");
+    assert_eq!(outcome.cancelled, 2, "one job per profile drained");
     for g in &outcome.geometries {
         assert!(g.results.iter().all(Option::is_none));
     }
@@ -246,12 +272,12 @@ fn cancelled_sweep_returns_partial_results() {
         .get("counters")
         .and_then(|c| c.get("sweep.jobs_cancelled"))
         .and_then(serde_json::Value::as_u64);
-    assert_eq!(cancelled, Some(10));
+    assert_eq!(cancelled, Some(2));
 }
 
 #[test]
 fn scheduler_telemetry_accounts_for_every_job() {
-    let outcome = run_sweep(&small_plan(), &sweep_options(3));
+    let outcome = run_sweep(&plan_of(&["gcc", "mcf", "lbm"]), &sweep_options(3));
     assert!(outcome.failures.is_empty());
     let metrics = outcome.metrics.to_value();
     let counter = |name: &str| {
@@ -262,7 +288,7 @@ fn scheduler_telemetry_accounts_for_every_job() {
             .unwrap_or_else(|| panic!("missing counter {name}"))
     };
     let jobs = counter("sweep.jobs");
-    assert_eq!(jobs, 10, "2 benchmarks x 5 units");
+    assert_eq!(jobs, 3, "one job per profile");
     // Per-worker job counts must add up to the batch total.
     let per_worker: u64 = (0..3)
         .map(|i| counter(&format!("sweep.worker.{i}.jobs")))
@@ -359,34 +385,36 @@ fn sampled_sweep_series_holds_every_window() {
     }
 }
 
-/// Streamed units deduplicate generation through the shared frontier:
-/// a multi-unit benchmark over one stream generates each chunk far
-/// fewer times than units-x-chunks.
+/// Each job generates its profile's trace once, however many chunks it
+/// spans and however many geometries and schemes consume it: a streamed
+/// sweep over two geometries generates exactly profiles × chunks per
+/// trace, at any worker count.
 #[test]
-fn streamed_sweep_reports_stream_counters() {
-    let options = SweepOptions {
-        stream_chunk_ops: Some(1_000),
-        ..sweep_options(2)
+fn streamed_sweep_generates_each_trace_once() {
+    let plan = SweepPlan {
+        geometries: vec![
+            GeometryPoint::named("baseline").expect("named geometry"),
+            GeometryPoint::named("small").expect("named geometry"),
+        ],
+        ..small_plan()
     };
-    let outcome = run_sweep(&small_plan(), &options);
-    assert!(outcome.failures.is_empty());
-    let metrics = outcome.metrics.to_value();
-    let counter = |name: &str| {
-        metrics
-            .get("counters")
-            .and_then(|c| c.get(name))
-            .and_then(serde_json::Value::as_u64)
-            .unwrap_or(0)
-    };
-    assert!(counter("sweep.trace.stream_chunks") > 0, "streaming ran");
-    assert_eq!(counter("sweep.trace.generated"), 0, "nothing materialized");
-    // 5 units consumed the same chunk sequence; most reads must have
-    // been window hits or private-generator memoization, so generation
-    // plus restarts stays well under 5x the chunk count.
-    let chunks_per_trace = 4_400u64.div_ceil(1_000);
-    assert!(
-        counter("sweep.trace.stream_chunks") < 5 * 2 * chunks_per_trace,
-        "dedup failed: {} chunks generated",
-        counter("sweep.trace.stream_chunks")
-    );
+    let chunk_ops = 400;
+    let chunks_per_trace = (plan.config(0).total_ops() as u64).div_ceil(chunk_ops);
+    assert!(chunks_per_trace > 8, "the trace must span many chunks");
+    for workers in [1, 2] {
+        let options = SweepOptions {
+            stream_chunk_ops: Some(chunk_ops as usize),
+            ..sweep_options(workers)
+        };
+        let outcome = run_sweep(&plan, &options);
+        assert!(outcome.failures.is_empty());
+        let counter = |name: &str| outcome.metrics.counter_by_name(name).expect(name);
+        assert_eq!(
+            counter("sweep.trace.chunks_generated"),
+            plan.profiles.len() as u64 * chunks_per_trace,
+            "{workers} workers"
+        );
+        assert_eq!(counter("sweep.trace.generated"), plan.profiles.len() as u64);
+        assert_eq!(counter("sweep.trace.disk_hits"), 0);
+    }
 }

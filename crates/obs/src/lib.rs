@@ -39,7 +39,7 @@
 //!
 //! The simulator threads these through the controller stack: the
 //! controllers emit events and metrics, the exec engine times every
-//! replay and unit job with spans, and the CLI exposes `--metrics-out` /
+//! replay and sweep job with spans, and the CLI exposes `--metrics-out` /
 //! `--trace-out` / `--timeline-out`.
 
 #![forbid(unsafe_code)]

@@ -3,7 +3,7 @@
 //! One journal file per plan fingerprint, one JSONL line per completed
 //! benchmark: `{"v", "plan", "slot", "geometry", "benchmark",
 //! "result"}`. Lines are appended and flushed the moment a benchmark's
-//! last unit job lands (via the sweep engine's completion hook), so
+//! profile job finishes (via the sweep engine's completion hook), so
 //! every finished benchmark is durable independently of whether the
 //! server survives. On restart, the loader replays the valid prefix —
 //! a torn final line from a crash mid-append is tolerated and simply

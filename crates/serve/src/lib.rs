@@ -16,8 +16,10 @@
 //!   lines (a crash mid-append) are tolerated and re-run.
 //! * [`state`] — the job registry, the per-job event log `watch`
 //!   streams from, and the single-executor runner that multiplexes
-//!   every client's jobs onto one job pool and one warm
-//!   [`TraceStore`](cache8t_exec::TraceStore).
+//!   every client's jobs onto one job pool and one
+//!   [`TraceStore`](cache8t_exec::TraceStore). The daemon keeps no
+//!   trace in memory between jobs: `--trace-store DIR` is the cache
+//!   across jobs, and without it every job generates its traces.
 //! * [`server`] / [`client`] — the socket front-ends (TCP or unix
 //!   domain, `unix:` prefix), thread-per-connection, and the blocking
 //!   client the `cache8t client` subcommand and the tests drive.

@@ -36,7 +36,9 @@ pub struct ServeConfig {
     pub checkpoint_dir: Option<PathBuf>,
     /// Pool configuration for every sweep.
     pub exec: ExecOptions,
-    /// The shared trace store (stays warm across jobs and clients).
+    /// The trace store every job opens its traces from. It keeps no
+    /// trace in memory between jobs; a disk-backed store is the cache
+    /// across jobs and clients.
     pub store: Arc<TraceStore>,
     /// The operational log sink ([`OpLog::disabled`] for silence).
     pub oplog: Arc<OpLog>,

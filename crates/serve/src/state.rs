@@ -4,10 +4,12 @@
 //! Jobs run one at a time on a dedicated executor thread — each sweep
 //! already saturates the host through the job pool, so running two
 //! concurrently would only fight over cores. Clients
-//! multiplex freely: submits queue, `status`/`watch`/`results` answer
-//! from shared state at any time, and every job draws traces from the
-//! server's one warm [`TraceStore`], so later jobs skip generation the
-//! first one paid for.
+//! multiplex freely: submits queue, and `status`/`watch`/`results`
+//! answer from shared state at any time. Every job opens its traces
+//! from the server's one [`TraceStore`], which keeps no trace in memory
+//! between jobs: a daemon started with `--trace-store DIR` reads the
+//! traces earlier jobs wrote there instead of generating them again,
+//! and without it every job generates its own.
 
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
@@ -45,7 +47,7 @@ pub enum JobPhase {
         /// Scheduler telemetry for the (possibly resumed) run.
         metrics: Value,
     },
-    /// At least one unit job panicked through its retry budget.
+    /// At least one sweep job panicked through its retry budget.
     Failed {
         /// The failure summary.
         message: String,
@@ -100,7 +102,7 @@ pub struct JobState {
     pub spec: PlanSpec,
     /// Checkpoint-journal fingerprint of the plan.
     pub fingerprint: String,
-    /// Fires to drain this job's queued units.
+    /// Fires to drain this job's queued sweep jobs.
     pub cancel: CancelToken,
     inner: Mutex<JobInner>,
     wakeup: Condvar,
@@ -255,7 +257,8 @@ pub struct ServerState {
     pub oplog: Arc<OpLog>,
     /// Pool configuration every job runs with.
     pub exec: ExecOptions,
-    /// The shared, generate-once trace cache.
+    /// The trace store every job opens its traces from (no trace stays
+    /// in memory between jobs).
     pub store: Arc<TraceStore>,
     /// Journal directory; `None` disables checkpointing (and resume).
     pub checkpoint_dir: Option<PathBuf>,
@@ -465,27 +468,28 @@ impl ServerState {
         ])
     }
 
-    /// The trace store's hit split plus the derived hit ratio.
+    /// The trace store's split between generated traces and traces read
+    /// from `--trace-store DIR`, plus the derived hit ratio (disk hits
+    /// over lookups).
     fn trace_store_report(&self) -> Value {
         let stats = self.store.stats();
-        let hits = stats.mem_hits + stats.disk_hits;
-        let total = stats.generated + hits;
-        let ratio = if total == 0 {
+        let lookups = stats.generated + stats.disk_hits;
+        let ratio = if lookups == 0 {
             0.0
         } else {
-            hits as f64 / total as f64
+            stats.disk_hits as f64 / lookups as f64
         };
         Value::Object(vec![
             ("generated".to_owned(), Value::U64(stats.generated)),
-            ("mem_hits".to_owned(), Value::U64(stats.mem_hits)),
             ("disk_hits".to_owned(), Value::U64(stats.disk_hits)),
             ("hit_ratio".to_owned(), Value::F64(ratio)),
         ])
     }
 
-    /// The `status` server block: `serve.*` counters, the shared trace
-    /// store's hit split — the ops plane for "is the cache warm" — and
-    /// the journal's disk footprint.
+    /// The `status` server block: `serve.*` counters, the trace store's
+    /// generated/disk-hit split — the ops plane for "is the
+    /// `--trace-store` directory warm" — and the journal's disk
+    /// footprint.
     pub fn server_status(&self) -> Value {
         let counters = {
             let metrics = self.metrics_lock();
@@ -581,7 +585,7 @@ impl ServerState {
                 "serve.journal.files",
                 journal.get("files").and_then(Value::as_i64).unwrap_or(0),
             );
-            for key in ["generated", "mem_hits", "disk_hits"] {
+            for key in ["generated", "disk_hits"] {
                 set(
                     &format!("serve.trace.{key}"),
                     trace_store.get(key).and_then(Value::as_i64).unwrap_or(0),
@@ -787,16 +791,7 @@ impl ServerState {
         };
         let on_progress = {
             let job = Arc::clone(job);
-            let ops_per_job = plan.config(0).total_ops() as f64;
-            ProgressHook::new(move |p| {
-                job.set_progress(ProgressSnapshot {
-                    done: p.done,
-                    total: p.total,
-                    failed: p.failed,
-                    eta_ms: p.eta().map(|d| d.as_millis() as u64),
-                    mops: p.mops(ops_per_job),
-                });
-            })
+            ProgressHook::new(move |snapshot| job.set_progress(snapshot))
         };
 
         let options = SweepOptions {
@@ -824,10 +819,7 @@ impl ServerState {
         if !outcome.failures.is_empty() {
             let mut message = String::from("sweep jobs failed:");
             for f in &outcome.failures {
-                message.push_str(&format!(
-                    " {}/{}[{}]: {};",
-                    f.geometry, f.benchmark, f.unit, f.message
-                ));
+                message.push_str(&format!(" {}/{}: {};", f.geometry, f.benchmark, f.message));
             }
             self.transition(job, JobPhase::Failed { message });
             self.count("serve.jobs_failed");

@@ -415,7 +415,7 @@ fn resumed_and_fully_restored_jobs_reproduce_the_batch_document() {
 
     // Third submit on the same server: the journal is whole again (the
     // resumed run re-appended the missing slot), so everything restores
-    // and the sweep runs zero unit jobs — and the bytes still match.
+    // and the sweep runs zero jobs — and the bytes still match.
     let job = client.submit(&spec).expect("submit");
     let restored_doc = client
         .wait_for_results(&job, Duration::from_secs(120))

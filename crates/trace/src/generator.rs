@@ -91,8 +91,7 @@ impl HotRow {
 /// See the [crate docs](crate) for an end-to-end example.
 ///
 /// The generator is `Clone`: a clone continues the stream from the same
-/// point, independently of the original. The streaming trace store uses
-/// this to checkpoint generator state at chunk boundaries.
+/// point, independently of the original.
 #[derive(Clone)]
 pub struct ProfiledGenerator {
     profile: WorkloadProfile,

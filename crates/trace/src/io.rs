@@ -121,25 +121,8 @@ impl Trace {
     /// # Errors
     ///
     /// Propagates any I/O error from the writer.
-    pub fn write_to<W: Write>(&self, mut writer: W) -> io::Result<()> {
-        writer.write_all(&MAGIC)?;
-        writer.write_all(&VERSION.to_le_bytes())?;
-        writer.write_all(&self.instructions().to_le_bytes())?;
-        writer.write_all(&(self.len() as u64).to_le_bytes())?;
-        for op in self {
-            match op.kind {
-                AccessKind::Read => {
-                    writer.write_all(&[0u8])?;
-                    writer.write_all(&op.addr.raw().to_le_bytes())?;
-                }
-                AccessKind::Write => {
-                    writer.write_all(&[1u8])?;
-                    writer.write_all(&op.addr.raw().to_le_bytes())?;
-                    writer.write_all(&op.value.to_le_bytes())?;
-                }
-            }
-        }
-        Ok(())
+    pub fn write_to<W: Write>(&self, writer: W) -> io::Result<()> {
+        write_c8tt(writer, self.ops(), self.instructions())
     }
 
     /// Deserializes a trace from `reader` (a `&mut` reference works too).
@@ -156,6 +139,41 @@ impl Trace {
         file.read_ops(&mut ops, count)?;
         Ok(Trace::new(ops, instructions))
     }
+}
+
+impl TraceChunk {
+    /// Serializes the chunk as a C8TT file: the bytes
+    /// [`Trace::write_to`] writes for a trace of the same ops and
+    /// instructions. A chunk that holds a whole trace (a stream cut into
+    /// one chunk) saves it without first copying it into a [`Trace`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates any I/O error from the writer.
+    pub fn write_to<W: Write>(&self, writer: W) -> io::Result<()> {
+        write_c8tt(writer, self.ops(), self.instructions())
+    }
+}
+
+fn write_c8tt<W: Write>(mut writer: W, ops: &[MemOp], instructions: u64) -> io::Result<()> {
+    writer.write_all(&MAGIC)?;
+    writer.write_all(&VERSION.to_le_bytes())?;
+    writer.write_all(&instructions.to_le_bytes())?;
+    writer.write_all(&(ops.len() as u64).to_le_bytes())?;
+    for op in ops {
+        match op.kind {
+            AccessKind::Read => {
+                writer.write_all(&[0u8])?;
+                writer.write_all(&op.addr.raw().to_le_bytes())?;
+            }
+            AccessKind::Write => {
+                writer.write_all(&[1u8])?;
+                writer.write_all(&op.addr.raw().to_le_bytes())?;
+                writer.write_all(&op.value.to_le_bytes())?;
+            }
+        }
+    }
+    Ok(())
 }
 
 /// An incremental C8TT reader: validates the header up front, then yields
@@ -295,7 +313,10 @@ impl<R: Read> TraceFileReader<R> {
             return Ok(None);
         }
         let start_op = self.position;
-        let mut ops = Vec::new();
+        // Sized up front (a whole-trace chunk would otherwise grow to
+        // twice its length), but never past 2^24 ops on the header's word.
+        let len = (max_ops as u64).min(self.remaining()).min(1 << 24);
+        let mut ops = Vec::with_capacity(len as usize);
         self.read_ops(&mut ops, max_ops as u64)?;
         let (instructions, total) = (self.instructions as u128, self.op_count as u128);
         let upto = |op: u64| (instructions * op as u128 / total) as u64;
@@ -337,6 +358,20 @@ mod tests {
         trace.write_to(&mut buffer).expect("vec write cannot fail");
         let back = Trace::read_from(buffer.as_slice()).expect("valid stream");
         assert_eq!(back, trace);
+    }
+
+    #[test]
+    fn whole_trace_chunk_writes_the_trace_bytes() {
+        let trace = sample();
+        let chunk = TraceChunk::new(trace.ops().to_vec(), 0, trace.instructions());
+        let (mut from_trace, mut from_chunk) = (Vec::new(), Vec::new());
+        trace
+            .write_to(&mut from_trace)
+            .expect("vec write cannot fail");
+        chunk
+            .write_to(&mut from_chunk)
+            .expect("vec write cannot fail");
+        assert_eq!(from_chunk, from_trace);
     }
 
     #[test]

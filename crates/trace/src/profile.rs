@@ -305,7 +305,7 @@ impl WorkloadProfile {
     /// for any (seed, length); profiles that differ in *any* parameter —
     /// including ad-hoc sweep variants that share a `name` — get
     /// distinct fingerprints. Used by the execution engine's trace store
-    /// to key its generate-once cache.
+    /// to key its on-disk trace files.
     pub fn fingerprint(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -78,7 +78,7 @@ commands:
                                          (byte-identical for any --jobs)
            [--series-cadence N]          ops per telemetry window
            [--trace-store DIR|off]       cache generated traces on disk
-                                         (default: in-memory only, or
+                                         (default: off, or
                                          CACHE8T_TRACE_STORE)
            [--stream-chunk-ops N]        stream traces in N-op chunks
                                          instead of materializing them
@@ -1051,8 +1051,8 @@ fn exec_options(o: &Options) -> ExecOptions {
     }
 }
 
-/// The trace store `--trace-store DIR|off` selects; by default
-/// in-memory, unless `CACHE8T_TRACE_STORE` names a directory.
+/// The trace store `--trace-store DIR|off` selects; by default without
+/// disk backing, unless `CACHE8T_TRACE_STORE` names a directory.
 fn trace_store(o: &Options) -> Arc<TraceStore> {
     Arc::new(match o.trace_store.as_deref() {
         Some("off") => TraceStore::in_memory(),
@@ -1110,8 +1110,8 @@ fn cmd_sweep(o: &Options) -> Result<(), String> {
     }
     for f in &outcome.failures {
         eprintln!(
-            "FAILED {}/{} [{}]: {} ({} attempts)",
-            f.geometry, f.benchmark, f.unit, f.message, f.attempts
+            "FAILED {}/{}: {} ({} attempts)",
+            f.geometry, f.benchmark, f.message, f.attempts
         );
     }
     println!("\n[sweep engine]");
@@ -1148,7 +1148,7 @@ fn cmd_sweep(o: &Options) -> Result<(), String> {
     if outcome.failures.is_empty() {
         Ok(())
     } else {
-        Err(format!("{} job(s) failed", outcome.failures.len()))
+        Err(format!("{} benchmark(s) failed", outcome.failures.len()))
     }
 }
 
@@ -1874,9 +1874,9 @@ fn render_top(
         .and_then(Value::as_f64)
         .unwrap_or(0.0);
     out.push_str(&format!(
-        "store    {} generated · {} hits · {:.1}% warm\n",
+        "store    {} generated · {} disk hits · {:.1}% warm\n",
         u64_of(&store, "generated"),
-        u64_of(&store, "mem_hits") + u64_of(&store, "disk_hits"),
+        u64_of(&store, "disk_hits"),
         ratio * 100.0,
     ));
 
@@ -2416,10 +2416,12 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let timeline_path = dir.join("timeline.json").to_string_lossy().to_string();
         let metrics_path = dir.join("metrics.json").to_string_lossy().to_string();
+        // Two profiles: a sweep runs one job per profile, and the pool
+        // starts no more workers than it has jobs.
         let mut o = opts(&[
             "sweep",
             "--profiles",
-            "gcc",
+            "gcc,mcf",
             "--geometries",
             "baseline",
             "--ops",
@@ -2945,7 +2947,7 @@ mod tests {
         let metrics: serde_json::Value = serde_json::from_str(
             r#"{"server":{"jobs":{"queued":1,"running":1,"completed":3,"failed":0,"cancelled":0},
                 "journal":{"enabled":true,"files":2,"bytes":4096,"repairs":1},
-                "trace_store":{"generated":4,"mem_hits":12,"disk_hits":0,"hit_ratio":0.75},
+                "trace_store":{"generated":4,"disk_hits":12,"hit_ratio":0.75},
                 "oplog":{"emitted":40,"suppressed":2,"dropped":0}},
                 "registry":{"counters":{"serve.requests":17,"serve.errors":1}}}"#,
         )
@@ -2971,7 +2973,7 @@ mod tests {
             "{frame}"
         );
         assert!(
-            frame.contains("4 generated · 12 hits · 75.0% warm"),
+            frame.contains("4 generated · 12 disk hits · 75.0% warm"),
             "{frame}"
         );
         assert!(

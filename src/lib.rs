@@ -17,8 +17,9 @@
 //!   ([`obs::timeline::Span`]) feeding both the per-phase profile
 //!   report and the Chrome-trace execution timeline.
 //! - [`exec`]: parallel sweep-execution engine — a job pool whose
-//!   workers share one cursor over the job list, generate-once trace
-//!   store, crash-isolated experiment runner (`cache8t sweep`).
+//!   workers share one cursor over the job list, one job per profile
+//!   replaying its trace once through every geometry and scheme,
+//!   crash-isolated experiment runner (`cache8t sweep`).
 //! - [`conform`]: differential conformance harness — lockstep oracle
 //!   replay against a golden memory, invariant checking, and seeded
 //!   trace fuzzing with reproducer shrinking (`cache8t check`).

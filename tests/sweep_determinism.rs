@@ -10,7 +10,7 @@ use cache8t::exec::{
 use cache8t::trace::profiles;
 
 /// A small but non-trivial plan: 4 profiles × 2 geometries = 8
-/// benchmarks (40 unit jobs), enough for real interleaving at 8 workers.
+/// benchmarks in 4 profile jobs, enough for real interleaving.
 fn plan() -> SweepPlan {
     let profiles = ["gcc", "mcf", "bwaves", "lbm"]
         .iter()
