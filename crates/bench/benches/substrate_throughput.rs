@@ -33,13 +33,19 @@ fn bench_functional_cache(c: &mut Criterion) {
         b.iter(|| {
             let mut cache = DataCache::new(geometry, ReplacementKind::Lru);
             let memory = MainMemory::new(geometry.block_bytes());
+            let mut victim = Vec::new();
             let mut hits = 0u64;
             for i in 0..OPS as u64 {
                 let addr = Address::new((i % 4096) * 8);
-                match cache.read_word(addr) {
-                    Some(_) => hits += 1,
+                let set = geometry.set_index_of(addr);
+                match cache.find_in_set(set, geometry.tag_of(addr)) {
+                    Some(way) => {
+                        cache.read_word_at(set, way, geometry.word_offset_of(addr));
+                        hits += 1;
+                    }
                     None => {
-                        cache.fill(geometry.block_base(addr), memory.read_block_ref(addr));
+                        let base = geometry.block_base(addr);
+                        cache.fill_into(base, memory.read_block_ref(base), &mut victim);
                     }
                 }
             }

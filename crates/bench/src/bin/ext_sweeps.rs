@@ -158,7 +158,7 @@ fn main() {
         workers: args.jobs.unwrap_or(0),
         retries: 0,
     };
-    let report = run_jobs(jobs, &exec, None);
+    let report = run_jobs(jobs, &exec, None, None);
 
     let mut tables = [
         Table::new(&["write share of memops", "WG", "WG+RB"]),

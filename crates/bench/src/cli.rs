@@ -90,7 +90,6 @@ impl CommonArgs {
                 workers: self.jobs.unwrap_or(0),
                 retries: 0,
             },
-            shard: None,
             progress: true,
             store: Arc::new(TraceStore::from_env()),
             series: self.series_out.is_some().then(SamplerConfig::default),

@@ -40,7 +40,7 @@ fn all_profiles_replay_cleanly_through_every_scheme() {
         workers: 0,
         retries: 0,
     };
-    let report = run_jobs(jobs, &exec, None);
+    let report = run_jobs(jobs, &exec, None, None);
     let mut checked = 0;
     for outcome in report.outcomes {
         let (name, r) = outcome.completed().expect("replay job must not panic");

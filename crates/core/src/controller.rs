@@ -144,8 +144,7 @@ pub trait Controller {
     }
 
     /// Request-level hit/miss statistics, maintained identically by every
-    /// controller (unlike [`DataCache::stats`], which only sees the
-    /// requests that reach the array).
+    /// controller.
     fn stats(&self) -> &CacheStats {
         self.backend().request_stats()
     }
@@ -319,10 +318,10 @@ impl CacheBackend {
             memory.read_block_into(base, dst);
             return;
         };
-        let g = l2.geometry();
+        let set = l2.geometry().set_index_of(base);
         if let Some(way) = l2.probe(base) {
-            l2.touch(base);
-            dst.copy_from_slice(l2.set(g.set_index_of(base)).line(way).data());
+            l2.touch_at(set, way);
+            dst.copy_from_slice(l2.set(set).line(way).data());
             return;
         }
         memory.read_block_into(base, dst);
@@ -347,10 +346,9 @@ impl CacheBackend {
             memory.write_block_from(base, data);
             return;
         };
-        let g = l2.geometry();
-        let set = g.set_index_of(base);
+        let set = l2.geometry().set_index_of(base);
         if let Some(way) = l2.probe(base) {
-            l2.touch(base);
+            l2.touch_at(set, way);
             l2.update_block(set, way, data, true);
             return;
         }
@@ -433,12 +431,12 @@ impl CacheBackend {
         &mut self.traffic
     }
 
-    /// Zeroes both ledgers, the cache's internal statistics, and the
+    /// Zeroes both ledgers, the L1's eviction counts, and the
     /// observability bundle (metric values, events; the tick restarts).
     pub fn reset_stats(&mut self) {
         self.requests = CacheStats::new();
         self.traffic = ArrayTraffic::new();
-        self.cache.reset_stats();
+        self.cache.reset_evictions();
         self.obs.reset();
     }
 
@@ -447,8 +445,7 @@ impl CacheBackend {
     /// `access`, `access_batch` and `flush`.
     #[inline]
     pub(crate) fn refresh_metrics(&mut self) {
-        self.obs
-            .refresh(&self.requests, &self.traffic, self.cache.stats());
+        self.obs.refresh(&self.requests, &self.traffic, &self.cache);
     }
 
     /// The functional cache.
@@ -614,12 +611,20 @@ mod tests {
         assert_eq!(b.traffic().line_fills, 1, "a hit fills nothing");
     }
 
+    /// Writes `value` to the resident word at `addr`.
+    fn write(b: &mut CacheBackend, addr: Address, value: u64) {
+        let g = b.cache().geometry();
+        let way = b.ensure_resident(addr).way;
+        b.cache_mut()
+            .write_word_at(g.set_index_of(addr), way, g.word_offset_of(addr), value);
+    }
+
     #[test]
     fn dirty_victims_reach_memory() {
         let mut b = backend();
         let a = Address::new(0x40);
         b.ensure_resident(a);
-        b.cache_mut().write_word(a, 99).unwrap();
+        write(&mut b, a, 99);
         // Conflict-fill the set until a is evicted (2 ways).
         b.ensure_resident(Address::new(0xC0));
         assert_eq!(b.traffic().eviction_writebacks, 0);
@@ -635,7 +640,7 @@ mod tests {
         let mut b = backend();
         let a = Address::new(0x40);
         b.ensure_resident(a);
-        b.cache_mut().write_word(a, 7).unwrap();
+        write(&mut b, a, 7);
         assert_eq!(b.peek_word(a), 7);
         assert_eq!(b.memory().read_word(a), 0, "memory still stale");
     }

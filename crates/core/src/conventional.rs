@@ -79,11 +79,11 @@ impl Controller for ConventionalController {
                 },
             )
         } else {
-            let effect =
+            let silent =
                 self.backend
                     .cache_mut()
                     .write_word_at(d.set, residency.way, d.word, d.value);
-            self.backend.record_write(residency.hit, effect.was_silent);
+            self.backend.record_write(residency.hit, silent);
             self.backend.traffic_mut().demand_writes += 1;
             (
                 d.value,

@@ -33,7 +33,7 @@
 //! [`Controller::obs`]: crate::Controller::obs
 
 use cache8t_obs::{CounterId, HistogramId, MetricRegistry, TraceLevel, Tracer};
-use cache8t_sim::CacheStats;
+use cache8t_sim::{CacheStats, DataCache};
 
 use crate::ArrayTraffic;
 
@@ -65,12 +65,12 @@ const MIRRORED: [&str; 16] = [
 ];
 
 /// The value of each [`MIRRORED`] counter, in that order, from the
-/// request statistics, the traffic ledger and the L1's own statistics:
+/// request statistics, the traffic ledger and the L1's eviction counts:
 /// the one place those counters are defined.
 fn mirrored_values(
     requests: &CacheStats,
     traffic: &ArrayTraffic,
-    l1: &CacheStats,
+    l1: &DataCache,
 ) -> [u64; MIRRORED.len()] {
     let t = traffic;
     [
@@ -79,8 +79,8 @@ fn mirrored_values(
         t.line_fills,
         // The L1's own counts: for the coalescing buffer,
         // `eviction_writebacks` also counts write-around deposits.
-        l1.evictions,
-        l1.dirty_evictions,
+        l1.evictions(),
+        l1.dirty_evictions(),
         // wg.*: a closed group is written back or elided.
         t.writebacks + t.silent_writebacks_elided,
         t.writebacks,
@@ -178,7 +178,7 @@ impl StackObs {
         &mut self,
         requests: &CacheStats,
         traffic: &ArrayTraffic,
-        l1: &CacheStats,
+        l1: &DataCache,
     ) {
         let values = mirrored_values(requests, traffic, l1);
         for (handle, &value) in self.mirrors.iter().zip(&values) {
@@ -267,6 +267,10 @@ mod tests {
     #[test]
     fn mirrors_are_set_only_once_registered() {
         let mut obs = StackObs::with_level(TraceLevel::Off);
+        let l1 = DataCache::new(
+            cache8t_sim::CacheGeometry::new(128, 2, 32).unwrap(),
+            cache8t_sim::ReplacementKind::Lru,
+        );
         let requests = CacheStats {
             read_hits: 2,
             read_misses: 1,
@@ -276,11 +280,11 @@ mod tests {
             rmw_ops: 4,
             ..ArrayTraffic::new()
         };
-        obs.refresh(&requests, &traffic, &CacheStats::new());
+        obs.refresh(&requests, &traffic, &l1);
         assert_eq!(obs.registry().counter_by_name("ctrl.reads"), Some(3));
         assert_eq!(obs.registry().counter_by_name("rmw.ops"), None);
         obs.mirror("rmw.ops");
-        obs.refresh(&requests, &traffic, &CacheStats::new());
+        obs.refresh(&requests, &traffic, &l1);
         assert_eq!(obs.registry().counter_by_name("rmw.ops"), Some(4));
     }
 

@@ -150,11 +150,11 @@ impl Controller for RmwController {
                 self.burst_addr = d.addr.raw();
             }
             self.burst_len += 1;
-            let effect =
+            let silent =
                 self.backend
                     .cache_mut()
                     .write_word_at(d.set, residency.way, d.word, d.value);
-            self.backend.record_write(residency.hit, effect.was_silent);
+            self.backend.record_write(residency.hit, silent);
             let traffic = self.backend.traffic_mut();
             traffic.rmw_read_phases += 1;
             traffic.demand_writes += 1;
@@ -254,7 +254,11 @@ mod tests {
             assert_eq!(a.value, b.value, "op {i}");
             assert_eq!(a.hit, b.hit, "op {i}");
         }
-        assert_eq!(rmw.cache().stats(), conv.cache().stats());
+        assert_eq!(rmw.cache().evictions(), conv.cache().evictions());
+        assert_eq!(
+            rmw.cache().dirty_evictions(),
+            conv.cache().dirty_evictions()
+        );
     }
 
     #[test]

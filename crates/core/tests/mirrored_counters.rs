@@ -85,13 +85,13 @@ fn step() -> impl Strategy<Value = Step> {
 
 /// The ledger expression each derived counter of `kind` must equal.
 fn expected(kind: SchemeKind, c: &dyn Controller) -> Vec<(&'static str, u64)> {
-    let (t, s, l1) = (c.traffic(), c.stats(), c.cache().stats());
+    let (t, s, l1) = (c.traffic(), c.stats(), c.cache());
     let mut want = vec![
         ("ctrl.reads", s.reads()),
         ("ctrl.writes", s.writes()),
         ("cache.line_fills", t.line_fills),
-        ("cache.evictions", l1.evictions),
-        ("cache.dirty_evictions", l1.dirty_evictions),
+        ("cache.evictions", l1.evictions()),
+        ("cache.dirty_evictions", l1.dirty_evictions()),
     ];
     match kind {
         SchemeKind::Conventional => {}

@@ -35,8 +35,7 @@ pub mod sweep;
 
 pub use experiment::{average, replay, BenchmarkResult, Ops, RunConfig, SchemeKind, SchemeResult};
 pub use pool::{
-    run_jobs, run_jobs_cancellable, CancelToken, ExecOptions, ExecReport, JobOutcome, JobProgress,
-    WorkerStats,
+    run_jobs, CancelToken, ExecOptions, ExecReport, JobOutcome, JobProgress, WorkerStats,
 };
 pub use store::{StoreStats, TraceSource, TraceStore, DEFAULT_STORE_DIR, STORE_ENV_VAR};
 pub use stream::{ChunkSource, PrefetchedChunks};

@@ -15,10 +15,9 @@
 //! order regardless of the schedule, which is what lets callers build
 //! deterministic, thread-count-independent reports on top.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -111,6 +110,7 @@ impl<T> JobOutcome<T> {
 }
 
 /// Progress snapshot passed to the observer after every finished job.
+/// The observer derives any rate from its own clock.
 #[derive(Debug, Clone, Copy)]
 pub struct JobProgress {
     /// Jobs finished so far (completed + failed).
@@ -119,75 +119,6 @@ pub struct JobProgress {
     pub failed: usize,
     /// Jobs in the batch.
     pub total: usize,
-    /// Mean duration of the [`ETA_WINDOW`] most recently finished jobs,
-    /// in microseconds. Windowed rather than all-time so the ETA tracks
-    /// the current job mix: a sweep whose early configs are cheap and
-    /// late configs expensive (or vice versa) converges to the recent
-    /// rate instead of being anchored to stale samples.
-    pub mean_job_us: u64,
-    /// Worker threads executing the batch.
-    pub workers: usize,
-}
-
-/// Number of recent job durations the [`JobProgress::mean_job_us`]
-/// estimate averages over.
-pub const ETA_WINDOW: usize = 32;
-
-/// Minimum finished jobs before [`JobProgress::eta`] and
-/// [`JobProgress::mops`] report anything. A single sample is a noisy
-/// basis for a rate — the opening tick of a sweep would otherwise
-/// extrapolate the whole batch from one (often unrepresentative,
-/// cold-cache) job and render a garbage ETA.
-pub const RATE_MIN_SAMPLES: usize = 2;
-
-/// Pushes `sample` into the bounded recency window and returns the mean
-/// of what the window now holds.
-fn windowed_mean(window: &mut VecDeque<u64>, sample: u64) -> u64 {
-    if window.len() == ETA_WINDOW {
-        window.pop_front();
-    }
-    window.push_back(sample);
-    window.iter().sum::<u64>() / window.len() as u64
-}
-
-impl JobProgress {
-    /// `true` once enough jobs finished for rate estimates to be
-    /// meaningful (see [`RATE_MIN_SAMPLES`]) and the windowed mean is
-    /// non-zero (sub-microsecond jobs floor the integer mean to 0,
-    /// which would otherwise divide to infinity).
-    fn rate_is_trustworthy(&self) -> bool {
-        self.done >= RATE_MIN_SAMPLES && self.mean_job_us > 0
-    }
-
-    /// Estimated time to batch completion, assuming the remaining jobs
-    /// cost the recent-jobs mean spread across the workers. `None`
-    /// until [`RATE_MIN_SAMPLES`] jobs finish (a one-sample rate is
-    /// noise, and all-instant jobs floor the mean to 0) and once the
-    /// batch is done.
-    pub fn eta(&self) -> Option<Duration> {
-        if !self.rate_is_trustworthy() || self.done >= self.total {
-            return None;
-        }
-        let remaining = (self.total - self.done) as u64;
-        let waves = remaining.div_ceil(self.workers.max(1) as u64);
-        Some(Duration::from_micros(
-            waves.saturating_mul(self.mean_job_us),
-        ))
-    }
-
-    /// Aggregate replay throughput in Mops/s, given the replayed ops
-    /// per job. `None` under the same guards as [`eta`](Self::eta) —
-    /// this is the single place the first-window divide-by-zero /
-    /// garbage-rate cases are handled, so every progress consumer
-    /// (batch sweep, serve daemon) renders the same dashes instead of
-    /// its own arithmetic.
-    pub fn mops(&self, ops_per_job: f64) -> Option<f64> {
-        if !self.rate_is_trustworthy() {
-            return None;
-        }
-        let rate = ops_per_job * self.workers as f64 / self.mean_job_us as f64;
-        (rate.is_finite() && rate > 0.0).then_some(rate)
-    }
 }
 
 /// Per-worker scheduler telemetry for one batch.
@@ -277,10 +208,6 @@ struct Shared<'a, F> {
     done: AtomicUsize,
     failed: AtomicUsize,
     retries: AtomicU64,
-    /// Durations of the most recently finished jobs (bounded at
-    /// [`ETA_WINDOW`]), feeding the windowed ETA mean.
-    recent_us: Mutex<VecDeque<u64>>,
-    workers: usize,
     /// Extra attempts a panicking job gets ([`ExecOptions::retries`]).
     retry_budget: u32,
     cancel: Option<&'a CancelToken>,
@@ -309,7 +236,7 @@ impl<F> Shared<'_, F> {
                 report.outcomes.push((index, JobOutcome::Cancelled));
                 // A drained job counts as finished, like an executed
                 // one, so the observer's progress still reaches `total`.
-                self.report_progress(0);
+                self.report_progress();
                 continue;
             }
             let started = Instant::now();
@@ -319,11 +246,7 @@ impl<F> Shared<'_, F> {
             report.stats.jobs += 1;
             report.stats.busy += took;
             report.job_durations_us.observe(took.as_micros() as u64);
-            let mean_job_us = {
-                let mut window = self.recent_us.lock().expect("eta window poisoned");
-                windowed_mean(&mut window, took.as_micros() as u64)
-            };
-            self.report_progress(mean_job_us);
+            self.report_progress();
         }
         // The thread-local span recorder dies with this thread: hand
         // its profile to the batch report.
@@ -364,15 +287,13 @@ impl<F> Shared<'_, F> {
     }
 
     /// Counts one more finished job and tells the observer.
-    fn report_progress(&self, mean_job_us: u64) {
+    fn report_progress(&self) {
         let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(observer) = self.observer {
             observer(JobProgress {
                 done,
                 failed: self.failed.load(Ordering::Relaxed),
                 total: self.jobs.len(),
-                mean_job_us,
-                workers: self.workers,
             });
         }
     }
@@ -381,32 +302,18 @@ impl<F> Shared<'_, F> {
 /// Runs `jobs` across the pool and returns one outcome per job, in
 /// submission order.
 ///
-/// `observer`, when given, is invoked from worker threads after every
-/// finished job — the hook behind live progress lines.
+/// `cancel`, when given, is polled between jobs: once it fires, every
+/// job a worker subsequently takes is drained as
+/// [`JobOutcome::Cancelled`] without executing, while jobs already
+/// running complete normally. `observer`, when given, is invoked from
+/// worker threads after every finished job — the hook behind live
+/// progress lines.
 ///
 /// # Panics
 ///
-/// Panics only on scheduler-internal lock poisoning (a worker thread
-/// itself can never poison the locks: job panics are caught).
+/// Panics if `observer` panics. A panicking job cannot bring the pool
+/// down: it becomes a [`JobOutcome::Failed`].
 pub fn run_jobs<T, F>(
-    jobs: Vec<F>,
-    options: &ExecOptions,
-    observer: Option<&(dyn Fn(JobProgress) + Sync)>,
-) -> ExecReport<T>
-where
-    F: Fn() -> T + Send + Sync,
-    T: Send,
-{
-    run_jobs_cancellable(jobs, options, None, observer)
-}
-
-/// [`run_jobs`] with a cooperative [`CancelToken`]: once the token
-/// fires, every job a worker subsequently takes is drained as
-/// [`JobOutcome::Cancelled`] without executing, and the batch returns
-/// with one outcome per submitted job as usual. Jobs already running
-/// when the token fires complete normally (cancellation is polled
-/// between jobs, never mid-job).
-pub fn run_jobs_cancellable<T, F>(
     jobs: Vec<F>,
     options: &ExecOptions,
     cancel: Option<&CancelToken>,
@@ -424,8 +331,6 @@ where
         done: AtomicUsize::new(0),
         failed: AtomicUsize::new(0),
         retries: AtomicU64::new(0),
-        recent_us: Mutex::new(VecDeque::with_capacity(ETA_WINDOW)),
-        workers,
         retry_budget: options.retries,
         cancel,
         observer,
@@ -494,7 +399,7 @@ mod tests {
     fn outcomes_keep_submission_order() {
         for workers in [1, 4] {
             let jobs: Vec<_> = (0..37).map(|i| move || i * 3).collect();
-            let report = run_jobs(jobs, &opts(workers), None);
+            let report = run_jobs(jobs, &opts(workers), None, None);
             assert_eq!(report.outcomes.len(), 37);
             for (i, o) in report.outcomes.into_iter().enumerate() {
                 assert_eq!(o.completed(), Some(i * 3));
@@ -504,7 +409,7 @@ mod tests {
 
     #[test]
     fn empty_batch_is_fine() {
-        let report = run_jobs(Vec::<fn() -> u8>::new(), &opts(4), None);
+        let report = run_jobs(Vec::<fn() -> u8>::new(), &opts(4), None, None);
         assert!(report.outcomes.is_empty());
         assert_eq!(report.failed(), 0);
     }
@@ -516,6 +421,7 @@ mod tests {
         let report = run_jobs(
             jobs,
             &opts(2),
+            None,
             Some(&|p: JobProgress| {
                 seen.fetch_add(1, Ordering::Relaxed);
                 assert!(p.done <= p.total);
@@ -542,6 +448,7 @@ mod tests {
                 retries: 2,
             },
             None,
+            None,
         );
         assert_eq!(report.retries, 1);
         assert_eq!(report.outcomes[0], JobOutcome::Completed(7));
@@ -557,6 +464,7 @@ mod tests {
                 retries: 1,
             },
             None,
+            None,
         );
         match &report.outcomes[0] {
             JobOutcome::Failed { message, attempts } => {
@@ -571,94 +479,6 @@ mod tests {
     fn effective_workers_resolves_zero() {
         assert!(opts(0).effective_workers() >= 1);
         assert_eq!(opts(3).effective_workers(), 3);
-    }
-
-    #[test]
-    fn progress_eta_scales_with_remaining_waves() {
-        let p = JobProgress {
-            done: 4,
-            failed: 0,
-            total: 12,
-            mean_job_us: 1_000,
-            workers: 4,
-        };
-        // 8 jobs over 4 workers = 2 waves of ~1ms each.
-        assert_eq!(p.eta(), Some(Duration::from_micros(2_000)));
-        let finished = JobProgress { done: 12, ..p };
-        assert_eq!(finished.eta(), None);
-        let unmeasured = JobProgress {
-            mean_job_us: 0,
-            ..p
-        };
-        assert_eq!(unmeasured.eta(), None);
-    }
-
-    #[test]
-    fn first_tick_reports_no_rate() {
-        // One finished job is not a rate: the opening tick must render
-        // unknown ETA/Mops, not extrapolate the batch from one sample.
-        let first = JobProgress {
-            done: 1,
-            failed: 0,
-            total: 100,
-            mean_job_us: 250_000,
-            workers: 4,
-        };
-        assert_eq!(first.eta(), None);
-        assert_eq!(first.mops(20_000.0), None);
-        // The second sample unlocks both estimates.
-        let second = JobProgress { done: 2, ..first };
-        assert!(second.eta().is_some());
-        assert!(second.mops(20_000.0).is_some());
-    }
-
-    #[test]
-    fn all_instant_jobs_report_no_rate() {
-        // Sub-microsecond jobs floor the integer mean to 0; the rate
-        // math would divide by zero. Both estimates must decline.
-        let p = JobProgress {
-            done: 50,
-            failed: 0,
-            total: 100,
-            mean_job_us: 0,
-            workers: 8,
-        };
-        assert_eq!(p.eta(), None);
-        assert_eq!(p.mops(20_000.0), None);
-    }
-
-    #[test]
-    fn mops_scales_ops_by_workers_over_mean() {
-        let p = JobProgress {
-            done: 10,
-            failed: 0,
-            total: 20,
-            mean_job_us: 2_000,
-            workers: 4,
-        };
-        // 22k ops per job × 4 workers / 2000 µs = 44 ops/µs = 44 Mops/s.
-        let mops = p.mops(22_000.0).expect("trustworthy rate");
-        assert!((mops - 44.0).abs() < 1e-9);
-        // Degenerate ops counts never emit non-finite or zero rates.
-        assert_eq!(p.mops(0.0), None);
-        assert_eq!(p.mops(f64::INFINITY), None);
-    }
-
-    #[test]
-    fn windowed_mean_tracks_recent_jobs_only() {
-        let mut window = VecDeque::new();
-        // Saturate the window with slow jobs...
-        for _ in 0..ETA_WINDOW {
-            assert_eq!(windowed_mean(&mut window, 10_000), 10_000);
-        }
-        // ...then a run of fast ones: the stale 10ms samples age out and
-        // the mean converges to the recent rate instead of anchoring.
-        let mut mean = 10_000;
-        for _ in 0..ETA_WINDOW {
-            mean = windowed_mean(&mut window, 100);
-        }
-        assert_eq!(mean, 100, "all-time mean would report ~5ms here");
-        assert_eq!(window.len(), ETA_WINDOW, "window stays bounded");
     }
 
     #[test]
@@ -689,7 +509,7 @@ mod tests {
                 }
             })
             .collect();
-        let report = run_jobs(jobs, &opts(3), None);
+        let report = run_jobs(jobs, &opts(3), None, None);
         assert_eq!(report.worker_stats.len(), 3);
         assert_eq!(report.worker_stats.iter().map(|w| w.jobs).sum::<u64>(), 16);
         assert_eq!(report.job_durations_us.count(), 16);
@@ -714,7 +534,7 @@ mod tests {
                 .iter()
                 .map(|runs| move || runs.fetch_add(1, Ordering::SeqCst))
                 .collect();
-            let report = run_jobs(jobs, &opts(workers), None);
+            let report = run_jobs(jobs, &opts(workers), None, None);
             assert_eq!(report.failed(), 0);
             for (i, runs) in runs.iter().enumerate() {
                 assert_eq!(
@@ -749,7 +569,7 @@ mod tests {
                 }
             })
             .collect();
-        let report = run_jobs_cancellable(jobs, &opts(1), Some(&token), None);
+        let report = run_jobs(jobs, &opts(1), Some(&token), None);
         assert_eq!(report.outcomes.len(), 64, "every job gets an outcome");
         // Single worker, FIFO order: jobs 0..=2 ran, everything after the
         // firing job was drained.
@@ -764,7 +584,7 @@ mod tests {
     fn uncancelled_token_changes_nothing() {
         let token = CancelToken::new();
         let jobs: Vec<_> = (0..10).map(|i| move || i).collect();
-        let report = run_jobs_cancellable(jobs, &opts(4), Some(&token), None);
+        let report = run_jobs(jobs, &opts(4), Some(&token), None);
         assert_eq!(report.cancelled(), 0);
         for (i, o) in report.outcomes.into_iter().enumerate() {
             assert_eq!(o.completed(), Some(i));

@@ -35,7 +35,7 @@ use cache8t_sim::CacheGeometry;
 use cache8t_trace::{profiles, WorkloadProfile};
 
 use crate::experiment::{BenchmarkResult, Lane, RunConfig, SchemeKind, SchemeResult, StreamFold};
-use crate::pool::{run_jobs_cancellable, CancelToken, ExecOptions, JobOutcome, JobProgress};
+use crate::pool::{run_jobs, CancelToken, ExecOptions, JobOutcome, JobProgress};
 use crate::store::TraceStore;
 use crate::stream::ChunkSource;
 
@@ -110,7 +110,7 @@ impl SweepPlan {
 
 /// A `--shard i/n` selection: this process runs benchmark slots
 /// `index, index + count, ...` of the plan's flattened
-/// (geometry, profile) grid.
+/// (geometry, profile) grid (see [`slots`](Shard::slots)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Shard {
     /// Zero-based shard index.
@@ -145,8 +145,10 @@ impl Shard {
         })
     }
 
-    fn selects(&self, slot: usize) -> bool {
-        slot % self.count == self.index
+    /// The benchmark slots of this shard among `benchmarks` slots, the
+    /// [`SweepOptions::slots`] selection that runs it.
+    pub fn slots(&self, benchmarks: usize) -> Vec<usize> {
+        (self.index..benchmarks).step_by(self.count).collect()
     }
 }
 
@@ -159,14 +161,13 @@ pub struct BenchmarkEvent<'a> {
     /// Profile (benchmark) index in the plan.
     pub benchmark: usize,
     /// Flattened benchmark slot: `geometry * n_profiles + benchmark` —
-    /// the same numbering `--shard` and [`SweepOptions::slots`] use.
+    /// the numbering [`SweepOptions::slots`] uses.
     pub slot: usize,
     /// Benchmarks finished so far in this sweep, this one included —
     /// completion order, so consumers (checkpoint logs, dashboards)
     /// get `completed/total` progress without tracking it themselves.
     pub completed: usize,
-    /// Benchmarks this sweep will run in total (after shard/slot
-    /// selection).
+    /// Benchmarks this sweep will run in total (after slot selection).
     pub total: usize,
     /// The assembled result.
     pub result: &'a BenchmarkResult,
@@ -226,12 +227,10 @@ impl fmt::Debug for ProgressHook {
 pub struct SweepOptions {
     /// Scheduler configuration (worker count, retry budget).
     pub exec: ExecOptions,
-    /// Restrict to one shard of the benchmark grid.
-    pub shard: Option<Shard>,
     /// Restrict to an explicit set of benchmark slots (flattened
-    /// `geometry * n_profiles + benchmark` indices). Takes precedence
-    /// over `shard`; the resume path uses this to re-run exactly the
-    /// benchmarks a checkpoint journal is missing.
+    /// `geometry * n_profiles + benchmark` indices): a `--shard i/n`
+    /// run passes [`Shard::slots`], and the resume path re-runs exactly
+    /// the benchmarks a checkpoint journal is missing.
     pub slots: Option<Vec<usize>>,
     /// Emit a live progress line on stderr while running.
     pub progress: bool,
@@ -264,7 +263,6 @@ impl Default for SweepOptions {
     fn default() -> Self {
         SweepOptions {
             exec: ExecOptions::default(),
-            shard: None,
             slots: None,
             progress: false,
             store: Arc::new(TraceStore::in_memory()),
@@ -296,8 +294,8 @@ pub struct SweepFailure {
 pub struct GeometrySweep {
     /// The geometry point this slice belongs to.
     pub point: GeometryPoint,
-    /// One slot per plan profile: `None` when outside this shard or
-    /// when the benchmark's job failed or was drained.
+    /// One slot per plan profile: `None` when outside the selected
+    /// slots or when the benchmark's job failed or was drained.
     pub results: Vec<Option<BenchmarkResult>>,
 }
 
@@ -341,7 +339,7 @@ impl SweepOutcome {
     }
 
     /// All benchmark results, expecting a complete, failure-free run
-    /// (no shard): one `Vec<BenchmarkResult>` per plan geometry.
+    /// (no slot selection): one `Vec<BenchmarkResult>` per plan geometry.
     ///
     /// # Errors
     ///
@@ -478,6 +476,25 @@ fn run_profile(
     Ok(results)
 }
 
+/// Live throughput in Mops/s and time to completion of a batch, from its
+/// wall time: `done` of `total` jobs finished `elapsed` after it started,
+/// each credited with `ops_per_job` replayed ops. Both are unknown until
+/// a job has finished and time has passed; the ETA is unknown once the
+/// batch is done.
+fn live_rate(
+    done: usize,
+    total: usize,
+    elapsed: Duration,
+    ops_per_job: f64,
+) -> (Option<f64>, Option<Duration>) {
+    if done == 0 || elapsed.is_zero() {
+        return (None, None);
+    }
+    let mops = done as f64 * ops_per_job / (elapsed.as_secs_f64() * 1e6);
+    let eta = (done < total).then(|| elapsed.mul_f64((total - done) as f64 / done as f64));
+    ((mops.is_finite() && mops > 0.0).then_some(mops), eta)
+}
+
 /// Executes `plan` on the job pool, one job per profile, and reassembles
 /// the outcomes deterministically (see the module docs for the
 /// guarantee).
@@ -485,15 +502,10 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> SweepOutcome {
     let started = Instant::now();
     let n_profiles = plan.profiles.len();
 
-    // Selection is per *benchmark*, so a shard or slot set always holds
-    // complete benchmarks and partial outputs merge by simple union. An
-    // explicit slot set (resume: "exactly the benchmarks the journal is
-    // missing") takes precedence over modular sharding. A profile's job
-    // covers its selected geometries; a profile with none has no job.
-    let selected = |slot: usize| match &options.slots {
-        Some(slots) => slots.contains(&slot),
-        None => options.shard.is_none_or(|s| s.selects(slot)),
-    };
+    // Selection is per *benchmark*, so a slot set always holds complete
+    // benchmarks and partial outputs merge by simple union. A profile's
+    // job covers its selected geometries; a profile with none has no job.
+    let selected = |slot: usize| options.slots.as_ref().is_none_or(|s| s.contains(&slot));
     let specs: Vec<(usize, Vec<usize>)> = (0..n_profiles)
         .filter_map(|b| {
             let geometries: Vec<usize> = (0..plan.geometries.len())
@@ -520,31 +532,30 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> SweepOutcome {
             cache8t_obs::progress::ProgressMode::from_env(),
         )
     });
-    // Live throughput, from the *windowed* recent-jobs mean rather than
-    // the all-time average: each job is credited with the mean replayed
-    // ops per job (four scheme lanes per selected benchmark, spread
-    // evenly over the jobs), and replayed ops per microsecond across the
-    // workers is Mops/s. Under a shard or slot set profiles cover
-    // different numbers of geometries, so the window's figure is an
-    // approximation; it is display-only.
+    // Live throughput: each finished job is credited with the mean
+    // replayed ops per job (four scheme lanes per selected benchmark,
+    // spread evenly over the jobs). Under a slot set profiles cover
+    // different numbers of geometries, so the figure is an approximation;
+    // it is display-only.
     let replayed_ops = SchemeKind::ALL.len() * benchmarks * plan.config(0).total_ops();
     let ops_per_job = replayed_ops as f64 / jobs.len().max(1) as f64;
     let observer = |p: JobProgress| {
+        let (mops, eta) = live_rate(p.done, p.total, started.elapsed(), ops_per_job);
         let snapshot = ProgressSnapshot {
             done: p.done,
             total: p.total,
             failed: p.failed,
-            eta_ms: p.eta().map(|d| d.as_millis() as u64),
-            mops: p.mops(ops_per_job),
+            eta_ms: eta.map(|d| d.as_millis() as u64),
+            mops,
         };
         if let Some(line) = &progress {
-            line.tick(p.done, p.failed, p.eta(), snapshot.mops);
+            line.tick(p.done, p.failed, eta, mops);
         }
         if let Some(hook) = &options.on_progress {
             hook.0(snapshot);
         }
     };
-    let report = run_jobs_cancellable(
+    let report = run_jobs(
         jobs,
         &options.exec,
         options.cancel.as_ref(),
@@ -556,7 +567,7 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> SweepOutcome {
 
     // Deterministic merge: results land in their plan slots, never in
     // completion order. The benchmarks of a failed or drained job stay
-    // `None`, exactly like out-of-shard slots, and a resume re-runs them.
+    // `None`, exactly like unselected slots, and a resume re-runs them.
     let mut geometries: Vec<GeometrySweep> = plan
         .geometries
         .iter()
@@ -866,9 +877,24 @@ mod tests {
     fn shards_partition_the_grid() {
         let a = Shard { index: 0, count: 2 };
         let b = Shard { index: 1, count: 2 };
-        for slot in 0..10 {
-            assert_ne!(a.selects(slot), b.selects(slot));
-        }
+        assert_eq!(a.slots(9), [0, 2, 4, 6, 8]);
+        assert_eq!(b.slots(9), [1, 3, 5, 7]);
+        assert!(Shard { index: 2, count: 3 }.slots(2).is_empty());
+    }
+
+    #[test]
+    fn live_rate_comes_from_the_batch_wall_time() {
+        // After the first of three jobs, 2 s in, at 1 M ops per job.
+        let (mops, eta) = live_rate(1, 3, Duration::from_secs(2), 1e6);
+        assert_eq!(mops, Some(0.5));
+        assert_eq!(eta, Some(Duration::from_secs(4)));
+        // No time has passed, or no job has finished: nothing to show.
+        assert_eq!(live_rate(1, 3, Duration::ZERO, 1e6), (None, None));
+        assert_eq!(live_rate(0, 3, Duration::from_secs(2), 1e6), (None, None));
+        // A finished batch has a rate but nothing left to wait for.
+        let (mops, eta) = live_rate(3, 3, Duration::from_secs(3), 1e6);
+        assert_eq!(mops, Some(1.0));
+        assert_eq!(eta, None);
     }
 
     #[test]

@@ -30,6 +30,7 @@ fn panicking_job_fails_alone_while_the_batch_completes() {
             retries: 0,
         },
         None,
+        None,
     );
 
     assert_eq!(report.outcomes.len(), 20);
@@ -75,7 +76,6 @@ fn sweep_reports_a_poisoned_benchmark_and_keeps_the_rest() {
                 workers: 2,
                 retries: 0,
             },
-            shard: None,
             progress: false,
             store: Arc::new(TraceStore::in_memory()),
             series: None,
@@ -127,7 +127,6 @@ fn sweep_options(workers: usize) -> SweepOptions {
             workers,
             retries: 0,
         },
-        shard: None,
         progress: false,
         store: Arc::new(TraceStore::in_memory()),
         series: None,

@@ -82,8 +82,7 @@ impl ProgressLine {
     /// repaints if the throttle window has passed. The frame appends
     /// the estimated time to completion and a live throughput figure
     /// (Mops/s) when known; the sweep engine derives both from the
-    /// windowed recent-jobs mean, so the line tracks phase changes
-    /// instead of averaging them away.
+    /// batch's wall time.
     pub fn tick(&self, done: usize, failed: usize, eta: Option<Duration>, mops: Option<f64>) {
         if !self.enabled {
             return;
@@ -115,9 +114,8 @@ impl ProgressLine {
     /// Formats one progress-line frame. Pure so it is unit-testable
     /// without a terminal: a known rate sits between the elapsed time
     /// and the ETA, and an unknown ETA on an incomplete run renders as
-    /// `--:--` (the estimator returns `None` before enough jobs have
-    /// finished or when the duration mean is 0 — never divide there,
-    /// report "unknown").
+    /// `--:--` (the sweep engine has none before its first job
+    /// finishes).
     fn render_frame(
         label: &str,
         done: usize,
@@ -180,7 +178,7 @@ pub struct ProgressSnapshot {
     pub failed: usize,
     /// Estimated milliseconds to completion, when known.
     pub eta_ms: Option<u64>,
-    /// Last-window throughput in Mops/s, when known.
+    /// Throughput since the batch started, in Mops/s, when known.
     pub mops: Option<f64>,
 }
 
@@ -261,8 +259,8 @@ mod tests {
 
     #[test]
     fn unknown_eta_renders_as_placeholder_not_garbage() {
-        // Zero jobs done / zero duration mean: the estimator hands us
-        // `None`, and the line must say so instead of a bogus number.
+        // No job finished yet: the estimator hands us `None`, and the
+        // line must say so instead of a bogus number.
         let frame =
             ProgressLine::render_frame("sweep", 0, 0, 10, Duration::from_secs(2), None, None);
         assert_eq!(frame, "sweep: 0/10 [2.0s, --:-- left]");
@@ -295,7 +293,7 @@ mod tests {
 
     #[test]
     fn rate_renders_from_the_last_window_not_at_all_when_unknown() {
-        // A known last-window rate appears between elapsed and ETA.
+        // A known rate appears between elapsed and ETA.
         let frame = ProgressLine::render_frame(
             "sweep",
             3,

@@ -796,7 +796,6 @@ impl ServerState {
 
         let options = SweepOptions {
             exec: self.exec,
-            shard: None,
             slots: Some(remaining),
             progress: false,
             store: Arc::clone(&self.store),

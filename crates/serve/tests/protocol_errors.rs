@@ -37,8 +37,12 @@ fn each_error_class_answers_with_its_code_and_keeps_the_connection() {
     let mut stream = TcpStream::connect(&addr).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
 
+    // One line of 100 000 `[`: the parser must refuse the nesting, not
+    // overflow its stack.
+    let deep = "[".repeat(100_000);
     let cases: &[(&str, &str)] = &[
         ("{oops", codes::MALFORMED_JSON),
+        (&deep, codes::MALFORMED_JSON),
         ("[1,2,3]", codes::NOT_AN_OBJECT),
         (r#"{"verb":"status"}"#, codes::BAD_VERSION),
         (r#"{"v":"99","verb":"status"}"#, codes::BAD_VERSION),

@@ -9,7 +9,7 @@ use std::fmt;
 
 use crate::kernels;
 use crate::replacement::{PolicyTable, ReplacementKind};
-use crate::{Address, CacheGeometry, CacheStats};
+use crate::{Address, CacheGeometry};
 
 /// Line-flag bit: the line holds a block.
 const VALID: u8 = 1 << 0;
@@ -94,26 +94,6 @@ impl<'a> SetView<'a> {
     }
 }
 
-/// Result of writing a word that hit in the cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WriteEffect {
-    /// The value the word held before the write.
-    pub old_value: u64,
-    /// `true` if the new value equalled the old one (a silent store).
-    pub was_silent: bool,
-}
-
-/// A valid block displaced by [`DataCache::fill`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EvictedLine {
-    /// Base address of the evicted block.
-    pub base: Address,
-    /// The block's words at eviction time.
-    pub data: Vec<u64>,
-    /// `true` if the block was dirty and must be written back to memory.
-    pub dirty: bool,
-}
-
 /// Metadata of a block displaced by [`DataCache::fill_into`]; the words
 /// themselves land in the caller-provided buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,15 +102,6 @@ pub struct EvictedMeta {
     pub base: Address,
     /// `true` if the block was dirty and must be written back to memory.
     pub dirty: bool,
-}
-
-/// Result of installing a block with [`DataCache::fill`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FillOutcome {
-    /// The way the block was installed into.
-    pub way: usize,
-    /// The valid block that was displaced, if the set was full.
-    pub evicted: Option<EvictedLine>,
 }
 
 /// Result of installing a block with [`DataCache::fill_into`].
@@ -149,12 +120,17 @@ pub struct FillSlot {
 /// applies a replacement policy. It deliberately does **not** model SRAM
 /// array traffic — that is the job of the controllers in `cache8t-core`,
 /// because the same functional access costs different numbers of array
-/// operations under RMW, WG, and WG+RB.
+/// operations under RMW, WG, and WG+RB. Nor does it count hits and
+/// misses: the controllers record every request in their own ledger.
+/// It counts only the evictions its fills cause.
 ///
 /// All block words live in one contiguous arena (`set * ways + way`
 /// blocks of `block_words` words each) with packed per-line tag and
 /// valid/dirty metadata alongside; replacement state is flat per-policy
-/// arrays dispatched by a monomorphized enum. The data path is
+/// arrays dispatched by a monomorphized enum. A lookup
+/// ([`probe`](Self::probe) or [`find_in_set`](Self::find_in_set)) finds
+/// the way once; the data accesses and the replacement touch then take
+/// that way instead of searching the tags again. The data path is
 /// allocation-free: [`fill_into`](Self::fill_into) borrows the incoming
 /// block and deposits any victim in a caller-owned buffer.
 ///
@@ -166,21 +142,26 @@ pub struct FillSlot {
 /// # fn main() -> Result<(), cache8t_sim::GeometryError> {
 /// let g = CacheGeometry::new(1024, 2, 32)?;
 /// let mut cache = DataCache::new(g, ReplacementKind::Lru);
-/// let mut mem = MainMemory::new(g.block_bytes());
+/// let mem = MainMemory::new(g.block_bytes());
 ///
 /// let a = Address::new(0x200);
-/// assert_eq!(cache.read_word(a), None); // miss
-/// cache.fill(a, mem.read_block_ref(a));
-/// assert_eq!(cache.read_word(a), Some(0));
-/// let effect = cache.write_word(a, 42).expect("hit after fill");
-/// assert!(!effect.was_silent);
-/// assert_eq!(cache.read_word(a), Some(42));
+/// let (set, word) = (g.set_index_of(a), g.word_offset_of(a));
+/// assert_eq!(cache.probe(a), None); // miss
+/// let mut victim = Vec::new();
+/// let way = cache.fill_into(a, mem.read_block_ref(a), &mut victim).way;
+/// assert_eq!(cache.read_word_at(set, way, word), 0);
+/// let silent = cache.write_word_at(set, way, word, 42);
+/// assert!(!silent);
+/// assert_eq!(cache.read_word_at(set, way, word), 42);
 /// # Ok(())
 /// # }
 /// ```
 pub struct DataCache {
     geometry: CacheGeometry,
-    stats: CacheStats,
+    /// Valid blocks evicted to make room for a fill.
+    evictions: u64,
+    /// The dirty share of `evictions`.
+    dirty_evictions: u64,
     ways: usize,
     block_words: usize,
     /// All block words: line `set * ways + way` occupies
@@ -203,7 +184,8 @@ impl DataCache {
         let lines = geometry.num_sets() as usize * ways;
         DataCache {
             geometry,
-            stats: CacheStats::new(),
+            evictions: 0,
+            dirty_evictions: 0,
             ways,
             block_words,
             data: vec![0; lines * block_words].into_boxed_slice(),
@@ -219,16 +201,24 @@ impl DataCache {
         self.geometry
     }
 
-    /// Accumulated hit/miss statistics.
+    /// Valid blocks evicted to make room for a fill.
     #[inline]
-    pub fn stats(&self) -> &CacheStats {
-        &self.stats
+    pub fn evictions(&self) -> u64 {
+        self.evictions
     }
 
-    /// Resets statistics to zero (used after warm-up, mirroring the paper's
-    /// 1 B-instruction cache warm-up).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::new();
+    /// Evictions of dirty blocks (data handed to the caller for
+    /// write-back).
+    #[inline]
+    pub fn dirty_evictions(&self) -> u64 {
+        self.dirty_evictions
+    }
+
+    /// Resets both eviction counts to zero (used after warm-up,
+    /// mirroring the paper's 1 B-instruction cache warm-up).
+    pub fn reset_evictions(&mut self) {
+        self.evictions = 0;
+        self.dirty_evictions = 0;
     }
 
     /// The words of line `line_index = set * ways + way`.
@@ -291,28 +281,12 @@ impl DataCache {
         }
     }
 
-    /// Looks up `addr` without any side effects (no statistics, no
-    /// replacement update). Returns the hit way.
+    /// Looks up `addr` without any side effects (no replacement update).
+    /// Returns the hit way.
     pub fn probe(&self, addr: Address) -> Option<usize> {
         let set = self.geometry.set_index_of(addr) as usize;
         let tag = self.geometry.tag_of(addr);
         self.find(set, tag)
-    }
-
-    /// Touches the replacement state for `addr` if it is resident, without
-    /// reading data or updating statistics.
-    ///
-    /// The WG/WG+RB controllers use this when a request is served from the
-    /// Set-Buffer: the block logically *was* accessed, so replacement
-    /// recency must advance exactly as it would in the baseline cache —
-    /// otherwise the techniques would change miss rates, which the paper's
-    /// techniques do not.
-    pub fn touch(&mut self, addr: Address) -> Option<usize> {
-        let set = self.geometry.set_index_of(addr) as usize;
-        let tag = self.geometry.tag_of(addr);
-        let way = self.find(set, tag)?;
-        self.replacement.touch(set, way, self.ways);
-        Some(way)
     }
 
     /// Looks up a pre-decoded `(set, tag)` pair without side effects.
@@ -325,11 +299,15 @@ impl DataCache {
         self.find(set_index as usize, tag)
     }
 
-    /// Touches the replacement state of a known-resident line.
+    /// Touches the replacement state of a known-resident line, without
+    /// reading data. The way comes from the lookup or fill that
+    /// established residency, so no tag search happens here.
     ///
-    /// Equivalent to [`touch`](Self::touch) when the caller already knows
-    /// the hit way (from [`find_in_set`](Self::find_in_set) or a fill),
-    /// skipping the redundant tag search.
+    /// The WG/WG+RB controllers call this when a request is served from
+    /// the Set-Buffer: the block logically *was* accessed, so replacement
+    /// recency must advance exactly as it would in the baseline cache —
+    /// otherwise the techniques would change miss rates, which the
+    /// paper's techniques do not. An L2 hit touches its line the same way.
     ///
     /// # Panics
     ///
@@ -344,9 +322,8 @@ impl DataCache {
         self.replacement.touch(set, way, self.ways);
     }
 
-    /// Reads word `word` of a known-resident line, with exactly the
-    /// side effects of the hit arm of [`read_word`](Self::read_word):
-    /// replacement touch plus one read hit.
+    /// Reads word `word` of a known-resident line and touches its
+    /// replacement state.
     ///
     /// The caller vouches that `(set_index, way)` is the line the
     /// address maps to (typically the way returned by the probe or fill
@@ -359,22 +336,18 @@ impl DataCache {
             "read_word_at on an invalid line"
         );
         self.replacement.touch(set, way, self.ways);
-        self.stats.read_hits += 1;
         self.data[(set * self.ways + way) * self.block_words + word]
     }
 
-    /// Writes word `word` of a known-resident line, with exactly the
-    /// side effects of the hit arm of [`write_word`](Self::write_word):
-    /// replacement touch, dirty marking, one write hit, and silent-store
-    /// accounting.
+    /// Writes word `word` of a known-resident line, touches its
+    /// replacement state and marks it dirty. Returns `true` if the new
+    /// value equalled the stored one (a silent store).
+    ///
+    /// The *functional* cache marks the line dirty even for silent
+    /// writes; suppressing silent write-backs is the WG controller's
+    /// optimization, not a property of the underlying cache.
     #[inline]
-    pub fn write_word_at(
-        &mut self,
-        set_index: u64,
-        way: usize,
-        word: usize,
-        value: u64,
-    ) -> WriteEffect {
+    pub fn write_word_at(&mut self, set_index: u64, way: usize, word: usize, value: u64) -> bool {
         let set = set_index as usize;
         let line = set * self.ways + way;
         debug_assert!(
@@ -383,23 +356,15 @@ impl DataCache {
         );
         self.replacement.touch(set, way, self.ways);
         let slot = &mut self.data[line * self.block_words + word];
-        let old_value = *slot;
-        let was_silent = old_value == value;
+        let silent = *slot == value;
         *slot = value;
         self.flags[line] |= DIRTY;
-        self.stats.write_hits += 1;
-        if was_silent {
-            self.stats.silent_word_writes += 1;
-        }
-        WriteEffect {
-            old_value,
-            was_silent,
-        }
+        silent
     }
 
     /// Reads word `word` of a known-resident line with **no** side
-    /// effects (no statistics, no replacement update) — the pre-decoded
-    /// counterpart of a forwarding peek.
+    /// effects (no replacement update) — the pre-decoded counterpart of
+    /// a forwarding peek.
     #[inline]
     pub fn peek_word_at(&self, set_index: u64, way: usize, word: usize) -> u64 {
         let set = set_index as usize;
@@ -410,133 +375,15 @@ impl DataCache {
         self.data[(set * self.ways + way) * self.block_words + word]
     }
 
-    /// Reads the aligned word containing `addr`.
-    ///
-    /// On a hit the replacement state is touched and `Some(value)` is
-    /// returned; on a miss, `None`. Statistics are updated either way.
-    pub fn read_word(&mut self, addr: Address) -> Option<u64> {
-        let set = self.geometry.set_index_of(addr) as usize;
-        let tag = self.geometry.tag_of(addr);
-        let word = self.geometry.word_offset_of(addr);
-        match self.find(set, tag) {
-            Some(way) => {
-                self.replacement.touch(set, way, self.ways);
-                self.stats.read_hits += 1;
-                Some(self.data[(set * self.ways + way) * self.block_words + word])
-            }
-            None => {
-                self.stats.read_misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Writes the aligned word containing `addr`.
-    ///
-    /// On a hit the word is updated, the line marked dirty, the replacement
-    /// state touched, and the [`WriteEffect`] (including silence) returned;
-    /// on a miss, `None`. Statistics are updated either way.
-    ///
-    /// Note that the *functional* cache marks the line dirty even for silent
-    /// writes; suppressing silent write-backs is the WG controller's
-    /// optimization, not a property of the underlying cache.
-    pub fn write_word(&mut self, addr: Address, value: u64) -> Option<WriteEffect> {
-        let set = self.geometry.set_index_of(addr) as usize;
-        let tag = self.geometry.tag_of(addr);
-        let word = self.geometry.word_offset_of(addr);
-        match self.find(set, tag) {
-            Some(way) => {
-                self.replacement.touch(set, way, self.ways);
-                let line = set * self.ways + way;
-                let slot = &mut self.data[line * self.block_words + word];
-                let old_value = *slot;
-                let was_silent = old_value == value;
-                *slot = value;
-                self.flags[line] |= DIRTY;
-                self.stats.write_hits += 1;
-                if was_silent {
-                    self.stats.silent_word_writes += 1;
-                }
-                Some(WriteEffect {
-                    old_value,
-                    was_silent,
-                })
-            }
-            None => {
-                self.stats.write_misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Chooses the destination way for a fill into `set`, counting any
-    /// eviction. Shared by [`fill`](Self::fill) and
-    /// [`fill_into`](Self::fill_into).
-    fn fill_slot(&mut self, set: usize, set_index: u64) -> (usize, Option<EvictedMeta>) {
-        match self.first_invalid(set) {
-            Some(way) => (way, None),
-            None => {
-                let way = self.replacement.victim(set, self.ways);
-                let line = set * self.ways + way;
-                let base = self
-                    .geometry
-                    .block_base_from_parts(self.tags[line], set_index);
-                let dirty = self.flags[line] & DIRTY != 0;
-                self.stats.evictions += 1;
-                if dirty {
-                    self.stats.dirty_evictions += 1;
-                }
-                (way, Some(EvictedMeta { base, dirty }))
-            }
-        }
-    }
-
-    /// Installs the block words in `line`, marking it valid and clean.
-    fn install(&mut self, set: usize, way: usize, tag: u64, data: &[u64]) {
-        let line = set * self.ways + way;
-        self.tags[line] = tag;
-        self.flags[line] = VALID;
-        self.block_mut(line).copy_from_slice(data);
-        self.replacement.filled(set, way, self.ways);
-    }
-
-    /// Installs the block containing `addr`, evicting a victim if the set is
-    /// full.
+    /// Installs the block containing `addr`, evicting a victim if the set
+    /// is full, without allocating: the incoming words are borrowed, and
+    /// a displaced block's words are deposited into `victim` (cleared
+    /// first, so a buffer reused across calls settles at block capacity
+    /// and never reallocates; left empty when nothing was evicted).
     ///
     /// The installed line is clean; callers that fill-then-write (write
-    /// allocation) will dirty it through [`write_word`](Self::write_word).
-    /// Does not touch hit/miss statistics — the lookup that discovered the
-    /// miss already counted it — but does count evictions.
-    ///
-    /// Any displaced block's words are returned in an owned
-    /// [`EvictedLine`]; the allocation-free hot path is
-    /// [`fill_into`](Self::fill_into).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len()` differs from the block size in words, or if
-    /// the block is already present (double fill indicates a controller
-    /// bug).
-    pub fn fill(&mut self, addr: Address, data: &[u64]) -> FillOutcome {
-        let mut victim = Vec::new();
-        let slot = self.fill_into(addr, data, &mut victim);
-        FillOutcome {
-            way: slot.way,
-            evicted: slot.evicted.map(|meta| EvictedLine {
-                base: meta.base,
-                data: victim,
-                dirty: meta.dirty,
-            }),
-        }
-    }
-
-    /// Installs the block containing `addr` without allocating: the
-    /// incoming words are borrowed, and a displaced block's words are
-    /// deposited into `victim` (cleared first, so a buffer reused across
-    /// calls settles at block capacity and never reallocates).
-    ///
-    /// Behaves exactly like [`fill`](Self::fill) otherwise; `victim` is
-    /// left empty when nothing was evicted.
+    /// allocation) dirty it through [`write_word_at`](Self::write_word_at).
+    /// An eviction is counted in [`evictions`](Self::evictions).
     ///
     /// # Panics
     ///
@@ -557,11 +404,28 @@ impl DataCache {
             "block {addr} is already resident; double fill"
         );
         victim.clear();
-        let (way, evicted) = self.fill_slot(set, set_index);
-        if evicted.is_some() {
-            victim.extend_from_slice(self.block(set * self.ways + way));
-        }
-        self.install(set, way, tag, data);
+        let (way, evicted) = match self.first_invalid(set) {
+            Some(way) => (way, None),
+            None => {
+                let way = self.replacement.victim(set, self.ways);
+                let line = set * self.ways + way;
+                let base = self
+                    .geometry
+                    .block_base_from_parts(self.tags[line], set_index);
+                let dirty = self.flags[line] & DIRTY != 0;
+                self.evictions += 1;
+                if dirty {
+                    self.dirty_evictions += 1;
+                }
+                victim.extend_from_slice(self.block(line));
+                (way, Some(EvictedMeta { base, dirty }))
+            }
+        };
+        let line = set * self.ways + way;
+        self.tags[line] = tag;
+        self.flags[line] = VALID;
+        self.block_mut(line).copy_from_slice(data);
+        self.replacement.filled(set, way, self.ways);
         FillSlot { way, evicted }
     }
 
@@ -599,8 +463,8 @@ impl DataCache {
     /// comparing first with the branchless kernel and skipping the copy
     /// when nothing changed. Returns `true` iff any word changed.
     ///
-    /// Touches **no** metadata — tags, valid/dirty flags, replacement
-    /// state, and statistics are untouched; callers account dirtiness
+    /// Touches **no** metadata — tags, valid/dirty flags and replacement
+    /// state are untouched; callers account dirtiness
     /// per way themselves (see [`set_line_dirty`](Self::set_line_dirty)).
     /// For ways whose stored words should not move, `data` must carry
     /// the current stored words (a Set-Buffer snapshot does by
@@ -688,7 +552,8 @@ impl fmt::Debug for DataCache {
         f.debug_struct("DataCache")
             .field("geometry", &self.geometry)
             .field("resident_blocks", &self.resident_blocks())
-            .field("stats", &self.stats)
+            .field("evictions", &self.evictions)
+            .field("dirty_evictions", &self.dirty_evictions)
             .finish()
     }
 }
@@ -706,13 +571,35 @@ mod tests {
         )
     }
 
+    /// Fills the block at `raw`, returning the slot and the victim's words.
+    fn fill_block(c: &mut DataCache, raw: u64, data: &[u64]) -> (FillSlot, Vec<u64>) {
+        let mut victim = Vec::new();
+        let slot = c.fill_into(Address::new(raw), data, &mut victim);
+        (slot, victim)
+    }
+
+    /// `(set, way, word)` of a resident address.
+    fn locate(c: &DataCache, a: Address) -> (u64, usize, usize) {
+        let g = c.geometry();
+        let way = c.probe(a).expect("resident");
+        (g.set_index_of(a), way, g.word_offset_of(a))
+    }
+
+    fn read(c: &mut DataCache, a: Address) -> u64 {
+        let (set, way, word) = locate(c, a);
+        c.read_word_at(set, way, word)
+    }
+
+    fn write(c: &mut DataCache, a: Address, value: u64) -> bool {
+        let (set, way, word) = locate(c, a);
+        c.write_word_at(set, way, word, value)
+    }
+
     #[test]
     fn cold_cache_misses_everything() {
-        let mut c = small_cache();
-        assert_eq!(c.read_word(Address::new(0)), None);
-        assert_eq!(c.write_word(Address::new(0x20), 1), None);
-        assert_eq!(c.stats().read_misses, 1);
-        assert_eq!(c.stats().write_misses, 1);
+        let c = small_cache();
+        assert_eq!(c.probe(Address::new(0)), None);
+        assert_eq!(c.probe(Address::new(0x20)), None);
         assert_eq!(c.resident_blocks(), 0);
     }
 
@@ -720,35 +607,29 @@ mod tests {
     fn fill_then_hit() {
         let mut c = small_cache();
         let a = Address::new(0x40);
-        c.fill(a, &[7, 8, 9, 10]);
-        assert_eq!(c.read_word(a), Some(7));
-        assert_eq!(c.read_word(a.offset(8)), Some(8));
-        assert_eq!(c.read_word(a.offset(24)), Some(10));
-        assert_eq!(c.stats().read_hits, 3);
+        fill_block(&mut c, 0x40, &[7, 8, 9, 10]);
+        assert_eq!(read(&mut c, a), 7);
+        assert_eq!(read(&mut c, a.offset(8)), 8);
+        assert_eq!(read(&mut c, a.offset(24)), 10);
     }
 
     #[test]
     fn write_detects_silence() {
         let mut c = small_cache();
         let a = Address::new(0x40);
-        c.fill(a, &[7, 0, 0, 0]);
-        let e = c.write_word(a, 7).unwrap();
-        assert!(e.was_silent);
-        assert_eq!(e.old_value, 7);
-        let e = c.write_word(a, 8).unwrap();
-        assert!(!e.was_silent);
-        assert_eq!(e.old_value, 7);
-        assert_eq!(c.stats().silent_word_writes, 1);
+        fill_block(&mut c, 0x40, &[7, 0, 0, 0]);
+        assert!(write(&mut c, a, 7));
+        assert!(!write(&mut c, a, 8));
+        assert_eq!(read(&mut c, a), 8);
     }
 
     #[test]
     fn write_marks_dirty_even_when_silent() {
         let mut c = small_cache();
         let a = Address::new(0x40);
-        c.fill(a, &[7, 0, 0, 0]);
-        c.write_word(a, 7).unwrap();
-        let way = c.probe(a).unwrap();
-        let set = c.geometry().set_index_of(a);
+        fill_block(&mut c, 0x40, &[7, 0, 0, 0]);
+        assert!(write(&mut c, a, 7));
+        let (set, way, _) = locate(&c, a);
         assert!(c.set(set).line(way).is_dirty());
     }
 
@@ -756,27 +637,25 @@ mod tests {
     fn eviction_returns_dirty_victim() {
         let mut c = small_cache();
         // Set 0 holds blocks whose addresses have bit 5 clear (offset_bits=5,
-        // 2 sets -> index bit is bit 5).
-        let a = Address::new(0x000); // set 0
-        let b = Address::new(0x080); // set 0 (0x80 >> 5 = 4, & 1 = 0)
-        let d = Address::new(0x100); // set 0
-        c.fill(a, &[1, 0, 0, 0]);
-        c.fill(b, &[2, 0, 0, 0]);
-        c.write_word(a, 5).unwrap(); // dirty a, and make it MRU
-        let out = c.fill(d, &[3, 0, 0, 0]);
-        let ev = out.evicted.expect("set was full");
-        assert_eq!(ev.base, b, "LRU victim is b");
+        // 2 sets -> index bit is bit 5): 0x000, 0x080, 0x100 and 0x180.
+        let a = Address::new(0x000);
+        fill_block(&mut c, 0x000, &[1, 0, 0, 0]);
+        fill_block(&mut c, 0x080, &[2, 0, 0, 0]);
+        write(&mut c, a, 5); // dirty a, and make it MRU
+        let (slot, _) = fill_block(&mut c, 0x100, &[3, 0, 0, 0]);
+        let ev = slot.evicted.expect("set was full");
+        assert_eq!(ev.base, Address::new(0x080), "LRU victim is b");
         assert!(!ev.dirty);
-        assert_eq!(c.stats().evictions, 1);
-        assert_eq!(c.stats().dirty_evictions, 0);
+        assert_eq!(c.evictions(), 1);
+        assert_eq!(c.dirty_evictions(), 0);
         // Now evict the dirty block a.
-        let e = Address::new(0x180);
-        let out = c.fill(e, &[4, 0, 0, 0]);
-        let ev = out.evicted.expect("set full again");
+        let (slot, data) = fill_block(&mut c, 0x180, &[4, 0, 0, 0]);
+        let ev = slot.evicted.expect("set full again");
         assert_eq!(ev.base, a);
         assert!(ev.dirty);
-        assert_eq!(ev.data, vec![5, 0, 0, 0]);
-        assert_eq!(c.stats().dirty_evictions, 1);
+        assert_eq!(data, vec![5, 0, 0, 0]);
+        assert_eq!(c.evictions(), 2);
+        assert_eq!(c.dirty_evictions(), 1);
     }
 
     #[test]
@@ -786,7 +665,7 @@ mod tests {
         c.fill_into(Address::new(0x000), &[1, 0, 0, 0], &mut victim);
         assert!(victim.is_empty(), "no eviction on a cold fill");
         c.fill_into(Address::new(0x080), &[2, 0, 0, 0], &mut victim);
-        c.write_word(Address::new(0x080), 9).unwrap();
+        write(&mut c, Address::new(0x080), 9);
         let slot = c.fill_into(Address::new(0x100), &[3, 0, 0, 0], &mut victim);
         let meta = slot.evicted.expect("set was full");
         assert_eq!(meta.base, Address::new(0x000), "LRU victim");
@@ -806,30 +685,30 @@ mod tests {
     #[should_panic(expected = "double fill")]
     fn double_fill_panics() {
         let mut c = small_cache();
-        c.fill(Address::new(0x40), &[0; 4]);
-        c.fill(Address::new(0x47), &[0; 4]); // same block
+        fill_block(&mut c, 0x40, &[0; 4]);
+        fill_block(&mut c, 0x47, &[0; 4]); // same block
     }
 
     #[test]
     fn probe_has_no_side_effects() {
         let mut c = small_cache();
-        let a = Address::new(0x40);
-        c.fill(a, &[0; 4]);
-        let before = *c.stats();
-        assert!(c.probe(a).is_some());
-        assert!(c.probe(Address::new(0x60)).is_none());
-        assert_eq!(*c.stats(), before);
+        fill_block(&mut c, 0x000, &[0; 4]);
+        fill_block(&mut c, 0x080, &[0; 4]);
+        // Probing the LRU block must not make it recent.
+        assert!(c.probe(Address::new(0x000)).is_some());
+        assert!(c.probe(Address::new(0x020)).is_none());
+        let (slot, _) = fill_block(&mut c, 0x100, &[0; 4]);
+        assert_eq!(slot.evicted.map(|e| e.base), Some(Address::new(0x000)));
     }
 
     #[test]
     fn update_block_replaces_data_and_dirty() {
         let mut c = small_cache();
         let a = Address::new(0x40);
-        c.fill(a, &[0; 4]);
-        let set = c.geometry().set_index_of(a);
-        let way = c.probe(a).unwrap();
+        fill_block(&mut c, 0x40, &[0; 4]);
+        let (set, way, _) = locate(&c, a);
         c.update_block(set, way, &[9, 9, 9, 9], true);
-        assert_eq!(c.read_word(a), Some(9));
+        assert_eq!(read(&mut c, a), 9);
         assert!(c.set(set).line(way).is_dirty());
         c.update_block(set, way, &[9, 9, 9, 9], false);
         assert!(!c.set(set).line(way).is_dirty());
@@ -842,43 +721,43 @@ mod tests {
         let mut mem = MainMemory::new(32);
         mem.write_word(Address::new(0x40), 77);
         let a = Address::new(0x40);
-        c.fill(a, mem.read_block_ref(a));
-        assert_eq!(c.read_word(a), Some(77));
-        c.write_word(a, 78).unwrap();
+        let mut victim = Vec::new();
+        c.fill_into(a, mem.read_block_ref(a), &mut victim);
+        assert_eq!(read(&mut c, a), 77);
+        write(&mut c, a, 78);
         // Evict everything in set of a by filling conflicting blocks.
-        let mut evicted_data = None;
+        let mut evicted = None;
         for i in 1..=2 {
-            let out = c.fill(
-                Address::new(0x40 + i * 0x80),
-                mem.read_block_ref(Address::new(0x40 + i * 0x80)),
-            );
-            if let Some(ev) = out.evicted {
-                if ev.base == Address::new(0x40) {
-                    evicted_data = Some(ev);
-                }
+            let b = Address::new(0x40 + i * 0x80);
+            let slot = c.fill_into(b, mem.read_block_ref(b), &mut victim);
+            if let Some(ev) = slot.evicted.filter(|ev| ev.base == a) {
+                evicted = Some((ev, victim.clone()));
             }
         }
-        let ev = evicted_data.expect("a was evicted");
+        let (ev, data) = evicted.expect("a was evicted");
         assert!(ev.dirty);
-        mem.write_block_from(ev.base, &ev.data);
+        mem.write_block_from(ev.base, &data);
         assert_eq!(mem.read_word(Address::new(0x40)), 78);
     }
 
     #[test]
-    fn reset_stats_zeroes_counters() {
+    fn reset_evictions_zeroes_both_counts() {
         let mut c = small_cache();
-        c.read_word(Address::new(0));
-        assert_ne!(c.stats().accesses(), 0);
-        c.reset_stats();
-        assert_eq!(c.stats().accesses(), 0);
+        fill_block(&mut c, 0x000, &[0; 4]);
+        write(&mut c, Address::new(0x000), 1);
+        fill_block(&mut c, 0x080, &[0; 4]);
+        fill_block(&mut c, 0x100, &[0; 4]);
+        assert_eq!((c.evictions(), c.dirty_evictions()), (1, 1));
+        c.reset_evictions();
+        assert_eq!((c.evictions(), c.dirty_evictions()), (0, 0));
     }
 
     #[test]
     fn iter_valid_lines_sees_all_fills() {
         let mut c = small_cache();
-        c.fill(Address::new(0x00), &[0; 4]);
-        c.fill(Address::new(0x20), &[0; 4]);
-        c.fill(Address::new(0x80), &[0; 4]);
+        fill_block(&mut c, 0x00, &[0; 4]);
+        fill_block(&mut c, 0x20, &[0; 4]);
+        fill_block(&mut c, 0x80, &[0; 4]);
         assert_eq!(c.resident_blocks(), 3);
         let sets: Vec<u64> = c.iter_valid_lines().map(|(s, _, _)| s).collect();
         assert_eq!(sets.iter().filter(|&&s| s == 0).count(), 2);

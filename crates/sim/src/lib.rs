@@ -30,12 +30,14 @@
 //! // The paper's baseline L1D: 64 KB, 4-way, 32 B blocks, LRU.
 //! let geometry = CacheGeometry::new(64 * 1024, 4, 32)?;
 //! let mut cache = DataCache::new(geometry, ReplacementKind::Lru);
-//! let mut memory = MainMemory::new(geometry.block_bytes());
+//! let memory = MainMemory::new(geometry.block_bytes());
 //!
 //! let addr = Address::new(0x1040);
 //! assert!(cache.probe(addr).is_none()); // cold miss
-//! cache.fill(addr, memory.read_block_ref(geometry.block_base(addr)));
-//! assert!(cache.probe(addr).is_some());
+//! let base = geometry.block_base(addr);
+//! let mut victim = Vec::new();
+//! let slot = cache.fill_into(base, memory.read_block_ref(base), &mut victim);
+//! assert_eq!(cache.probe(addr), Some(slot.way));
 //! # Ok(())
 //! # }
 //! ```
@@ -54,14 +56,10 @@ mod replacement;
 mod stats;
 
 pub use address::{AccessKind, Address};
-pub use cache::{
-    DataCache, EvictedLine, EvictedMeta, FillOutcome, FillSlot, LineView, SetView, WriteEffect,
-};
+pub use cache::{DataCache, EvictedMeta, FillSlot, LineView, SetView};
 pub use error::GeometryError;
 pub use geometry::CacheGeometry;
 pub use hash::{FastHasher, FastMap, FastSet};
 pub use memory::MainMemory;
-pub use replacement::{
-    Fifo, Lru, PolicyTable, RandomPolicy, ReplacementKind, ReplacementPolicy, TreePlru,
-};
+pub use replacement::ReplacementKind;
 pub use stats::CacheStats;

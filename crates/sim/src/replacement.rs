@@ -10,44 +10,26 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-/// Per-set replacement state.
-///
-/// One policy instance manages the ways of a single cache set. The cache
-/// calls [`touch`](ReplacementPolicy::touch) on every hit,
-/// [`filled`](ReplacementPolicy::filled) when a block is installed, and
-/// [`victim`](ReplacementPolicy::victim) to choose a way to evict when the
-/// set is full (the cache itself prefers invalid ways, so `victim` may
-/// assume all ways are valid).
-///
-/// This trait is object-safe; caches store `Box<dyn ReplacementPolicy>` per
-/// set so heterogeneous experiments can share one cache type.
-pub trait ReplacementPolicy: fmt::Debug + Send {
-    /// Records a hit on `way`.
-    fn touch(&mut self, way: usize);
-
-    /// Records that a new block was installed in `way`.
-    fn filled(&mut self, way: usize);
-
-    /// Chooses the way to evict. All ways are valid when this is called.
-    fn victim(&mut self) -> usize;
-
-    /// Number of ways this state tracks.
-    fn ways(&self) -> usize;
-}
-
-/// Factory for per-set replacement state.
+/// The replacement policy a [`DataCache`](crate::DataCache) runs.
 ///
 /// # Example
 ///
 /// ```
-/// use cache8t_sim::{ReplacementKind, ReplacementPolicy};
+/// use cache8t_sim::{Address, CacheGeometry, DataCache, ReplacementKind};
 ///
-/// let mut lru = ReplacementKind::Lru.build(4);
-/// for way in 0..4 {
-///     lru.filled(way);
-/// }
-/// lru.touch(0);
-/// assert_eq!(lru.victim(), 1); // way 1 is now least recently used
+/// # fn main() -> Result<(), cache8t_sim::GeometryError> {
+/// // One set of two ways: the third block evicts the least recently used.
+/// let g = CacheGeometry::new(64, 2, 32)?;
+/// let mut cache = DataCache::new(g, ReplacementKind::Lru);
+/// let mut victim = Vec::new();
+/// cache.fill_into(Address::new(0x00), &[0; 4], &mut victim);
+/// cache.fill_into(Address::new(0x20), &[0; 4], &mut victim);
+/// let way = cache.probe(Address::new(0x00)).expect("resident");
+/// cache.touch_at(0, way);
+/// let slot = cache.fill_into(Address::new(0x40), &[0; 4], &mut victim);
+/// assert_eq!(slot.evicted.map(|e| e.base), Some(Address::new(0x20)));
+/// # Ok(())
+/// # }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ReplacementKind {
@@ -62,23 +44,6 @@ pub enum ReplacementKind {
     },
     /// Tree-based pseudo-LRU (the common hardware approximation).
     TreePlru,
-}
-
-impl ReplacementKind {
-    /// Builds per-set state for a set with `ways` ways.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ways == 0`.
-    pub fn build(self, ways: usize) -> Box<dyn ReplacementPolicy> {
-        assert!(ways > 0, "a set must have at least one way");
-        match self {
-            ReplacementKind::Lru => Box::new(Lru::new(ways)),
-            ReplacementKind::Fifo => Box::new(Fifo::new(ways)),
-            ReplacementKind::Random { seed } => Box::new(RandomPolicy::new(ways, seed)),
-            ReplacementKind::TreePlru => Box::new(TreePlru::new(ways)),
-        }
-    }
 }
 
 impl Default for ReplacementKind {
@@ -99,241 +64,18 @@ impl fmt::Display for ReplacementKind {
     }
 }
 
-/// True least-recently-used replacement.
-///
-/// Tracks a recency stamp per way; O(ways) victim selection, which is fine
-/// for the small associativities of L1 caches.
-#[derive(Debug, Clone)]
-pub struct Lru {
-    stamps: Vec<u64>,
-    clock: u64,
-}
-
-impl Lru {
-    /// Creates LRU state for `ways` ways.
-    pub fn new(ways: usize) -> Self {
-        Lru {
-            stamps: vec![0; ways],
-            clock: 0,
-        }
-    }
-
-    fn bump(&mut self, way: usize) {
-        self.clock += 1;
-        self.stamps[way] = self.clock;
-    }
-}
-
-impl ReplacementPolicy for Lru {
-    fn touch(&mut self, way: usize) {
-        self.bump(way);
-    }
-
-    fn filled(&mut self, way: usize) {
-        self.bump(way);
-    }
-
-    fn victim(&mut self) -> usize {
-        let (way, _) = self
-            .stamps
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, stamp)| *stamp)
-            .expect("at least one way");
-        way
-    }
-
-    fn ways(&self) -> usize {
-        self.stamps.len()
-    }
-}
-
-/// First-in-first-out replacement: victim rotates through the ways in fill
-/// order, ignoring hits.
-#[derive(Debug, Clone)]
-pub struct Fifo {
-    order: Vec<u64>,
-    clock: u64,
-}
-
-impl Fifo {
-    /// Creates FIFO state for `ways` ways.
-    pub fn new(ways: usize) -> Self {
-        Fifo {
-            order: vec![0; ways],
-            clock: 0,
-        }
-    }
-}
-
-impl ReplacementPolicy for Fifo {
-    fn touch(&mut self, _way: usize) {
-        // FIFO ignores hits by definition.
-    }
-
-    fn filled(&mut self, way: usize) {
-        self.clock += 1;
-        self.order[way] = self.clock;
-    }
-
-    fn victim(&mut self) -> usize {
-        let (way, _) = self
-            .order
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, stamp)| *stamp)
-            .expect("at least one way");
-        way
-    }
-
-    fn ways(&self) -> usize {
-        self.order.len()
-    }
-}
-
-/// Uniform random replacement with a deterministic per-instance stream.
-pub struct RandomPolicy {
-    ways: usize,
-    rng: SmallRng,
-}
-
-impl RandomPolicy {
-    /// Creates random-replacement state for `ways` ways seeded with `seed`.
-    pub fn new(ways: usize, seed: u64) -> Self {
-        RandomPolicy {
-            ways,
-            rng: SmallRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl fmt::Debug for RandomPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RandomPolicy")
-            .field("ways", &self.ways)
-            .finish_non_exhaustive()
-    }
-}
-
-impl ReplacementPolicy for RandomPolicy {
-    fn touch(&mut self, _way: usize) {}
-
-    fn filled(&mut self, _way: usize) {}
-
-    fn victim(&mut self) -> usize {
-        self.rng.gen_range(0..self.ways)
-    }
-
-    fn ways(&self) -> usize {
-        self.ways
-    }
-}
-
-/// Tree pseudo-LRU: a binary tree of direction bits over the ways.
-///
-/// On an access every node on the path to the way is flipped to point away
-/// from it; the victim is found by following the direction bits from the
-/// root. Requires a power-of-two number of ways (all paper configurations
-/// are 4-way).
-#[derive(Debug, Clone)]
-pub struct TreePlru {
-    ways: usize,
-    /// `bits[i]` for internal node `i` (heap order, root = 0):
-    /// `false` = left subtree is colder, `true` = right subtree is colder.
-    bits: Vec<bool>,
-}
-
-impl TreePlru {
-    /// Creates tree-PLRU state for `ways` ways.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ways` is not a power of two.
-    pub fn new(ways: usize) -> Self {
-        assert!(
-            ways.is_power_of_two(),
-            "tree PLRU requires power-of-two ways"
-        );
-        TreePlru {
-            ways,
-            bits: vec![false; ways.saturating_sub(1)],
-        }
-    }
-
-    fn promote(&mut self, way: usize) {
-        if self.ways == 1 {
-            return;
-        }
-        // Walk from the root toward `way`, pointing every node away from it.
-        let mut node = 0usize;
-        let mut lo = 0usize;
-        let mut hi = self.ways;
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            let goes_right = way >= mid;
-            // Point toward the *other* subtree (the colder one).
-            self.bits[node] = !goes_right;
-            node = 2 * node + if goes_right { 2 } else { 1 };
-            if goes_right {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-    }
-}
-
-impl ReplacementPolicy for TreePlru {
-    fn touch(&mut self, way: usize) {
-        self.promote(way);
-    }
-
-    fn filled(&mut self, way: usize) {
-        self.promote(way);
-    }
-
-    fn victim(&mut self) -> usize {
-        if self.ways == 1 {
-            return 0;
-        }
-        let mut node = 0usize;
-        let mut lo = 0usize;
-        let mut hi = self.ways;
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            let go_right = self.bits[node];
-            node = 2 * node + if go_right { 2 } else { 1 };
-            if go_right {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
-    fn ways(&self) -> usize {
-        self.ways
-    }
-}
-
 /// Flat, monomorphized replacement state for *every* set of a cache.
 ///
-/// [`DataCache`](crate::DataCache) used to hold one
-/// `Box<dyn ReplacementPolicy>` per set; every touch on the hot path
-/// paid a vtable call into a separately allocated object. `PolicyTable`
-/// keeps the same four policies' state in contiguous arrays indexed by
-/// `set * ways + way` and dispatches with one enum match, so the
-/// compiler monomorphizes each arm and the state shares cache lines
-/// with its neighbours.
+/// The state of each policy lives in contiguous arrays indexed by
+/// `set * ways + way` and is dispatched with one enum match, so the
+/// compiler monomorphizes each arm and a set's state shares cache lines
+/// with its neighbours. The `Random` policy gives each set its own
+/// stream, seeded with `seed ^ set * 0x9e37_79b9_7f4a_7c15`.
 ///
-/// Semantics are bit-identical to building the per-set trait objects
-/// with [`ReplacementKind::build`]: the per-policy update and victim
-/// rules are the same code shapes, and the `Random` policy derives the
-/// same per-set RNG stream (`seed ^ set * 0x9e37_79b9_7f4a_7c15`) the
-/// per-set construction used.
+/// `tests/replacement_reference.rs` replays this table in lockstep
+/// against a per-set reference model of the four policies.
 #[derive(Debug, Clone)]
-pub enum PolicyTable {
+pub(crate) enum PolicyTable {
     /// True LRU: one recency stamp per way, one clock per set.
     Lru {
         /// Recency stamps, `set * ways + way`.
@@ -367,7 +109,7 @@ impl PolicyTable {
     ///
     /// Panics if `ways == 0`, or for [`ReplacementKind::TreePlru`] when
     /// `ways` is not a power of two.
-    pub fn new(kind: ReplacementKind, num_sets: u64, ways: usize) -> Self {
+    pub(crate) fn new(kind: ReplacementKind, num_sets: u64, ways: usize) -> Self {
         assert!(ways > 0, "a set must have at least one way");
         let sets = num_sets as usize;
         match kind {
@@ -380,8 +122,6 @@ impl PolicyTable {
                 clock: vec![0; sets].into_boxed_slice(),
             },
             ReplacementKind::Random { seed } => PolicyTable::Random {
-                // The same per-set stream derivation the per-set
-                // construction used, so victim sequences are unchanged.
                 rngs: (0..num_sets)
                     .map(|set| {
                         SmallRng::seed_from_u64(seed ^ set.wrapping_mul(0x9e37_79b9_7f4a_7c15))
@@ -402,7 +142,7 @@ impl PolicyTable {
 
     /// Records a hit on `way` of `set`.
     #[inline]
-    pub fn touch(&mut self, set: usize, way: usize, ways: usize) {
+    pub(crate) fn touch(&mut self, set: usize, way: usize, ways: usize) {
         match self {
             PolicyTable::Lru { stamps, clock } => {
                 clock[set] += 1;
@@ -416,7 +156,7 @@ impl PolicyTable {
 
     /// Records that a new block was installed in `way` of `set`.
     #[inline]
-    pub fn filled(&mut self, set: usize, way: usize, ways: usize) {
+    pub(crate) fn filled(&mut self, set: usize, way: usize, ways: usize) {
         match self {
             PolicyTable::Lru { stamps, clock } => {
                 clock[set] += 1;
@@ -434,7 +174,7 @@ impl PolicyTable {
     /// Chooses the way of `set` to evict. All ways are valid when this
     /// is called (the cache prefers invalid ways itself).
     #[inline]
-    pub fn victim(&mut self, set: usize, ways: usize) -> usize {
+    pub(crate) fn victim(&mut self, set: usize, ways: usize) -> usize {
         match self {
             PolicyTable::Lru { stamps, .. } => oldest(&stamps[set * ways..set * ways + ways]),
             PolicyTable::Fifo { order, .. } => oldest(&order[set * ways..set * ways + ways]),
@@ -475,9 +215,9 @@ fn oldest(stamps: &[u64]) -> usize {
     way
 }
 
-/// Walks from the root toward `way`, pointing every node away from it
-/// (the [`TreePlru`] promote rule over one set's slice of the flat bit
-/// array).
+/// Walks from the root toward `way`, pointing every node away from it:
+/// the tree-PLRU promote rule over one set's slice of the flat bit
+/// array.
 #[inline]
 fn plru_promote(all_bits: &mut [bool], set: usize, way: usize, ways: usize) {
     if ways == 1 {
@@ -505,71 +245,78 @@ fn plru_promote(all_bits: &mut [bool], set: usize, way: usize, ways: usize) {
 mod tests {
     use super::*;
 
+    /// One set of `ways` ways under `kind`.
+    fn one_set(kind: ReplacementKind, ways: usize) -> PolicyTable {
+        PolicyTable::new(kind, 1, ways)
+    }
+
     #[test]
     fn lru_evicts_least_recent() {
-        let mut p = Lru::new(4);
+        // Two sets: the updates to set 1 must leave set 0 alone.
+        let mut p = PolicyTable::new(ReplacementKind::Lru, 2, 4);
         for w in 0..4 {
-            p.filled(w);
+            p.filled(0, w, 4);
+            p.filled(1, w, 4);
         }
-        p.touch(0);
-        p.touch(2);
-        assert_eq!(p.victim(), 1);
-        p.touch(1);
-        assert_eq!(p.victim(), 3);
-        assert_eq!(p.ways(), 4);
+        p.touch(1, 0, 4);
+        p.touch(1, 2, 4);
+        assert_eq!(p.victim(1, 4), 1);
+        p.touch(1, 1, 4);
+        assert_eq!(p.victim(1, 4), 3);
+        assert_eq!(p.victim(0, 4), 0, "set 0 kept its fill order");
     }
 
     #[test]
     fn lru_single_way() {
-        let mut p = Lru::new(1);
-        p.filled(0);
-        assert_eq!(p.victim(), 0);
+        let mut p = one_set(ReplacementKind::Lru, 1);
+        p.filled(0, 0, 1);
+        assert_eq!(p.victim(0, 1), 0);
     }
 
     #[test]
     fn fifo_ignores_touches() {
-        let mut p = Fifo::new(4);
+        let mut p = one_set(ReplacementKind::Fifo, 4);
         for w in 0..4 {
-            p.filled(w);
+            p.filled(0, w, 4);
         }
-        p.touch(0);
-        p.touch(0);
-        assert_eq!(p.victim(), 0, "way 0 is oldest despite hits");
-        p.filled(0);
-        assert_eq!(p.victim(), 1);
+        p.touch(0, 0, 4);
+        p.touch(0, 0, 4);
+        assert_eq!(p.victim(0, 4), 0, "way 0 is oldest despite hits");
+        p.filled(0, 0, 4);
+        assert_eq!(p.victim(0, 4), 1);
     }
 
     #[test]
     fn random_is_deterministic_and_in_range() {
-        let mut a = RandomPolicy::new(4, 42);
-        let mut b = RandomPolicy::new(4, 42);
+        let mut a = one_set(ReplacementKind::Random { seed: 42 }, 4);
+        let mut b = one_set(ReplacementKind::Random { seed: 42 }, 4);
         for _ in 0..100 {
-            let v = a.victim();
-            assert_eq!(v, b.victim());
+            let v = a.victim(0, 4);
+            assert_eq!(v, b.victim(0, 4));
             assert!(v < 4);
         }
     }
 
     #[test]
     fn random_different_seeds_diverge() {
-        let mut a = RandomPolicy::new(8, 1);
-        let mut b = RandomPolicy::new(8, 2);
-        let same = (0..64).filter(|_| a.victim() == b.victim()).count();
+        let mut a = one_set(ReplacementKind::Random { seed: 1 }, 8);
+        let mut b = one_set(ReplacementKind::Random { seed: 2 }, 8);
+        let same = (0..64).filter(|_| a.victim(0, 8) == b.victim(0, 8)).count();
         assert!(same < 64, "streams with different seeds should differ");
     }
 
     #[test]
     fn tree_plru_points_away_from_recent() {
-        let mut p = TreePlru::new(4);
+        let mut p = one_set(ReplacementKind::TreePlru, 4);
         // Touch ways 0..3 in order; way 0 becomes the coldest path.
         for w in 0..4 {
-            p.touch(w);
+            p.touch(0, w, 4);
         }
-        assert_eq!(p.victim(), 0);
-        p.touch(0);
-        p.touch(1);
+        assert_eq!(p.victim(0, 4), 0);
+        p.touch(0, 0, 4);
+        p.touch(0, 1, 4);
         // Left subtree is now hot; victim comes from the right.
-        let v = p.victim();
+        let v = p.victim(0, 4);
         assert!(
             v == 2 || v == 3,
             "victim {v} should be in the right subtree"
@@ -578,32 +325,24 @@ mod tests {
 
     #[test]
     fn tree_plru_victim_never_most_recent() {
-        let mut p = TreePlru::new(8);
+        let mut p = one_set(ReplacementKind::TreePlru, 8);
         for w in 0..8 {
-            p.touch(w);
-            assert_ne!(p.victim(), w, "PLRU must not evict the MRU way");
+            p.touch(0, w, 8);
+            assert_ne!(p.victim(0, 8), w, "PLRU must not evict the MRU way");
         }
     }
 
     #[test]
     fn tree_plru_single_way() {
-        let mut p = TreePlru::new(1);
-        p.touch(0);
-        assert_eq!(p.victim(), 0);
+        let mut p = one_set(ReplacementKind::TreePlru, 1);
+        p.touch(0, 0, 1);
+        assert_eq!(p.victim(0, 1), 0);
     }
 
     #[test]
     #[should_panic(expected = "power-of-two")]
     fn tree_plru_rejects_non_power_of_two() {
-        let _ = TreePlru::new(3);
-    }
-
-    #[test]
-    fn kind_builds_matching_policy() {
-        assert_eq!(ReplacementKind::Lru.build(4).ways(), 4);
-        assert_eq!(ReplacementKind::Fifo.build(2).ways(), 2);
-        assert_eq!(ReplacementKind::Random { seed: 7 }.build(8).ways(), 8);
-        assert_eq!(ReplacementKind::TreePlru.build(4).ways(), 4);
+        let _ = one_set(ReplacementKind::TreePlru, 3);
     }
 
     #[test]

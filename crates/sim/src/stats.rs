@@ -5,7 +5,8 @@ use std::ops::{Add, AddAssign};
 
 use serde::{Deserialize, Serialize};
 
-/// Hit/miss counters maintained by [`DataCache`](crate::DataCache).
+/// Request-level hit/miss counters: the ledger every controller in
+/// `cache8t-core` keeps, one entry per CPU request.
 ///
 /// These are the *functional* cache statistics (did the block reside in the
 /// cache?). The paper's headline metric — SRAM-array access frequency under

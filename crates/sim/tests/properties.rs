@@ -25,27 +25,34 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// A write-allocate cache driver mirroring what the controllers do.
+/// A write-allocate cache driver mirroring what the controllers do: one
+/// lookup finds the way (or a fill installs it), and the word access
+/// takes that way.
 fn drive(cache: &mut DataCache, memory: &mut MainMemory, op: &Op) -> Option<u64> {
     let (addr, write) = match op {
         Op::Read(a) => (Address::new(*a), None),
         Op::Write(a, v) => (Address::new(*a), Some(*v)),
     };
-    if cache.probe(addr).is_none() {
-        let base = cache.geometry().block_base(addr);
-        let out = cache.fill(base, memory.read_block_ref(base));
-        if let Some(victim) = out.evicted {
-            if victim.dirty {
-                memory.write_block_from(victim.base, &victim.data);
+    let g = cache.geometry();
+    let (set, tag, word) = (g.set_index_of(addr), g.tag_of(addr), g.word_offset_of(addr));
+    let way = match cache.find_in_set(set, tag) {
+        Some(way) => way,
+        None => {
+            let base = g.block_base(addr);
+            let mut victim = Vec::new();
+            let slot = cache.fill_into(base, memory.read_block_ref(base), &mut victim);
+            if let Some(evicted) = slot.evicted.filter(|e| e.dirty) {
+                memory.write_block_from(evicted.base, &victim);
             }
+            slot.way
         }
-    }
+    };
     match write {
         Some(v) => {
-            cache.write_word(addr, v).expect("resident after fill");
+            cache.write_word_at(set, way, word, v);
             None
         }
-        None => Some(cache.read_word(addr).expect("resident after fill")),
+        None => Some(cache.read_word_at(set, way, word)),
     }
 }
 

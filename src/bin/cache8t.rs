@@ -1069,7 +1069,7 @@ fn cmd_sweep(o: &Options) -> Result<(), String> {
     let plan = resolve_plan(o)?;
     let options = SweepOptions {
         exec: exec_options(o),
-        shard: o.shard,
+        slots: o.shard.map(|shard| shard.slots(plan.benchmark_count())),
         progress: true,
         store: trace_store(o),
         series: series(o)?.map(|(_, config)| config),
@@ -1562,7 +1562,7 @@ fn cmd_check(o: &Options) -> Result<(), String> {
                 }
             })
             .collect();
-        for outcome in run_jobs(jobs, &exec, None).outcomes {
+        for outcome in run_jobs(jobs, &exec, None, None).outcomes {
             match outcome {
                 JobOutcome::Completed(unit) => units.push(unit),
                 JobOutcome::Failed { message, .. } => {
@@ -1595,7 +1595,7 @@ fn cmd_check(o: &Options) -> Result<(), String> {
             }
         })
         .collect();
-    for outcome in run_jobs(fuzz_jobs, &exec, None).outcomes {
+    for outcome in run_jobs(fuzz_jobs, &exec, None, None).outcomes {
         match outcome {
             JobOutcome::Completed(unit) => units.push(unit),
             JobOutcome::Failed { message, .. } => {

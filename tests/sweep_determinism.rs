@@ -34,7 +34,7 @@ fn options(workers: usize, shard: Option<Shard>) -> SweepOptions {
             workers,
             retries: 0,
         },
-        shard,
+        slots: shard.map(|shard| shard.slots(plan().benchmark_count())),
         progress: false,
         store: Arc::new(TraceStore::in_memory()),
         series: None,
