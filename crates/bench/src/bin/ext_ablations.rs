@@ -12,7 +12,7 @@
 use cache8t_bench::cli::CommonArgs;
 use cache8t_bench::experiment::replay_traffic;
 use cache8t_bench::table::{pct, Table};
-use cache8t_core::{CountingPolicy, RmwController, WgController, WgOptions};
+use cache8t_core::{RmwController, WgController, WgOptions};
 use cache8t_sim::{CacheGeometry, ReplacementKind};
 use cache8t_trace::{profiles, ProfiledGenerator, TraceGenerator};
 
@@ -42,8 +42,7 @@ fn suite_reductions(
                 }
             };
             let mut wg = WgController::with_options(geometry, replacement, options);
-            *total +=
-                replay_traffic(&mut wg, &trace).reduction_vs(&rmw, CountingPolicy::DemandOnly);
+            *total += replay_traffic(&mut wg, &trace).reduction_vs(&rmw);
         }
     }
     totals

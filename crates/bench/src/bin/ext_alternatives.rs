@@ -19,8 +19,8 @@ use cache8t_bench::cli::CommonArgs;
 use cache8t_bench::experiment::replay_traffic;
 use cache8t_bench::table::{pct, Table};
 use cache8t_core::{
-    CoalescingController, Controller, ConventionalController, CountingPolicy, RmwController,
-    WgController, WgRbController,
+    CoalescingController, Controller, ConventionalController, RmwController, WgController,
+    WgRbController,
 };
 use cache8t_cpu::{PortTimingModel, TimingConfig};
 use cache8t_sim::{CacheGeometry, ReplacementKind};
@@ -110,9 +110,7 @@ fn main() {
             let mut controller = build();
             let report = model.run(controller.as_mut(), &trace);
             controller.flush();
-            sum.0 += controller
-                .traffic()
-                .reduction_vs(&rmw, CountingPolicy::DemandOnly);
+            sum.0 += controller.traffic().reduction_vs(&rmw);
             sum.1 += report.avg_read_latency();
             sum.2 += report.read_port_availability();
         }

@@ -10,7 +10,7 @@
 use cache8t_bench::cli::CommonArgs;
 use cache8t_bench::experiment::replay_traffic;
 use cache8t_bench::table::{pct, Table};
-use cache8t_core::{CountingPolicy, RmwController, WgController, WgRbController};
+use cache8t_core::{RmwController, WgController, WgRbController};
 use cache8t_sim::{CacheGeometry, ReplacementKind};
 use cache8t_trace::{profiles, MultiprogramMix, ProfiledGenerator, TraceGenerator};
 
@@ -51,8 +51,8 @@ fn main() {
         let rmw = replay_traffic(&mut RmwController::new(geometry, lru), &trace);
         let wg = replay_traffic(&mut WgController::new(geometry, lru), &trace);
         let wgrb = replay_traffic(&mut WgRbController::new(geometry, lru), &trace);
-        let wg_red = wg.reduction_vs(&rmw, CountingPolicy::DemandOnly);
-        let wgrb_red = wgrb.reduction_vs(&rmw, CountingPolicy::DemandOnly);
+        let wg_red = wg.reduction_vs(&rmw);
+        let wgrb_red = wgrb.reduction_vs(&rmw);
         table.row(&[
             quantum.to_string(),
             mix.context_switches().to_string(),

@@ -19,7 +19,7 @@
 use cache8t_bench::cli::CommonArgs;
 use cache8t_bench::experiment::replay_traffic;
 use cache8t_bench::table::{pct, Table};
-use cache8t_core::{CountingPolicy, RmwController, WgController, WgRbController};
+use cache8t_core::{RmwController, WgController, WgRbController};
 use cache8t_exec::{run_jobs, ExecOptions, JobOutcome};
 use cache8t_sim::{CacheGeometry, ReplacementKind};
 use cache8t_trace::{PairLocality, ProfiledGenerator, Trace, TraceGenerator, WorkloadProfile};
@@ -53,10 +53,7 @@ fn point(trace: &Trace, geometry: CacheGeometry) -> (f64, f64) {
     let rmw = replay_traffic(&mut RmwController::new(geometry, lru), trace);
     let wg = replay_traffic(&mut WgController::new(geometry, lru), trace);
     let wgrb = replay_traffic(&mut WgRbController::new(geometry, lru), trace);
-    (
-        wg.reduction_vs(&rmw, CountingPolicy::DemandOnly),
-        wgrb.reduction_vs(&rmw, CountingPolicy::DemandOnly),
-    )
+    (wg.reduction_vs(&rmw), wgrb.reduction_vs(&rmw))
 }
 
 /// One sweep point: which table it belongs to, the fixed row cells, and

@@ -252,7 +252,7 @@ fn main() -> ExitCode {
         for r in &baseline {
             for s in r.schemes() {
                 if s.scheme == scheme {
-                    merged.merge(&s.registry);
+                    merged.merge(&s.metrics);
                 }
             }
         }

@@ -38,7 +38,7 @@ pub fn metrics_report(results: &[BenchmarkResult]) -> serde_json::Value {
             let schemes = r
                 .schemes()
                 .iter()
-                .map(|s| (s.scheme.to_string(), s.metrics.clone()))
+                .map(|s| (s.scheme.to_string(), s.metrics.to_value()))
                 .collect();
             serde_json::Value::Object(vec![
                 ("name".to_string(), serde_json::Value::Str(r.name.clone())),
@@ -59,17 +59,12 @@ pub fn metrics_report(results: &[BenchmarkResult]) -> serde_json::Value {
 /// # Errors
 ///
 /// Propagates I/O errors from `w`.
-pub fn write_trace_jsonl<W: Write>(mut w: W, results: &[BenchmarkResult]) -> std::io::Result<()> {
-    for r in results {
-        for s in r.schemes() {
-            for event in &s.events {
-                let line =
-                    serde_json::to_string(event).expect("serializing a trace event cannot fail");
-                writeln!(w, "{line}")?;
-            }
-        }
-    }
-    Ok(())
+pub fn write_trace_jsonl<W: Write>(w: W, results: &[BenchmarkResult]) -> std::io::Result<()> {
+    let events = results
+        .iter()
+        .flat_map(BenchmarkResult::schemes)
+        .flat_map(|s| s.events.iter().copied());
+    cache8t_obs::trace::write_jsonl(events, w)
 }
 
 /// Writes every telemetry window recorded by a sampled run as JSONL
@@ -197,7 +192,7 @@ mod tests {
     fn scheme_results_carry_metric_snapshots() {
         let r = run_one("gcc");
         for s in r.schemes() {
-            let serde_json::Value::Object(sections) = &s.metrics else {
+            let serde_json::Value::Object(sections) = s.metrics.to_value() else {
                 panic!("{} metrics not an object", s.scheme);
             };
             assert!(
@@ -224,6 +219,7 @@ mod tests {
         let r = vec![run_one("gcc")];
         let avg = average(&r, BenchmarkResult::wg_reduction);
         assert!((avg - r[0].wg_reduction()).abs() < 1e-12);
-        assert_eq!(average(&[], BenchmarkResult::wg_reduction), 0.0);
+        let none: [BenchmarkResult; 0] = [];
+        assert_eq!(average(&none, BenchmarkResult::wg_reduction), 0.0);
     }
 }

@@ -19,10 +19,13 @@
 //!    cache line, and a clear Dirty bit implies the Set-Buffer holds
 //!    exactly the array's data.
 //!
-//! Every violation becomes a structured [`Divergence`] and a
-//! [`Component::Conform`]/[`EventKind::Divergence`] trace event. The
-//! [`fuzz`] module drives [`replay`] with seeded random traces and
-//! shrinks any failure to a minimal reproducer.
+//! Every violation becomes a structured [`Divergence`];
+//! [`ConformReport::write_trace_jsonl`] writes each one as a
+//! [`Component::Conform`]/[`EventKind::Divergence`] trace event. Every
+//! scheme is built through [`SchemeKind::build_on`], the workspace's one
+//! construction path, and the WG schemes' Set-Buffers are reached through
+//! [`Controller::as_wg`]. The [`fuzz`] module drives [`replay`] with
+//! seeded random traces and shrinks any failure to a minimal reproducer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
@@ -31,12 +34,10 @@ pub mod fuzz;
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::io::{self, Write};
 
-use cache8t_core::{
-    CoalescingController, Controller, ConventionalController, RmwController, SchemeKind,
-    WgController, WgFault, WgRbController,
-};
-use cache8t_obs::{Component, EventKind, TraceEvent, TraceLevel, Tracer};
+use cache8t_core::{CacheBackend, Controller, SchemeKind, WgFault};
+use cache8t_obs::{trace, Component, EventKind, TraceEvent};
 use cache8t_sim::{Address, CacheGeometry, ReplacementKind};
 use cache8t_trace::Trace;
 
@@ -53,7 +54,7 @@ pub struct ConformConfig {
     /// Stop recording divergences after this many (the replay still
     /// runs to completion so stats stay meaningful).
     pub max_divergences: usize,
-    /// Arm this fault in every WG/WG+RB backend — self-test hook used
+    /// Arm this fault in every WG/WG+RB controller — self-test hook used
     /// to prove the harness catches real equivalence bugs.
     pub wg_fault: Option<WgFault>,
 }
@@ -175,9 +176,6 @@ pub struct ConformReport {
     pub divergences: Vec<Divergence>,
     /// Divergences observed beyond the cap (recorded only as a count).
     pub suppressed: u64,
-    /// Structured event stream: one [`EventKind::Divergence`] event per
-    /// recorded divergence, ready for `write_jsonl`.
-    pub tracer: Tracer,
 }
 
 impl ConformReport {
@@ -208,77 +206,35 @@ impl ConformReport {
             )
         }
     }
-}
 
-/// A concrete controller, wrapped so WG internals stay inspectable
-/// (a `Box<dyn Controller>` would hide `buffer_snapshots`).
-enum Backend {
-    SixT(ConventionalController),
-    Rmw(RmwController),
-    Wg(WgController),
-    WgRb(WgRbController),
-    Coalesce(CoalescingController),
-}
-
-impl Backend {
-    fn build(id: SchemeKind, config: &ConformConfig) -> Backend {
-        let g = config.geometry;
-        let r = config.replacement;
-        match id {
-            SchemeKind::Conventional => Backend::SixT(ConventionalController::new(g, r)),
-            SchemeKind::Rmw => Backend::Rmw(RmwController::new(g, r)),
-            SchemeKind::Wg => {
-                let mut c = WgController::new(g, r);
-                c.inject_fault(config.wg_fault);
-                Backend::Wg(c)
-            }
-            SchemeKind::WgRb => {
-                let mut c = WgRbController::new(g, r);
-                c.inject_fault(config.wg_fault);
-                Backend::WgRb(c)
-            }
-            SchemeKind::Coalesce(entries) => {
-                Backend::Coalesce(CoalescingController::new(g, r, entries))
-            }
-        }
-    }
-
-    fn ctrl(&self) -> &dyn Controller {
-        match self {
-            Backend::SixT(c) => c,
-            Backend::Rmw(c) => c,
-            Backend::Wg(c) => c,
-            Backend::WgRb(c) => c,
-            Backend::Coalesce(c) => c,
-        }
-    }
-
-    fn ctrl_mut(&mut self) -> &mut dyn Controller {
-        match self {
-            Backend::SixT(c) => c,
-            Backend::Rmw(c) => c,
-            Backend::Wg(c) => c,
-            Backend::WgRb(c) => c,
-            Backend::Coalesce(c) => c,
-        }
-    }
-
-    /// The WG view, when this backend has Set-Buffers to inspect.
-    fn wg_view(&self) -> Option<&WgController> {
-        match self {
-            Backend::Wg(c) => Some(c),
-            Backend::WgRb(c) => Some(c.as_wg()),
-            _ => None,
-        }
+    /// Writes one [`Component::Conform`]/[`EventKind::Divergence`] trace
+    /// event per recorded divergence, in order, as JSONL (the
+    /// `cache8t check --trace-out` format): stamped with the op index,
+    /// carrying the address and the kind's
+    /// [`discriminant`](DivergenceKind::discriminant).
+    ///
+    /// # Errors
+    ///
+    /// Propagates any I/O error from the writer.
+    pub fn write_trace_jsonl<W: Write>(&self, writer: W) -> io::Result<()> {
+        let events = self.divergences.iter().map(|d| {
+            TraceEvent::new(
+                d.op_index,
+                Component::Conform,
+                EventKind::Divergence,
+                d.addr,
+                d.kind.discriminant(),
+            )
+        });
+        trace::write_jsonl(events, writer)
     }
 }
 
-/// Collects divergences up to a cap and mirrors each into the tracer.
+/// Collects divergences up to a cap.
 struct Recorder {
     divergences: Vec<Divergence>,
     suppressed: u64,
     max: usize,
-    tracer: Tracer,
 }
 
 impl Recorder {
@@ -287,7 +243,6 @@ impl Recorder {
             divergences: Vec::new(),
             suppressed: 0,
             max,
-            tracer: Tracer::new(TraceLevel::Event, max.max(1)),
         }
     }
 
@@ -296,13 +251,6 @@ impl Recorder {
             self.suppressed += 1;
             return;
         }
-        self.tracer.emit(TraceEvent::new(
-            d.op_index,
-            Component::Conform,
-            EventKind::Divergence,
-            d.addr,
-            d.kind.discriminant(),
-        ));
         self.divergences.push(d);
     }
 }
@@ -316,10 +264,16 @@ pub fn replay(trace: &Trace, config: &ConformConfig) -> ConformReport {
         !config.schemes.is_empty(),
         "at least one scheme is required"
     );
-    let mut backends: Vec<(String, Backend)> = config
+    let mut controllers: Vec<(String, Box<dyn Controller>)> = config
         .schemes
         .iter()
-        .map(|&id| (id.to_string(), Backend::build(id, config)))
+        .map(|&id| {
+            let mut ctrl = id.build_on(CacheBackend::new(config.geometry, config.replacement));
+            if let Some(wg) = ctrl.as_wg_mut() {
+                wg.inject_fault(config.wg_fault);
+            }
+            (id.to_string(), ctrl)
+        })
         .collect();
     let mut rec = Recorder::new(config.max_divergences);
     let ref_label = config.schemes[0].to_string();
@@ -341,8 +295,8 @@ pub fn replay(trace: &Trace, config: &ConformConfig) -> ConformReport {
         };
 
         let mut reference_hit: Option<bool> = None;
-        for (label, backend) in &mut backends {
-            let response = backend.ctrl_mut().access(op);
+        for (label, ctrl) in &mut controllers {
+            let response = ctrl.access(op);
             if response.value != expected {
                 rec.record(Divergence {
                     op_index,
@@ -372,8 +326,8 @@ pub fn replay(trace: &Trace, config: &ConformConfig) -> ConformReport {
             }
         }
 
-        for (label, backend) in &backends {
-            check_buffer_coherence(label, backend, op_index, &mut rec);
+        for (label, ctrl) in &controllers {
+            check_buffer_coherence(label, ctrl.as_ref(), op_index, &mut rec);
         }
         if rec.divergences.len() >= rec.max && rec.suppressed > 0 {
             // Already past the cap and still diverging: the prefix is
@@ -383,15 +337,15 @@ pub fn replay(trace: &Trace, config: &ConformConfig) -> ConformReport {
     }
 
     let ops_replayed = trace.len() as u64;
-    for (_, backend) in &mut backends {
-        backend.ctrl_mut().flush();
+    for (_, ctrl) in &mut controllers {
+        ctrl.flush();
     }
 
     // Final architectural image: every touched word must match golden.
     for (&raw, ()) in &touched {
         let expected = golden.get(&raw).copied().unwrap_or(0);
-        for (label, backend) in &backends {
-            let actual = backend.ctrl().peek_word(Address::new(raw));
+        for (label, ctrl) in &controllers {
+            let actual = ctrl.peek_word(Address::new(raw));
             if actual != expected {
                 rec.record(Divergence {
                     op_index: ops_replayed,
@@ -406,22 +360,21 @@ pub fn replay(trace: &Trace, config: &ConformConfig) -> ConformReport {
         }
     }
 
-    check_stat_laws(&backends, ops_replayed, &mut rec);
+    check_stat_laws(&controllers, ops_replayed, &mut rec);
 
     ConformReport {
         ops_replayed,
-        schemes: backends.iter().map(|(l, _)| l.clone()).collect(),
+        schemes: controllers.iter().map(|(l, _)| l.clone()).collect(),
         divergences: rec.divergences,
         suppressed: rec.suppressed,
-        tracer: rec.tracer,
     }
 }
 
-/// Buffer-coherence invariants for a WG/WG+RB backend:
+/// Buffer-coherence invariants for a WG/WG+RB controller:
 /// every Tag-Buffer entry mirrors a valid cache line with that tag, and
 /// a clear Dirty bit implies the Set-Buffer equals the array image.
-fn check_buffer_coherence(label: &str, backend: &Backend, op_index: u64, rec: &mut Recorder) {
-    let Some(wg) = backend.wg_view() else {
+fn check_buffer_coherence(label: &str, ctrl: &dyn Controller, op_index: u64, rec: &mut Recorder) {
+    let Some(wg) = ctrl.as_wg() else {
         return;
     };
     let cache = wg.cache();
@@ -476,7 +429,11 @@ fn check_buffer_coherence(label: &str, backend: &Backend, op_index: u64, rec: &m
 }
 
 /// End-of-run stat conservation and cross-scheme traffic laws.
-fn check_stat_laws(backends: &[(String, Backend)], ops_replayed: u64, rec: &mut Recorder) {
+fn check_stat_laws(
+    controllers: &[(String, Box<dyn Controller>)],
+    ops_replayed: u64,
+    rec: &mut Recorder,
+) {
     let end = Divergence {
         op_index: ops_replayed,
         scheme: String::new(),
@@ -488,8 +445,8 @@ fn check_stat_laws(backends: &[(String, Backend)], ops_replayed: u64, rec: &mut 
     };
 
     // Per-scheme laws.
-    for (label, backend) in backends {
-        let stats = backend.ctrl().stats();
+    for (label, ctrl) in controllers {
+        let stats = ctrl.stats();
         if let Err(law) = stats.check_conservation() {
             rec.record(Divergence {
                 scheme: label.clone(),
@@ -509,23 +466,23 @@ fn check_stat_laws(backends: &[(String, Backend)], ops_replayed: u64, rec: &mut 
     }
 
     // Cross-scheme laws. The reference is the first scheme.
-    let (ref_label, ref_backend) = &backends[0];
-    let ref_stats = *ref_backend.ctrl().stats();
-    let ref_fills = ref_backend.ctrl().traffic().line_fills;
-    for (label, backend) in &backends[1..] {
-        if *backend.ctrl().stats() != ref_stats {
+    let (ref_label, ref_ctrl) = &controllers[0];
+    let ref_stats = *ref_ctrl.stats();
+    let ref_fills = ref_ctrl.traffic().line_fills;
+    for (label, ctrl) in &controllers[1..] {
+        if *ctrl.stats() != ref_stats {
             rec.record(Divergence {
                 scheme: label.clone(),
                 kind: DivergenceKind::StatsMismatch,
                 detail: format!(
                     "CacheStats diverge from {ref_label}: {} vs {}",
-                    backend.ctrl().stats(),
+                    ctrl.stats(),
                     ref_stats
                 ),
                 ..end.clone()
             });
         }
-        let fills = backend.ctrl().traffic().line_fills;
+        let fills = ctrl.traffic().line_fills;
         if fills != ref_fills {
             rec.record(Divergence {
                 scheme: label.clone(),
@@ -540,10 +497,10 @@ fn check_stat_laws(backends: &[(String, Backend)], ops_replayed: u64, rec: &mut 
 
     // Array-traffic ordering between the paper's schemes, when present.
     let find = |want: &str| {
-        backends
+        controllers
             .iter()
             .find(|(l, _)| l == want)
-            .map(|(_, b)| b.ctrl())
+            .map(|(_, c)| c.as_ref())
     };
     let (six_t, rmw, wg, wgrb) = (find("6T"), find("RMW"), find("WG"), find("WG+RB"));
     let mut ordering = |name: &str, lhs: u64, rhs: u64, scheme: &str| {
@@ -624,7 +581,11 @@ mod tests {
         );
         assert_eq!(report.ops_replayed, 200);
         assert_eq!(report.schemes.len(), 5);
-        assert!(report.tracer.is_empty(), "no events on a clean run");
+        let mut events = Vec::new();
+        report
+            .write_trace_jsonl(&mut events)
+            .expect("in-memory write");
+        assert!(events.is_empty(), "no events on a clean run");
     }
 
     #[test]
@@ -651,10 +612,18 @@ mod tests {
             report.divergences
         );
         // Each recorded divergence has a matching structured event.
-        assert_eq!(report.tracer.len(), report.divergences.len());
-        assert!(report
-            .tracer
-            .events()
+        let mut jsonl = Vec::new();
+        report
+            .write_trace_jsonl(&mut jsonl)
+            .expect("in-memory write");
+        let events: Vec<TraceEvent> = String::from_utf8(jsonl)
+            .expect("utf-8")
+            .lines()
+            .map(|line| trace::parse_jsonl_line(line).expect("event line"))
+            .collect();
+        assert_eq!(events.len(), report.divergences.len());
+        assert!(events
+            .iter()
             .all(|e| e.component == Component::Conform && e.kind == EventKind::Divergence));
     }
 

@@ -8,6 +8,7 @@ use cache8t_conform::{
 };
 use cache8t_core::{SchemeKind, WgFault};
 use cache8t_exec::{run_jobs, ExecOptions};
+use cache8t_obs::{Component, EventKind, TraceEvent, TraceLevel, Tracer};
 use cache8t_sim::CacheGeometry;
 use cache8t_trace::{profiles, ProfiledGenerator, Trace, TraceGenerator};
 
@@ -117,4 +118,39 @@ fn injected_dirty_bit_fault_is_caught_and_shrunk() {
     assert_eq!(back, repro);
     assert!(!replay(&back, &config).pass(), "reloaded repro still fails");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `cache8t check --trace-out` writes a fault-injected replay's
+/// divergences as the same JSONL a tracer holding one
+/// `Conform`/`Divergence` event per divergence writes: stamped with the
+/// op index, carrying the address and the kind's discriminant, in order.
+#[test]
+fn trace_out_writes_one_divergence_event_per_divergence() {
+    let mut config = ConformConfig::new(tiny());
+    config.wg_fault = Some(WgFault::SkipDirtyBit);
+    let (_, report) = fuzz_round(0xBAD, 1500, &config);
+    assert!(!report.pass(), "the fault must be observable");
+
+    let mut tracer = Tracer::new(TraceLevel::Event, report.divergences.len());
+    for d in &report.divergences {
+        tracer.emit(TraceEvent::new(
+            d.op_index,
+            Component::Conform,
+            EventKind::Divergence,
+            d.addr,
+            d.kind.discriminant(),
+        ));
+    }
+    assert_eq!(tracer.dropped(), 0);
+    let mut expected = Vec::new();
+    tracer.write_jsonl(&mut expected).expect("in-memory write");
+
+    let mut written = Vec::new();
+    report
+        .write_trace_jsonl(&mut written)
+        .expect("in-memory write");
+    assert_eq!(
+        String::from_utf8(written).expect("utf-8"),
+        String::from_utf8(expected).expect("utf-8")
+    );
 }

@@ -9,7 +9,7 @@ use cache8t_sim::{Address, CacheGeometry, CacheStats, DataCache, MainMemory, Rep
 use cache8t_trace::{DecodedBatch, DecodedOp, MemOp};
 
 use crate::obs::StackObs;
-use crate::{ArrayTraffic, CountingPolicy};
+use crate::{ArrayTraffic, WgController};
 
 /// The array cost of one serviced request, for timing models.
 ///
@@ -107,6 +107,18 @@ pub trait Controller {
         None
     }
 
+    /// The grouping controller behind this scheme (WG and WG+RB), for
+    /// inspecting its Set-Buffers; `None` for every other scheme.
+    fn as_wg(&self) -> Option<&WgController> {
+        None
+    }
+
+    /// Mutable access to the grouping controller, e.g. to arm a
+    /// self-test fault; `None` for every other scheme.
+    fn as_wg_mut(&mut self) -> Option<&mut WgController> {
+        None
+    }
+
     /// Services one request.
     fn access(&mut self, op: &MemOp) -> AccessResponse {
         let g = self.backend().cache().geometry();
@@ -167,9 +179,10 @@ pub trait Controller {
         self.backend().memory()
     }
 
-    /// Total array activations so far under the paper's counting.
+    /// Total array activations so far under the paper's counting
+    /// ([`ArrayTraffic::total`]).
     fn array_accesses(&self) -> u64 {
-        self.traffic().total(CountingPolicy::DemandOnly)
+        self.traffic().total()
     }
 
     /// The stack's observability bundle (metric registry + event
@@ -353,9 +366,9 @@ impl CacheBackend {
             return;
         }
         let slot = l2.fill_into(base, data, l2_victim);
-        // `fill_into` installs clean; re-mark the block dirty so it
+        // `fill_into` installs `data` clean; mark the block dirty so it
         // eventually reaches memory.
-        l2.update_block(set, slot.way, data, true);
+        l2.set_line_dirty(set, slot.way, true);
         if let Some(victim) = slot.evicted {
             if victim.dirty {
                 memory.write_block_from(victim.base, l2_victim);

@@ -14,20 +14,25 @@
 //!   controller; consecutive writes to the buffered set are grouped into
 //!   one eventual RMW, and a Dirty bit suppresses the write-back entirely
 //!   when every grouped write was silent;
-//! - [`WgRbController`] — **Write Grouping + Read Bypassing** (paper
-//!   §4.2): additionally serves reads that hit the Tag-Buffer straight from
+//! - **Write Grouping + Read Bypassing** (paper §4.2): a [`WgController`]
+//!   with [`WgOptions::read_bypass`] set, which [`WgRbController`] builds.
+//!   It additionally serves reads that hit the Tag-Buffer straight from
 //!   the Set-Buffer, eliminating both the premature write-back and the
 //!   array read.
 //!
 //! [`SchemeKind`] names them all: it parses a scheme name (`wg+rb`,
-//! `coalesce:8`), displays it, and builds its controller.
+//! `coalesce:8`), displays it, and builds its controller. It is the one
+//! construction path, so a new scheme is its controller and one
+//! `SchemeKind` arm.
 //!
 //! All controllers implement [`Controller`] over a [`CacheBackend`]: the
 //! same value-carrying cache + backing memory from `cache8t-sim`, and
 //! the [`ArrayTraffic`] ledger each controller's SRAM-array traffic is
-//! counted in — the quantity behind the paper's Figures 9–11. Functional correctness (every read returns the
-//! last value written) is enforced by [`Controller::peek_word`]-based
-//! oracle tests and property tests in this crate.
+//! counted in — the quantity behind the paper's Figures 9–11, totalled
+//! the paper's way (demand accesses only) by [`ArrayTraffic::total`].
+//! Functional correctness (every read returns the last value written) is
+//! enforced by [`Controller::peek_word`]-based oracle tests and property
+//! tests in this crate.
 //!
 //! ## Example
 //!
@@ -70,5 +75,5 @@ pub use conventional::ConventionalController;
 pub use obs::{StackObs, SET_HEAT_BUCKETS};
 pub use rmw::RmwController;
 pub use scheme::SchemeKind;
-pub use traffic::{ArrayTraffic, CountingPolicy};
+pub use traffic::ArrayTraffic;
 pub use wg::{WgBufferView, WgController, WgFault, WgOptions, WgRbController};

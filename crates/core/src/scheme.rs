@@ -4,7 +4,8 @@
 //! [`SchemeKind`] is the one place a scheme name is parsed, displayed and
 //! turned into a controller. The CLI's `--scheme`/`--schemes`, the
 //! conformance harness, the sweep engine and the tests all go through
-//! it.
+//! it, so a new scheme is its controller and one arm of each match
+//! here.
 
 use std::fmt;
 
@@ -12,7 +13,7 @@ use cache8t_sim::{CacheGeometry, ReplacementKind};
 
 use crate::{
     CacheBackend, CoalescingController, Controller, ConventionalController, RmwController,
-    WgController, WgOptions, WgRbController,
+    WgController, WgOptions,
 };
 
 /// One cache controller scheme: the paper's four, in canonical (6T, RMW,
@@ -128,7 +129,7 @@ impl SchemeKind {
             SchemeKind::Conventional => Box::new(ConventionalController::from_backend(backend)),
             SchemeKind::Rmw => Box::new(RmwController::from_backend(backend)),
             SchemeKind::Wg => Box::new(WgController::from_backend(backend, WgOptions::wg())),
-            SchemeKind::WgRb => Box::new(WgRbController::from_backend(backend)),
+            SchemeKind::WgRb => Box::new(WgController::from_backend(backend, WgOptions::wg_rb())),
             SchemeKind::Coalesce(entries) => {
                 Box::new(CoalescingController::from_backend(backend, entries))
             }

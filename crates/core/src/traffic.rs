@@ -5,29 +5,12 @@ use std::ops::{Add, AddAssign};
 
 use serde::{Deserialize, Serialize};
 
-/// Which array operations count toward "cache access frequency".
-///
-/// The paper's figures count the array operations triggered by CPU demand
-/// requests (its Pin tool models an isolated L1). Miss-induced line fills
-/// and dirty-eviction write-backs are identical across all controllers, so
-/// including them shrinks every *percentage* by the same baseline shift
-/// without changing the comparison; the harness exposes both.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum CountingPolicy {
-    /// Count only demand-triggered array operations (the paper's counting).
-    #[default]
-    DemandOnly,
-    /// Additionally count line fills and dirty-eviction write-backs.
-    IncludeFills,
-}
-
 /// The SRAM-array operation ledger of one controller.
 ///
 /// Every counter is a number of *row activations* (word-line assertions) of
 /// the data array, labelled by why it happened. The headline metric —
 /// the paper's "cache access frequency" — is
-/// [`total`](ArrayTraffic::total) under
-/// [`CountingPolicy::DemandOnly`].
+/// [`total`](ArrayTraffic::total).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ArrayTraffic {
     /// Row reads serving CPU loads from the array.
@@ -54,11 +37,11 @@ pub struct ArrayTraffic {
     /// Write-backs suppressed because the Dirty bit was clear (every write
     /// in the group was silent).
     pub silent_writebacks_elided: u64,
-    /// Line fills caused by cache misses (not counted under
-    /// [`CountingPolicy::DemandOnly`]).
+    /// Line fills caused by cache misses (not counted in
+    /// [`total`](ArrayTraffic::total)).
     pub line_fills: u64,
-    /// Dirty lines written back to memory on eviction (not counted under
-    /// [`CountingPolicy::DemandOnly`]).
+    /// Dirty lines written back to memory on eviction (not counted in
+    /// [`total`](ArrayTraffic::total)).
     pub eviction_writebacks: u64,
 }
 
@@ -68,28 +51,27 @@ impl ArrayTraffic {
         ArrayTraffic::default()
     }
 
-    /// Total array activations under the given counting policy.
-    pub fn total(&self, policy: CountingPolicy) -> u64 {
-        let demand = self.demand_reads
+    /// Total array activations triggered by CPU demand requests: the
+    /// paper's counting (its Pin tool models an isolated L1). Miss-induced
+    /// line fills and dirty-eviction write-backs are identical across all
+    /// controllers, so they stay out of the comparison.
+    pub fn total(&self) -> u64 {
+        self.demand_reads
             + self.demand_writes
             + self.rmw_read_phases
             + self.buffer_fills
-            + self.writebacks;
-        match policy {
-            CountingPolicy::DemandOnly => demand,
-            CountingPolicy::IncludeFills => demand + self.line_fills + self.eviction_writebacks,
-        }
+            + self.writebacks
     }
 
-    /// Total array *read-port* activations (row reads) under demand-only
-    /// counting — the quantity behind the read-port-availability argument
+    /// Total array *read-port* activations (row reads) of demand
+    /// traffic — the quantity behind the read-port-availability argument
     /// of paper §4.1.
     pub fn read_port_activations(&self) -> u64 {
         self.demand_reads + self.rmw_read_phases + self.buffer_fills
     }
 
-    /// Total array *write-port* activations (row writes) under demand-only
-    /// counting.
+    /// Total array *write-port* activations (row writes) of demand
+    /// traffic.
     pub fn write_port_activations(&self) -> u64 {
         self.demand_writes + self.writebacks
     }
@@ -97,12 +79,12 @@ impl ArrayTraffic {
     /// Relative reduction of this ledger's traffic versus `baseline`
     /// (e.g. WG vs RMW — the y-axis of Figures 9–11). Positive means fewer
     /// accesses than the baseline.
-    pub fn reduction_vs(&self, baseline: &ArrayTraffic, policy: CountingPolicy) -> f64 {
-        let base = baseline.total(policy);
+    pub fn reduction_vs(&self, baseline: &ArrayTraffic) -> f64 {
+        let base = baseline.total();
         if base == 0 {
             return 0.0;
         }
-        1.0 - self.total(policy) as f64 / base as f64
+        1.0 - self.total() as f64 / base as f64
     }
 }
 
@@ -138,7 +120,7 @@ impl fmt::Display for ArrayTraffic {
             f,
             "array accesses {} (reads {} + rmw-reads {} + fills {} + writes {} + writebacks {}), \
              grouped {} / bypassed {} / silent-elided {}",
-            self.total(CountingPolicy::DemandOnly),
+            self.total(),
             self.demand_reads,
             self.rmw_read_phases,
             self.buffer_fills,
@@ -173,10 +155,9 @@ mod tests {
     }
 
     #[test]
-    fn totals_by_policy() {
+    fn total_counts_demand_traffic_only() {
         let t = sample();
-        assert_eq!(t.total(CountingPolicy::DemandOnly), 100 + 40 + 40 + 5 + 6);
-        assert_eq!(t.total(CountingPolicy::IncludeFills), 191 + 7 + 4);
+        assert_eq!(t.total(), 100 + 40 + 40 + 5 + 6, "no fills or evictions");
     }
 
     #[test]
@@ -186,7 +167,7 @@ mod tests {
         assert_eq!(t.write_port_activations(), 46);
         assert_eq!(
             t.read_port_activations() + t.write_port_activations(),
-            t.total(CountingPolicy::DemandOnly)
+            t.total()
         );
     }
 
@@ -196,11 +177,8 @@ mod tests {
         better.demand_reads = 50;
         let mut baseline = ArrayTraffic::new();
         baseline.demand_reads = 100;
-        assert!((better.reduction_vs(&baseline, CountingPolicy::DemandOnly) - 0.5).abs() < 1e-12);
-        assert_eq!(
-            better.reduction_vs(&ArrayTraffic::new(), CountingPolicy::DemandOnly),
-            0.0
-        );
+        assert!((better.reduction_vs(&baseline) - 0.5).abs() < 1e-12);
+        assert_eq!(better.reduction_vs(&ArrayTraffic::new()), 0.0);
     }
 
     #[test]
@@ -214,10 +192,5 @@ mod tests {
     #[test]
     fn display_is_nonempty() {
         assert!(sample().to_string().contains("array accesses"));
-    }
-
-    #[test]
-    fn default_policy_is_demand_only() {
-        assert_eq!(CountingPolicy::default(), CountingPolicy::DemandOnly);
     }
 }

@@ -217,10 +217,11 @@ pub struct WgController {
 
 /// **Write Grouping + Read Bypassing** — the paper's §4.2 technique.
 ///
-/// Identical to [`WgController`] except that reads hitting the Tag-Buffer
-/// are served directly from the Set-Buffer through an extra output
-/// multiplexer (paper Figure 7): no premature write-back, no array read,
-/// and the read port stays free.
+/// WG+RB is a [`WgController`] with [`WgOptions::read_bypass`] set:
+/// reads hitting the Tag-Buffer are served directly from the Set-Buffer
+/// through an extra output multiplexer (paper Figure 7), so there is no
+/// premature write-back, no array read, and the read port stays free.
+/// This type has no values; its constructors build that controller.
 ///
 /// # Example
 ///
@@ -236,9 +237,24 @@ pub struct WgController {
 /// assert_eq!(r.value, 7);
 /// assert!(r.cost.buffer_hit);
 /// assert_eq!(c.traffic().bypassed_reads, 1);
+/// assert_eq!(c.name(), "WG+RB");
 /// ```
-pub struct WgRbController {
-    inner: WgController,
+#[derive(Debug)]
+pub enum WgRbController {}
+
+impl WgRbController {
+    /// Creates a WG+RB controller: a [`WgController`] with
+    /// [`WgOptions::wg_rb`].
+    #[allow(clippy::new_ret_no_self)] // WG+RB is a WgController
+    pub fn new(geometry: CacheGeometry, replacement: ReplacementKind) -> WgController {
+        WgController::with_options(geometry, replacement, WgOptions::wg_rb())
+    }
+
+    /// Creates a WG+RB controller over an existing backend (e.g. one built
+    /// with [`CacheBackend::with_l2`]).
+    pub fn from_backend(backend: CacheBackend) -> WgController {
+        WgController::from_backend(backend, WgOptions::wg_rb())
+    }
 }
 
 impl WgController {
@@ -670,6 +686,14 @@ impl Controller for WgController {
         }
         Some(histogram)
     }
+
+    fn as_wg(&self) -> Option<&WgController> {
+        Some(self)
+    }
+
+    fn as_wg_mut(&mut self) -> Option<&mut WgController> {
+        Some(self)
+    }
 }
 
 impl fmt::Debug for WgController {
@@ -679,84 +703,6 @@ impl fmt::Debug for WgController {
             .field("buffered_sets", &self.buffers.len())
             .field("traffic", self.backend.traffic())
             .finish_non_exhaustive()
-    }
-}
-
-impl WgRbController {
-    /// Creates a WG+RB controller with the paper's default options.
-    pub fn new(geometry: CacheGeometry, replacement: ReplacementKind) -> Self {
-        WgRbController {
-            inner: WgController::with_options(geometry, replacement, WgOptions::wg_rb()),
-        }
-    }
-
-    /// Creates a WG+RB controller over an existing backend (e.g. one built
-    /// with [`CacheBackend::with_l2`]).
-    pub fn from_backend(backend: CacheBackend) -> Self {
-        WgRbController {
-            inner: WgController::from_backend(backend, WgOptions::wg_rb()),
-        }
-    }
-
-    /// The wrapped grouping controller.
-    pub fn as_wg(&self) -> &WgController {
-        &self.inner
-    }
-
-    /// Arms a deliberate equivalence bug (see
-    /// [`WgController::inject_fault`]).
-    #[doc(hidden)]
-    pub fn inject_fault(&mut self, fault: Option<WgFault>) {
-        self.inner.inject_fault(fault);
-    }
-
-    /// Borrowed views of the resident Set-Buffers (see
-    /// [`WgController::buffer_views`]).
-    pub fn buffer_views(&self) -> impl Iterator<Item = WgBufferView<'_>> {
-        self.inner.buffer_views()
-    }
-}
-
-impl Controller for WgRbController {
-    fn backend(&self) -> &CacheBackend {
-        self.inner.backend()
-    }
-
-    fn backend_mut(&mut self) -> &mut CacheBackend {
-        self.inner.backend_mut()
-    }
-
-    fn name(&self) -> &'static str {
-        "WG+RB"
-    }
-
-    #[inline]
-    fn serve(&mut self, d: DecodedOp) -> AccessResponse {
-        self.inner.serve(d)
-    }
-
-    fn drain(&mut self) {
-        self.inner.drain();
-    }
-
-    fn reset_scheme_counters(&mut self) {
-        self.inner.reset_scheme_counters();
-    }
-
-    fn peek_word(&self, addr: Address) -> u64 {
-        self.inner.peek_word(addr)
-    }
-
-    fn occupancy(&self) -> Option<Vec<u64>> {
-        self.inner.occupancy()
-    }
-}
-
-impl fmt::Debug for WgRbController {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("WgRbController")
-            .field("inner", &self.inner)
-            .finish()
     }
 }
 
@@ -774,7 +720,7 @@ mod tests {
         WgController::new(geometry(), ReplacementKind::Lru)
     }
 
-    fn wgrb() -> WgRbController {
+    fn wgrb() -> WgController {
         WgRbController::new(geometry(), ReplacementKind::Lru)
     }
 
@@ -938,7 +884,7 @@ mod tests {
         let mut c = wgrb();
         c.access(&MemOp::read(a));
         c.access(&MemOp::read(b));
-        c.inner.reset_counters();
+        c.reset_counters();
 
         c.access(&MemOp::read(a)); // 1 read
         c.access(&MemOp::write(b, 1)); // fill (1 read)
@@ -1103,7 +1049,7 @@ mod tests {
         assert_eq!(c.occupancy(), Some(vec![0, 0, 1]), "both ways modified");
         c.flush(); // write-back folds modified into line dirty bits
         assert_eq!(c.occupancy(), Some(vec![1, 0, 0]));
-        // WG+RB delegates to the inner controller.
+        // WG+RB counts the same way.
         let mut rb = wgrb();
         rb.access(&MemOp::write(b, 5));
         assert_eq!(rb.occupancy(), Some(vec![0, 1, 0]));
@@ -1176,6 +1122,9 @@ mod tests {
         assert!(WgOptions::wg_rb().read_bypass);
         assert!(!WgOptions::default().read_bypass);
         assert_eq!(wg().options(), WgOptions::wg());
-        assert_eq!(wgrb().as_wg().options(), WgOptions::wg_rb());
+        assert_eq!(wgrb().options(), WgOptions::wg_rb());
+        let rb = wgrb();
+        let dyn_rb: &dyn Controller = &rb;
+        assert!(dyn_rb.as_wg().is_some_and(|c| std::ptr::eq(c, &rb)));
     }
 }

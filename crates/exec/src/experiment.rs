@@ -7,7 +7,7 @@
 //! are the code behind every reported number. [`BenchmarkResult`]s come
 //! from the sweep engine ([`crate::sweep::run_sweep`]) alone.
 
-use std::borrow::BorrowMut;
+use std::borrow::{Borrow, BorrowMut};
 use std::io;
 
 use serde::Serialize;
@@ -15,7 +15,7 @@ use serde::Serialize;
 /// The scheme registry lives in `cache8t-core`; it is re-exported here
 /// because every runner of this module iterates it.
 pub use cache8t_core::SchemeKind;
-use cache8t_core::{ArrayTraffic, Controller, CountingPolicy};
+use cache8t_core::{ArrayTraffic, Controller};
 use cache8t_obs::{MetricRegistry, Sampler, SeriesSample, Span, TraceEvent};
 use cache8t_sim::{CacheGeometry, CacheStats};
 use cache8t_trace::analyze::{StreamStats, StreamStatsAccumulator};
@@ -67,18 +67,15 @@ pub struct SchemeResult {
     pub traffic: ArrayTraffic,
     /// Request-level hit/miss statistics.
     pub stats: CacheStats,
-    /// Metric-registry snapshot (counters, gauges, histograms) taken
-    /// after the measured region.
-    pub metrics: serde_json::Value,
+    /// The controller's metric registry (counters, gauges, histograms)
+    /// after the measured region; serialized as its
+    /// [`to_value`](MetricRegistry::to_value) snapshot.
+    pub metrics: MetricRegistry,
     /// Structural trace events recorded during the measured region.
     /// Empty unless `CACHE8T_TRACE` is `event` or `verbose`; excluded
     /// from the serialized result (use `--trace-out` for the JSONL).
     #[serde(skip)]
     pub events: Vec<TraceEvent>,
-    /// The live registry behind `metrics`, kept for merging and
-    /// terminal rendering (`report_card`); excluded from JSON.
-    #[serde(skip)]
-    pub registry: MetricRegistry,
     /// Windowed telemetry samples recorded during the replay. Empty
     /// unless the run was sampled (see [`replay`]);
     /// excluded from the serialized result (use `--series-out` for the
@@ -118,16 +115,12 @@ impl BenchmarkResult {
 
     /// WG's access reduction vs RMW (the left bars of Figures 9–11).
     pub fn wg_reduction(&self) -> f64 {
-        self.wg
-            .traffic
-            .reduction_vs(&self.rmw.traffic, CountingPolicy::DemandOnly)
+        self.wg.traffic.reduction_vs(&self.rmw.traffic)
     }
 
     /// WG+RB's access reduction vs RMW (the right bars of Figures 9–11).
     pub fn wgrb_reduction(&self) -> f64 {
-        self.wgrb
-            .traffic
-            .reduction_vs(&self.rmw.traffic, CountingPolicy::DemandOnly)
+        self.wgrb.traffic.reduction_vs(&self.rmw.traffic)
     }
 
     /// The four scheme results in canonical order.
@@ -316,9 +309,8 @@ where
             array_accesses: controller.array_accesses(),
             traffic: *controller.traffic(),
             stats: *controller.stats(),
-            metrics: obs.registry().to_value(),
+            metrics: obs.registry().clone(),
             events: obs.tracer().events().copied().collect(),
-            registry: obs.registry().clone(),
             series,
         })
     }
@@ -371,12 +363,13 @@ impl StreamFold {
     }
 }
 
-/// Arithmetic mean of a per-benchmark metric.
-pub fn average<F: Fn(&BenchmarkResult) -> f64>(results: &[BenchmarkResult], f: F) -> f64 {
+/// Arithmetic mean of a per-benchmark metric over owned or borrowed
+/// results.
+pub fn average<R: Borrow<BenchmarkResult>>(results: &[R], f: fn(&BenchmarkResult) -> f64) -> f64 {
     if results.is_empty() {
         return 0.0;
     }
-    results.iter().map(f).sum::<f64>() / results.len() as f64
+    results.iter().map(|r| f(r.borrow())).sum::<f64>() / results.len() as f64
 }
 
 #[cfg(test)]

@@ -677,8 +677,8 @@ pub fn metrics_document(outcome: &SweepOutcome) -> Value {
         for r in g.results.iter().flatten() {
             for s in r.schemes() {
                 match schemes.iter_mut().find(|(name, _)| *name == s.scheme) {
-                    Some((_, merged)) => merged.merge(&s.registry),
-                    None => schemes.push((s.scheme, s.registry.clone())),
+                    Some((_, merged)) => merged.merge(&s.metrics),
+                    None => schemes.push((s.scheme, s.metrics.clone())),
                 }
             }
         }

@@ -311,14 +311,27 @@ impl Tracer {
     /// # Errors
     ///
     /// Propagates any I/O error from the writer.
-    pub fn write_jsonl<W: Write>(&self, mut writer: W) -> io::Result<()> {
-        for event in self.events() {
-            let line = serde_json::to_string(event).expect("serializing an event cannot fail");
-            writer.write_all(line.as_bytes())?;
-            writer.write_all(b"\n")?;
-        }
-        Ok(())
+    pub fn write_jsonl<W: Write>(&self, writer: W) -> io::Result<()> {
+        write_jsonl(self.events().copied(), writer)
     }
+}
+
+/// Writes `events` as one JSON object per line, the JSONL format
+/// [`parse_jsonl_line`] reads back.
+///
+/// # Errors
+///
+/// Propagates any I/O error from the writer.
+pub fn write_jsonl<W: Write>(
+    events: impl IntoIterator<Item = TraceEvent>,
+    mut writer: W,
+) -> io::Result<()> {
+    for event in events {
+        let line = serde_json::to_string(&event).expect("serializing an event cannot fail");
+        writer.write_all(line.as_bytes())?;
+        writer.write_all(b"\n")?;
+    }
+    Ok(())
 }
 
 /// Parses one JSONL line back into a [`TraceEvent`].

@@ -5,9 +5,11 @@
 //! "result"}`. Lines are appended and flushed the moment a benchmark's
 //! profile job finishes (via the sweep engine's completion hook), so
 //! every finished benchmark is durable independently of whether the
-//! server survives. On restart, the loader replays the valid prefix —
-//! a torn final line from a crash mid-append is tolerated and simply
-//! re-run — and the sweep re-executes only the missing slots.
+//! server survives. On restart, [`Journal::resume`] reads the file
+//! once, replays its valid prefix and cuts the file back to it — a torn
+//! final line from a crash mid-append, or a complete line that fails
+//! validation, is dropped with everything after it and simply re-run —
+//! and the sweep re-executes only the missing slots.
 //!
 //! Because the vendored JSON text→value→text round trip is
 //! byte-stable, a document assembled from journalled benchmark values
@@ -16,7 +18,7 @@
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -63,61 +65,34 @@ pub fn journal_path(dir: &Path, fingerprint: &str) -> PathBuf {
     dir.join(format!("{fingerprint}.jsonl"))
 }
 
-/// What loading a journal recovered.
-#[derive(Debug, Default)]
-pub struct JournalLoad {
-    /// Benchmark slot → journalled benchmark value (first wins).
-    pub slots: HashMap<usize, Value>,
-    /// Trailing bytes that did not parse as a complete, valid line —
-    /// the torn tail of an interrupted append. They are ignored; the
-    /// affected benchmark re-runs.
-    pub torn: bool,
-}
-
-/// Replays the valid prefix of the journal at `path` against `plan`.
+/// Replays the valid prefix of a journal's `bytes` against `plan`:
+/// the restored slots (benchmark slot → journalled benchmark value,
+/// first line per slot wins) and the prefix's length in bytes.
 ///
-/// Unreadable or never-written journals load as empty. A line is valid
-/// when it is complete (newline-terminated), parses, matches the
-/// journal version and `fingerprint`, and names the geometry/benchmark
-/// `plan` actually has at its slot; the first invalid line ends the
-/// replay (append-only writes mean everything after a torn write is
-/// untrustworthy).
-///
-/// # Errors
-///
-/// Only on I/O failures while reading an existing file.
-pub fn load_journal(
-    path: &Path,
+/// A line is valid when it is complete (newline-terminated), parses,
+/// matches the journal version and `fingerprint`, and names the
+/// geometry/benchmark `plan` actually has at its slot; the first
+/// invalid line ends the prefix (append-only writes mean everything
+/// after a torn or foreign line is untrustworthy).
+fn valid_prefix(
+    bytes: &[u8],
     plan: &SweepPlan,
     fingerprint: &str,
-) -> std::io::Result<JournalLoad> {
-    let file = match File::open(path) {
-        Ok(file) => file,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(JournalLoad::default()),
-        Err(e) => return Err(e),
-    };
-    let mut reader = BufReader::new(file);
-    let mut load = JournalLoad::default();
+) -> (HashMap<usize, Value>, usize) {
     let n_profiles = plan.profiles.len();
-    let mut line = String::new();
-    loop {
-        line.clear();
-        let read = reader.read_line(&mut line)?;
-        if read == 0 {
-            return Ok(load);
-        }
-        if !line.ends_with('\n') {
-            // Torn final line: the writer died mid-append.
-            load.torn = true;
-            return Ok(load);
-        }
-        let Some((slot, value)) = parse_entry(line.trim_end(), plan, n_profiles, fingerprint)
+    let mut slots = HashMap::new();
+    let mut end = 0;
+    while let Some(len) = bytes[end..].iter().position(|&b| b == b'\n') {
+        let line = std::str::from_utf8(&bytes[end..end + len]).ok();
+        let Some((slot, value)) =
+            line.and_then(|line| parse_entry(line.trim_end(), plan, n_profiles, fingerprint))
         else {
-            load.torn = true;
-            return Ok(load);
+            break;
         };
-        load.slots.entry(slot).or_insert(value);
+        slots.entry(slot).or_insert(value);
+        end += len + 1;
     }
+    (slots, end)
 }
 
 /// Parses and validates one complete journal line; `None` ends replay.
@@ -149,24 +124,6 @@ fn parse_entry(
         return None;
     }
     Some((slot, result))
-}
-
-/// Truncates `path` back to its final newline, dropping the torn tail
-/// of an interrupted append; returns whether anything was dropped.
-/// Missing files are fine.
-fn repair_torn_tail(path: &Path) -> std::io::Result<bool> {
-    let bytes = match std::fs::read(path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
-        Err(e) => return Err(e),
-    };
-    if bytes.last().is_none_or(|&b| b == b'\n') {
-        return Ok(false);
-    }
-    let keep = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
-    let file = OpenOptions::new().write(true).open(path)?;
-    file.set_len(keep as u64)?;
-    Ok(true)
 }
 
 /// On-disk footprint of a journal directory: how many journal files
@@ -212,36 +169,63 @@ pub fn journal_dir_stats(dir: &Path) -> JournalDirStats {
 pub struct Journal {
     file: Mutex<File>,
     fingerprint: String,
-    repaired: bool,
+}
+
+/// What [`Journal::resume`] recovered from a plan's journal.
+#[derive(Debug)]
+pub struct Resume {
+    /// Benchmark slot → journalled benchmark value (first line per slot
+    /// wins).
+    pub slots: HashMap<usize, Value>,
+    /// `true` when bytes past the valid prefix were truncated away. The
+    /// daemon counts and logs these repairs.
+    pub repaired: bool,
+    /// The journal, open for appending after the valid prefix, or why it
+    /// could not be opened (the job then runs without one).
+    pub journal: io::Result<Journal>,
 }
 
 impl Journal {
-    /// Opens (creating directories and the file as needed) the journal
-    /// for `fingerprint` under `dir`.
+    /// Reads the journal for `fingerprint` under `dir` once, replays its
+    /// valid prefix against `plan`, truncates the file at the end of
+    /// that prefix, and opens it for appending (creating directories
+    /// and the file as needed).
     ///
-    /// A torn tail left by a crash mid-append is truncated away first:
-    /// appending after stray partial bytes would weld the next entry
-    /// onto them, making it unreadable on every later load.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn open(dir: &Path, fingerprint: &str) -> std::io::Result<Journal> {
-        std::fs::create_dir_all(dir)?;
+    /// Truncating is what keeps later resumes whole: appending after a
+    /// torn tail would weld the next entry onto it, and appending after
+    /// a complete line that fails validation (another journal version,
+    /// say) would put every later entry past the end of the replay. A
+    /// file that cannot be read restores nothing and is not opened.
+    pub fn resume(dir: &Path, plan: &SweepPlan, fingerprint: &str) -> Resume {
         let path = journal_path(dir, fingerprint);
-        let repaired = repair_torn_tail(&path)?;
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok(Journal {
-            file: Mutex::new(file),
-            fingerprint: fingerprint.to_owned(),
-            repaired,
-        })
-    }
-
-    /// `true` when opening found (and truncated away) the torn tail of
-    /// an interrupted append. The daemon counts and logs these.
-    pub fn repaired(&self) -> bool {
-        self.repaired
+        let bytes = match std::fs::read(&path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => {
+                return Resume {
+                    slots: HashMap::new(),
+                    repaired: false,
+                    journal: Err(e),
+                }
+            }
+        };
+        let (slots, valid) = valid_prefix(&bytes, plan, fingerprint);
+        let journal = std::fs::create_dir_all(dir)
+            .and_then(|()| OpenOptions::new().create(true).append(true).open(&path))
+            .and_then(|file| {
+                if valid < bytes.len() {
+                    file.set_len(valid as u64)?;
+                }
+                Ok(Journal {
+                    file: Mutex::new(file),
+                    fingerprint: fingerprint.to_owned(),
+                })
+            });
+        Resume {
+            slots,
+            repaired: valid < bytes.len() && journal.is_ok(),
+            journal,
+        }
     }
 
     /// Appends one completed benchmark and flushes.
@@ -321,24 +305,38 @@ mod tests {
         );
     }
 
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("c8t-journal-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        dir
+    }
+
+    /// Appends raw bytes to the journal file, as a crash or a foreign
+    /// writer would leave them.
+    fn append_raw(path: &Path, bytes: &[u8]) {
+        let mut file = OpenOptions::new().append(true).open(path).expect("open");
+        file.write_all(bytes).expect("append raw bytes");
+    }
+
     #[test]
     fn journal_round_trips_and_resumes() {
-        let dir = std::env::temp_dir().join(format!("c8t-journal-{}", std::process::id()));
+        let dir = temp_dir("round-trip");
         let plan = plan();
         let fp = plan_fingerprint(&plan, None);
-        let journal = Journal::open(&dir, &fp).expect("open");
+        let journal = Journal::resume(&dir, &plan, &fp).journal.expect("open");
         journal
             .append(0, "baseline", "gcc", &bench_value("gcc"))
             .expect("append");
         journal
             .append(1, "baseline", "mcf", &bench_value("mcf"))
             .expect("append");
+        drop(journal);
 
-        let load = load_journal(&journal_path(&dir, &fp), &plan, &fp).expect("load");
-        assert!(!load.torn);
-        assert_eq!(load.slots.len(), 2);
+        let resume = Journal::resume(&dir, &plan, &fp);
+        assert!(!resume.repaired);
+        assert_eq!(resume.slots.len(), 2);
         assert_eq!(
-            load.slots[&0].get("name").and_then(Value::as_str),
+            resume.slots[&0].get("name").and_then(Value::as_str),
             Some("gcc")
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -346,80 +344,125 @@ mod tests {
 
     #[test]
     fn missing_journal_loads_empty() {
+        let dir = temp_dir("missing");
         let plan = plan();
         let fp = plan_fingerprint(&plan, None);
-        let load = load_journal(Path::new("/nonexistent/never.jsonl"), &plan, &fp).expect("load");
-        assert!(load.slots.is_empty());
-        assert!(!load.torn);
+        let resume = Journal::resume(&dir, &plan, &fp);
+        assert!(resume.slots.is_empty());
+        assert!(!resume.repaired);
+        assert!(resume.journal.is_ok(), "the directory and file are created");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn torn_tail_is_dropped_not_fatal() {
-        let dir = std::env::temp_dir().join(format!("c8t-journal-torn-{}", std::process::id()));
+        let dir = temp_dir("torn");
         let plan = plan();
         let fp = plan_fingerprint(&plan, None);
-        let journal = Journal::open(&dir, &fp).expect("open");
+        let journal = Journal::resume(&dir, &plan, &fp).journal.expect("open");
         journal
             .append(0, "baseline", "gcc", &bench_value("gcc"))
             .expect("append");
         // Simulate a crash mid-append: a partial second line with no
         // trailing newline.
         let path = journal_path(&dir, &fp);
-        let mut file = OpenOptions::new().append(true).open(&path).expect("open");
-        file.write_all(br#"{"v":"1","plan":""#).expect("tear");
-        drop(file);
+        append_raw(&path, br#"{"v":"1","plan":""#);
 
-        let load = load_journal(&path, &plan, &fp).expect("load");
-        assert!(load.torn, "the torn tail must be reported");
-        assert_eq!(load.slots.len(), 1, "the valid prefix survives");
+        let resume = Journal::resume(&dir, &plan, &fp);
+        assert!(resume.repaired, "the torn tail must be reported");
+        assert_eq!(resume.slots.len(), 1, "the valid prefix survives");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn reopening_a_torn_journal_repairs_the_tail() {
-        let dir = std::env::temp_dir().join(format!("c8t-journal-repair-{}", std::process::id()));
+        let dir = temp_dir("repair");
         let plan = plan();
         let fp = plan_fingerprint(&plan, None);
-        let journal = Journal::open(&dir, &fp).expect("open");
+        let journal = Journal::resume(&dir, &plan, &fp).journal.expect("open");
         journal
             .append(0, "baseline", "gcc", &bench_value("gcc"))
             .expect("append");
         drop(journal);
         let path = journal_path(&dir, &fp);
-        let mut file = OpenOptions::new().append(true).open(&path).expect("open");
-        file.write_all(br#"{"v":"1","pl"#).expect("tear");
-        drop(file);
+        append_raw(&path, br#"{"v":"1","pl"#);
 
-        // A fresh open (the restart path) must drop the torn bytes so
+        // A fresh resume (the restart path) must drop the torn bytes so
         // the next append starts a clean line.
-        let journal = Journal::open(&dir, &fp).expect("reopen");
-        assert!(journal.repaired(), "the torn tail was truncated at open");
+        let resume = Journal::resume(&dir, &plan, &fp);
+        assert!(resume.repaired, "the torn tail was truncated at open");
+        let journal = resume.journal.expect("reopen");
         journal
             .append(1, "baseline", "mcf", &bench_value("mcf"))
             .expect("append");
-        let load = load_journal(&path, &plan, &fp).expect("load");
-        assert!(!load.torn, "the repaired journal has no torn tail");
-        assert_eq!(load.slots.len(), 2, "both entries survive the crash");
+        let resume = Journal::resume(&dir, &plan, &fp);
+        assert!(!resume.repaired, "the repaired journal has no torn tail");
+        assert_eq!(resume.slots.len(), 2, "both entries survive the crash");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn clean_journals_report_no_repair() {
-        let dir = std::env::temp_dir().join(format!("c8t-journal-clean-{}", std::process::id()));
-        let fp = plan_fingerprint(&plan(), None);
-        let journal = Journal::open(&dir, &fp).expect("open");
-        assert!(!journal.repaired(), "a fresh journal needs no repair");
+        let dir = temp_dir("clean");
+        let plan = plan();
+        let fp = plan_fingerprint(&plan, None);
+        let resume = Journal::resume(&dir, &plan, &fp);
+        assert!(!resume.repaired, "a fresh journal needs no repair");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A complete line that fails validation (here another journal
+    /// version) ends the replay, so it is cut away with everything after
+    /// it: the next run's appends then replay on the following resume.
+    #[test]
+    fn a_line_failing_validation_is_cut_with_everything_after_it() {
+        let dir = temp_dir("foreign");
+        let plan = plan();
+        let fp = plan_fingerprint(&plan, None);
+        let journal = Journal::resume(&dir, &plan, &fp).journal.expect("open");
+        journal
+            .append(0, "baseline", "gcc", &bench_value("gcc"))
+            .expect("append");
+        let path = journal_path(&dir, &fp);
+        let prefix = std::fs::metadata(&path).expect("metadata").len();
+        let foreign = format!(
+            "{{\"v\":\"0\",\"plan\":\"{fp}\",\"slot\":1,\"geometry\":\"baseline\",\"benchmark\":\"mcf\",\"result\":{{\"name\":\"mcf\"}}}}\n"
+        );
+        append_raw(&path, foreign.as_bytes());
+        journal
+            .append(1, "baseline", "mcf", &bench_value("mcf"))
+            .expect("append");
+        drop(journal);
+
+        let resume = Journal::resume(&dir, &plan, &fp);
+        assert_eq!(resume.slots.len(), 1, "replay stops at the foreign line");
+        assert!(resume.repaired, "the foreign line and its suffix are cut");
+        assert_eq!(
+            std::fs::metadata(&path).expect("metadata").len(),
+            prefix,
+            "the file ends at the valid prefix"
+        );
+        // The resumed run re-appends the missing slot; the next resume
+        // restores everything.
+        resume
+            .journal
+            .expect("reopen")
+            .append(1, "baseline", "mcf", &bench_value("mcf"))
+            .expect("append");
+        let resume = Journal::resume(&dir, &plan, &fp);
+        assert!(!resume.repaired);
+        assert_eq!(resume.slots.len(), 2, "every slot restores");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn directory_stats_sum_journal_files_only() {
-        let dir = std::env::temp_dir().join(format!("c8t-journal-stats-{}", std::process::id()));
+        let dir = temp_dir("stats");
         assert_eq!(journal_dir_stats(&dir), JournalDirStats::default());
 
         let plan = plan();
         let fp = plan_fingerprint(&plan, None);
-        let journal = Journal::open(&dir, &fp).expect("open");
+        let journal = Journal::resume(&dir, &plan, &fp).journal.expect("open");
         journal
             .append(0, "baseline", "gcc", &bench_value("gcc"))
             .expect("append");

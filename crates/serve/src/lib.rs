@@ -11,11 +11,13 @@
 //!   metric registry (renderable as Prometheus text via
 //!   [`client::render_metrics_text`]).
 //! * [`journal`] — the append-only checkpoint journal: one line per
-//!   completed benchmark, flushed as it lands, replayed on restart so
-//!   an interrupted sweep re-runs only its missing slots. Torn final
-//!   lines (a crash mid-append) are tolerated and re-run.
+//!   completed benchmark, flushed as it lands, read once and replayed
+//!   on restart ([`Journal::resume`]) so an interrupted sweep re-runs
+//!   only its missing slots. A torn final line (a crash mid-append) or
+//!   a line that fails validation is cut away with everything after
+//!   it, and those slots re-run.
 //! * [`state`] — the job registry, the per-job event log `watch`
-//!   streams from, and the single-executor runner that multiplexes
+//!   streams from (each row stored as its serialized wire line), and the single-executor runner that multiplexes
 //!   every client's jobs onto one job pool and one
 //!   [`TraceStore`](cache8t_exec::TraceStore). The daemon keeps no
 //!   trace in memory between jobs: `--trace-store DIR` is the cache
@@ -47,7 +49,7 @@ pub mod server;
 pub mod state;
 
 pub use client::{render_metrics_text, watch_resumable, Client, ClientError};
-pub use journal::{journal_path, load_journal, plan_fingerprint, Journal, JournalLoad};
+pub use journal::{journal_path, plan_fingerprint, Journal, Resume};
 pub use protocol::{
     codes, ok_response, parse_request, request_line, PlanSpec, ProtocolError, Request,
     PROTOCOL_VERSION,

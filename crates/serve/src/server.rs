@@ -1,7 +1,7 @@
 //! The daemon: socket listener, per-connection request loop, and the
 //! `watch` event stream.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -453,17 +453,19 @@ fn stream_watch(
     after: u64,
     out: &mut dyn Write,
 ) -> std::io::Result<()> {
+    let mut out = BufWriter::new(out);
     let mut last_seq = after;
     loop {
-        let (rows, seq, terminal) = job.events_after(last_seq);
+        let (lines, seq, terminal) = job.events_after(last_seq);
         last_seq = seq;
-        for row in rows {
-            let Value::Object(fields) = row else { continue };
-            write_line(out, &ok_response(fields))?;
+        for line in lines {
+            out.write_all(line.as_bytes())?;
+            out.write_all(b"\n")?;
         }
+        out.flush()?;
         if terminal || state.is_shutting_down() {
             write_line(
-                out,
+                &mut out,
                 &ok_response(vec![
                     ("event".to_owned(), Value::Str("done".to_owned())),
                     ("job".to_owned(), Value::Str(job.id.clone())),

@@ -25,8 +25,8 @@ use cache8t_exec::{
 };
 use cache8t_obs::{timeline, MetricRegistry, OpLog, ProgressSnapshot, SamplerConfig, Span};
 
-use crate::journal::{journal_dir_stats, journal_path, load_journal, plan_fingerprint, Journal};
-use crate::protocol::{PlanSpec, PROTOCOL_VERSION};
+use crate::journal::{journal_dir_stats, plan_fingerprint, Journal};
+use crate::protocol::{ok_response, PlanSpec, PROTOCOL_VERSION};
 
 /// Bound on each job's event ring. Watchers that keep up see every
 /// event; a watcher that falls this far behind (or attaches late) gets
@@ -86,8 +86,9 @@ pub struct JobInner {
     pub progress: Option<ProgressSnapshot>,
     /// Benchmarks restored from the checkpoint journal at start.
     pub restored: usize,
-    /// Bounded ring of (sequence, event row) pairs for `watch`.
-    events: VecDeque<(u64, Value)>,
+    /// Bounded ring of (sequence, wire line) pairs for `watch`: each
+    /// row is serialized once, when it is pushed.
+    events: VecDeque<(u64, Arc<str>)>,
     next_seq: u64,
 }
 
@@ -132,20 +133,25 @@ impl JobState {
         self.inner.lock().expect("job state poisoned")
     }
 
-    /// Appends an event row and wakes watchers. The row carries its
-    /// ring sequence number in-band (`"seq"`), which is what lets a
-    /// disconnected watcher resume with `watch {"after": seq}` without
-    /// replaying events it already saw.
-    pub fn push_event(&self, mut row: Vec<(String, Value)>) {
+    /// Appends an event row and wakes watchers. The row is stored as
+    /// the `watch` wire line it becomes, an `ok_response` object
+    /// carrying the job id and its ring sequence number in-band
+    /// (`"seq"`), which is what lets a disconnected watcher resume with
+    /// `watch {"after": seq}` without replaying events it already saw.
+    pub fn push_event(&self, row: Vec<(String, Value)>) {
         let mut inner = self.lock();
         let seq = inner.next_seq;
         inner.next_seq += 1;
-        row.insert(0, ("seq".to_owned(), Value::U64(seq)));
-        row.insert(0, ("job".to_owned(), Value::Str(self.id.clone())));
+        let mut fields = vec![
+            ("job".to_owned(), Value::Str(self.id.clone())),
+            ("seq".to_owned(), Value::U64(seq)),
+        ];
+        fields.extend(row);
+        let line = serde_json::to_string(&ok_response(fields)).expect("event rows serialize");
         if inner.events.len() == EVENT_RING_CAPACITY {
             inner.events.pop_front();
         }
-        inner.events.push_back((seq, Value::Object(row)));
+        inner.events.push_back((seq, Arc::from(line)));
         drop(inner);
         self.wakeup.notify_all();
     }
@@ -208,22 +214,23 @@ impl JobState {
         self.lock().phase.state_name()
     }
 
-    /// Collects event rows with sequence numbers beyond `after`,
-    /// returning `(rows, last_seq, terminal)`. When `terminal` is true
-    /// the job will emit no further events.
-    pub fn events_after(&self, after: u64) -> (Vec<Value>, u64, bool) {
+    /// Collects the wire lines (no trailing newline) of event rows with
+    /// sequence numbers beyond `after`, returning `(lines, last_seq,
+    /// terminal)`. When `terminal` is true the job will emit no further
+    /// events.
+    pub fn events_after(&self, after: u64) -> (Vec<Arc<str>>, u64, bool) {
         let inner = self.lock();
         let mut last = after;
-        let rows = inner
+        let lines = inner
             .events
             .iter()
             .filter(|(seq, _)| *seq > after)
-            .map(|(seq, row)| {
+            .map(|(seq, line)| {
                 last = last.max(*seq);
-                row.clone()
+                Arc::clone(line)
             })
             .collect();
-        (rows, last, inner.phase.is_terminal())
+        (lines, last, inner.phase.is_terminal())
     }
 
     /// Blocks until the job has events past `after`, goes terminal, or
@@ -659,46 +666,36 @@ impl ServerState {
         let plan = &job.plan;
         let n_slots = plan.benchmark_count();
 
-        // Restore the journalled prefix, if any.
-        let journal = self.checkpoint_dir.as_ref().and_then(|dir| {
-            match Journal::open(dir, &job.fingerprint) {
-                Ok(journal) => Some(Arc::new(journal)),
-                Err(e) => {
-                    self.oplog.error(
-                        "journal-open-failed",
-                        Some(&job.id),
-                        vec![("message".to_owned(), Value::Str(e.to_string()))],
-                    );
-                    None
-                }
-            }
-        });
-        if journal.as_ref().is_some_and(|j| j.repaired()) {
-            self.count("serve.journal.repairs");
-            self.oplog.warn(
-                "journal-repair",
-                Some(&job.id),
-                vec![(
-                    "fingerprint".to_owned(),
-                    Value::Str(job.fingerprint.clone()),
-                )],
-            );
-        }
-        let restored = match self.checkpoint_dir.as_ref() {
+        // Restore the journalled prefix, if any, cutting the journal
+        // back to it.
+        let (mut restored, journal) = match self.checkpoint_dir.as_ref() {
+            None => (HashMap::new(), None),
             Some(dir) => {
-                match load_journal(&journal_path(dir, &job.fingerprint), plan, &job.fingerprint) {
-                    Ok(load) => load.slots,
+                let resume = Journal::resume(dir, plan, &job.fingerprint);
+                if resume.repaired {
+                    self.count("serve.journal.repairs");
+                    self.oplog.warn(
+                        "journal-repair",
+                        Some(&job.id),
+                        vec![(
+                            "fingerprint".to_owned(),
+                            Value::Str(job.fingerprint.clone()),
+                        )],
+                    );
+                }
+                let journal = match resume.journal {
+                    Ok(journal) => Some(journal),
                     Err(e) => {
                         self.oplog.error(
-                            "journal-load-failed",
+                            "journal-open-failed",
                             Some(&job.id),
                             vec![("message".to_owned(), Value::Str(e.to_string()))],
                         );
-                        HashMap::new()
+                        None
                     }
-                }
+                };
+                (resume.slots, journal)
             }
-            None => HashMap::new(),
         };
         job.lock().restored = restored.len();
         job.push_event(vec![
@@ -723,21 +720,17 @@ impl ServerState {
         }
 
         let remaining: Vec<usize> = (0..n_slots).filter(|s| !restored.contains_key(s)).collect();
-        let slot_values = Arc::new(Mutex::new(restored));
 
         let on_benchmark = {
-            let slot_values = Arc::clone(&slot_values);
-            let journal = journal.clone();
             let job = Arc::clone(job);
             let state = Arc::clone(self);
             BenchmarkHook::new(move |event| {
-                let value = serde_json::to_value(event.result);
                 if let Some(journal) = &journal {
                     if let Err(e) = journal.append(
                         event.slot,
                         &job.plan.geometries[event.geometry].label,
                         &event.result.name,
-                        &value,
+                        &serde_json::to_value(event.result),
                     ) {
                         state.oplog.error(
                             "journal-append-failed",
@@ -763,10 +756,6 @@ impl ServerState {
                         ("total".to_owned(), Value::U64(event.total as u64)),
                     ],
                 );
-                slot_values
-                    .lock()
-                    .expect("slot values poisoned")
-                    .insert(event.slot, value);
                 job.push_event(vec![
                     ("event".to_owned(), Value::Str("benchmark".to_owned())),
                     ("slot".to_owned(), Value::U64(event.slot as u64)),
@@ -825,16 +814,20 @@ impl ServerState {
             return;
         }
 
-        // Assemble the canonical document from the slot map — restored
-        // and fresh benchmarks flow through the same code path the
-        // batch `sweep` command uses, which is what makes the output
-        // byte-identical to a one-shot run.
-        let slot_values = slot_values.lock().expect("slot values poisoned");
+        // Assemble the canonical document from the journal-restored
+        // values and the fresh results — both flow through the same
+        // code path the batch `sweep` command uses, which is what makes
+        // the output byte-identical to a one-shot run.
         let n_profiles = plan.profiles.len();
         let mut benchmarks: Vec<Vec<Value>> = vec![Vec::new(); plan.geometries.len()];
         for slot in 0..n_slots {
-            match slot_values.get(&slot) {
-                Some(value) => benchmarks[slot / n_profiles].push(value.clone()),
+            let (g, b) = (slot / n_profiles, slot % n_profiles);
+            let fresh = outcome.geometries[g].results[b].as_ref();
+            match restored
+                .remove(&slot)
+                .or_else(|| fresh.map(serde_json::to_value))
+            {
+                Some(value) => benchmarks[g].push(value),
                 None => {
                     self.transition(
                         job,

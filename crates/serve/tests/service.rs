@@ -437,6 +437,112 @@ fn resumed_and_fully_restored_jobs_reproduce_the_batch_document() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A complete journal line that fails validation (here another journal
+/// version) must not block later resumes: the resume that meets it cuts
+/// the journal back to its valid prefix, so the slots the resumed run
+/// re-appends replay on the next submit.
+#[test]
+fn a_foreign_journal_line_does_not_block_later_resumes() {
+    let spec = PlanSpec {
+        profiles: vec!["gcc".to_owned(), "mcf".to_owned(), "lbm".to_owned()],
+        ..spec(1_000)
+    };
+    let expected = batch_document(&spec, 1);
+    let dir = temp_dir("foreign-line");
+
+    // Journal the whole plan, then splice a complete line of another
+    // journal version in after its first entry.
+    let (addr, server) = start_server("127.0.0.1:0", Some(dir.clone()), 1);
+    let mut client = connect(&addr);
+    let job = client.submit(&spec).expect("submit");
+    client
+        .wait_for_results(&job, Duration::from_secs(120))
+        .expect("results");
+    let fingerprint = client
+        .status(Some(&job))
+        .expect("status")
+        .get("job")
+        .and_then(|j| j.get("fingerprint"))
+        .and_then(Value::as_str)
+        .expect("fingerprint")
+        .to_owned();
+    client.shutdown().expect("shutdown");
+    server.join().expect("join").expect("server run");
+    let path = journal_path(&dir, &fingerprint);
+    let text = std::fs::read_to_string(&path).expect("journal readable");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 3, "one line per benchmark");
+    let foreign = lines[0].replacen("\"v\":\"1\"", "\"v\":\"0\"", 1);
+    assert_ne!(foreign, lines[0], "the entry carries its version");
+    std::fs::write(
+        &path,
+        format!("{}\n{foreign}\n{}\n{}\n", lines[0], lines[1], lines[2]),
+    )
+    .expect("splice journal");
+
+    let (addr, server) = start_server("127.0.0.1:0", Some(dir.clone()), 1);
+    let mut client = connect(&addr);
+    let restored = |client: &mut Client, job: &str| {
+        client
+            .status(Some(job))
+            .expect("status")
+            .get("job")
+            .and_then(|j| j.get("restored"))
+            .and_then(Value::as_u64)
+            .expect("restored")
+    };
+    // Replay stops at the foreign line: only the first entry restores,
+    // and the resumed document is still byte-identical.
+    let job = client.submit(&spec).expect("submit");
+    let resumed = client
+        .wait_for_results(&job, Duration::from_secs(120))
+        .expect("results");
+    assert_eq!(
+        serde_json::to_string_pretty(&resumed).expect("serialize"),
+        expected
+    );
+    assert_eq!(restored(&mut client, &job), 1);
+    // The foreign line was cut, so the re-run slots appended after the
+    // valid prefix and everything restores now.
+    let job = client.submit(&spec).expect("submit");
+    let restored_doc = client
+        .wait_for_results(&job, Duration::from_secs(120))
+        .expect("results");
+    assert_eq!(
+        serde_json::to_string_pretty(&restored_doc).expect("serialize"),
+        expected
+    );
+    assert_eq!(
+        restored(&mut client, &job),
+        3,
+        "every benchmark restores after the cut"
+    );
+    let counters = client
+        .status(None)
+        .expect("server status")
+        .get("server")
+        .and_then(|s| s.get("counters"))
+        .cloned()
+        .expect("counters");
+    assert_eq!(
+        counters.get("serve.journal.repairs"),
+        Some(&Value::U64(1)),
+        "the cut counts as one repair"
+    );
+    assert_eq!(
+        std::fs::read_to_string(&path)
+            .expect("journal readable")
+            .lines()
+            .count(),
+        3,
+        "the journal holds one valid line per benchmark"
+    );
+
+    client.shutdown().expect("shutdown");
+    server.join().expect("join").expect("server run");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A daemon configured with `--stream-chunk-ops` serves the exact
 /// bytes a materialized batch run produces: streaming is a memory
 /// footprint decision, never a results decision.

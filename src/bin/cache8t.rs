@@ -1098,14 +1098,13 @@ fn cmd_sweep(o: &Options) -> Result<(), String> {
             println!("  {:<9} (no benchmarks in this shard)", g.point.label);
             continue;
         }
-        let owned: Vec<BenchmarkResult> = done.iter().map(|r| (*r).clone()).collect();
         println!(
             "  {:<9} {:>2}/{} benchmarks   WG avg {:>5.1}%   WG+RB avg {:>5.1}%",
             g.point.label,
             done.len(),
             plan.profiles.len(),
-            average(&owned, BenchmarkResult::wg_reduction) * 100.0,
-            average(&owned, BenchmarkResult::wgrb_reduction) * 100.0,
+            average(&done, BenchmarkResult::wg_reduction) * 100.0,
+            average(&done, BenchmarkResult::wgrb_reduction) * 100.0,
         );
     }
     for f in &outcome.failures {
@@ -1647,7 +1646,7 @@ fn cmd_check(o: &Options) -> Result<(), String> {
         write_file(path, |w| {
             units
                 .iter()
-                .try_for_each(|unit| unit.report.tracer.write_jsonl(&mut *w))
+                .try_for_each(|unit| unit.report.write_trace_jsonl(&mut *w))
         })?;
         eprintln!("divergence events written to {path}");
     }

@@ -164,7 +164,7 @@ fn replay_sampled_per_op(
         array_accesses: controller.array_accesses(),
         traffic: *controller.traffic(),
         stats: *controller.stats(),
-        metrics: registry(controller).to_value(),
+        metrics: registry(controller).clone(),
         events: controller
             .obs()
             .unwrap()
@@ -172,7 +172,6 @@ fn replay_sampled_per_op(
             .events()
             .copied()
             .collect(),
-        registry: registry(controller).clone(),
         series: sampler.take_ring(),
     }
 }
