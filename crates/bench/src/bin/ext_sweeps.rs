@@ -153,7 +153,7 @@ fn main() {
         .collect();
     let exec = ExecOptions {
         workers: args.jobs.unwrap_or(0),
-        retries: 0,
+        ..ExecOptions::default()
     };
     let report = run_jobs(jobs, &exec, None, None);
 

@@ -88,7 +88,7 @@ impl CommonArgs {
         SweepOptions {
             exec: ExecOptions {
                 workers: self.jobs.unwrap_or(0),
-                retries: 0,
+                ..ExecOptions::default()
             },
             progress: true,
             store: Arc::new(TraceStore::from_env()),

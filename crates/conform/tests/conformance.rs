@@ -39,7 +39,7 @@ fn all_profiles_replay_cleanly_through_every_scheme() {
         .collect();
     let exec = ExecOptions {
         workers: 0,
-        retries: 0,
+        ..ExecOptions::default()
     };
     let report = run_jobs(jobs, &exec, None, None);
     let mut checked = 0;

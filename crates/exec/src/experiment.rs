@@ -77,7 +77,8 @@ pub struct SchemeResult {
     #[serde(skip)]
     pub events: Vec<TraceEvent>,
     /// Windowed telemetry samples recorded during the replay. Empty
-    /// unless the run was sampled (see [`replay`]);
+    /// unless the run was sampled without a writer (a writer streams
+    /// the windows instead; see [`replay`]);
     /// excluded from the serialized result (use `--series-out` for the
     /// JSONL), which keeps sweep documents byte-identical whether or
     /// not a series was requested.
@@ -171,7 +172,7 @@ impl Ops<'_> {
 /// # Errors
 ///
 /// Returns the sampler writer's I/O error. A replay without a sampler,
-/// or with a ring-only one, does no I/O.
+/// or with a writerless one, does no I/O.
 pub fn replay(
     controller: &mut dyn Controller,
     ops: Ops<'_>,
@@ -203,7 +204,7 @@ pub fn replay(
 /// The cuts land where a per-op loop would reset and sample, so the
 /// result and every series row are bit-identical to it for any chunking.
 /// With a sampler, each window diffs the controller's registry and
-/// probes its buffer occupancy; the retained ring lands in
+/// probes its buffer occupancy; a writerless sampler's windows land in
 /// [`SchemeResult::series`], an attached writer streams every window as
 /// JSONL and is flushed after every fed slice. The controller's name
 /// labels the span of each feed, so the span report breaks replay time
@@ -300,7 +301,7 @@ where
         let series = match self.sampler.as_mut().map(BorrowMut::<Sampler>::borrow_mut) {
             Some(s) => {
                 s.finish(obs.registry(), controller.occupancy().unwrap_or_default())?;
-                s.take_ring()
+                s.take_samples()
             }
             None => Vec::new(),
         };
@@ -430,10 +431,7 @@ mod tests {
         let mut sampler = Sampler::new(
             "gcc",
             SchemeKind::Wg.name(),
-            SamplerConfig {
-                cadence: 1_024,
-                ring_capacity: 64,
-            },
+            SamplerConfig::with_cadence(1_024),
         );
         let sampled = replay(
             SchemeKind::Wg.build(config.geometry).as_mut(),
@@ -505,35 +503,33 @@ mod tests {
         Ok(())
     }
 
+    /// A writer whose bytes stay readable after the sampler owning it
+    /// is gone.
+    #[derive(Clone, Default)]
+    struct SharedBuf(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+
+    impl std::io::Write for SharedBuf {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
     fn streamed_sampled_series_is_byte_identical_to_materialized() -> io::Result<()> {
         // Chunk seams fall mid-window (cadence 1024, chunk 1000): the
         // streamed sampler must emit the same windows and the same JSONL
         // bytes as the materialized sampled replay.
-        use std::sync::{Arc as StdArc, Mutex};
-
-        #[derive(Clone)]
-        struct SharedBuf(StdArc<Mutex<Vec<u8>>>);
-        impl std::io::Write for SharedBuf {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
         let p = profiles::by_name("mcf").unwrap();
         let config = small_config();
         let trace = trace_for(&p, config);
-        let sampler_config = SamplerConfig {
-            cadence: 1_024,
-            ring_capacity: 64,
-        };
+        let sampler_config = SamplerConfig::with_cadence(1_024);
 
         let run = |ops: Ops<'_>| -> io::Result<(SchemeResult, Vec<u8>)> {
-            let buf = SharedBuf(StdArc::new(Mutex::new(Vec::new())));
+            let buf = SharedBuf::default();
             let mut sampler = Sampler::new("mcf", SchemeKind::WgRb.name(), sampler_config)
                 .with_writer(Box::new(buf.clone()));
             let mut controller = SchemeKind::WgRb.build(config.geometry);
@@ -554,10 +550,6 @@ mod tests {
             assert_eq!(
                 mat_bytes, stream_bytes,
                 "JSONL bytes, chunk_ops={chunk_ops}"
-            );
-            assert_eq!(
-                materialized.series, streamed.series,
-                "ring series, chunk_ops={chunk_ops}"
             );
             assert_eq!(materialized.stats, streamed.stats);
         }
@@ -615,17 +607,15 @@ mod tests {
     }
 
     #[test]
-    fn long_sampled_replays_hold_a_bounded_ring() -> io::Result<()> {
-        // Memory for an arbitrarily long replay is O(ring), not O(ops):
-        // far more windows are emitted than retained.
+    fn a_writer_backed_sampler_streams_every_window_and_keeps_none() -> io::Result<()> {
+        // Memory for an arbitrarily long streamed replay does not grow
+        // with its windows: every one is written, none is kept.
         let p = profiles::by_name("mcf").unwrap();
         let config = RunConfig::new(CacheGeometry::paper_baseline(), 200_000, 7);
         let trace = trace_for(&p, config);
-        let sampler_config = SamplerConfig {
-            cadence: 64,
-            ring_capacity: 32,
-        };
-        let mut sampler = Sampler::new("mcf", "WG", sampler_config);
+        let buf = SharedBuf::default();
+        let mut sampler = Sampler::new("mcf", "WG", SamplerConfig::with_cadence(64))
+            .with_writer(Box::new(buf.clone()));
         let mut controller = SchemeKind::Wg.build(config.geometry);
         let result = replay(
             controller.as_mut(),
@@ -633,12 +623,18 @@ mod tests {
             config.warmup_ops,
             Some(&mut sampler),
         )?;
-        let windows = config.total_ops() as u64 / 64;
+        let windows = (config.total_ops() as u64).div_ceil(64);
         assert!(sampler.emitted() >= windows, "{}", sampler.emitted());
-        assert_eq!(result.series.len(), 32, "ring must stay at capacity");
-        // The retained tail is the most recent windows, in order.
-        let last = result.series.last().unwrap();
-        assert_eq!(last.op_end, config.total_ops() as u64);
+        assert!(result.series.is_empty(), "streamed windows are not kept");
+        assert!(sampler.samples().is_empty());
+        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        let rows: Vec<SeriesSample> = text
+            .lines()
+            .map(|line| cache8t_obs::sampler::parse_series_line(line).expect("series row"))
+            .collect();
+        assert_eq!(rows.len() as u64, sampler.emitted(), "one line per window");
+        assert!(rows.iter().enumerate().all(|(i, r)| r.window == i as u64));
+        assert_eq!(rows.last().unwrap().op_end, config.total_ops() as u64);
         Ok(())
     }
 }

@@ -4,8 +4,8 @@
 //!
 //! * [`pool`] — a std-only job scheduler ([`run_jobs`]) whose workers
 //!   take jobs in submission order from one shared cursor, with per-job
-//!   panic isolation ([`JobOutcome::Failed`] instead of an aborted
-//!   batch) and bounded retry.
+//!   panic isolation: a panicking job runs once and becomes a
+//!   [`JobOutcome::Failed`] instead of an aborted batch.
 //! * [`store`] — the [`TraceStore`] a job opens its trace from: one
 //!   pass over the generator, cut into chunks or whole, optionally
 //!   backed by the C8TT on-disk format under `results/traces/` so later

@@ -5,18 +5,19 @@
 //! the next index with a single atomic increment until the index passes
 //! the end, so jobs start in submission order on whichever worker is
 //! free, and a long-running job never holds up work another worker
-//! could take. Jobs are plain closures over shared state
-//! (`Fn() -> T`), which keeps them re-runnable for bounded retry.
+//! could take. Jobs are plain closures over shared state (`Fn() -> T`).
 //!
-//! Every job runs under [`std::panic::catch_unwind`]: a panicking job
-//! becomes a structured [`JobOutcome::Failed`] carrying the panic
+//! Every job runs once, under [`std::panic::catch_unwind`]: a panicking
+//! job becomes a structured [`JobOutcome::Failed`] carrying the panic
 //! payload, and the remaining jobs keep running — a single poisoned
-//! experiment cannot abort a sweep. Outcomes are returned in submission
-//! order regardless of the schedule, which is what lets callers build
-//! deterministic, thread-count-independent reports on top.
+//! experiment cannot abort a sweep. A panic is not retried: sweep jobs
+//! and `cache8t check`'s replays are pure functions of their inputs, so
+//! a second run would panic the same way. Outcomes are returned in
+//! submission order regardless of the schedule, which is what lets
+//! callers build deterministic, thread-count-independent reports on top.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -57,7 +58,8 @@ impl CancelToken {
 pub struct ExecOptions {
     /// Worker threads; `0` means [`std::thread::available_parallelism`].
     pub workers: usize,
-    /// Extra attempts after a panic (0 = fail on the first panic).
+    /// Read by nothing: a panicking job fails on its first run. Kept
+    /// only so that callers which still name the field compile.
     pub retries: u32,
 }
 
@@ -77,12 +79,10 @@ impl ExecOptions {
 pub enum JobOutcome<T> {
     /// The job returned a value.
     Completed(T),
-    /// Every attempt panicked; the sweep continued without this job.
+    /// The job panicked; the sweep continued without it.
     Failed {
-        /// The panic payload of the last attempt, stringified.
+        /// The panic payload, stringified.
         message: String,
-        /// Total attempts made (1 + retries).
-        attempts: u32,
     },
     /// The batch's [`CancelToken`] fired before this job started; it
     /// was drained without executing.
@@ -115,7 +115,7 @@ impl<T> JobOutcome<T> {
 pub struct JobProgress {
     /// Jobs finished so far (completed + failed).
     pub done: usize,
-    /// Jobs whose every attempt panicked.
+    /// Jobs that panicked.
     pub failed: usize,
     /// Jobs in the batch.
     pub total: usize,
@@ -153,8 +153,6 @@ impl WorkerStats {
 pub struct ExecReport<T> {
     /// One outcome per submitted job, in submission order.
     pub outcomes: Vec<JobOutcome<T>>,
-    /// Re-attempts made after panics (across all jobs).
-    pub retries: u64,
     /// Per-worker busy/idle breakdown, one entry per worker.
     pub worker_stats: Vec<WorkerStats>,
     /// Distribution of per-job wall-clock durations, in microseconds.
@@ -207,9 +205,6 @@ struct Shared<'a, F> {
     /// Jobs finished so far (executed or drained), a progress statistic.
     done: AtomicUsize,
     failed: AtomicUsize,
-    retries: AtomicU64,
-    /// Extra attempts a panicking job gets ([`ExecOptions::retries`]).
-    retry_budget: u32,
     cancel: Option<&'a CancelToken>,
     observer: Option<&'a (dyn Fn(JobProgress) + Sync)>,
 }
@@ -254,36 +249,21 @@ impl<F> Shared<'_, F> {
         report
     }
 
-    /// Runs `job` with panic isolation and bounded retry.
+    /// Runs `job` once, with panic isolation.
     fn execute<T>(&self, job: &F) -> JobOutcome<T>
     where
         F: Fn() -> T,
     {
-        let mut outcome = None;
-        for attempt in 1..=self.retry_budget.saturating_add(1) {
-            if attempt > 1 {
-                self.retries.fetch_add(1, Ordering::Relaxed);
-                timeline::instant("retry", "sched");
-            }
-            match catch_unwind(AssertUnwindSafe(job)) {
-                Ok(value) => {
-                    outcome = Some(JobOutcome::Completed(value));
-                    break;
-                }
-                Err(payload) => {
-                    outcome = Some(JobOutcome::Failed {
-                        message: panic_message(payload),
-                        attempts: attempt,
-                    });
+        match catch_unwind(AssertUnwindSafe(job)) {
+            Ok(value) => JobOutcome::Completed(value),
+            Err(payload) => {
+                self.failed.fetch_add(1, Ordering::Relaxed);
+                timeline::instant("job-failed", "sched");
+                JobOutcome::Failed {
+                    message: panic_message(payload),
                 }
             }
         }
-        let outcome = outcome.expect("at least one attempt runs");
-        if outcome.is_failed() {
-            self.failed.fetch_add(1, Ordering::Relaxed);
-            timeline::instant("job-failed", "sched");
-        }
-        outcome
     }
 
     /// Counts one more finished job and tells the observer.
@@ -330,8 +310,6 @@ where
         next: AtomicUsize::new(0),
         done: AtomicUsize::new(0),
         failed: AtomicUsize::new(0),
-        retries: AtomicU64::new(0),
-        retry_budget: options.retries,
         cancel,
         observer,
     };
@@ -376,7 +354,6 @@ where
             .into_iter()
             .map(|outcome| outcome.expect("every job ran"))
             .collect(),
-        retries: shared.retries.into_inner(),
         worker_stats,
         job_durations_us,
         spans: timeline::merge_reports(span_reports),
@@ -391,7 +368,7 @@ mod tests {
     fn opts(workers: usize) -> ExecOptions {
         ExecOptions {
             workers,
-            retries: 0,
+            ..ExecOptions::default()
         }
     }
 
@@ -429,50 +406,6 @@ mod tests {
         );
         assert_eq!(report.failed(), 0);
         assert_eq!(seen.load(Ordering::Relaxed), 10);
-    }
-
-    #[test]
-    fn retry_reruns_panicking_job() {
-        // Succeeds on the second attempt: the pool must re-run it.
-        let tries = AtomicU32::new(0);
-        let jobs = vec![|| {
-            if tries.fetch_add(1, Ordering::SeqCst) == 0 {
-                panic!("flaky once");
-            }
-            7u32
-        }];
-        let report = run_jobs(
-            jobs,
-            &ExecOptions {
-                workers: 1,
-                retries: 2,
-            },
-            None,
-            None,
-        );
-        assert_eq!(report.retries, 1);
-        assert_eq!(report.outcomes[0], JobOutcome::Completed(7));
-    }
-
-    #[test]
-    fn bounded_retry_gives_up() {
-        let jobs = vec![|| -> u32 { panic!("always") }];
-        let report = run_jobs(
-            jobs,
-            &ExecOptions {
-                workers: 1,
-                retries: 1,
-            },
-            None,
-            None,
-        );
-        match &report.outcomes[0] {
-            JobOutcome::Failed { message, attempts } => {
-                assert_eq!(message, "always");
-                assert_eq!(*attempts, 2);
-            }
-            other => panic!("expected failure, got {other:?}"),
-        }
     }
 
     #[test]

@@ -225,7 +225,7 @@ impl fmt::Debug for ProgressHook {
 /// How a sweep should be executed.
 #[derive(Debug, Clone)]
 pub struct SweepOptions {
-    /// Scheduler configuration (worker count, retry budget).
+    /// Scheduler configuration (worker count).
     pub exec: ExecOptions,
     /// Restrict to an explicit set of benchmark slots (flattened
     /// `geometry * n_profiles + benchmark` indices): a `--shard i/n`
@@ -238,7 +238,7 @@ pub struct SweepOptions {
     pub store: Arc<TraceStore>,
     /// Attach a continuous-telemetry sampler to every scheme lane.
     /// Every recorded window lands in its [`SchemeResult`]'s `series`
-    /// (each lane's ring is raised to the windows it can emit) and is
+    /// (a sampler without a writer keeps every window it emits) and is
     /// retrievable in plan order via [`SweepOutcome::series`]. Windows
     /// depend only on the trace and cadence, never on schedule, so the
     /// resulting JSONL is byte-identical for any `--jobs`.
@@ -285,8 +285,6 @@ pub struct SweepFailure {
     pub benchmark: String,
     /// The panic payload or the returned error, stringified.
     pub message: String,
-    /// Attempts made before giving up.
-    pub attempts: u32,
 }
 
 /// One geometry's slice of a sweep outcome.
@@ -309,7 +307,7 @@ pub struct SweepOutcome {
     /// Jobs drained without executing after the cancel token fired (0
     /// for an uncancelled run).
     pub cancelled: usize,
-    /// The `sweep.*` metric family: job/retry counts, trace-store hit
+    /// The `sweep.*` metric family: job counts, trace-store hit
     /// split, the per-job duration histogram, per-worker job counts and
     /// busy fractions, worker count, wall-clock.
     /// Never part of the sweep document (it varies with schedule and
@@ -349,8 +347,8 @@ impl SweepOutcome {
             let mut msg = String::from("sweep jobs failed:");
             for f in &self.failures {
                 msg.push_str(&format!(
-                    "\n  {}/{}: {} ({} attempts)",
-                    f.geometry, f.benchmark, f.message, f.attempts
+                    "\n  {}/{}: {}",
+                    f.geometry, f.benchmark, f.message
                 ));
             }
             return Err(msg);
@@ -392,19 +390,11 @@ fn run_profile(
     // Every geometry of a plan shares the trace and its warm-up.
     let config = plan.config(geometries[0]);
     let (total_ops, warmup_ops) = (config.total_ops(), config.warmup_ops);
-    // The ring keeps every window a lane emits: one per `cadence` ops
-    // plus a trailing partial or flush-only window.
-    let sampler_config = options.series.map(|config| SamplerConfig {
-        ring_capacity: config
-            .ring_capacity
-            .max((total_ops as u64).div_ceil(config.cadence) as usize + 1),
-        ..config
-    });
     let open_lane = |lane: usize| {
         let g = geometries[lane / SchemeKind::ALL.len()];
         let kind = SchemeKind::ALL[lane % SchemeKind::ALL.len()];
         let bench = format!("{}/{}", plan.geometries[g].label, profile.name);
-        let sampler = sampler_config.map(|c| Sampler::new(&bench, kind.name(), c));
+        let sampler = options.series.map(|c| Sampler::new(&bench, kind.name(), c));
         Lane::new(kind.build(plan.geometries[g].geometry), warmup_ops, sampler)
     };
     let sampler_failed = |e: std::io::Error| format!("series sampler failed: {e}");
@@ -525,13 +515,9 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> SweepOutcome {
         })
         .collect();
 
-    let progress = options.progress.then(|| {
-        cache8t_obs::progress::ProgressLine::new(
-            "sweep",
-            jobs.len(),
-            cache8t_obs::progress::ProgressMode::from_env(),
-        )
-    });
+    let progress = options
+        .progress
+        .then(|| cache8t_obs::progress::ProgressLine::new("sweep", jobs.len()));
     // Live throughput: each finished job is credited with the mean
     // replayed ops per job (four scheme lanes per selected benchmark,
     // spread evenly over the jobs). Under a slot set profiles cover
@@ -579,16 +565,14 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> SweepOutcome {
     let mut failures = Vec::new();
     let (mut jobs_failed, mut cancelled) = (0u64, 0usize);
     for ((b, covered), outcome) in specs.iter().zip(report.outcomes) {
-        let (message, attempts) = match outcome {
+        let message = match outcome {
             JobOutcome::Completed(Ok(results)) => {
                 for (&g, result) in covered.iter().zip(results) {
                     geometries[g].results[*b] = Some(result);
                 }
                 continue;
             }
-            // A job that returned an error ran once and was not retried.
-            JobOutcome::Completed(Err(message)) => (message, 1),
-            JobOutcome::Failed { message, attempts } => (message, attempts),
+            JobOutcome::Completed(Err(message)) | JobOutcome::Failed { message } => message,
             JobOutcome::Cancelled => {
                 cancelled += 1;
                 continue;
@@ -600,7 +584,6 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> SweepOutcome {
                 geometry: plan.geometries[g].label.clone(),
                 benchmark: plan.profiles[*b].name.clone(),
                 message: message.clone(),
-                attempts,
             });
         }
     }
@@ -612,7 +595,6 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> SweepOutcome {
         ("sweep.jobs", specs.len() as u64),
         ("sweep.jobs_failed", jobs_failed),
         ("sweep.jobs_cancelled", cancelled as u64),
-        ("sweep.retries", report.retries),
         ("sweep.benchmarks", benchmarks as u64),
         ("sweep.trace.generated", store_stats.generated),
         ("sweep.trace.chunks_generated", store_stats.chunks_generated),
@@ -651,8 +633,8 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> SweepOutcome {
 ///
 /// # Errors
 ///
-/// Returns the failure summary when any job panicked through its retry
-/// budget.
+/// Returns the failure summary when any job panicked or returned an
+/// error.
 pub fn run_suites(
     geometries: Vec<GeometryPoint>,
     ops: usize,

@@ -26,13 +26,13 @@
 //!   threshold (`cache8t perfdiff`).
 //! * [`sampler`] — continuous telemetry: a deterministic
 //!   op-count-cadence [`Sampler`] turning registry snapshots into
-//!   bounded, JSONL-streamed per-window time series (`--series-out`,
-//!   `cache8t watch`, `cache8t report-series`).
+//!   per-window time series, kept in memory or streamed as JSONL
+//!   (`--series-out`, `cache8t watch`, `cache8t report-series`).
 //!
 //! Two smaller pieces round the layer out:
 //!
-//! * [`progress`] — the TTY-aware throttled [`ProgressLine`] the sweep
-//!   engine repaints while a batch runs.
+//! * [`progress`] — the throttled [`ProgressLine`] the sweep engine
+//!   repaints on a terminal's stderr while a batch runs.
 //! * [`oplog`] — a leveled, schema-versioned JSONL *operational* log
 //!   for long-lived processes (the serve daemon's accept/submit/
 //!   state-transition/shutdown records), filtered via `CACHE8T_LOG`.
@@ -56,7 +56,7 @@ pub mod trace;
 pub use metrics::{CounterId, GaugeId, HistogramId, Log2Histogram, MetricRegistry};
 pub use oplog::{LogLevel, OpLog, OpLogStats, OPLOG_VERSION};
 pub use perfdiff::{MetricDelta, PerfDiff};
-pub use progress::{ProgressLine, ProgressMode, ProgressSnapshot};
+pub use progress::{ProgressLine, ProgressSnapshot};
 pub use sampler::{Sampler, SamplerConfig, SeriesSample};
 pub use timeline::{Span, SpanStat, TimelineEvent, TimelinePhase, TimelineSnapshot, TrackSnapshot};
 pub use trace::{Component, EventKind, TraceEvent, TraceLevel, Tracer};

@@ -26,7 +26,7 @@
 use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use serde_json::Value;
@@ -212,7 +212,7 @@ impl OpLog {
         let mut line =
             serde_json::to_string(&Value::Object(object)).expect("oplog records serialize");
         line.push('\n');
-        let mut writer = sink.lock().expect("oplog sink poisoned");
+        let mut writer = sink.lock().unwrap_or_else(PoisonError::into_inner);
         match writer
             .write_all(line.as_bytes())
             .and_then(|()| writer.flush())

@@ -2,50 +2,15 @@
 //!
 //! [`ProgressLine`] repaints one `\r`-terminated stderr line at most
 //! every ~100 ms, so a sweep over thousands of jobs costs a handful of
-//! writes. Output is suppressed when stderr is not a terminal (CI logs
-//! stay clean); `CACHE8T_PROGRESS=always` forces it on for piped runs
-//! and `CACHE8T_PROGRESS=off` silences it everywhere.
+//! writes. It draws only when stderr is a terminal, so piped runs and
+//! CI logs stay clean.
 
 use std::io::{IsTerminal, Write};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Environment variable overriding progress-line auto-detection.
-pub const PROGRESS_ENV_VAR: &str = "CACHE8T_PROGRESS";
-
 /// Minimum interval between repaints.
 const REPAINT_EVERY: Duration = Duration::from_millis(100);
-
-/// Whether the progress line draws.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProgressMode {
-    /// Draw only when stderr is a terminal.
-    Auto,
-    /// Always draw (useful under `script`/CI debugging).
-    Always,
-    /// Never draw.
-    Off,
-}
-
-impl ProgressMode {
-    /// Resolves the mode from [`PROGRESS_ENV_VAR`] (`off`, `always`,
-    /// anything else / unset → `Auto`).
-    pub fn from_env() -> ProgressMode {
-        match std::env::var(PROGRESS_ENV_VAR).as_deref() {
-            Ok("off") | Ok("0") => ProgressMode::Off,
-            Ok("always") | Ok("1") => ProgressMode::Always,
-            _ => ProgressMode::Auto,
-        }
-    }
-
-    fn enabled(self) -> bool {
-        match self {
-            ProgressMode::Auto => std::io::stderr().is_terminal(),
-            ProgressMode::Always => true,
-            ProgressMode::Off => false,
-        }
-    }
-}
 
 /// A single in-place progress line on stderr.
 ///
@@ -62,20 +27,20 @@ pub struct ProgressLine {
 }
 
 impl ProgressLine {
-    /// A line labelled `label` over `total` work items.
-    pub fn new(label: &'static str, total: usize, mode: ProgressMode) -> Self {
+    /// A line labelled `label` over `total` work items, drawn when
+    /// stderr is a terminal.
+    pub fn new(label: &'static str, total: usize) -> Self {
+        ProgressLine::drawn(label, total, std::io::stderr().is_terminal())
+    }
+
+    fn drawn(label: &'static str, total: usize, enabled: bool) -> Self {
         ProgressLine {
             label,
             total,
-            enabled: mode.enabled(),
+            enabled,
             started: Instant::now(),
             last_paint: Mutex::new(None),
         }
-    }
-
-    /// `true` when this line actually draws.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Records `done` finished items (`failed` of them failed) and
@@ -174,7 +139,7 @@ pub struct ProgressSnapshot {
     pub done: usize,
     /// Work items in the batch.
     pub total: usize,
-    /// Items whose every attempt failed.
+    /// Items that failed.
     pub failed: usize,
     /// Estimated milliseconds to completion, when known.
     pub eta_ms: Option<u64>,
@@ -230,31 +195,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn off_mode_never_draws() {
-        let line = ProgressLine::new("test", 10, ProgressMode::Off);
-        assert!(!line.is_enabled());
+    fn a_line_that_does_not_draw_ignores_ticks() {
+        let line = ProgressLine::drawn("test", 10, false);
         line.tick(5, 0, None, None); // must be a no-op, not a panic
         line.finish();
+        assert!(line.last_paint.lock().unwrap().is_none());
     }
 
     #[test]
-    fn always_mode_draws() {
-        let line = ProgressLine::new("test", 2, ProgressMode::Always);
-        assert!(line.is_enabled());
-        line.tick(1, 0, None, None);
-        line.tick(2, 1, None, None);
-        line.finish();
-    }
-
-    #[test]
-    fn eta_ticks_draw() {
-        let line = ProgressLine::new("test", 3, ProgressMode::Always);
+    fn a_drawn_line_paints_every_tick_kind() {
+        let line = ProgressLine::drawn("test", 3, true);
         line.tick(1, 0, Some(Duration::from_secs(9)), None);
+        assert!(line.last_paint.lock().unwrap().is_some());
         line.tick(2, 1, Some(Duration::from_millis(10)), None); // clamps to ~1s
-        line.tick(3, 1, Some(Duration::from_secs(9)), None); // complete: no ETA shown
+        line.tick(3, 1, Some(Duration::from_secs(9)), Some(5.0)); // complete: no ETA shown
         line.finish();
-        let off = ProgressLine::new("test", 3, ProgressMode::Off);
-        off.tick(1, 0, Some(Duration::from_secs(5)), None); // no-op
     }
 
     #[test]
@@ -311,12 +266,6 @@ mod tests {
                 ProgressLine::render_frame("sweep", 3, 0, 10, Duration::from_secs(2), None, bogus);
             assert_eq!(frame, "sweep: 3/10 [2.0s, --:-- left]");
         }
-        // A rate-carrying tick is safe in every mode.
-        let line = ProgressLine::new("test", 2, ProgressMode::Always);
-        line.tick(1, 0, None, Some(5.0));
-        line.finish();
-        let off = ProgressLine::new("test", 2, ProgressMode::Off);
-        off.tick(1, 0, None, Some(5.0));
     }
 
     #[test]
@@ -352,13 +301,5 @@ mod tests {
         let err = ProgressSnapshot::from_value(&serde_json::Value::Object(vec![]))
             .expect_err("empty object");
         assert!(err.contains("done"), "unhelpful error: {err}");
-    }
-
-    #[test]
-    fn mode_from_env_defaults_to_auto() {
-        // The test runner may or may not have the variable set; only
-        // assert the unset path through a scoped removal.
-        std::env::remove_var(PROGRESS_ENV_VAR);
-        assert_eq!(ProgressMode::from_env(), ProgressMode::Auto);
     }
 }

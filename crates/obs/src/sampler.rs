@@ -4,10 +4,10 @@
 //! [`cadence`](SamplerConfig::cadence) replayed operations and turns
 //! each snapshot into a [`SeriesSample`] — the *per-window deltas* of
 //! every counter, plus an instantaneous write-buffer occupancy
-//! histogram probed from the controller. Samples land in a bounded
-//! ring (old windows fall off the front) and, when a writer is
-//! attached, stream out as one JSON line per window, so a 1 B-op
-//! replay holds flat memory while still exporting its full history.
+//! histogram probed from the controller. A sampler with a writer
+//! streams each window out as one JSON line and keeps none, so a 1 B-op
+//! replay holds flat memory while still exporting its full history; a
+//! sampler without one keeps every window it emits.
 //!
 //! Determinism is the design invariant: a sample row contains only
 //! quantities derived from the replayed stream (op indexes and counter
@@ -25,7 +25,6 @@
 //!  "occupancy":[0,2,1,5]}
 //! ```
 
-use std::collections::VecDeque;
 use std::io::{self, Write};
 
 use serde::Value;
@@ -35,43 +34,33 @@ use crate::metrics::MetricRegistry;
 /// Default sampling cadence: one window every 65 536 replayed ops.
 pub const DEFAULT_CADENCE: u64 = 65_536;
 
-/// Default bound on the in-memory sample ring.
-pub const DEFAULT_RING_CAPACITY: usize = 512;
-
 /// Version tag stamped into every series row (`"v"` field).
 pub const SERIES_SCHEMA_VERSION: &str = "1";
 
-/// How a [`Sampler`] windows and retains samples.
+/// How a [`Sampler`] windows its samples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SamplerConfig {
     /// Replayed operations per window.
     pub cadence: u64,
-    /// Maximum samples retained in memory; older windows are dropped
-    /// from the ring (an attached writer has already streamed them).
-    pub ring_capacity: usize,
 }
 
 impl Default for SamplerConfig {
     fn default() -> Self {
         SamplerConfig {
             cadence: DEFAULT_CADENCE,
-            ring_capacity: DEFAULT_RING_CAPACITY,
         }
     }
 }
 
 impl SamplerConfig {
-    /// A config with the given cadence and the default ring bound.
+    /// A config with the given cadence.
     ///
     /// # Panics
     ///
     /// Panics if `cadence` is 0.
     pub fn with_cadence(cadence: u64) -> Self {
         assert!(cadence > 0, "sampler cadence must be positive");
-        SamplerConfig {
-            cadence,
-            ..SamplerConfig::default()
-        }
+        SamplerConfig { cadence }
     }
 }
 
@@ -240,8 +229,8 @@ pub fn parse_series_line(line: &str) -> Option<SeriesSample> {
 }
 
 /// The windowed sampler: counts replayed ops, diffs counter snapshots
-/// at every window boundary, retains a bounded ring, and optionally
-/// streams each sample as JSONL.
+/// at every window boundary, and either keeps each sample or, with a
+/// writer attached, streams it as JSONL.
 ///
 /// Protocol: call [`note_op`](Sampler::note_op) once per replayed op
 /// (or [`note_ops`](Sampler::note_ops) once per run of at most
@@ -259,7 +248,8 @@ pub struct Sampler {
     window: u64,
     window_start_op: u64,
     prev: Vec<u64>,
-    ring: VecDeque<SeriesSample>,
+    /// Every emitted window, unless a writer streams them.
+    samples: Vec<SeriesSample>,
     emitted: u64,
     writer: Option<Box<dyn Write + Send>>,
 }
@@ -272,7 +262,7 @@ impl std::fmt::Debug for Sampler {
             .field("config", &self.config)
             .field("ops_seen", &self.ops_seen)
             .field("emitted", &self.emitted)
-            .field("ring_len", &self.ring.len())
+            .field("kept", &self.samples.len())
             .field("has_writer", &self.writer.is_some())
             .finish()
     }
@@ -283,13 +273,9 @@ impl Sampler {
     ///
     /// # Panics
     ///
-    /// Panics if the config's cadence is 0 or its ring capacity is 0.
+    /// Panics if the config's cadence is 0.
     pub fn new(bench: &str, scheme: &str, config: SamplerConfig) -> Self {
         assert!(config.cadence > 0, "sampler cadence must be positive");
-        assert!(
-            config.ring_capacity > 0,
-            "sampler ring capacity must be positive"
-        );
         Sampler {
             bench: bench.to_owned(),
             scheme: scheme.to_owned(),
@@ -299,14 +285,14 @@ impl Sampler {
             window: 0,
             window_start_op: 0,
             prev: Vec::new(),
-            ring: VecDeque::new(),
+            samples: Vec::new(),
             emitted: 0,
             writer: None,
         }
     }
 
     /// Attaches a JSONL writer; every subsequent sample streams out as
-    /// one line.
+    /// one line and is not kept.
     pub fn with_writer(mut self, writer: Box<dyn Write + Send>) -> Self {
         self.writer = Some(writer);
         self
@@ -353,9 +339,8 @@ impl Sampler {
     }
 
     /// Closes the current window: diffs `registry`'s counters against
-    /// the previous snapshot, records `occupancy`, pushes the sample
-    /// into the ring (dropping the oldest past capacity), and streams
-    /// it if a writer is attached.
+    /// the previous snapshot, records `occupancy`, and streams the
+    /// sample to the attached writer, or keeps it when there is none.
     ///
     /// # Errors
     ///
@@ -388,15 +373,14 @@ impl Sampler {
         self.window += 1;
         self.window_start_op = self.ops_seen;
         self.next_boundary = self.ops_seen + self.config.cadence;
-        if let Some(writer) = &mut self.writer {
-            let line = sample.to_json_line();
-            writer.write_all(line.as_bytes())?;
-            writer.write_all(b"\n")?;
+        match &mut self.writer {
+            Some(writer) => {
+                let line = sample.to_json_line();
+                writer.write_all(line.as_bytes())?;
+                writer.write_all(b"\n")?;
+            }
+            None => self.samples.push(sample),
         }
-        if self.ring.len() == self.config.ring_capacity {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(sample);
         self.emitted += 1;
         Ok(())
     }
@@ -448,22 +432,18 @@ impl Sampler {
         Ok(())
     }
 
-    /// Samples retained in the ring, oldest first.
-    pub fn ring(&self) -> impl Iterator<Item = &SeriesSample> {
-        self.ring.iter()
+    /// The kept samples, oldest first: every window emitted, or none
+    /// when a writer streams them.
+    pub fn samples(&self) -> &[SeriesSample] {
+        &self.samples
     }
 
-    /// Drains the ring into a vector, oldest first.
-    pub fn take_ring(&mut self) -> Vec<SeriesSample> {
-        self.ring.drain(..).collect()
+    /// Takes the kept samples, oldest first.
+    pub fn take_samples(&mut self) -> Vec<SeriesSample> {
+        std::mem::take(&mut self.samples)
     }
 
-    /// The most recent sample, if any.
-    pub fn last(&self) -> Option<&SeriesSample> {
-        self.ring.back()
-    }
-
-    /// Total samples emitted (including any dropped from the ring).
+    /// Total samples emitted (streamed or kept).
     pub fn emitted(&self) -> u64 {
         self.emitted
     }
@@ -554,7 +534,7 @@ mod tests {
             s.note_op();
         }
         s.sample(&r, Vec::new()).unwrap();
-        let samples: Vec<_> = s.ring().collect();
+        let samples = s.samples();
         assert_eq!(samples.len(), 2);
         assert_eq!(samples[0].delta("ctrl.reads"), 10);
         assert_eq!(
@@ -581,24 +561,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_is_bounded() {
-        let config = SamplerConfig {
-            cadence: 1,
-            ring_capacity: 3,
-        };
-        let mut s = Sampler::new("", "6T", config);
-        let r = MetricRegistry::new();
-        for _ in 0..10 {
-            s.note_op();
-            s.sample(&r, Vec::new()).unwrap();
-        }
-        assert_eq!(s.ring().count(), 3);
-        assert_eq!(s.emitted(), 10);
-        let windows: Vec<u64> = s.ring().map(|sample| sample.window).collect();
-        assert_eq!(windows, vec![7, 8, 9], "oldest windows fall off the front");
-    }
-
-    #[test]
     fn finish_emits_the_partial_tail_window() {
         let mut s = Sampler::new("", "RMW", SamplerConfig::with_cadence(100));
         let r = registry_with(&[("ctrl.reads", 5)]);
@@ -606,7 +568,7 @@ mod tests {
             assert!(!s.note_op());
         }
         s.finish(&r, Vec::new()).unwrap();
-        let last = s.last().expect("partial window emitted");
+        let last = s.samples().last().expect("partial window emitted");
         assert_eq!(last.op_start, 0);
         assert_eq!(last.op_end, 42);
         assert_eq!(last.delta("ctrl.reads"), 5);
@@ -634,12 +596,12 @@ mod tests {
         r.add(id, 7); // the end-of-replay buffer drain
         s.finish(&r, Vec::new()).unwrap();
         assert_eq!(s.emitted(), 3, "flush deltas get their own window");
-        let tail = s.last().unwrap();
+        let tail = s.samples().last().unwrap();
         assert_eq!(tail.op_start, 6);
         assert_eq!(tail.op_end, 6, "flush-only window spans zero ops");
         assert_eq!(tail.delta("wg.writebacks"), 7);
         // Window totals reconcile with the final registry counters.
-        let total: u64 = s.ring().map(|w| w.delta("wg.writebacks")).sum();
+        let total: u64 = s.samples().iter().map(|w| w.delta("wg.writebacks")).sum();
         assert_eq!(total, 11);
         // And with nothing further pending, finish stays idempotent.
         s.finish(&r, Vec::new()).unwrap();
@@ -659,9 +621,9 @@ mod tests {
         }
         r.add(id, 3); // post-loop flush movement
         s.finish(&r, Vec::new()).unwrap();
-        let total: u64 = s.ring().map(|w| w.delta("ctrl.reads")).sum();
+        let total: u64 = s.samples().iter().map(|w| w.delta("ctrl.reads")).sum();
         assert_eq!(total, 13, "every counted event lands in some window");
-        let tail = s.last().unwrap();
+        let tail = s.samples().last().unwrap();
         assert_eq!(tail.op_start, 8);
         assert_eq!(tail.op_end, 10, "flush deltas merge into the partial tail");
     }
@@ -678,7 +640,7 @@ mod tests {
         assert!(s.note_op());
         s.sample(&r, Vec::new()).unwrap();
         assert!(!s.note_op());
-        let last = s.last().unwrap();
+        let last = s.samples().last().unwrap();
         assert_eq!((last.op_start, last.op_end), (0, 4));
     }
 
@@ -700,7 +662,12 @@ mod tests {
             }
             left -= n;
         }
-        let windows = |s: &Sampler| s.ring().map(|w| (w.op_start, w.op_end)).collect::<Vec<_>>();
+        let windows = |s: &Sampler| {
+            s.samples()
+                .iter()
+                .map(|w| (w.op_start, w.op_end))
+                .collect::<Vec<_>>()
+        };
         assert_eq!(windows(&per_op), windows(&bulk));
         assert_eq!(windows(&bulk), vec![(0, 5), (5, 10), (10, 15), (15, 20)]);
         assert_eq!(bulk.ops_to_boundary(), 2);
@@ -722,12 +689,12 @@ mod tests {
         s.sample(&r, Vec::new()).unwrap();
         // Without rebaseline the saturating delta would clamp to 0;
         // with it the reset itself must also not produce garbage.
-        assert_eq!(s.last().unwrap().delta("ctrl.writes"), 0);
+        assert_eq!(s.samples().last().unwrap().delta("ctrl.writes"), 0);
         r.add(id, 9);
         s.note_op();
         s.note_op();
         s.sample(&r, Vec::new()).unwrap();
-        assert_eq!(s.last().unwrap().delta("ctrl.writes"), 9);
+        assert_eq!(s.samples().last().unwrap().delta("ctrl.writes"), 9);
     }
 
     #[test]
@@ -819,6 +786,7 @@ mod tests {
         let text = String::from_utf8(buffer.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3, "2 full windows + 1 partial tail");
+        assert!(s.samples().is_empty(), "streamed windows are not kept");
         for line in lines {
             let sample = parse_series_line(line).expect("schema-valid line");
             assert_eq!(sample.scheme, "WG");

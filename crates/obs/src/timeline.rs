@@ -37,7 +37,7 @@
 //! `chrome://tracing` or [Perfetto](https://ui.perfetto.dev): one track
 //! per recording thread (named via [`set_track_name`] — the exec pool
 //! names its tracks `worker-0`, `worker-1`, ...), duration events as
-//! `B`/`E` pairs, and point events (job retries and failures,
+//! `B`/`E` pairs, and point events (job failures,
 //! trace-store hits) as `i` instants.
 
 use std::cell::RefCell;

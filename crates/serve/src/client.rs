@@ -210,26 +210,16 @@ impl Client {
             .ok_or_else(|| ClientError::Malformed("results response without `document`".to_owned()))
     }
 
-    /// Polls `results` until the job completes or `timeout` passes.
+    /// Follows `job`'s `watch` stream to its `done` row, then fetches
+    /// its document.
     ///
     /// # Errors
     ///
-    /// The terminal server error (failed/cancelled jobs keep answering
-    /// `not-finished`; callers watch `status` for those), transport
-    /// failures, or the last error at the deadline.
-    pub fn wait_for_results(&mut self, job: &str, timeout: Duration) -> Result<Value, ClientError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match self.results(job) {
-                Ok(document) => return Ok(document),
-                Err(ClientError::Server { code, .. })
-                    if code == "not-finished" && Instant::now() < deadline =>
-                {
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-                Err(e) => return Err(e),
-            }
-        }
+    /// The daemon's `not-finished` error, which names the state, for a
+    /// job that failed or was cancelled; transport failures.
+    pub fn wait_for_results(&mut self, job: &str) -> Result<Value, ClientError> {
+        self.watch(job, |_| {})?;
+        self.results(job)
     }
 
     /// Fires a job's cancel token.

@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use serde_json::Value;
 
@@ -252,7 +252,9 @@ impl Journal {
         ]);
         let mut line = serde_json::to_string(&entry).expect("journal entries serialize");
         line.push('\n');
-        let mut file = self.file.lock().expect("journal lock poisoned");
+        // A torn line left by a panicked append is cut, with every line
+        // after it, by the next resume; those benchmarks re-run.
+        let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
         file.write_all(line.as_bytes())?;
         file.flush()
     }

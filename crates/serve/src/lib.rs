@@ -24,7 +24,15 @@
 //!   across jobs, and without it every job generates its traces.
 //! * [`server`] / [`client`] — the socket front-ends (TCP or unix
 //!   domain, `unix:` prefix), thread-per-connection, and the blocking
-//!   client the `cache8t client` subcommand and the tests drive.
+//!   client the `cache8t client` subcommand and the tests drive. A
+//!   session reads each request line as bytes and never holds more of
+//!   it than [`MAX_REQUEST_LINE`]; TCP sessions send every answer at
+//!   once (`TCP_NODELAY`). [`Client::wait_for_results`] follows a job's
+//!   `watch` stream to its end, then fetches the document.
+//!
+//! A panic while one of the daemon's locks is held does not poison it:
+//! every lock site takes the guard back, so later requests still
+//! answer.
 //!
 //! The headline invariant, inherited from the engine and enforced by
 //! the service tests: a sweep submitted over the socket — even one

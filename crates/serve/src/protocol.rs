@@ -5,7 +5,11 @@
 //! field is `"ok"`. Malformed or unknown requests are answered with a
 //! structured error — `{"ok": false, "error": {"code", "message"}}` —
 //! and the connection stays open, so one bad line never costs a client
-//! its session.
+//! its session. That covers lines that are not UTF-8
+//! ([`codes::MALFORMED_JSON`]) and lines longer than
+//! [`MAX_REQUEST_LINE`](crate::MAX_REQUEST_LINE), which are answered
+//! once ([`codes::OVERSIZED_REQUEST`]) and read to their newline
+//! without being kept.
 
 use serde_json::Value;
 
@@ -18,7 +22,7 @@ pub const PROTOCOL_VERSION: &str = "1";
 /// Machine-readable error classes. Each is tested individually; codes
 /// are part of the wire contract and must stay stable.
 pub mod codes {
-    /// The line is not valid JSON.
+    /// The line is not UTF-8, or not valid JSON.
     pub const MALFORMED_JSON: &str = "malformed-json";
     /// The line parsed but is not a JSON object.
     pub const NOT_AN_OBJECT: &str = "not-an-object";

@@ -1,10 +1,10 @@
 //! The daemon: socket listener, per-connection request loop, and the
 //! `watch` event stream.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::net::TcpListener;
 #[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread;
@@ -23,9 +23,14 @@ pub const UNIX_PREFIX: &str = "unix:";
 
 /// Bound on one request line. Every legitimate request — including a
 /// full-suite `submit` — is a few KB; a line this long is a confused
-/// or hostile client, and buffering it without bound would let one
-/// connection grow the daemon's memory arbitrarily.
+/// or hostile client. The daemon never holds more of a line than this:
+/// a longer one is answered `oversized-request` once and the rest of it
+/// is read and dropped.
 pub const MAX_REQUEST_LINE: usize = 256 * 1024;
+
+/// How long a session's read waits before it checks for shutdown, so a
+/// client parked between requests does not pin the server.
+const READ_POLL: Duration = Duration::from_millis(200);
 
 /// Daemon configuration.
 #[derive(Debug)]
@@ -52,33 +57,6 @@ enum Listener {
     Tcp(TcpListener),
     #[cfg(unix)]
     Unix(UnixListener, PathBuf),
-}
-
-/// Either stream type, unified for the connection handler.
-trait Conn: std::io::Read + Write + Send {
-    fn try_clone_reader(&self) -> std::io::Result<Box<dyn std::io::Read + Send>>;
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()>;
-}
-
-impl Conn for TcpStream {
-    fn try_clone_reader(&self) -> std::io::Result<Box<dyn std::io::Read + Send>> {
-        Ok(Box::new(self.try_clone()?))
-    }
-
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        TcpStream::set_read_timeout(self, timeout)
-    }
-}
-
-#[cfg(unix)]
-impl Conn for UnixStream {
-    fn try_clone_reader(&self) -> std::io::Result<Box<dyn std::io::Read + Send>> {
-        Ok(Box::new(self.try_clone()?))
-    }
-
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        UnixStream::set_read_timeout(self, timeout)
-    }
 }
 
 /// A bound, not-yet-running server.
@@ -166,53 +144,55 @@ impl Server {
             })
         };
         let mut connections: Vec<thread::JoinHandle<()>> = Vec::new();
-        fn spawn_conn<S: Conn + 'static>(
-            connections: &mut Vec<thread::JoinHandle<()>>,
-            state: &Arc<ServerState>,
-            stream: S,
-        ) {
-            let state = Arc::clone(state);
-            state.count("serve.connections");
-            state.oplog.info(
-                "accept",
-                None,
-                vec![(
-                    "connections".to_owned(),
-                    Value::U64(state.counter_value("serve.connections")),
-                )],
-            );
-            // Reads time out so idle connections notice shutdown; a
-            // client parked between requests must not pin the server.
-            let _unused = stream.set_read_timeout(Some(Duration::from_millis(200)));
-            connections.push(thread::spawn(move || handle_connection(&state, stream)));
-        }
+        type Session = Box<dyn FnOnce(&Arc<ServerState>) + Send>;
         loop {
             if state.is_shutting_down() {
                 break;
             }
-            let accepted = match &self.listener {
+            let session: Option<Session> = match &self.listener {
                 Listener::Tcp(listener) => match listener.accept() {
                     Ok((stream, _)) => {
                         stream.set_nonblocking(false)?;
-                        spawn_conn(&mut connections, &state, stream);
-                        true
+                        // Answers are small writes: send each at once
+                        // instead of holding it for the client's delayed
+                        // ACK of the one before.
+                        let _unused = stream.set_nodelay(true);
+                        let _unused = stream.set_read_timeout(Some(READ_POLL));
+                        Some(Box::new(move |state: &Arc<ServerState>| {
+                            handle_connection(state, &stream, &stream);
+                        }))
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => false,
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => None,
                     Err(e) => return Err(e),
                 },
                 #[cfg(unix)]
                 Listener::Unix(listener, _) => match listener.accept() {
                     Ok((stream, _)) => {
                         stream.set_nonblocking(false)?;
-                        spawn_conn(&mut connections, &state, stream);
-                        true
+                        let _unused = stream.set_read_timeout(Some(READ_POLL));
+                        Some(Box::new(move |state: &Arc<ServerState>| {
+                            handle_connection(state, &stream, &stream);
+                        }))
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => false,
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => None,
                     Err(e) => return Err(e),
                 },
             };
-            if !accepted {
-                thread::sleep(Duration::from_millis(20));
+            match session {
+                Some(session) => {
+                    state.count("serve.connections");
+                    state.oplog.info(
+                        "accept",
+                        None,
+                        vec![(
+                            "connections".to_owned(),
+                            Value::U64(state.counter_value("serve.connections")),
+                        )],
+                    );
+                    let state = Arc::clone(&state);
+                    connections.push(thread::spawn(move || session(&state)));
+                }
+                None => thread::sleep(Duration::from_millis(20)),
             }
             connections.retain(|handle| !handle.is_finished());
         }
@@ -238,17 +218,18 @@ fn write_line(out: &mut dyn Write, value: &Value) -> std::io::Result<()> {
 /// One client session: read request lines, answer each, keep the
 /// connection open across errors (protocol hygiene: a bad line gets a
 /// structured error, never a dropped connection).
-fn handle_connection<S: Conn>(state: &Arc<ServerState>, mut stream: S) {
-    let Ok(read_half) = stream.try_clone_reader() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut line = String::new();
+fn handle_connection(state: &Arc<ServerState>, input: impl Read, mut out: impl Write) {
+    let mut reader = BufReader::new(input);
+    let mut line = Vec::new();
+    // Set after an oversized line is answered, until its newline.
+    let mut discarding = false;
     loop {
-        // Reads time out (see `spawn_conn`); a timed-out `read_line`
-        // keeps whatever bytes already arrived in `line`, so the next
-        // pass resumes the same request rather than corrupting it.
-        match reader.read_line(&mut line) {
+        // Every read takes at most what is left of the bound, so a line
+        // never holds more than `MAX_REQUEST_LINE` bytes. A read that
+        // times out keeps the bytes it got in `line`, and the next one
+        // goes on with the same line.
+        let room = (MAX_REQUEST_LINE - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) => return, // peer hung up
             Ok(_) => {}
             Err(e)
@@ -260,46 +241,46 @@ fn handle_connection<S: Conn>(state: &Arc<ServerState>, mut stream: S) {
                 if state.is_shutting_down() {
                     return;
                 }
-                // A request still arriving after the size bound will
-                // never parse; answer once and drop the connection
-                // rather than buffering it to completion.
-                if line.len() > MAX_REQUEST_LINE {
-                    state.count("serve.errors");
-                    state.oplog.warn(
-                        "oversized-request",
-                        None,
-                        vec![("bytes".to_owned(), Value::U64(line.len() as u64))],
-                    );
-                    let _unused = write_line(&mut stream, &oversized_error().to_value());
-                    return;
-                }
                 continue;
             }
             Err(_) => return,
         }
-        if line.trim().is_empty() {
+        let complete = line.ends_with(b"\n") || line.len() < MAX_REQUEST_LINE;
+        if discarding {
+            discarding = !complete;
             line.clear();
             continue;
         }
-        state.count("serve.requests");
-        if line.len() > MAX_REQUEST_LINE {
-            state.count("serve.errors");
+        let request = if complete {
+            match std::str::from_utf8(&line) {
+                Ok(text) if text.trim().is_empty() => {
+                    line.clear();
+                    continue;
+                }
+                Ok(text) => parse_request(text),
+                Err(_) => Err(ProtocolError::new(
+                    codes::MALFORMED_JSON,
+                    "request line is not UTF-8",
+                )),
+            }
+        } else {
             state.oplog.warn(
                 "oversized-request",
                 None,
                 vec![("bytes".to_owned(), Value::U64(line.len() as u64))],
             );
-            if write_line(&mut stream, &oversized_error().to_value()).is_err() {
-                return;
-            }
-            line.clear();
-            continue;
-        }
+            discarding = true;
+            Err(ProtocolError::new(
+                codes::OVERSIZED_REQUEST,
+                format!("request line exceeds {MAX_REQUEST_LINE} bytes"),
+            ))
+        };
+        state.count("serve.requests");
         let started = Instant::now();
-        let (verb, response) = match parse_request(&line) {
+        let (verb, response) = match request {
             Ok(request) => (
                 verb_name(&request),
-                handle_request(state, request, &mut stream),
+                handle_request(state, request, &mut out),
             ),
             Err(error) => ("invalid", Err(error)),
         };
@@ -308,11 +289,11 @@ fn handle_connection<S: Conn>(state: &Arc<ServerState>, mut stream: S) {
             started.elapsed().as_micros().min(u64::MAX as u128) as u64,
         );
         let outcome = match response {
-            Ok(Some(value)) => write_line(&mut stream, &value),
+            Ok(Some(value)) => write_line(&mut out, &value),
             Ok(None) => Ok(()), // the handler streamed its own output
             Err(error) => {
                 state.count("serve.errors");
-                write_line(&mut stream, &error.to_value())
+                write_line(&mut out, &error.to_value())
             }
         };
         if outcome.is_err() {
@@ -320,13 +301,6 @@ fn handle_connection<S: Conn>(state: &Arc<ServerState>, mut stream: S) {
         }
         line.clear();
     }
-}
-
-fn oversized_error() -> ProtocolError {
-    ProtocolError::new(
-        codes::OVERSIZED_REQUEST,
-        format!("request line exceeds {MAX_REQUEST_LINE} bytes"),
-    )
 }
 
 /// The wire name of a request, for per-verb metrics.

@@ -14,7 +14,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use serde_json::Value;
@@ -33,6 +33,14 @@ use crate::protocol::{ok_response, PlanSpec, PROTOCOL_VERSION};
 /// the ring's suffix plus the authoritative terminal state.
 pub const EVENT_RING_CAPACITY: usize = 4096;
 
+/// Takes `mutex`, recovering the guard if a thread panicked while
+/// holding it. Every update under these locks is one assignment, push
+/// or pop, which leaves the value whole, so one panicking hook or
+/// handler does not take every later request down with it.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Where a job is in its lifecycle.
 #[derive(Debug)]
 pub enum JobPhase {
@@ -47,7 +55,7 @@ pub enum JobPhase {
         /// Scheduler telemetry for the (possibly resumed) run.
         metrics: Value,
     },
-    /// At least one sweep job panicked through its retry budget.
+    /// At least one sweep job panicked or returned an error.
     Failed {
         /// The failure summary.
         message: String,
@@ -129,17 +137,13 @@ impl JobState {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, JobInner> {
-        self.inner.lock().expect("job state poisoned")
-    }
-
     /// Appends an event row and wakes watchers. The row is stored as
     /// the `watch` wire line it becomes, an `ok_response` object
     /// carrying the job id and its ring sequence number in-band
     /// (`"seq"`), which is what lets a disconnected watcher resume with
     /// `watch {"after": seq}` without replaying events it already saw.
     pub fn push_event(&self, row: Vec<(String, Value)>) {
-        let mut inner = self.lock();
+        let mut inner = lock(&self.inner);
         let seq = inner.next_seq;
         inner.next_seq += 1;
         let mut fields = vec![
@@ -158,7 +162,7 @@ impl JobState {
 
     fn set_phase(&self, phase: JobPhase) {
         let state = phase.state_name();
-        self.lock().phase = phase;
+        lock(&self.inner).phase = phase;
         self.push_event(vec![
             ("event".to_owned(), Value::Str("state".to_owned())),
             ("state".to_owned(), Value::Str(state.to_owned())),
@@ -166,7 +170,7 @@ impl JobState {
     }
 
     fn set_progress(&self, snapshot: ProgressSnapshot) {
-        self.lock().progress = Some(snapshot);
+        lock(&self.inner).progress = Some(snapshot);
         self.push_event(vec![
             ("event".to_owned(), Value::Str("progress".to_owned())),
             ("progress".to_owned(), snapshot.to_value()),
@@ -175,7 +179,7 @@ impl JobState {
 
     /// The `status` summary object for this job.
     pub fn summary(&self) -> Value {
-        let inner = self.lock();
+        let inner = lock(&self.inner);
         let mut fields = vec![
             ("id".to_owned(), Value::Str(self.id.clone())),
             (
@@ -203,7 +207,7 @@ impl JobState {
 
     /// The completed document, if the job is done.
     pub fn document(&self) -> Option<Value> {
-        match &self.lock().phase {
+        match &lock(&self.inner).phase {
             JobPhase::Completed { document, .. } => Some(document.clone()),
             _ => None,
         }
@@ -211,7 +215,7 @@ impl JobState {
 
     /// The phase's wire name right now.
     pub fn state_name(&self) -> &'static str {
-        self.lock().phase.state_name()
+        lock(&self.inner).phase.state_name()
     }
 
     /// Collects the wire lines (no trailing newline) of event rows with
@@ -219,7 +223,7 @@ impl JobState {
     /// terminal)`. When `terminal` is true the job will emit no further
     /// events.
     pub fn events_after(&self, after: u64) -> (Vec<Arc<str>>, u64, bool) {
-        let inner = self.lock();
+        let inner = lock(&self.inner);
         let mut last = after;
         let lines = inner
             .events
@@ -236,14 +240,14 @@ impl JobState {
     /// Blocks until the job has events past `after`, goes terminal, or
     /// `timeout` passes.
     pub fn wait_for_events(&self, after: u64, timeout: Duration) {
-        let inner = self.lock();
+        let inner = lock(&self.inner);
         if inner.next_seq > after + 1 || inner.phase.is_terminal() {
             return;
         }
         let _unused = self
             .wakeup
             .wait_timeout(inner, timeout)
-            .expect("job state poisoned");
+            .unwrap_or_else(PoisonError::into_inner);
     }
 }
 
@@ -299,27 +303,23 @@ impl ServerState {
         }
     }
 
-    fn metrics_lock(&self) -> std::sync::MutexGuard<'_, MetricRegistry> {
-        self.metrics.lock().expect("metric registry poisoned")
-    }
-
     /// Bumps a `serve.*` counter.
     pub fn count(&self, name: &str) {
-        let mut metrics = self.metrics_lock();
+        let mut metrics = lock(&self.metrics);
         let id = metrics.counter(name);
         metrics.inc(id);
     }
 
     /// Reads a counter back (0 if it was never bumped).
     pub fn counter_value(&self, name: &str) -> u64 {
-        self.metrics_lock().counter_by_name(name).unwrap_or(0)
+        lock(&self.metrics).counter_by_name(name).unwrap_or(0)
     }
 
     /// Records one handled request: bumps the verb's request counter
     /// and feeds its latency histogram (`serve.verb.<verb>.requests` /
     /// `.latency_us`).
     pub fn observe_verb(&self, verb: &str, latency_us: u64) {
-        let mut metrics = self.metrics_lock();
+        let mut metrics = lock(&self.metrics);
         let requests = metrics.counter(&format!("serve.verb.{verb}.requests"));
         metrics.inc(requests);
         let latency = metrics.histogram(&format!("serve.verb.{verb}.latency_us"));
@@ -333,7 +333,7 @@ impl ServerState {
 
     /// Jobs waiting for the executor right now.
     pub fn queue_depth(&self) -> usize {
-        self.queue.lock().expect("queue poisoned").len()
+        lock(&self.queue).len()
     }
 
     /// Job counts per lifecycle phase, in a fixed order.
@@ -345,7 +345,7 @@ impl ServerState {
             ("failed", 0),
             ("cancelled", 0),
         ];
-        for job in self.jobs.lock().expect("jobs poisoned").iter() {
+        for job in lock(&self.jobs).iter() {
             let name = job.state_name();
             if let Some(slot) = counts.iter_mut().find(|(n, _)| *n == name) {
                 slot.1 += 1;
@@ -372,7 +372,7 @@ impl ServerState {
         );
         timeline::instant("shutdown requested", "job");
         // A running sweep drains promptly; its journal keeps progress.
-        for job in self.jobs.lock().expect("jobs poisoned").iter() {
+        for job in lock(&self.jobs).iter() {
             job.cancel.cancel();
         }
         self.queue_wakeup.notify_all();
@@ -382,14 +382,8 @@ impl ServerState {
     pub fn submit(&self, plan: SweepPlan, spec: PlanSpec) -> Arc<JobState> {
         let n = self.next_job.fetch_add(1, Ordering::Relaxed);
         let job = Arc::new(JobState::new(format!("job-{n}"), plan, spec));
-        self.jobs
-            .lock()
-            .expect("jobs poisoned")
-            .push(Arc::clone(&job));
-        self.queue
-            .lock()
-            .expect("queue poisoned")
-            .push_back(Arc::clone(&job));
+        lock(&self.jobs).push(Arc::clone(&job));
+        lock(&self.queue).push_back(Arc::clone(&job));
         self.queue_wakeup.notify_all();
         self.count("serve.jobs_submitted");
         self.oplog.info(
@@ -438,17 +432,12 @@ impl ServerState {
 
     /// Looks a job up by id.
     pub fn job(&self, id: &str) -> Option<Arc<JobState>> {
-        self.jobs
-            .lock()
-            .expect("jobs poisoned")
-            .iter()
-            .find(|j| j.id == id)
-            .cloned()
+        lock(&self.jobs).iter().find(|j| j.id == id).cloned()
     }
 
     /// All jobs, oldest first.
     pub fn jobs(&self) -> Vec<Arc<JobState>> {
-        self.jobs.lock().expect("jobs poisoned").clone()
+        lock(&self.jobs).clone()
     }
 
     /// The journal report shared by `status` and `metrics`:
@@ -460,8 +449,7 @@ impl ServerState {
             .as_deref()
             .map(journal_dir_stats)
             .unwrap_or_default();
-        let repairs = self
-            .metrics_lock()
+        let repairs = lock(&self.metrics)
             .counter_by_name("serve.journal.repairs")
             .unwrap_or(0);
         Value::Object(vec![
@@ -499,7 +487,7 @@ impl ServerState {
     /// footprint.
     pub fn server_status(&self) -> Value {
         let counters = {
-            let metrics = self.metrics_lock();
+            let metrics = lock(&self.metrics);
             let mut counters: Vec<(String, u64)> = metrics
                 .counters()
                 .map(|(name, value)| (name.to_owned(), value))
@@ -554,7 +542,7 @@ impl ServerState {
             ("jobs_active".to_owned(), Value::U64(active)),
             (
                 "jobs_total".to_owned(),
-                Value::U64(self.jobs.lock().expect("jobs poisoned").len() as u64),
+                Value::U64(lock(&self.jobs).len() as u64),
             ),
         ])
     }
@@ -574,7 +562,7 @@ impl ServerState {
         let oplog = self.oplog.stats();
 
         let registry = {
-            let mut metrics = self.metrics_lock();
+            let mut metrics = lock(&self.metrics);
             let mut set = |name: &str, value: i64| {
                 let id = metrics.gauge(name);
                 metrics.set(id, value);
@@ -636,7 +624,7 @@ impl ServerState {
     pub fn run_executor(self: &Arc<Self>) {
         loop {
             let job = {
-                let mut queue = self.queue.lock().expect("queue poisoned");
+                let mut queue = lock(&self.queue);
                 loop {
                     if self.is_shutting_down() {
                         return;
@@ -647,7 +635,7 @@ impl ServerState {
                     queue = self
                         .queue_wakeup
                         .wait_timeout(queue, Duration::from_millis(200))
-                        .expect("queue poisoned")
+                        .unwrap_or_else(PoisonError::into_inner)
                         .0;
                 }
             };
@@ -697,7 +685,7 @@ impl ServerState {
                 (resume.slots, journal)
             }
         };
-        job.lock().restored = restored.len();
+        lock(&job.inner).restored = restored.len();
         job.push_event(vec![
             ("event".to_owned(), Value::Str("resume".to_owned())),
             ("restored".to_owned(), Value::U64(restored.len() as u64)),
@@ -790,7 +778,6 @@ impl ServerState {
             store: Arc::clone(&self.store),
             series: job.spec.series_cadence.map(|cadence| SamplerConfig {
                 cadence: cadence as u64,
-                ..SamplerConfig::default()
             }),
             cancel: Some(job.cancel.clone()),
             on_benchmark: Some(on_benchmark),
@@ -844,5 +831,45 @@ impl ServerState {
         let metrics = metrics_document(&outcome);
         self.transition(job, JobPhase::Completed { document, metrics });
         self.count("serve.jobs_completed");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panic_under_a_job_lock_leaves_the_daemon_answering() {
+        let state = ServerState::new(
+            ExecOptions::default(),
+            Arc::new(TraceStore::in_memory()),
+            None,
+            Arc::new(OpLog::disabled()),
+            None,
+        );
+        let spec = PlanSpec {
+            profiles: vec!["gcc".to_owned()],
+            geometries: vec!["baseline".to_owned()],
+            ops: 100,
+            seed: 0,
+            series_cadence: None,
+        };
+        let job = state.submit(spec.resolve().expect("plan resolves"), spec);
+        let holder = Arc::clone(&job);
+        let panicked = std::thread::spawn(move || {
+            let _held = lock(&holder.inner);
+            panic!("a hook panicked while holding the job lock");
+        })
+        .join();
+        assert!(panicked.is_err() && job.inner.is_poisoned());
+
+        job.push_event(vec![("event".to_owned(), Value::Str("probe".to_owned()))]);
+        let summary = job.summary();
+        assert_eq!(summary.get("state"), Some(&Value::Str("queued".to_owned())));
+        let (lines, seq, terminal) = job.events_after(0);
+        assert_eq!((lines.len(), seq, terminal), (1, 1, false));
+        assert_eq!(state.phase_counts()[0], ("queued", 1));
+        let health = state.health_value();
+        assert_eq!(health.get("jobs_active"), Some(&Value::U64(1)));
     }
 }

@@ -3,9 +3,10 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use serde_json::Value;
 
@@ -19,7 +20,7 @@ fn start_server() -> (String, thread::JoinHandle<std::io::Result<()>>) {
         checkpoint_dir: None,
         exec: ExecOptions {
             workers: 1,
-            retries: 0,
+            ..ExecOptions::default()
         },
         store: Arc::new(TraceStore::in_memory()),
         oplog: Arc::new(OpLog::disabled()),
@@ -129,6 +130,207 @@ fn oversized_request_lines_answer_with_a_structured_error() {
         .and_then(|e| e.get("code"))
         .and_then(Value::as_str);
     assert_eq!(code, Some(codes::OVERSIZED_REQUEST));
+
+    let mut client = Client::connect(&addr).expect("connect");
+    client.shutdown().expect("shutdown");
+    server.join().expect("join").expect("server run");
+}
+
+/// Reads one answer line from `reader` as a JSON object.
+fn answer(reader: &mut impl BufRead) -> Value {
+    let mut response = String::new();
+    let n = reader.read_line(&mut response).expect("answer arrives");
+    assert!(n > 0, "the server closed the connection");
+    serde_json::from_str(response.trim()).expect("answer parses")
+}
+
+fn error_code(value: &Value) -> Option<&str> {
+    value
+        .get("error")
+        .and_then(|e| e.get("code"))
+        .and_then(Value::as_str)
+}
+
+/// Sends `status` and expects it to succeed on the same connection.
+fn status_still_answers(mut stream: &TcpStream, reader: &mut impl BufRead) {
+    stream
+        .write_all(b"{\"v\":\"1\",\"verb\":\"status\"}\n")
+        .expect("write");
+    let value = answer(reader);
+    assert_eq!(value.get("ok"), Some(&Value::Bool(true)), "{value:?}");
+}
+
+#[test]
+fn a_line_that_never_ends_is_answered_at_the_bound() {
+    let (addr, server) = start_server();
+    let stream = TcpStream::connect(&addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+
+    // 64 KiB every 50 ms and no newline: the daemon's reads never pause
+    // long enough to time out, so only the bound itself can end the line.
+    let answered = Arc::new(AtomicBool::new(false));
+    let sender = {
+        let mut stream = stream.try_clone().expect("clone");
+        let answered = Arc::clone(&answered);
+        thread::spawn(move || {
+            let chunk = vec![b'x'; 64 * 1024];
+            let give_up = Instant::now() + Duration::from_secs(10);
+            while !answered.load(Ordering::Acquire) && Instant::now() < give_up {
+                if stream.write_all(&chunk).is_err() {
+                    return;
+                }
+                thread::sleep(Duration::from_millis(50));
+            }
+        })
+    };
+    let started = Instant::now();
+    let value = answer(&mut reader);
+    answered.store(true, Ordering::Release);
+    sender.join().expect("sender");
+    assert!(started.elapsed() < Duration::from_secs(2));
+    assert_eq!(error_code(&value), Some(codes::OVERSIZED_REQUEST));
+
+    // Once the line ends, the same connection serves requests again.
+    (&stream).write_all(b"\n").expect("write");
+    status_still_answers(&stream, &mut reader);
+
+    let mut client = Client::connect(&addr).expect("connect");
+    client.shutdown().expect("shutdown");
+    server.join().expect("join").expect("server run");
+}
+
+#[test]
+fn a_line_that_is_not_utf8_is_malformed_json() {
+    let (addr, server) = start_server();
+    let stream = TcpStream::connect(&addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+
+    (&stream)
+        .write_all(b"{\"v\":\"1\",\"verb\":\"status\",\"x\":\"\xff\xfe\"}\n")
+        .expect("write");
+    let value = answer(&mut reader);
+    assert_eq!(value.get("ok"), Some(&Value::Bool(false)));
+    assert_eq!(error_code(&value), Some(codes::MALFORMED_JSON));
+    status_still_answers(&stream, &mut reader);
+
+    let mut client = Client::connect(&addr).expect("connect");
+    client.shutdown().expect("shutdown");
+    server.join().expect("join").expect("server run");
+}
+
+/// A seeded xorshift64 generator, so the fuzz lines are the same on
+/// every run.
+struct XorShift(u64);
+
+impl XorShift {
+    fn next(&mut self) -> u64 {
+        let mut x = self.0;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.0 = x;
+        x
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// One fuzz line (without its newline): random bytes, a request with a
+/// byte sequence that is not UTF-8, deep brackets, a truncated valid
+/// request, or a run of JSON tokens.
+fn fuzz_line(rng: &mut XorShift) -> Vec<u8> {
+    const REQUESTS: [&str; 4] = [
+        r#"{"v":"1","verb":"status"}"#,
+        r#"{"v":"1","verb":"health"}"#,
+        r#"{"v":"1","verb":"results","job":"job-1"}"#,
+        r#"{"v":"1","verb":"submit","plan":{"profiles":["gcc"],"geometries":["baseline"],"ops":10,"seed":0}}"#,
+    ];
+    const NOT_UTF8: [&[u8]; 6] = [
+        b"\xff",
+        b"\xfe\xff",
+        b"\xc3",
+        b"\xe2\x82",
+        b"\xed\xa0\x80",
+        b"\xc0\x80",
+    ];
+    const TOKENS: [&str; 16] = [
+        "{",
+        "}",
+        "[",
+        "]",
+        ",",
+        ":",
+        "\"v\"",
+        "\"1\"",
+        "\"verb\"",
+        "\"job\"",
+        "null",
+        "true",
+        "1e999",
+        "-0",
+        "\"\\u00\"",
+        " ",
+    ];
+    let request = REQUESTS[rng.below(REQUESTS.len())].as_bytes();
+    let mut line = match rng.below(5) {
+        0 => (0..rng.below(4096)).map(|_| rng.next() as u8).collect(),
+        1 => {
+            let at = rng.below(request.len() + 1);
+            let bad = NOT_UTF8[rng.below(NOT_UTF8.len())];
+            [&request[..at], bad, &request[at..]].concat()
+        }
+        2 => {
+            let open: &[u8] = if rng.below(2) == 0 { b"[" } else { b"{\"k\":" };
+            open.repeat(1 + rng.below(600))
+        }
+        3 => request[..rng.below(request.len())].to_vec(),
+        _ => (0..rng.below(512))
+            .flat_map(|_| TOKENS[rng.below(TOKENS.len())].bytes())
+            .collect(),
+    };
+    for byte in &mut line {
+        if *byte == b'\n' {
+            *byte = b' ';
+        }
+    }
+    line
+}
+
+#[test]
+fn fuzzed_request_lines_each_get_one_answer_on_one_connection() {
+    let (addr, server) = start_server();
+    let stream = TcpStream::connect(&addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut rng = XorShift(0x8_7a11_c0de);
+    for i in 0..3_000 {
+        let mut line = fuzz_line(&mut rng);
+        // The daemon skips a line that is blank once decoded.
+        let blank = std::str::from_utf8(&line).is_ok_and(|text| text.trim().is_empty());
+        line.push(b'\n');
+        (&stream).write_all(&line).expect("write");
+        if blank {
+            continue;
+        }
+        let value = answer(&mut reader);
+        assert!(
+            matches!(value.get("ok"), Some(Value::Bool(_))),
+            "line {i}: answer without a boolean `ok`: {value:?}"
+        );
+    }
+    (&stream)
+        .write_all(b"{\"v\":\"1\",\"verb\":\"health\"}\n")
+        .expect("write");
+    let health = answer(&mut reader);
+    assert_eq!(health.get("ok"), Some(&Value::Bool(true)), "{health:?}");
+    assert_eq!(health.get("state"), Some(&Value::Str("ok".into())));
 
     let mut client = Client::connect(&addr).expect("connect");
     client.shutdown().expect("shutdown");

@@ -14,7 +14,7 @@ use serde_json::Value;
 
 use cache8t_exec::{run_sweep, to_document, ExecOptions, SweepOptions, TraceStore};
 use cache8t_obs::{OpLog, SamplerConfig};
-use cache8t_serve::{journal_path, Client, PlanSpec, ServeConfig, Server};
+use cache8t_serve::{codes, journal_path, Client, ClientError, PlanSpec, ServeConfig, Server};
 
 fn spec(ops: usize) -> PlanSpec {
     PlanSpec {
@@ -32,12 +32,11 @@ fn batch_document(spec: &PlanSpec, workers: usize) -> String {
     let options = SweepOptions {
         exec: ExecOptions {
             workers,
-            retries: 0,
+            ..ExecOptions::default()
         },
         store: Arc::new(TraceStore::in_memory()),
         series: spec.series_cadence.map(|cadence| SamplerConfig {
             cadence: cadence as u64,
-            ..SamplerConfig::default()
         }),
         ..SweepOptions::default()
     };
@@ -65,7 +64,7 @@ fn start_server_streamed(
         checkpoint_dir,
         exec: ExecOptions {
             workers,
-            retries: 0,
+            ..ExecOptions::default()
         },
         store: Arc::new(TraceStore::in_memory()),
         oplog: Arc::new(OpLog::disabled()),
@@ -130,9 +129,7 @@ fn socket_submitted_sweep_matches_the_batch_document_and_streams_events() {
     assert_eq!(resume.get("restored"), Some(&Value::U64(0)));
     assert_eq!(resume.get("total"), Some(&Value::U64(2)));
 
-    let document = client
-        .wait_for_results(&job, Duration::from_secs(120))
-        .expect("results");
+    let document = client.wait_for_results(&job).expect("results");
     let served = serde_json::to_string_pretty(&document).expect("serialize");
     assert_eq!(served, expected, "served document != batch document");
 
@@ -150,6 +147,35 @@ fn socket_submitted_sweep_matches_the_batch_document_and_streams_events() {
         counters.get("serve.jobs_completed").is_some(),
         "server counters missing: {counters:?}"
     );
+
+    client.shutdown().expect("shutdown");
+    server.join().expect("join").expect("server run");
+}
+
+#[test]
+fn waiting_on_a_job_cancelled_while_queued_answers_not_finished() {
+    let (addr, server) = start_server("127.0.0.1:0", None, 1);
+    let mut client = connect(&addr);
+    // Job A holds the executor while job B is cancelled in the queue.
+    client.submit(&spec(40_000)).expect("submit a");
+    let job_b = client.submit(&spec(5_000)).expect("submit b");
+    client.cancel(&job_b).expect("cancel");
+
+    let (sent, waited) = std::sync::mpsc::channel();
+    let waiter = {
+        let addr = addr.clone();
+        thread::spawn(move || {
+            let _unused = sent.send(connect(&addr).wait_for_results(&job_b));
+        })
+    };
+    match waited.recv_timeout(Duration::from_secs(60)) {
+        Ok(Err(ClientError::Server { code, message })) => {
+            assert_eq!(code, codes::NOT_FINISHED);
+            assert!(message.contains("cancelled"), "{message}");
+        }
+        other => panic!("expected not-finished, got {other:?}"),
+    }
+    waiter.join().expect("waiter");
 
     client.shutdown().expect("shutdown");
     server.join().expect("join").expect("server run");
@@ -189,9 +215,7 @@ fn unix_socket_round_trip_and_queued_job_cancellation() {
     assert_eq!(state_b, "cancelled");
 
     // Job A is unaffected by B's cancellation.
-    let document = client
-        .wait_for_results(&job_a, Duration::from_secs(120))
-        .expect("results a");
+    let document = client.wait_for_results(&job_a).expect("results a");
     assert!(document.get("geometries").is_some() || document.get("benchmarks").is_some());
 
     client.shutdown().expect("shutdown");
@@ -249,9 +273,7 @@ fn per_verb_latency_histograms_and_counters_reconcile_with_status() {
     let (addr, server) = start_server("127.0.0.1:0", None, 2);
     let mut client = connect(&addr);
     let job = client.submit(&spec).expect("submit");
-    client
-        .wait_for_results(&job, Duration::from_secs(120))
-        .expect("results");
+    client.wait_for_results(&job).expect("results");
     let status = client.status(None).expect("status");
 
     let metrics = client.metrics().expect("metrics");
@@ -308,9 +330,7 @@ fn watch_resumes_after_a_sequence_number_without_replaying() {
     let (addr, server) = start_server("127.0.0.1:0", None, 2);
     let mut client = connect(&addr);
     let job = client.submit(&spec).expect("submit");
-    client
-        .wait_for_results(&job, Duration::from_secs(120))
-        .expect("results");
+    client.wait_for_results(&job).expect("results");
 
     // Full replay of the terminal job's ring, noting every seq.
     let mut rows: Vec<Value> = Vec::new();
@@ -364,9 +384,7 @@ fn resumed_and_fully_restored_jobs_reproduce_the_batch_document() {
     let (addr, server) = start_server("127.0.0.1:0", Some(dir.clone()), 2);
     let mut client = connect(&addr);
     let job = client.submit(&spec).expect("submit");
-    let first = client
-        .wait_for_results(&job, Duration::from_secs(120))
-        .expect("results");
+    let first = client.wait_for_results(&job).expect("results");
     assert_eq!(
         serde_json::to_string_pretty(&first).expect("serialize"),
         expected
@@ -396,9 +414,7 @@ fn resumed_and_fully_restored_jobs_reproduce_the_batch_document() {
     let (addr, server) = start_server("127.0.0.1:0", Some(dir.clone()), 2);
     let mut client = connect(&addr);
     let job = client.submit(&spec).expect("submit");
-    let resumed = client
-        .wait_for_results(&job, Duration::from_secs(120))
-        .expect("results");
+    let resumed = client.wait_for_results(&job).expect("results");
     assert_eq!(
         serde_json::to_string_pretty(&resumed).expect("serialize"),
         expected,
@@ -417,9 +433,7 @@ fn resumed_and_fully_restored_jobs_reproduce_the_batch_document() {
     // resumed run re-appended the missing slot), so everything restores
     // and the sweep runs zero jobs — and the bytes still match.
     let job = client.submit(&spec).expect("submit");
-    let restored_doc = client
-        .wait_for_results(&job, Duration::from_secs(120))
-        .expect("results");
+    let restored_doc = client.wait_for_results(&job).expect("results");
     assert_eq!(
         serde_json::to_string_pretty(&restored_doc).expect("serialize"),
         expected,
@@ -455,9 +469,7 @@ fn a_foreign_journal_line_does_not_block_later_resumes() {
     let (addr, server) = start_server("127.0.0.1:0", Some(dir.clone()), 1);
     let mut client = connect(&addr);
     let job = client.submit(&spec).expect("submit");
-    client
-        .wait_for_results(&job, Duration::from_secs(120))
-        .expect("results");
+    client.wait_for_results(&job).expect("results");
     let fingerprint = client
         .status(Some(&job))
         .expect("status")
@@ -494,9 +506,7 @@ fn a_foreign_journal_line_does_not_block_later_resumes() {
     // Replay stops at the foreign line: only the first entry restores,
     // and the resumed document is still byte-identical.
     let job = client.submit(&spec).expect("submit");
-    let resumed = client
-        .wait_for_results(&job, Duration::from_secs(120))
-        .expect("results");
+    let resumed = client.wait_for_results(&job).expect("results");
     assert_eq!(
         serde_json::to_string_pretty(&resumed).expect("serialize"),
         expected
@@ -505,9 +515,7 @@ fn a_foreign_journal_line_does_not_block_later_resumes() {
     // The foreign line was cut, so the re-run slots appended after the
     // valid prefix and everything restores now.
     let job = client.submit(&spec).expect("submit");
-    let restored_doc = client
-        .wait_for_results(&job, Duration::from_secs(120))
-        .expect("results");
+    let restored_doc = client.wait_for_results(&job).expect("results");
     assert_eq!(
         serde_json::to_string_pretty(&restored_doc).expect("serialize"),
         expected
@@ -554,9 +562,7 @@ fn streamed_daemon_serves_the_materialized_batch_document() {
     let (addr, server) = start_server_streamed("127.0.0.1:0", None, 2, Some(700));
     let mut client = connect(&addr);
     let job = client.submit(&spec).expect("submit");
-    let document = client
-        .wait_for_results(&job, Duration::from_secs(120))
-        .expect("results");
+    let document = client.wait_for_results(&job).expect("results");
     let served = serde_json::to_string_pretty(&document).expect("serialize");
     assert_eq!(served, expected, "streamed document != batch document");
 

@@ -63,7 +63,6 @@ commands:
   sweep                                  run benchmarks x geometries x schemes
            [--ops N] [--seed S]          on the parallel execution engine
            [--jobs N]                    worker threads (default: all cores)
-           [--retries N]                 re-run panicking jobs up to N times
            [--shard I/N]                 run the I-th of N benchmark shards
            [--profiles A,B,..]           subset of profiles (default: all 25)
            [--geometries A,B,..]         of baseline,blocks64,small,large
@@ -106,7 +105,7 @@ commands:
            [--json] [--out FILE]         machine-readable report
   serve    --listen ADDR                 sweep-as-a-service daemon speaking
            [--checkpoint-dir DIR]        a JSONL protocol; ADDR is host:port
-           [--jobs N] [--retries N]      or unix:/path/to.sock; with a
+           [--jobs N]                    or unix:/path/to.sock; with a
            [--trace-store DIR|off]       checkpoint dir, interrupted sweeps
            [--stream-chunk-ops N]        resume from completed benchmarks;
            [--log-out FILE]              --stream-chunk-ops streams traces;
@@ -136,7 +135,6 @@ commands:
            [--cache CAPKB,WAYS,BLOCKB]
            [--fuzz-rounds N]             seeded random traces (default: 10)
            [--jobs N]                    worker threads (default: all cores)
-           [--retries N]                 re-run panicking jobs up to N times
            [--shrink-out DIR]            where failing traces are shrunk to
                                          .c8tt reproducers (default:
                                          results/repro)
@@ -167,7 +165,6 @@ struct Options {
     series_out: Option<String>,
     series_cadence: Option<usize>,
     jobs: usize,
-    retries: u32,
     shard: Option<Shard>,
     profiles: Option<Vec<String>>,
     geometries: Option<Vec<String>>,
@@ -261,7 +258,7 @@ const COMMANDS: &[Command] = &[
         args: "",
         flags: &[
             PLAN_FLAGS,
-            "--jobs --retries --shard --trace-store --stream-chunk-ops --merge",
+            "--jobs --shard --trace-store --stream-chunk-ops --merge",
             "--out --json --metrics-out --timeline-out --series-out",
         ],
         modes: &[Mode {
@@ -302,7 +299,7 @@ const COMMANDS: &[Command] = &[
         run: cmd_serve,
         args: "",
         flags: &[
-            "--listen --checkpoint-dir --jobs --retries --trace-store --stream-chunk-ops",
+            "--listen --checkpoint-dir --jobs --trace-store --stream-chunk-ops",
             "--log-out --timeline-out",
         ],
         modes: &[],
@@ -360,13 +357,13 @@ const COMMANDS: &[Command] = &[
         args: "",
         flags: &[
             "--schemes --profiles --trace --ops --seed --cache --fuzz-rounds",
-            "--jobs --retries --shrink-out --trace-out",
+            "--jobs --shrink-out --trace-out",
         ],
         modes: &[Mode {
             when: "--trace",
             flags: &[
                 "--schemes --trace --ops --seed --cache --fuzz-rounds",
-                "--jobs --retries --shrink-out --trace-out",
+                "--jobs --shrink-out --trace-out",
             ],
         }],
     },
@@ -472,7 +469,6 @@ fn parse(command: &Command, args: &[String]) -> Result<Options, String> {
             "--series-out" => o.series_out = Some(value()?),
             "--series-cadence" => o.series_cadence = Some(positive(flag, &value()?)?),
             "--jobs" => o.jobs = positive(flag, &value()?)?,
-            "--retries" => o.retries = number(flag, &value()?)?,
             "--shard" => o.shard = Some(Shard::parse(&value()?)?),
             "--profiles" => o.profiles = list(value()?),
             "--geometries" => o.geometries = list(value()?),
@@ -1047,7 +1043,7 @@ fn resolve_plan(o: &Options) -> Result<SweepPlan, String> {
 fn exec_options(o: &Options) -> ExecOptions {
     ExecOptions {
         workers: o.jobs,
-        retries: o.retries,
+        ..ExecOptions::default()
     }
 }
 
@@ -1108,10 +1104,7 @@ fn cmd_sweep(o: &Options) -> Result<(), String> {
         );
     }
     for f in &outcome.failures {
-        eprintln!(
-            "FAILED {}/{}: {} ({} attempts)",
-            f.geometry, f.benchmark, f.message, f.attempts
-        );
+        eprintln!("FAILED {}/{}: {}", f.geometry, f.benchmark, f.message);
     }
     println!("\n[sweep engine]");
     print!("{}", outcome.metrics.render_table());
@@ -1330,6 +1323,10 @@ fn render_watch(samples: &[SeriesSample], rows: usize, mops: Option<f64>) -> Str
     rendered
 }
 
+/// The windows `watch --follow` holds: the most recent ones, which its
+/// table and totals are drawn from.
+const FOLLOW_WINDOWS: usize = 512;
+
 /// Drains the complete series rows currently readable from `reader`
 /// into `samples` (bounded to `cap`), returning the ops they cover.
 ///
@@ -1356,7 +1353,6 @@ fn drain_series_rows(
         if let Some(sample) = sampler::parse_series_line(pending.trim_end()) {
             new_ops += sample.ops();
             samples.push(sample);
-            // Bound memory like the sampler's own ring does.
             if samples.len() > cap {
                 samples.remove(0);
             }
@@ -1392,7 +1388,7 @@ fn cmd_watch(o: &Options) -> Result<(), String> {
             &mut reader,
             &mut line,
             &mut samples,
-            o.rows.max(sampler::DEFAULT_RING_CAPACITY),
+            o.rows.max(FOLLOW_WINDOWS),
         )
         .map_err(|e| format!("cannot read {path}: {e}"))?;
         if new_ops > 0 || !painted_once {
@@ -1731,9 +1727,7 @@ fn cmd_client(o: &Options) -> Result<(), String> {
             let job = client.submit(&plan_spec(o)).map_err(describe)?;
             eprintln!("submitted {job}");
             if o.wait {
-                let document = client
-                    .wait_for_results(&job, std::time::Duration::from_secs(24 * 3600))
-                    .map_err(describe)?;
+                let document = client.wait_for_results(&job).map_err(describe)?;
                 emit_document(&document)?;
             } else {
                 println!("{job}");
@@ -1748,9 +1742,7 @@ fn cmd_client(o: &Options) -> Result<(), String> {
         "fetch" => {
             let job = require_job(o)?;
             let document = if o.wait {
-                client
-                    .wait_for_results(job, std::time::Duration::from_secs(24 * 3600))
-                    .map_err(describe)?
+                client.wait_for_results(job).map_err(describe)?
             } else {
                 client.results(job).map_err(describe)?
             };
@@ -2159,8 +2151,6 @@ mod tests {
             "sweep",
             "--jobs",
             "4",
-            "--retries",
-            "2",
             "--shard",
             "1/2",
             "--profiles",
@@ -2180,7 +2170,6 @@ mod tests {
             opts(&["sweep", "--stream-chunk-ops", "0"]).is_err(),
             "zero chunk size must be rejected"
         );
-        assert_eq!(o.retries, 2);
         assert_eq!(o.shard, Some(Shard { index: 0, count: 2 }));
         assert_eq!(
             o.profiles.as_deref(),

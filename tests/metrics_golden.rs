@@ -89,10 +89,7 @@ fn run(mut controller: Box<dyn Controller>, ops: Ops<'_>) -> Digests {
         .tracer_mut()
         .set_level(TraceLevel::Verbose);
     let label = controller.name();
-    let config = SamplerConfig {
-        cadence: CADENCE,
-        ring_capacity: OPS,
-    };
+    let config = SamplerConfig { cadence: CADENCE };
     let mut sampler = Sampler::new("golden", label, config);
     let result = replay(controller.as_mut(), ops, WARMUP_OPS, Some(&mut sampler))
         .expect("an in-memory replay cannot fail");

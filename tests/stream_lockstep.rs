@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use cache8t::core::{Controller, SchemeKind};
 use cache8t::exec::{replay, GeometryPoint, Ops, RunConfig, SchemeResult};
-use cache8t::obs::sampler::{Sampler, SamplerConfig, SeriesSample};
+use cache8t::obs::sampler::{Sampler, SamplerConfig};
 use cache8t::obs::MetricRegistry;
 use cache8t::sim::CacheGeometry;
 use cache8t::trace::{profiles, ChunkedGenerator, ProfiledGenerator, Trace, TraceGenerator};
@@ -85,10 +85,7 @@ impl std::io::Write for SharedBuf {
 #[test]
 fn sampled_streams_emit_identical_series_for_all_schemes() {
     let trace = materialized();
-    let config = SamplerConfig {
-        cadence: 1_024,
-        ring_capacity: 32,
-    };
+    let config = SamplerConfig::with_cadence(1_024);
     for id in SchemeKind::suite(4) {
         let label = id.to_string();
         let reference_buf = SharedBuf(Arc::new(std::sync::Mutex::new(Vec::new())));
@@ -172,29 +169,25 @@ fn replay_sampled_per_op(
             .events()
             .copied()
             .collect(),
-        series: sampler.take_ring(),
+        series: sampler.take_samples(),
     }
 }
 
 /// One sampled replay of scheme `id` on a fresh controller over
-/// `geometry`, by `replay_with`: the serialized result, the ring series
-/// and the series JSONL bytes.
+/// `geometry`, by `replay_with`: the serialized result and the series
+/// JSONL bytes, which carry every window.
 fn sampled_run(
     id: SchemeKind,
     geometry: CacheGeometry,
     config: SamplerConfig,
     replay_with: &dyn Fn(&mut dyn Controller, &mut Sampler) -> SchemeResult,
-) -> (String, Vec<SeriesSample>, Vec<u8>) {
+) -> (String, Vec<u8>) {
     let buf = SharedBuf(Arc::new(std::sync::Mutex::new(Vec::new())));
     let mut sampler =
         Sampler::new("gcc", &id.to_string(), config).with_writer(Box::new(buf.clone()));
     let result = replay_with(id.build(geometry).as_mut(), &mut sampler);
     let bytes = buf.0.lock().unwrap().clone();
-    (
-        serde_json::to_string(&result).unwrap(),
-        result.series,
-        bytes,
-    )
+    (serde_json::to_string(&result).unwrap(), bytes)
 }
 
 #[test]
@@ -214,16 +207,13 @@ fn sampled_driver_cuts_match_a_per_op_sampled_replay() {
         let on_window = cadence as usize;
         for warmup in [0, on_window, 8_192, 3_001, total, total + 5_000] {
             for id in SchemeKind::suite(4) {
-                let config = SamplerConfig {
-                    cadence,
-                    ring_capacity: 8,
-                };
+                let config = SamplerConfig::with_cadence(cadence);
                 let run =
                     |replay_with: &dyn Fn(&mut dyn Controller, &mut Sampler) -> SchemeResult| {
                         sampled_run(id, CacheGeometry::paper_baseline(), config, replay_with)
                     };
                 let reference = run(&|c, s| replay_sampled_per_op(c, &trace, warmup, s));
-                assert!(!reference.2.is_empty(), "sampled replay must emit windows");
+                assert!(!reference.1.is_empty(), "sampled replay must emit windows");
                 // Materialized, then chunked at 900 and 4096 ops.
                 for chunk_ops in [None, Some(900), Some(4_096)] {
                     let driven = run(&|c, s| {
@@ -241,8 +231,7 @@ fn sampled_driver_cuts_match_a_per_op_sampled_replay() {
                         "scheme {id}, cadence {cadence}, warm-up {warmup}, chunks {chunk_ops:?}"
                     );
                     assert_eq!(reference.0, driven.0, "result JSON diverged: {case}");
-                    assert_eq!(reference.1, driven.1, "ring series diverged: {case}");
-                    assert_eq!(reference.2, driven.2, "series bytes diverged: {case}");
+                    assert_eq!(reference.1, driven.1, "series bytes diverged: {case}");
                 }
             }
         }
@@ -255,10 +244,7 @@ fn driver_matches_per_op_replay_on_every_profile_and_paper_geometry() {
     // the four paper geometries (two set counts, 64 B blocks), not just
     // gcc at the baseline: short traces with the sweep's 10 % warm-up and
     // a cadence-1024 sampler, materialized and chunked at 700 ops.
-    let config = SamplerConfig {
-        cadence: 1_024,
-        ring_capacity: 8,
-    };
+    let config = SamplerConfig::with_cadence(1_024);
     let run_config = RunConfig::new(CacheGeometry::paper_baseline(), 2_000, 42);
     let (total, warmup) = (run_config.total_ops(), run_config.warmup_ops);
     for profile in profiles::spec2006() {
@@ -292,8 +278,7 @@ fn driver_matches_per_op_replay_on_every_profile_and_paper_geometry() {
                         profile.name
                     );
                     assert_eq!(reference.0, driven.0, "result JSON diverged: {case}");
-                    assert_eq!(reference.1, driven.1, "ring series diverged: {case}");
-                    assert_eq!(reference.2, driven.2, "series bytes diverged: {case}");
+                    assert_eq!(reference.1, driven.1, "series bytes diverged: {case}");
                 }
             }
         }

@@ -32,7 +32,7 @@ fn options(workers: usize, shard: Option<Shard>) -> SweepOptions {
     SweepOptions {
         exec: ExecOptions {
             workers,
-            retries: 0,
+            ..ExecOptions::default()
         },
         slots: shard.map(|shard| shard.slots(plan().benchmark_count())),
         progress: false,

@@ -59,7 +59,7 @@ fn materialized_sweep_holds_one_trace_per_running_job() {
     let options = SweepOptions {
         exec: ExecOptions {
             workers: 1,
-            retries: 0,
+            ..ExecOptions::default()
         },
         store: Arc::new(TraceStore::in_memory()),
         ..SweepOptions::default()
