@@ -14,6 +14,7 @@ use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
+use cache8t_obs::timeline::{self, Span};
 use cache8t_trace::{ChunkedGenerator, TraceChunk, TraceGenerator};
 
 /// A source of trace chunks in stream order.
@@ -56,6 +57,15 @@ impl ChunkSource for std::vec::IntoIter<Arc<TraceChunk>> {
 /// Dropping the prefetcher mid-stream shuts the producer down cleanly:
 /// the receiver closes, the producer's blocked send fails, and the
 /// thread is joined.
+///
+/// Three spans time the handoff, one per chunk: on the producer,
+/// `prefetch.produce` around each `next_chunk` of the source (the last
+/// one finds the end of the stream) and `prefetch.send` around each
+/// blocking handover; on the consumer, `prefetch.wait` around each
+/// `recv`. A streamed run bound by generation spends its consumer time
+/// in `prefetch.wait`; one bound by replay spends its producer time in
+/// `prefetch.send`. While the timeline records, the producer's track is
+/// named `chunk-prefetch`.
 #[derive(Debug)]
 pub struct PrefetchedChunks {
     receiver: Option<Receiver<Arc<TraceChunk>>>,
@@ -69,7 +79,18 @@ impl PrefetchedChunks {
         let producer = std::thread::Builder::new()
             .name("chunk-prefetch".to_owned())
             .spawn(move || {
-                while let Some(chunk) = source.next_chunk() {
+                // Naming registers the track, so a run without a
+                // timeline leaves none behind.
+                if timeline::is_enabled() {
+                    timeline::set_track_name("chunk-prefetch");
+                }
+                loop {
+                    let chunk = {
+                        let _span = Span::enter("prefetch.produce");
+                        source.next_chunk()
+                    };
+                    let Some(chunk) = chunk else { break };
+                    let _span = Span::enter("prefetch.send");
                     // Err means the consumer dropped the receiver —
                     // replay is over (or abandoned), stop producing.
                     if sender.send(chunk).is_err() {
@@ -87,7 +108,9 @@ impl PrefetchedChunks {
 
 impl ChunkSource for PrefetchedChunks {
     fn next_chunk(&mut self) -> Option<Arc<TraceChunk>> {
-        self.receiver.as_ref()?.recv().ok()
+        let receiver = self.receiver.as_ref()?;
+        let _span = Span::enter("prefetch.wait");
+        receiver.recv().ok()
     }
 }
 

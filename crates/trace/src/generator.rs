@@ -52,18 +52,27 @@ struct HotRow {
 impl HotRow {
     /// Moves `block` to the front, evicting the oldest entry when the
     /// row is full.
+    ///
+    /// The slot to vacate is the block's own, or else the first free one
+    /// (the last one when full); every lane before it shifts down by
+    /// one, which keeps most-recent-first order. Each lane compares and
+    /// selects at once, without searching.
     #[inline]
     fn touch(&mut self, block: u64) {
-        // The slot to vacate: the block's own, or else the first free
-        // one (the last one when full). Shifting everything before it
-        // down by one keeps most-recent-first order.
-        let end = self.blocks[..self.len]
-            .iter()
-            .position(|&b| b == block)
-            .unwrap_or(self.len.min(HOT_BLOCKS_PER_SET - 1));
-        self.blocks.copy_within(0..end, 1);
+        let old = self.blocks;
+        let len = self.len;
+        // Whether a live lane before the current one holds `block`.
+        let mut found = false;
+        for i in 1..HOT_BLOCKS_PER_SET {
+            found |= (i - 1 < len) & (old[i - 1] == block);
+            // Lane i takes its predecessor up to the vacated slot.
+            let shift = !found & (i <= len);
+            let mask = 0u64.wrapping_sub(u64::from(shift));
+            self.blocks[i] = (old[i - 1] & mask) | (old[i] & !mask);
+        }
         self.blocks[0] = block;
-        self.len = self.len.max(end + 1);
+        // The last lane is live only in a full row, whose length stays.
+        self.len = len + usize::from(!found & (len < HOT_BLOCKS_PER_SET));
     }
 }
 
@@ -498,6 +507,37 @@ mod tests {
         p.mem_per_instr = WorkloadProfile::MIN_MEM_PER_INSTR;
         let t = ProfiledGenerator::new(p, CacheGeometry::paper_baseline(), 0).collect(3);
         assert_eq!(t.instructions(), 3 << 52);
+    }
+
+    /// The search-and-shift `HotRow::touch` the lane version replaced.
+    fn reference_touch(row: &mut HotRow, block: u64) {
+        let end = row.blocks[..row.len]
+            .iter()
+            .position(|&b| b == block)
+            .unwrap_or(row.len.min(HOT_BLOCKS_PER_SET - 1));
+        row.blocks.copy_within(0..end, 1);
+        row.blocks[0] = block;
+        row.len = row.len.max(end + 1);
+    }
+
+    #[test]
+    fn hot_row_touch_matches_the_search_and_shift() {
+        let mut rng = SmallRng::seed_from_u64(11);
+        for blocks in [1, 2, 3, 5, 8] {
+            let (mut lanes, mut reference) = (HotRow::default(), HotRow::default());
+            for step in 0..2_000 {
+                // Block 0 matches the zeroed free slots unless they are
+                // masked out.
+                let block = rng.gen_range(0..blocks);
+                lanes.touch(block);
+                reference_touch(&mut reference, block);
+                assert_eq!(
+                    (lanes.blocks, lanes.len),
+                    (reference.blocks, reference.len),
+                    "{blocks} blocks, step {step}"
+                );
+            }
+        }
     }
 
     #[test]

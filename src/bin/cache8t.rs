@@ -693,9 +693,9 @@ fn cmd_simulate(o: &Options) -> Result<(), String> {
         },
     };
     let mut controller = scheme.build_on(backend(o));
-    // Stream each window straight to disk: the sampler's ring stays
-    // bounded, so even a very long replay holds flat memory while
-    // exporting its full telemetry history.
+    // Stream each window straight to disk: a sampler with a writer
+    // keeps no windows, so even a very long replay holds flat memory
+    // while exporting its full telemetry history.
     let mut sampler = match series {
         Some((path, config)) => {
             let file = File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;

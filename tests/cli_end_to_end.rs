@@ -271,3 +271,101 @@ fn writers_report_a_full_disk_instead_of_success() {
         );
     }
 }
+
+/// A streamed `simulate` draws the prefetch handoff on two tracks: the
+/// producer's `chunk-prefetch` track holds one `prefetch.produce` slice
+/// per chunk plus the call that finds the end of the stream and one
+/// `prefetch.send` per chunk; the consumer's `main` track holds one
+/// `prefetch.wait` per chunk plus the end-of-stream `recv`.
+#[test]
+fn streamed_simulate_times_the_prefetch_handoff() {
+    use std::collections::HashMap;
+
+    use serde_json::Value;
+
+    let path = temp_path("prefetch-timeline.json");
+    let path_arg = path.to_string_lossy().to_string();
+    let out = cli()
+        .args([
+            "simulate",
+            "--profile",
+            "gcc",
+            "--scheme",
+            "wg+rb",
+            "--ops",
+            "20000",
+            "--stream-chunk-ops",
+            "4096",
+            "--timeline-out",
+            &path_arg,
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&path).expect("timeline written");
+    let doc: Value = serde_json::from_str(&text).expect("timeline parses");
+    let events = doc
+        .get("traceEvents")
+        .and_then(Value::as_array)
+        .expect("traceEvents array");
+    let field = |e: &Value, key: &str| e.get(key).cloned().expect("event field");
+    let str_of = |e: &Value, key: &str| field(e, key).as_str().expect("string").to_owned();
+
+    let mut tracks = HashMap::new();
+    for e in events.iter().filter(|e| str_of(e, "ph") == "M") {
+        let name = field(e, "args")
+            .get("name")
+            .and_then(Value::as_str)
+            .map(str::to_owned);
+        tracks.insert(
+            name.expect("track name"),
+            field(e, "tid").as_u64().expect("tid"),
+        );
+    }
+    let (main, prefetch) = (tracks["main"], tracks["chunk-prefetch"]);
+
+    // ceil(20000 / 4096) = 5 chunks.
+    let chunks = 5;
+    let begins = |tid: u64, name: &str| {
+        events
+            .iter()
+            .filter(|e| {
+                str_of(e, "ph") == "B"
+                    && field(e, "tid").as_u64() == Some(tid)
+                    && str_of(e, "name") == name
+            })
+            .count()
+    };
+    assert_eq!(begins(prefetch, "prefetch.produce"), chunks + 1);
+    assert_eq!(begins(prefetch, "prefetch.send"), chunks);
+    assert_eq!(begins(main, "prefetch.wait"), chunks + 1);
+    for (tid, name) in [
+        (main, "prefetch.produce"),
+        (main, "prefetch.send"),
+        (prefetch, "prefetch.wait"),
+    ] {
+        assert_eq!(begins(tid, name), 0, "{name} on the wrong track");
+    }
+
+    // Every `E` closes the most recent open `B` on its track.
+    let mut open: HashMap<u64, Vec<String>> = HashMap::new();
+    for e in events {
+        let tid = field(e, "tid").as_u64().expect("tid");
+        match str_of(e, "ph").as_str() {
+            "B" => open.entry(tid).or_default().push(str_of(e, "name")),
+            "E" => {
+                let top = open.entry(tid).or_default().pop();
+                assert_eq!(top, Some(str_of(e, "name")), "unbalanced slice");
+            }
+            _ => {}
+        }
+    }
+    assert!(
+        open.values().all(Vec::is_empty),
+        "unclosed slices: {open:?}"
+    );
+}

@@ -4,8 +4,9 @@
 //! traces, so every figure in the repository depends on its exact op
 //! stream. These tests pin that stream: an FNV-1a digest of every op
 //! (kind, address, value) plus the instruction total, for profiles that
-//! cover every `ZipfSampler` branch (s = 1.1, 0.8, 1.0 and 0) and both
-//! branches of the silence chain, over two seeds and two block sizes.
+//! cover every `ZipfSampler` branch and the exponents of the built-in
+//! suite (s = 1.2, 1.1, 1.0, 0.9, 0.8, 0.7 and 0) and both branches of
+//! the silence chain, over two seeds and two block sizes.
 //! Each stream is produced three ways — one `collect` and two
 //! `ChunkedGenerator` chunk sizes — and all three must match the pinned
 //! values. A change to the generator's internals that is meant to be a
@@ -93,9 +94,12 @@ fn chunked(
     (digest, instructions)
 }
 
-/// `(profile, large blocks?, seed, digest, instructions)`, computed on
-/// the generator before its fast-path rewrite. Large blocks are the
-/// paper's 64 B geometry; the rest use the 32 B baseline.
+/// `(profile, large blocks?, seed, digest, instructions)`, each computed
+/// on the generator before a rewrite meant to keep it: the first ten
+/// before the flat-state rewrite, the s = 0.9 (bwaves, lbm), 1.2
+/// (gamess) and 0.7 (libquantum) rows before the table-driven Zipf
+/// draws. Large blocks are the paper's 64 B geometry; the rest use the
+/// 32 B baseline.
 const GOLDEN: &[(&str, bool, u64, u64, u64)] = &[
     ("gcc", false, 42, 0x7c260c6e7cccf747, 150000),
     ("gcc", false, 7, 0x6021a892a2f78ca9, 150000),
@@ -107,6 +111,14 @@ const GOLDEN: &[(&str, bool, u64, u64, u64)] = &[
     ("bzip2", false, 7, 0x0297625c4af11ab7, 157894),
     ("uniform", false, 42, 0xf83a921e55f6fcb5, 162162),
     ("uniform", false, 7, 0x27f0e4dabe6e91d9, 162162),
+    ("bwaves", false, 42, 0x36a48a7dae58ab11, 125000),
+    ("bwaves", false, 7, 0xe281b82c1c256485, 125000),
+    ("lbm", false, 42, 0x8db704a23ab41ea8, 142857),
+    ("lbm", false, 7, 0x47622b08d9ee570f, 142857),
+    ("gamess", false, 42, 0x81a3210367b8ab1d, 150000),
+    ("gamess", false, 7, 0x8acec528f35a16b9, 150000),
+    ("libquantum", false, 42, 0x490220f34cd8d77a, 181818),
+    ("libquantum", false, 7, 0x1f249c7e94ad13ec, 181818),
 ];
 
 #[test]
