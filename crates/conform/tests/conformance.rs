@@ -74,7 +74,7 @@ fn scheme_subsets_are_checkable() {
     assert_eq!(report.schemes, vec!["WG", "WG+RB", "CoalesceWB(8)"]);
 }
 
-/// Acceptance criterion: arming `WgFault::SkipDirtyBit` makes the WG
+/// Acceptance check: arming `WgFault::SkipDirtyBit` makes the WG
 /// controller drop grouped writes on eviction; the harness must catch
 /// the divergence on a fuzzed trace and shrink it to a reproducer of
 /// at most 64 ops that still fails and survives a C8TT round trip.

@@ -9,6 +9,7 @@
 //! `off`) so the hot path pays a single integer compare
 //! when tracing is disabled.
 
+use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::sync::OnceLock;
 
@@ -155,71 +156,8 @@ impl TraceEvent {
     }
 }
 
-/// A bounded ring of trace events: the most recent `capacity` events
-/// are kept, older ones are dropped (and counted).
-#[derive(Debug, Clone)]
-struct EventRing {
-    buffer: Vec<TraceEvent>,
-    capacity: usize,
-    /// Index of the oldest event once the ring has wrapped.
-    head: usize,
-    dropped: u64,
-}
-
-impl EventRing {
-    /// A ring keeping at most `capacity` events (minimum 1).
-    fn new(capacity: usize) -> Self {
-        EventRing {
-            buffer: Vec::new(),
-            capacity: capacity.max(1),
-            head: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Appends an event, evicting the oldest when full.
-    #[inline]
-    fn push(&mut self, event: TraceEvent) {
-        if self.buffer.len() < self.capacity {
-            self.buffer.push(event);
-        } else {
-            self.buffer[self.head] = event;
-            self.head = (self.head + 1) % self.capacity;
-            self.dropped += 1;
-        }
-    }
-
-    /// Events currently held, oldest first.
-    fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.buffer[self.head..]
-            .iter()
-            .chain(self.buffer[..self.head].iter())
-    }
-
-    /// Number of events currently held.
-    fn len(&self) -> usize {
-        self.buffer.len()
-    }
-
-    /// True when no event has been recorded.
-    fn is_empty(&self) -> bool {
-        self.buffer.is_empty()
-    }
-
-    /// Events evicted because the ring was full.
-    fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Removes all events (dropped count included).
-    fn clear(&mut self) {
-        self.buffer.clear();
-        self.head = 0;
-        self.dropped = 0;
-    }
-}
-
-/// Default ring capacity used by [`Tracer::from_env`].
+/// Ring capacity of the tracer each controller stack's
+/// `cache8t_core::StackObs` owns.
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
 /// A level-gated event recorder.
@@ -227,31 +165,27 @@ pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 /// Each controller stack owns one tracer; the level decides which
 /// [`Tracer::emit`] calls actually record. With the level at
 /// [`TraceLevel::Off`] an emit is a single branch on an enum
-/// discriminant — cheap enough to leave in release hot paths.
+/// discriminant — cheap enough to leave in release hot paths. Recorded
+/// events sit in a bounded ring: the most recent `capacity` are kept,
+/// older ones are dropped and counted.
 #[derive(Debug, Clone)]
 pub struct Tracer {
     level: TraceLevel,
-    ring: EventRing,
-}
-
-impl Default for Tracer {
-    fn default() -> Self {
-        Tracer::new(TraceLevel::Off, DEFAULT_RING_CAPACITY)
-    }
+    events: VecDeque<TraceEvent>,
+    capacity: usize,
+    dropped: u64,
 }
 
 impl Tracer {
-    /// A tracer at an explicit level.
+    /// A tracer at an explicit level keeping at most `capacity` events
+    /// (minimum 1).
     pub fn new(level: TraceLevel, capacity: usize) -> Self {
         Tracer {
             level,
-            ring: EventRing::new(capacity),
+            events: VecDeque::new(),
+            capacity: capacity.max(1),
+            dropped: 0,
         }
-    }
-
-    /// A tracer at the `CACHE8T_TRACE` level with the default ring.
-    pub fn from_env() -> Self {
-        Tracer::new(TraceLevel::from_env(), DEFAULT_RING_CAPACITY)
     }
 
     /// The active level.
@@ -269,7 +203,7 @@ impl Tracer {
     #[inline]
     pub fn emit(&mut self, event: TraceEvent) {
         if self.level >= TraceLevel::Event {
-            self.ring.push(event);
+            self.record(event);
         }
     }
 
@@ -277,33 +211,44 @@ impl Tracer {
     #[inline]
     pub fn emit_verbose(&mut self, event: TraceEvent) {
         if self.level >= TraceLevel::Verbose {
-            self.ring.push(event);
+            self.record(event);
         }
+    }
+
+    /// Appends an event, dropping the oldest when the ring is full.
+    #[inline]
+    fn record(&mut self, event: TraceEvent) {
+        if self.events.len() == self.capacity {
+            self.events.pop_front();
+            self.dropped += 1;
+        }
+        self.events.push_back(event);
     }
 
     /// Recorded events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.ring.iter()
+        self.events.iter()
     }
 
     /// Number of recorded events currently held.
     pub fn len(&self) -> usize {
-        self.ring.len()
+        self.events.len()
     }
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
+        self.events.is_empty()
     }
 
     /// Events evicted because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.ring.dropped()
+        self.dropped
     }
 
-    /// Discards all recorded events.
+    /// Discards all recorded events (dropped count included).
     pub fn clear(&mut self) {
-        self.ring.clear();
+        self.events.clear();
+        self.dropped = 0;
     }
 
     /// Writes every recorded event as one JSON object per line.
@@ -377,13 +322,13 @@ mod tests {
 
     #[test]
     fn ring_keeps_most_recent_events() {
-        let mut ring = EventRing::new(4);
+        let mut tracer = Tracer::new(TraceLevel::Event, 4);
         for t in 0..10 {
-            ring.push(event(t));
+            tracer.emit(event(t));
         }
-        assert_eq!(ring.len(), 4);
-        assert_eq!(ring.dropped(), 6);
-        let ticks: Vec<u64> = ring.iter().map(|e| e.tick).collect();
+        assert_eq!(tracer.len(), 4);
+        assert_eq!(tracer.dropped(), 6);
+        let ticks: Vec<u64> = tracer.events().map(|e| e.tick).collect();
         assert_eq!(ticks, vec![6, 7, 8, 9]);
     }
 

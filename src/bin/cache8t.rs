@@ -16,6 +16,7 @@ use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write as _};
 use std::process::ExitCode;
 use std::str::FromStr;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use cache8t::conform::{self, fuzz, ConformConfig, ConformReport};
@@ -26,7 +27,9 @@ use cache8t::exec::{
     SweepOptions, SweepPlan, TraceStore,
 };
 use cache8t::obs::sampler::{self, Sampler, SamplerConfig, SeriesSample};
-use cache8t::obs::{perfdiff, timeline, Span};
+use cache8t::obs::{
+    perfdiff, timeline, Component, EventKind, MetricRegistry, Span, TraceEvent, TraceLevel, Tracer,
+};
 use cache8t::serve::{Client, ClientError, PlanSpec, ServeConfig, Server};
 use cache8t::sim::{kernels, CacheGeometry, ReplacementKind};
 use cache8t::trace::analyze::StreamStats;
@@ -34,6 +37,49 @@ use cache8t::trace::{
     profiles, ChunkedGenerator, DecodedBatch, ProfiledGenerator, Trace, TraceChunk,
     TraceFileReader, TraceGenerator, WorkloadProfile,
 };
+
+/// Set once a report write finds stdout closed (`cache8t ... | head`).
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Whether a report write has found stdout closed.
+fn stdout_closed() -> bool {
+    STDOUT_CLOSED.load(Ordering::Relaxed)
+}
+
+/// Writes report output to stdout. A closed stdout ends the report, not
+/// the command: after the first `BrokenPipe` every write is dropped, so
+/// the command still writes its files and exits 0. Any other write error
+/// fails the command.
+fn write_stdout(args: std::fmt::Arguments) -> Result<(), String> {
+    if stdout_closed() {
+        return Ok(());
+    }
+    let mut stdout = std::io::stdout().lock();
+    match stdout.write_fmt(args).and_then(|()| stdout.flush()) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {
+            STDOUT_CLOSED.store(true, Ordering::Relaxed);
+            Ok(())
+        }
+        written => written.map_err(|e| format!("cannot write stdout: {e}")),
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! stdout {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! stdoutln {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 const USAGE: &str = "\
 usage: cache8t <command> [options]
@@ -92,9 +138,11 @@ commands:
   bench-core                             single-thread replay throughput of
            [--profile NAME]              the simulator core (batched replay
            [--ops N] [--seed S]          path), one row per scheme plus the
-           [--reps N]                    decode/probe/compare kernel
-                                         microbenches; best of N reps kept
-                                         (default profile: gcc)
+           [--reps N]                    generate/decode/probe/compare
+                                         kernel and counter_inc/emit_off
+                                         observability microbenches; best
+                                         of N reps kept (default profile:
+                                         gcc)
            [--cache CAPKB,WAYS,BLOCKB]
            [--l2 CAPKB,WAYS,BLOCKB]
            [--out FILE] [--json]         perfdiff-compatible JSON document
@@ -587,19 +635,23 @@ fn write_file(
 }
 
 fn cmd_list_profiles(_: &Options) -> Result<(), String> {
-    println!(
+    stdoutln!(
         "{:<12} {:>9} {:>9} {:>9} {:>8}",
-        "name", "rd/instr", "wr/instr", "same-set", "silent"
-    );
+        "name",
+        "rd/instr",
+        "wr/instr",
+        "same-set",
+        "silent"
+    )?;
     for p in profiles::spec2006() {
-        println!(
+        stdoutln!(
             "{:<12} {:>8.1}% {:>8.1}% {:>8.1}% {:>7.0}%",
             p.name,
             p.reads_per_instr() * 100.0,
             p.writes_per_instr() * 100.0,
             p.locality.total() * 100.0,
             p.silent_fraction * 100.0,
-        );
+        )?;
     }
     Ok(())
 }
@@ -608,25 +660,25 @@ fn cmd_gen(o: &Options) -> Result<(), String> {
     let out = o.out.as_ref().ok_or("gen requires --out FILE")?;
     let trace = load_or_generate(o)?;
     write_file(out, |w| trace.write_to(w))?;
-    println!(
+    stdoutln!(
         "wrote {} ops ({} instructions) to {out}",
         trace.len(),
         trace.instructions()
-    );
+    )?;
     Ok(())
 }
 
 fn cmd_analyze(o: &Options) -> Result<(), String> {
     let trace = load_or_generate(o)?;
     let stats = StreamStats::measure(&trace, o.cache);
-    println!(
+    stdoutln!(
         "{} ops over {} instructions, {} distinct blocks in {} sets",
         trace.len(),
         trace.instructions(),
         stats.distinct_blocks,
         stats.distinct_sets
-    );
-    println!("{stats}");
+    )?;
+    stdoutln!("{stats}")?;
     Ok(())
 }
 
@@ -734,16 +786,16 @@ fn cmd_simulate(o: &Options) -> Result<(), String> {
         .stream_chunk_ops
         .map(|n| format!(", streamed x{n} chunks"))
         .unwrap_or_default();
-    println!(
+    stdoutln!(
         "scheme {} on {} ops ({}KB/{}-way/{}B cache{streamed}):",
         controller.name(),
         total_ops,
         o.cache.capacity_bytes() / 1024,
         o.cache.ways(),
         o.cache.block_bytes()
-    );
-    println!("  {}", controller.traffic());
-    println!("  requests: {}", controller.stats());
+    )?;
+    stdoutln!("  {}", controller.traffic())?;
+    stdoutln!("  requests: {}", controller.stats())?;
     write_observability(o, controller.as_ref())?;
     if let Some(path) = &o.timeline_out {
         write_timeline(path)?;
@@ -787,13 +839,13 @@ fn cmd_bench_core(o: &Options) -> Result<(), String> {
     let trace = ProfiledGenerator::new(profile.clone(), CacheGeometry::paper_baseline(), o.seed)
         .collect(o.ops);
 
-    println!(
+    stdoutln!(
         "bench-core: {} ops of `{name}` (seed {}), best of {} rep(s) per scheme",
         trace.len(),
         o.seed,
         o.reps
-    );
-    println!("  {:<12} {:>12} {:>10}", "scheme", "ops/sec", "ms/rep");
+    )?;
+    stdoutln!("  {:<12} {:>12} {:>10}", "scheme", "ops/sec", "ms/rep")?;
     let mut throughput: Vec<(String, serde_json::Value)> = Vec::new();
     for scheme in BENCH_CORE_SCHEMES {
         let mut best = f64::INFINITY;
@@ -811,18 +863,18 @@ fn cmd_bench_core(o: &Options) -> Result<(), String> {
             best = best.min(elapsed);
         }
         let ops_per_sec = trace.len() as f64 / best;
-        println!(
+        stdoutln!(
             "  {:<12} {:>12.0} {:>10.2}",
             scheme.spelling(),
             ops_per_sec,
             best * 1e3
-        );
+        )?;
         throughput.push((
             scheme.spelling(),
             serde_json::json!({ "ops_per_sec": ops_per_sec.round() }),
         ));
     }
-    let kernels_doc = bench_core_kernels(o, &profile, &trace);
+    let kernels_doc = bench_core_kernels(o, &profile, &trace)?;
     let doc = serde_json::Value::Object(vec![(
         "bench_core".to_string(),
         serde_json::Value::Object(vec![
@@ -838,12 +890,18 @@ fn cmd_bench_core(o: &Options) -> Result<(), String> {
     emit(&text, "bench-core document", o.out.as_deref(), o.json)
 }
 
-/// Best-of-reps microbenches of the trace generator and of the
-/// individual kernels the batched replay path is built from, keyed
+/// Best-of-reps microbenches of the trace generator, of the individual
+/// kernels the batched replay path is built from and of the
+/// observability calls the controllers make per access, keyed
 /// `bench_core.kernels.<name>` in the JSON document. One "op" is one
-/// trace op for `generate`, `decode` and `probe`, and one 64-bit word
-/// compared for `silent_compare` and `diff_mask`.
-fn bench_core_kernels(o: &Options, profile: &WorkloadProfile, trace: &Trace) -> serde_json::Value {
+/// trace op for `generate`, `decode` and `probe`, one 64-bit word
+/// compared for `silent_compare` and `diff_mask`, and one call for
+/// `counter_inc` and `emit_off`.
+fn bench_core_kernels(
+    o: &Options,
+    profile: &WorkloadProfile,
+    trace: &Trace,
+) -> Result<serde_json::Value, String> {
     fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
         let mut best = f64::INFINITY;
         for _ in 0..reps {
@@ -922,23 +980,48 @@ fn bench_core_kernels(o: &Options, profile: &WorkloadProfile, trace: &Trace) -> 
         std::hint::black_box(acc);
     });
 
+    // `counter_inc` and `emit_off`: a registry counter increment and a
+    // trace event the `Off` level rejects, the two observability calls
+    // that stay on the replay hot path with tracing off.
+    let mut registry = MetricRegistry::new();
+    let counter = registry.counter("bench.hot_path");
+    let inc_best = best_of(o.reps, || {
+        for _ in 0..o.ops {
+            registry.inc(std::hint::black_box(counter));
+        }
+    });
+    let mut tracer = Tracer::new(TraceLevel::Off, 1);
+    let emit_best = best_of(o.reps, || {
+        for i in 0..o.ops as u64 {
+            tracer.emit(std::hint::black_box(TraceEvent::new(
+                i,
+                Component::Wg,
+                EventKind::GroupFlush,
+                i,
+                1,
+            )));
+        }
+    });
+
     let rows = [
         ("generate", o.ops as f64 / generate_best),
         ("decode", trace.len() as f64 / decode_best),
         ("probe", trace.len() as f64 / probe_best),
         ("silent_compare", compared / silent_best),
         ("diff_mask", compared / mask_best),
+        ("counter_inc", o.ops as f64 / inc_best),
+        ("emit_off", o.ops as f64 / emit_best),
     ];
-    println!("  {:<16} {:>10}", "kernel", "Mops/s");
+    stdoutln!("  {:<16} {:>10}", "kernel", "Mops/s")?;
     let mut out: Vec<(String, serde_json::Value)> = Vec::new();
     for (name, ops_per_sec) in rows {
-        println!("  {:<16} {:>10.1}", name, ops_per_sec / 1e6);
+        stdoutln!("  {:<16} {:>10.1}", name, ops_per_sec / 1e6)?;
         out.push((
             name.to_string(),
             serde_json::json!({ "mops_per_sec": (ops_per_sec / 1e6 * 10.0).round() / 10.0 }),
         ));
     }
-    serde_json::Value::Object(out)
+    Ok(serde_json::Value::Object(out))
 }
 
 /// Honors `--timeline-out`: stops recording, drains the global
@@ -960,15 +1043,15 @@ fn write_observability(o: &Options, controller: &dyn Controller) -> Result<(), S
     let obs = controller.backend().obs();
     if let Some(path) = &o.metrics_out {
         write_file(path, |w| obs.registry().write_json(w))?;
-        println!("  metrics snapshot written to {path}");
+        stdoutln!("  metrics snapshot written to {path}")?;
     }
     if let Some(path) = &o.trace_out {
         write_file(path, |w| obs.tracer().write_jsonl(w))?;
-        println!(
+        stdoutln!(
             "  {} trace events written to {path} ({} dropped)",
             obs.tracer().len(),
             obs.tracer().dropped()
-        );
+        )?;
     }
     Ok(())
 }
@@ -988,14 +1071,14 @@ fn read_json(path: &str) -> Result<serde_json::Value, String> {
 }
 
 /// Writes `text` to `out`, noting the `what` on stderr, and prints it
-/// when `stdout` is set.
-fn emit(text: &str, what: &str, out: Option<&str>, stdout: bool) -> Result<(), String> {
+/// when `print` is set.
+fn emit(text: &str, what: &str, out: Option<&str>, print: bool) -> Result<(), String> {
     if let Some(path) = out {
         std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("{what} written to {path}");
     }
-    if stdout {
-        print!("{text}");
+    if print {
+        stdout!("{text}")?;
     }
     Ok(())
 }
@@ -1079,7 +1162,7 @@ fn cmd_sweep(o: &Options) -> Result<(), String> {
     }
     let outcome = run_sweep(&plan, &options);
 
-    println!(
+    stdoutln!(
         "sweep: {} benchmarks x {} geometries, {} ops each, seed {} ({} workers, {:.1}s)",
         plan.profiles.len(),
         plan.geometries.len(),
@@ -1087,30 +1170,30 @@ fn cmd_sweep(o: &Options) -> Result<(), String> {
         plan.seed,
         options.exec.effective_workers(),
         outcome.elapsed.as_secs_f64(),
-    );
+    )?;
     for g in &outcome.geometries {
         let done: Vec<&BenchmarkResult> = g.results.iter().flatten().collect();
         if done.is_empty() {
-            println!("  {:<9} (no benchmarks in this shard)", g.point.label);
+            stdoutln!("  {:<9} (no benchmarks in this shard)", g.point.label)?;
             continue;
         }
-        println!(
+        stdoutln!(
             "  {:<9} {:>2}/{} benchmarks   WG avg {:>5.1}%   WG+RB avg {:>5.1}%",
             g.point.label,
             done.len(),
             plan.profiles.len(),
             average(&done, BenchmarkResult::wg_reduction) * 100.0,
             average(&done, BenchmarkResult::wgrb_reduction) * 100.0,
-        );
+        )?;
     }
     for f in &outcome.failures {
         eprintln!("FAILED {}/{}: {}", f.geometry, f.benchmark, f.message);
     }
-    println!("\n[sweep engine]");
-    print!("{}", outcome.metrics.render_table());
+    stdoutln!("\n[sweep engine]")?;
+    stdout!("{}", outcome.metrics.render_table())?;
     if !outcome.spans.is_empty() {
-        println!("\n[worker spans]");
-        print!("{}", timeline::render_stats(&outcome.spans));
+        stdoutln!("\n[worker spans]")?;
+        stdout!("{}", timeline::render_stats(&outcome.spans))?;
     }
 
     if let Some(path) = &o.metrics_out {
@@ -1173,13 +1256,13 @@ fn cmd_perfdiff(o: &Options) -> Result<(), String> {
     let report = diff.to_value(threshold, &o.ignore);
 
     if !o.json {
-        println!(
+        stdoutln!(
             "{} aligned metrics ({} changed), {} only in baseline, {} only in current",
             diff.deltas.len(),
             diff.changed().len(),
             diff.only_baseline.len(),
             diff.only_current.len()
-        );
+        )?;
         let mut changed = diff.changed();
         // Biggest relative movers first; new/gone rows (no percentage)
         // sink to the bottom instead of poisoning the sort with
@@ -1207,9 +1290,9 @@ fn cmd_perfdiff(o: &Options) -> Result<(), String> {
                     fmt_relative(m),
                 ]);
             }
-            print!("{}", table.render());
+            stdout!("{}", table.render())?;
             if changed.len() > MAX_ROWS {
-                println!("... and {} more changed metrics", changed.len() - MAX_ROWS);
+                stdoutln!("... and {} more changed metrics", changed.len() - MAX_ROWS)?;
             }
         }
     }
@@ -1370,7 +1453,7 @@ fn cmd_watch(o: &Options) -> Result<(), String> {
     let path = &o.args[0];
     if !o.follow {
         let (samples, malformed) = read_series(path)?;
-        print!("{}", render_watch(&samples, o.rows, None));
+        stdout!("{}", render_watch(&samples, o.rows, None))?;
         if malformed > 0 {
             eprintln!("warning: skipped {malformed} malformed line(s)");
         }
@@ -1398,8 +1481,10 @@ fn cmd_watch(o: &Options) -> Result<(), String> {
             painted_once = true;
             // Clear and repaint in place, like a full-screen progress
             // line.
-            print!("\x1b[2J\x1b[H{}", render_watch(&samples, o.rows, mops));
-            let _ = std::io::stdout().flush();
+            stdout!("\x1b[2J\x1b[H{}", render_watch(&samples, o.rows, mops))?;
+            if stdout_closed() {
+                return Ok(());
+            }
         }
         std::thread::sleep(std::time::Duration::from_millis(250));
     }
@@ -1450,7 +1535,7 @@ fn cmd_report_series(o: &Options) -> Result<(), String> {
             format!("{bench} / {scheme}")
         };
         let total_ops: u64 = group.iter().map(|s| s.ops()).sum();
-        println!("{label}: {} windows, {total_ops} ops", group.len());
+        stdoutln!("{label}: {} windows, {total_ops} ops", group.len())?;
 
         let miss: Vec<f64> = group.iter().map(|s| s.miss_rate()).collect();
         let phases = sampler::segment_phases(&miss, PHASE_TOLERANCE);
@@ -1477,21 +1562,21 @@ fn cmd_report_series(o: &Options) -> Result<(), String> {
                 format!("{:.2}", mean(&SeriesSample::mean_occupancy)),
             ]);
         }
-        print!("{}", table.render());
+        stdout!("{}", table.render())?;
 
         let spark_row = |name: &str, values: Vec<f64>| {
-            println!(
+            stdoutln!(
                 "  {name:<6} {}",
                 sampler::sparkline(&downsample(&values, SPARK_WIDTH))
-            );
+            )
         };
-        spark_row("miss%", miss);
-        spark_row("occ", group.iter().map(|s| s.mean_occupancy()).collect());
+        spark_row("miss%", miss)?;
+        spark_row("occ", group.iter().map(|s| s.mean_occupancy()).collect())?;
         spark_row(
             "wb",
             group.iter().map(|s| s.writeback_traffic() as f64).collect(),
-        );
-        println!();
+        )?;
+        stdoutln!()?;
     }
     if malformed > 0 {
         eprintln!("warning: skipped {malformed} malformed line(s)");
@@ -1647,14 +1732,14 @@ fn cmd_check(o: &Options) -> Result<(), String> {
         eprintln!("divergence events written to {path}");
     }
 
-    println!(
+    stdoutln!(
         "check: {deterministic_units} deterministic unit(s) + {} fuzz round(s) x {} scheme(s), seed {}",
         o.fuzz_rounds,
         config.schemes.len(),
         o.seed
-    );
+    )?;
     if divergent == 0 {
-        println!("conformance: PASS ({} unit(s) clean)", units.len());
+        stdoutln!("conformance: PASS ({} unit(s) clean)", units.len())?;
         Ok(())
     } else {
         Err(format!(
@@ -1717,8 +1802,8 @@ fn cmd_client(o: &Options) -> Result<(), String> {
     // Fetched documents carry the bytes `cache8t sweep --out` writes,
     // so the two can be `cmp`-ed directly.
     let emit_document = |doc: &serde_json::Value| {
-        let stdout = o.json || o.out.is_none();
-        emit(&pretty(doc), "sweep document", o.out.as_deref(), stdout)
+        let print = o.json || o.out.is_none();
+        emit(&pretty(doc), "sweep document", o.out.as_deref(), print)
     };
     let mut client = Client::connect_with_retry(connect, std::time::Duration::from_secs(5))
         .map_err(|e| format!("cannot connect to {connect}: {e}"))?;
@@ -1730,13 +1815,13 @@ fn cmd_client(o: &Options) -> Result<(), String> {
                 let document = client.wait_for_results(&job).map_err(describe)?;
                 emit_document(&document)?;
             } else {
-                println!("{job}");
+                stdoutln!("{job}")?;
             }
             Ok(())
         }
         "status" => {
             let status = client.status(o.job.as_deref()).map_err(describe)?;
-            print!("{}", pretty(&status));
+            stdout!("{}", pretty(&status))?;
             Ok(())
         }
         "fetch" => {
@@ -1755,11 +1840,15 @@ fn cmd_client(o: &Options) -> Result<(), String> {
             // last delivered sequence number — a long watch survives
             // network blips without replaying (or losing) events.
             drop(client);
+            let mut written = Ok(());
             let state = cache8t::serve::watch_resumable(connect, job, |row| {
                 let line = serde_json::to_string(row).expect("event rows serialize");
-                println!("{line}");
+                if written.is_ok() {
+                    written = stdoutln!("{line}");
+                }
             })
             .map_err(describe)?;
+            written?;
             if state == "failed" {
                 Err(format!("job {job} failed"))
             } else {
@@ -1769,12 +1858,12 @@ fn cmd_client(o: &Options) -> Result<(), String> {
         "cancel" => {
             let job = require_job(o)?;
             let response = client.cancel(job).map_err(describe)?;
-            print!("{}", pretty(&response));
+            stdout!("{}", pretty(&response))?;
             Ok(())
         }
         "health" => {
             let health = client.health().map_err(describe)?;
-            print!("{}", pretty(&health));
+            stdout!("{}", pretty(&health))?;
             Ok(())
         }
         "metrics" => {
@@ -1978,11 +2067,13 @@ fn cmd_top(o: &Options) -> Result<(), String> {
         });
         let frame = render_top(connect, &health, &metrics, &status, rates);
         if o.once {
-            print!("{frame}");
+            stdout!("{frame}")?;
             return Ok(());
         }
-        print!("\x1b[2J\x1b[H{frame}");
-        std::io::Write::flush(&mut std::io::stdout()).ok();
+        stdout!("\x1b[2J\x1b[H{frame}")?;
+        if stdout_closed() {
+            return Ok(());
+        }
         prev = Some((std::time::Instant::now(), total_requests, journal_bytes));
         std::thread::sleep(std::time::Duration::from_millis(o.interval_ms));
     }

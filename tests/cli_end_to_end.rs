@@ -236,6 +236,112 @@ fn bad_inputs_fail_cleanly() {
     }
 }
 
+/// Runs `cache8t args..` with its stdout a pipe whose reader is
+/// already gone, so its first report write fails with `BrokenPipe`.
+fn output_with_stdout_closed(args: &[&str]) -> std::process::Output {
+    let (reader, writer) = std::io::pipe().expect("create a pipe");
+    drop(reader);
+    cli()
+        .args(args)
+        .stdout(writer)
+        .output()
+        .expect("binary runs")
+}
+
+#[test]
+fn closed_stdout_ends_list_profiles_quietly() {
+    let out = output_with_stdout_closed(&["list-profiles"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
+}
+
+/// A closed stdout drops the report but not the files: `simulate`
+/// prints before it writes `--metrics-out`.
+#[test]
+fn closed_stdout_still_writes_the_metrics_file() {
+    let simulate = |path: &PathBuf, closed: bool| {
+        let path = path.to_string_lossy().to_string();
+        let args = [
+            "simulate",
+            "--profile",
+            "gcc",
+            "--scheme",
+            "wg",
+            "--ops",
+            "2000",
+            "--metrics-out",
+            &path,
+        ];
+        if closed {
+            output_with_stdout_closed(&args)
+        } else {
+            cli().args(args).output().expect("binary runs")
+        }
+    };
+    let open_path = temp_path("stdout-open-metrics.json");
+    let closed_path = temp_path("stdout-closed-metrics.json");
+    let open = simulate(&open_path, false);
+    assert!(open.status.success());
+    let closed = simulate(&closed_path, true);
+    let stderr = String::from_utf8_lossy(&closed.stderr);
+    assert_eq!(closed.status.code(), Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
+    let read = |path: &PathBuf| std::fs::read(path).expect("metrics written");
+    assert_eq!(read(&closed_path), read(&open_path));
+    std::fs::remove_file(&open_path).ok();
+    std::fs::remove_file(&closed_path).ok();
+}
+
+/// `bench-core --json` carries every row of the checked-in baseline,
+/// so CI's perfdiff never compares against a row that is gone. Key
+/// names only: speeds vary by host and build.
+#[test]
+fn bench_core_document_has_every_baseline_row() {
+    use serde_json::Value;
+
+    fn leaves(value: &Value, path: &mut Vec<String>, into: &mut Vec<Vec<String>>) {
+        match value.as_object() {
+            Some(fields) => {
+                for (key, field) in fields {
+                    path.push(key.clone());
+                    leaves(field, path, into);
+                    path.pop();
+                }
+            }
+            None => into.push(path.clone()),
+        }
+    }
+
+    let baseline_path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/results/bench_core_baseline.json"
+    );
+    let baseline_text = std::fs::read_to_string(baseline_path).expect("baseline readable");
+    let baseline: Value = serde_json::from_str(&baseline_text).expect("baseline parses");
+    let out = cli()
+        .args(["bench-core", "--ops", "4000", "--reps", "1", "--json"])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // The document follows the human-readable table on stdout.
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let start = stdout.find("\n{").expect("a JSON document on stdout") + 1;
+    let doc: Value = serde_json::from_str(&stdout[start..]).expect("document parses");
+
+    let mut keys = Vec::new();
+    leaves(&baseline, &mut Vec::new(), &mut keys);
+    assert!(keys.len() > 10, "{keys:?}");
+    for key in &keys {
+        let found = key.iter().try_fold(&doc, |value, name| value.get(name));
+        assert!(found.is_some(), "bench-core --json lacks {}", key.join("."));
+    }
+}
+
 #[cfg(target_os = "linux")]
 #[test]
 fn writers_report_a_full_disk_instead_of_success() {

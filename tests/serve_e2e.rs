@@ -3,7 +3,7 @@
 //! the same checkpoint journal, and assert the resumed document is
 //! byte-identical to a one-shot `cache8t sweep` — for 1 and 4 workers.
 //!
-//! This is the acceptance criterion of the serve subsystem and the test
+//! This is the acceptance test of the serve subsystem and the one
 //! CI's `serve-smoke` job mirrors in shell.
 
 #![cfg(unix)]
